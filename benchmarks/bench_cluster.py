@@ -3,8 +3,8 @@
 Replays one seeded shared-system-prompt trace — G prompt groups, each
 group sharing a long system prefix ahead of a unique user suffix, arrival
 order shuffled so group members interleave — through identical
-:class:`~repro.serving.cluster.ClusterFrontend`s that differ only in the
-router, and reports per-router:
+executors (:func:`repro.serving.engine.make_executor`) that differ only
+in the router, and reports per-router:
 
 - **cluster-wide prefix-reused tokens** (the number routing is supposed
   to move): ``round_robin`` scatters each group over the replicas, so a
@@ -59,7 +59,7 @@ from repro.models.builder import build_recall_model
 from repro.models.config import tiny_test_config
 from repro.models.llm import TransformerLM
 from repro.models.tokenizer import SyntheticTokenizer
-from repro.serving.cluster import ClusterFrontend
+from repro.serving.engine import make_executor
 from repro.serving.trace import TraceEntry, poisson_trace
 
 ROUTERS = ("round_robin", "least_loaded", "prefix_affinity")
@@ -156,8 +156,7 @@ def replay_timed(
     config: EngineConfig,
     cluster: ClusterConfig,
 ) -> dict:
-    """Replay ``trace`` through a fresh frontend, wall-timing each step."""
-    frontend = ClusterFrontend(model, config, cluster)
+    """Replay ``trace`` through a fresh executor, wall-timing each step."""
     entries = sorted(
         (clone_entry(e) for e in trace), key=lambda e: e.arrival_step
     )
@@ -166,32 +165,37 @@ def replay_timed(
     step_loads: list[list[int]] = []
     submit_wall: dict[int, float] = {}
     first_token_wall: dict[int, float] = {}
-    while submitted < len(entries) or frontend.has_unfinished:
-        while (
-            submitted < len(entries)
-            and entries[submitted].arrival_step <= frontend.clock
-        ):
-            request_id = frontend.add_request(entries[submitted].request)
-            submit_wall[request_id] = time.perf_counter()
-            submitted += 1
-        if not frontend.has_unfinished:
-            frontend.advance_clock_to(entries[submitted].arrival_step)
-            continue
-        step_loads.append([
-            server.reserved_tokens + server.n_waiting
-            for server in frontend.replicas
-        ])
-        start = time.perf_counter()
-        frontend.step()
-        end = time.perf_counter()
-        step_wall.append(end - start)
-        for event in frontend.pop_stream_events():
-            first_token_wall.setdefault(event.request_id, end)
+    with make_executor(model, config, cluster) as executor:
+        while submitted < len(entries) or executor.has_unfinished:
+            while (
+                submitted < len(entries)
+                and entries[submitted].arrival_step <= executor.clock
+            ):
+                request_id = executor.add_request(entries[submitted].request)
+                submit_wall[request_id] = time.perf_counter()
+                submitted += 1
+            if not executor.has_unfinished:
+                executor.advance_clock_to(entries[submitted].arrival_step)
+                continue
+            step_loads.append([
+                s.reserved_tokens + s.n_waiting
+                for s in executor.snapshots().values()
+            ])
+            start = time.perf_counter()
+            executor.step()
+            end = time.perf_counter()
+            step_wall.append(end - start)
+            for event in executor.pop_stream_events():
+                first_token_wall.setdefault(event.request_id, end)
+        snapshots = executor.snapshots()
+        meter = executor.stats()
     ttft_wall_s = {
         rid: first_token_wall[rid] - submit_wall[rid] for rid in first_token_wall
     }
     return {
-        "frontend": frontend,
+        "executor": executor,
+        "snapshots": snapshots,
+        "meter": meter,
         "step_wall": step_wall,
         "step_loads": step_loads,
         "ttft_wall_s": ttft_wall_s,
@@ -204,23 +208,25 @@ def _pct(values, q) -> float:
 
 def router_metrics(run: dict) -> dict:
     """Aggregate one replay into the reported per-router entry."""
-    frontend = run["frontend"]
-    meter = frontend.stats()
-    routing = frontend.routing
+    executor = run["executor"]
+    meter = run["meter"]
+    routing = executor.routing
     wall = np.array(run["step_wall"])
     ttfts_ms = [1e3 * t for t in run["ttft_wall_s"].values()]
-    outputs = frontend.outputs
+    outputs = executor.outputs
     loads = np.array(run["step_loads"], dtype=float)
     # Mean per-step population variance of the replica loads (admission
     # charge + queue depth): 0 when perfectly balanced every step.
     load_variance = float(np.mean(np.var(loads, axis=1))) if loads.size else 0.0
     return {
-        "router": frontend.router.name,
-        "n_replicas": frontend.n_replicas,
+        "router": executor.placement.router.name,
+        "n_replicas": executor.n_workers,
         "steps": len(wall),
         "wall_s": float(wall.sum()),
         "generated_tokens": sum(len(o.token_ids) for o in outputs),
-        "prefix_reused_tokens": frontend.prefix_reused_tokens(),
+        "prefix_reused_tokens": sum(
+            o.stats.prefix_reused_tokens for o in outputs
+        ),
         "affinity_hit_rate": routing.hit_rate,
         "per_replica": {
             "routed": list(routing.routed),
@@ -228,7 +234,8 @@ def router_metrics(run: dict) -> dict:
             "affinity_misses": list(routing.affinity_misses),
             "cold": list(routing.cold),
             "prefix_blocks_reused": [
-                r.pool.stats.prefix_blocks_reused for r in frontend.replicas
+                s.pool.prefix_blocks_reused
+                for s in run["snapshots"].values()
             ],
         },
         "ttft_ms": {
@@ -242,9 +249,9 @@ def router_metrics(run: dict) -> dict:
         },
         "tokens_per_step": meter.tokens_per_second,
         "busy_tokens_per_step": meter.busy_tokens_per_second,
-        "preemptions": len(frontend.preemption_log),
+        "preemptions": len(executor.preemption_log),
         "load_variance": load_variance,
-        "migrations": len(frontend.migrations),
+        "migrations": len(executor.migrations),
         "token_streams": [o.token_ids for o in outputs],
     }
 
@@ -310,8 +317,8 @@ def bench_migration(model, tokenizer, args) -> dict:
     """Live-migration sub-benchmark: rebalance on vs off, same skewed trace.
 
     Both runs route with ``prefix_affinity`` over the hot-group trace;
-    the contender adds a periodic :meth:`~repro.serving.cluster
-    .ClusterFrontend.rebalance` pass that drains whole sessions from the
+    the contender adds a periodic :meth:`~repro.serving.engine.executor
+    .ExecutorBase.rebalance` pass that drains whole sessions from the
     overloaded replica via live KV migration. Reported gains: per-step
     load variance (balance) and wall-clock tail TTFT. The two runs'
     token streams must be identical — migration moves sessions

@@ -1,14 +1,14 @@
 """Cluster serving walk-through: prefix-affinity routing across replicas.
 
 A shared-system-prompt workload — the classic production shape: many
-users, few distinct system prompts — is served by a
-:class:`~repro.serving.cluster.ClusterFrontend` owning three independent
+users, few distinct system prompts — is served by an executor
+(:func:`repro.serving.make_executor`) owning three independent
 :class:`~repro.serving.server.SpeContextServer` replicas, each with its
 own paged KV pool and prefix cache.
 
 Run 1 routes with ``round_robin``: group members scatter across
 replicas, so most requests re-prefill a system prompt some other replica
-already holds. Run 2 routes with ``prefix_affinity``: the frontend
+already holds. Run 2 routes with ``prefix_affinity``: the executor
 probes every replica's prefix cache (a read-only blake2b-chain walk) and
 sticks each request to the replica holding the longest match, turning
 three private caches into one cluster-wide asset. Token streams are
@@ -32,8 +32,8 @@ from repro.models.builder import build_recall_model
 from repro.models.config import tiny_test_config
 from repro.models.llm import TransformerLM
 from repro.models.tokenizer import SyntheticTokenizer
-from repro.serving import ClusterFrontend
-from repro.serving.trace import TraceEntry, replay_trace_cluster
+from repro.serving import ExecutorBase, make_executor
+from repro.serving.trace import TraceEntry, replay_trace
 from repro.utils.tables import format_table
 
 N_REPLICAS = 3
@@ -75,8 +75,13 @@ def shared_prompt_trace(
     return entries
 
 
-def serve(model, tokenizer, router: str) -> ClusterFrontend:
-    frontend = ClusterFrontend(
+def prefix_reused_tokens(executor: ExecutorBase) -> int:
+    """Cluster-wide prompt tokens served from prefix caches."""
+    return sum(o.stats.prefix_reused_tokens for o in executor.outputs)
+
+
+def serve_and_report(model, tokenizer, router: str) -> ExecutorBase:
+    executor = make_executor(
         model,
         EngineConfig(
             budget=64, bos_id=tokenizer.bos_id, block_size=8, seed=0
@@ -85,12 +90,11 @@ def serve(model, tokenizer, router: str) -> ClusterFrontend:
             n_replicas=N_REPLICAS, router=router, stickiness_tokens=16
         ),
     )
-    replay_trace_cluster(frontend, shared_prompt_trace(tokenizer))
-    return frontend
-
-
-def report(frontend: ClusterFrontend, router: str) -> None:
-    routing = frontend.routing
+    with executor:
+        replay_trace(executor, shared_prompt_trace(tokenizer))
+        snapshots = executor.snapshots()
+        meter = executor.stats()
+    routing = executor.routing
     rows = [
         [
             i,
@@ -98,23 +102,23 @@ def report(frontend: ClusterFrontend, router: str) -> None:
             routing.affinity_hits[i],
             routing.affinity_misses[i],
             routing.cold[i],
-            frontend.replicas[i].pool.stats.prefix_blocks_reused,
+            snapshots[i].pool.prefix_blocks_reused,
         ]
-        for i in range(frontend.n_replicas)
+        for i in range(executor.n_workers)
     ]
     print(format_table(
         ["replica", "routed", "hits", "misses", "cold", "blocks reused"],
         rows,
         title=f"{router}: {routing.hit_rate:.0%} affinity hit rate, "
-        f"{frontend.prefix_reused_tokens()} prompt tokens reused "
+        f"{prefix_reused_tokens(executor)} prompt tokens reused "
         "cluster-wide",
     ))
-    meter = frontend.stats()
     print(
         f"  merged meter: {len(meter.finished)} finished, ttft p95 "
         f"{meter.ttft_percentile(95):.0f} steps, "
         f"{meter.busy_tokens_per_second:.2f} tokens/step busy\n"
     )
+    return executor
 
 
 def main() -> None:
@@ -129,17 +133,12 @@ def main() -> None:
         f"{N_GROUPS} system prompts x {GROUP_SIZE} users over "
         f"{N_REPLICAS} replicas; arrivals interleave the groups\n"
     )
-    runs = {}
-    for router in ("round_robin", "prefix_affinity"):
-        frontend = serve(model, tokenizer, router)
-        report(frontend, router)
-        runs[router] = frontend
-    blind = runs["round_robin"]
-    sticky = runs["prefix_affinity"]
+    blind = serve_and_report(model, tokenizer, "round_robin")
+    sticky = serve_and_report(model, tokenizer, "prefix_affinity")
     streams_equal = [
         o.token_ids for o in blind.outputs
     ] == [o.token_ids for o in sticky.outputs]
-    gain = sticky.prefix_reused_tokens() / max(blind.prefix_reused_tokens(), 1)
+    gain = prefix_reused_tokens(sticky) / max(prefix_reused_tokens(blind), 1)
     print(
         f"prefix_affinity reuses {gain:.2f}x the prompt KV of round_robin; "
         f"streams bit-identical: {streams_equal}"

@@ -2,10 +2,11 @@
 
 :class:`~repro.serving.engine.worker.WorkerCore` dispatches ``(op,
 args)`` commands to ``_op_<name>`` methods; the executor issues them as
-string literals through ``handle.call("op", ...)`` / ``_send("op",
-(args...))`` / ``conn.send(("op", (args...)))``. Nothing ties the two
-sides together at runtime except an ``unknown worker op`` ValueError in
-production — this pass ties them together at lint time:
+string literals through ``handle.call("op", ...)`` /
+``self._fan_out("op", ...)`` (the same call on every live handle) /
+``_send("op", (args...))`` / ``conn.send(("op", (args...)))``. Nothing
+ties the two sides together at runtime except an ``unknown worker op``
+ValueError in production — this pass ties them together at lint time:
 
 - ``unknown-op``: an op issued somewhere that no ``_op_<name>`` handler
   (or the pipe loop's inline ``shutdown``) dispatches — the exact
@@ -17,7 +18,7 @@ production — this pass ties them together at lint time:
   external tooling).
 
 Issue-site recognition is syntactic: the op must be a string literal in
-one of the three shapes above. Dynamic dispatch (``self._send(op,
+one of the shapes above. Dynamic dispatch (``self._send(op,
 args)`` forwarding a variable) is invisible and deliberately ignored —
 the protocol's ground truth is the literal vocabulary.
 """
@@ -33,7 +34,7 @@ from repro.analysis.findings import Finding
 RULES = ("unknown-op", "unused-op", "op-arity-mismatch")
 
 HANDLER_PREFIX = "_op_"
-ISSUER_METHODS = frozenset({"call", "handle"})
+ISSUER_METHODS = frozenset({"call", "handle", "_fan_out"})
 SEND_METHODS = frozenset({"_send", "send"})
 
 
@@ -103,7 +104,8 @@ def collect_issue_sites(module: Module) -> list[IssueSite]:
             continue
         tail = attr_tail(node.func)
         if tail in ISSUER_METHODS:
-            # handle.call("op", a, b) / core.handle("op", (a, b))
+            # handle.call("op", a, b) / self._fan_out("op", a, b) /
+            # core.handle("op", (a, b))
             if node.args and _str_const(node.args[0]) is not None:
                 op = _str_const(node.args[0])
                 if tail == "handle":

@@ -8,11 +8,11 @@ continuous-batching :class:`~repro.serving.server.SpeContextServer` needs
 ``generate()`` kwargs (token limit, temperature, stop ids).
 
 ``ClusterConfig`` captures the multi-replica layer's knobs (replica
-count, routing policy, affinity stickiness) for the
-:class:`~repro.serving.cluster.ClusterFrontend`.
+count, routing policy, affinity stickiness, executor kind) for the
+executor built by :func:`repro.serving.engine.make_executor`.
 
 All are plain dataclasses with no upward dependencies, so every layer
-(core engine, server, cluster frontend, experiments, examples, CLI) can
+(core engine, server, executor, experiments, examples, CLI) can
 share them without import cycles.
 """
 
@@ -129,8 +129,8 @@ class EngineConfig:
             it on resume (exact for every policy); "recompute" drops the
             cache and replays prefill + forced decode on resume (exact for
             policies without stateful sampling inside the policy itself).
-        scheduler: admission/preemption ordering policy name (see
-            :func:`repro.serving.policies.make_scheduler`): "fcfs",
+        scheduler: admission/preemption ordering policy name (resolved
+            by ``repro.serving.registry.make("scheduler", ...)``): "fcfs",
             "priority" or "sjf".
         batched_decode: fuse every active session's decode step into one
             server-wide forward pass (stacked hidden states, row-batched
@@ -185,14 +185,14 @@ class EngineConfig:
             int (not a model object) so the config stays picklable for
             multiprocessing executor workers.
         admission: admission-control policy name resolved by
-            :func:`repro.serving.policies.make_admission` — "accept_all"
+            ``repro.serving.registry.make("admission", ...)`` — "accept_all"
             (default, the historical behavior), "queue_depth",
             "token_backlog" or "deadline_feasible". Anything but
             accept_all sheds doomed requests at ``add_request`` with a
             typed :class:`~repro.api.errors.OverloadedError` (HTTP 429 +
             ``Retry-After``) instead of letting them queue past their
             deadlines.
-        admission_opts: extra kwargs forwarded to ``make_admission``
+        admission_opts: extra kwargs forwarded to the admission builder
             (e.g. ``max_waiting`` for queue_depth, ``max_backlog_tokens``
             for token_backlog). A plain dict so the config stays
             picklable for multiprocessing executor workers.
@@ -291,19 +291,19 @@ class EngineConfig:
 
 @dataclass
 class ClusterConfig:
-    """Multi-replica serving knobs for the cluster frontend.
+    """Multi-replica serving knobs for :func:`~repro.serving.engine.make_executor`.
 
     Attributes:
         n_replicas: independent :class:`~repro.serving.server
             .SpeContextServer` replicas, each with its own paged KV pool,
             scheduler and meter.
         router: routing-policy name resolved by
-            :func:`repro.serving.policies.make_router` — "round_robin",
+            ``repro.serving.registry.make("router", ...)`` — "round_robin",
             "least_loaded" or "prefix_affinity".
         stickiness_tokens: minimum cached-prefix match (in tokens) for
             the prefix-affinity router to stick a request to a replica;
             below it placement falls back to least-loaded. Also the
-            threshold the frontend's routing stats count an *affinity
+            threshold the executor's routing stats count an *affinity
             hit* against, so hit/miss numbers mean the same thing under
             every router.
         executor: which executor drives the replicas (see
@@ -353,10 +353,9 @@ class ClusterConfig:
         max_migrations_per_pass: cap on sessions moved per rebalance
             pass, bounding per-step migration work.
 
-    Name resolution happens when the frontend builds the router (this
+    Name resolution happens when the executor builds the router (this
     module must stay import-cycle-free below the serving layer), so an
-    unknown ``router`` raises at :class:`ClusterFrontend` construction,
-    not here.
+    unknown ``router`` raises at executor construction, not here.
     """
 
     n_replicas: int = 2

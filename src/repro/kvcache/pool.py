@@ -461,7 +461,7 @@ class PagedKVPool:
     ) -> int:
         """Tokens of ``token_ids`` covered by the cached block chain.
 
-        A read-only probe for routing decisions (the cluster frontend asks
+        A read-only probe for routing decisions (the executor asks
         every replica before placing a request): unlike
         :meth:`match_prefix` it counts no query, scores no hit and does
         not refresh LRU positions, so probing N replicas leaves all N
@@ -708,10 +708,6 @@ class PagedKVPool:
                     f"{expected[block.block_id]} references "
                     "(tables + prefix cache + spec reservations)",
                 )
-
-    def check_consistency(self) -> None:
-        """Back-compat alias for :meth:`audit` without table cross-checks."""
-        self.audit(allow_spec_outstanding=True)
 
 
 # ---- CPU/GPU tiered store + slot buffers (consolidated seed-era substrate) ---

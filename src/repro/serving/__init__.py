@@ -4,36 +4,32 @@
   inference over a shared paged KV pool: concurrent sessions with
   per-request policies, budgets and stop conditions, prefix caching,
   pool-pressure admission and preemption.
-- :class:`ClusterFrontend` — N independent server replicas behind one
-  request-level API, with pluggable routing (``round_robin``,
-  ``least_loaded``, ``prefix_affinity``) and merged stream/meter views.
-- :mod:`repro.serving.policies` — scheduler-policy registry (``fcfs``,
-  ``priority``, ``sjf``) governing admission order and victim selection,
-  plus the cluster router registry.
+- :mod:`repro.serving.engine` — N independent server replicas behind
+  one request-level API (:func:`make_executor`): worker replicas behind
+  a command protocol, driven by an executor (:class:`InProcessExecutor`
+  / :class:`MultiprocExecutor`) that routes (``round_robin``,
+  ``least_loaded``, ``prefix_affinity``), steps with overlap, merges
+  stream/meter views, migrates live sessions and survives worker deaths
+  by resubmission.
+- :mod:`repro.serving.policies` — the built-in scheduler policies
+  (``fcfs``, ``priority``, ``sjf``: admission order and victim
+  selection), cluster routers and admission controllers, resolved by
+  name through :mod:`repro.serving.registry`.
 - :mod:`repro.serving.trace` — trace-driven harness: seeded Poisson,
   bursty (on/off) and heavy-tailed (Pareto) workloads replayed through
-  the server (or cluster) with per-step invariant checks.
+  a server or an executor with per-step invariant checks.
 - :mod:`repro.serving.chaos` — deterministic fault-injection harness:
   scripted kill/stall/slow-step/pipe-drop/pool-burst plans replayed
   against an executor, reporting exactly-once streams and typed errors.
 - :class:`StaticBatchScheduler` — memory-aware FIFO batching over the
   performance *simulator* (Table 3's serving view).
 - :class:`ThroughputMeter` / :class:`Request` — shared accounting.
-- :mod:`repro.serving.engine` — the process-parallel engine: worker
-  replicas behind a command protocol, driven by an executor
-  (:class:`InProcessExecutor` / :class:`MultiprocExecutor`) that routes,
-  steps with overlap and survives worker deaths by resubmission.
 - :mod:`repro.serving.http` — asyncio OpenAI-style HTTP + SSE frontend
   over an executor (``POST /v1/completions``, ``GET /v1/models``,
   ``/healthz``, ``/stats``), stdlib-only.
 """
 
 from repro.serving.chaos import ChaosReport, Fault, FaultPlan, run_chaos
-from repro.serving.cluster import (
-    ClusterFrontend,
-    ClusterPreemptionEvent,
-    ClusterRoutingStats,
-)
 from repro.serving.engine import (
     ExecutorBase,
     InProcessExecutor,
@@ -43,20 +39,17 @@ from repro.serving.engine import (
     make_executor,
 )
 from repro.serving.meter import ThroughputMeter
-from repro.serving.placement import MigrationPlan, Placement, PlacementEngine
+from repro.serving.placement import (
+    ClusterPreemptionEvent,
+    ClusterRoutingStats,
+    MigrationPlan,
+    Placement,
+    PlacementEngine,
+)
 from repro.serving.policies import (
     AdmissionController,
     RouterPolicy,
     SchedulerPolicy,
-    available_admissions,
-    available_routers,
-    available_schedulers,
-    make_admission,
-    make_router,
-    make_scheduler,
-    resolve_admission_name,
-    resolve_router_name,
-    resolve_scheduler_name,
 )
 from repro.serving.registry import (
     UnknownAdmissionError,
@@ -78,14 +71,12 @@ from repro.serving.trace import (
     heavy_tailed_trace,
     poisson_trace,
     replay_trace,
-    replay_trace_cluster,
 )
 
 __all__ = [
     "AdmissionController",
     "BatchPlan",
     "ChaosReport",
-    "ClusterFrontend",
     "ClusterPreemptionEvent",
     "ClusterRoutingStats",
     "ExecutorBase",
@@ -113,20 +104,10 @@ __all__ = [
     "UnknownRouterError",
     "UnknownSchedulerError",
     "WorkerHealth",
-    "available_admissions",
-    "available_routers",
-    "available_schedulers",
     "bursty_trace",
     "heavy_tailed_trace",
-    "make_admission",
     "make_executor",
-    "make_router",
-    "make_scheduler",
     "poisson_trace",
     "replay_trace",
-    "replay_trace_cluster",
-    "resolve_admission_name",
-    "resolve_router_name",
-    "resolve_scheduler_name",
     "run_chaos",
 ]

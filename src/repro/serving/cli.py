@@ -27,15 +27,8 @@ from repro.models.config import tiny_test_config
 from repro.models.llm import TransformerLM
 from repro.models.tokenizer import SyntheticTokenizer
 from repro.retrieval.registry import available_policies, resolve_policy_name
-from repro.serving.cluster import ClusterFrontend
-from repro.serving.policies import (
-    available_admissions,
-    available_routers,
-    available_schedulers,
-    resolve_admission_name,
-    resolve_router_name,
-    resolve_scheduler_name,
-)
+from repro.serving import registry
+from repro.serving.engine import make_executor
 from repro.serving.server import SpeContextServer
 from repro.utils.tables import format_table
 from repro.utils.units import human_bytes
@@ -84,11 +77,11 @@ def main(argv: list[str] | None = None) -> int:
                         "preemption)")
     parser.add_argument("--scheduler", default="fcfs",
                         help="admission/preemption policy "
-                        f"(available: {', '.join(available_schedulers())})")
+                        f"(available: {', '.join(registry.available('scheduler'))})")
     parser.add_argument("--admission", default="accept_all",
                         help="overload admission controller; anything but "
                         "accept_all sheds excess load with typed 429s "
-                        f"(available: {', '.join(available_admissions())})")
+                        f"(available: {', '.join(registry.available('admission'))})")
     parser.add_argument("--preempt-mode", default="swap",
                         choices=("swap", "recompute"))
     parser.add_argument("--no-prefix-cache", action="store_true",
@@ -114,11 +107,11 @@ def main(argv: list[str] | None = None) -> int:
                         "and verify them in one fused target pass "
                         "(greedy sessions only; 0 disables)")
     parser.add_argument("--replicas", type=int, default=1,
-                        help="server replicas behind the cluster frontend "
+                        help="server replicas behind one executor "
                         "(1 = plain single-server mode)")
     parser.add_argument("--router", default="prefix_affinity",
                         help="cluster routing policy, used when --replicas "
-                        f"> 1 (available: {', '.join(available_routers())})")
+                        f"> 1 (available: {', '.join(registry.available('router'))})")
     parser.add_argument("--stickiness-tokens", type=int, default=16,
                         help="minimum cached-prefix match for the "
                         "prefix-affinity router to stick to a replica")
@@ -144,16 +137,16 @@ def main(argv: list[str] | None = None) -> int:
                         help="bind port for --serve-http")
     parser.add_argument("--executor", default="inproc",
                         choices=("inproc", "multiproc"),
-                        help="engine executor for --serve-http: all "
-                        "workers in-process, or one child process per "
-                        "worker stepped with overlap")
+                        help="how replicas run when --replicas > 1 or "
+                        "--serve-http: all in-process, or one child "
+                        "process per replica stepped with overlap")
     args = parser.parse_args(argv)
 
     try:
         policies = [resolve_policy_name(p) for p in args.policies.split(",") if p]
-        scheduler = resolve_scheduler_name(args.scheduler)
-        router = resolve_router_name(args.router)
-        admission = resolve_admission_name(args.admission)
+        args.scheduler = registry.resolve("scheduler", args.scheduler)
+        args.router = registry.resolve("router", args.router)
+        args.admission = registry.resolve("admission", args.admission)
     except KeyError as err:
         print(err.args[0], file=sys.stderr)
         return 2
@@ -174,13 +167,13 @@ def main(argv: list[str] | None = None) -> int:
         pool_blocks=args.pool_blocks,
         enable_prefix_cache=not args.no_prefix_cache,
         preempt_mode=args.preempt_mode,
-        scheduler=scheduler,
+        scheduler=args.scheduler,
         batched_decode=not args.sequential_decode,
         kv_dtype=args.kv_dtype,
         prefill_chunk_tokens=args.prefill_chunk_tokens,
         max_step_tokens=args.max_step_tokens,
         spec_decode_k=args.spec_decode_k,
-        admission=admission,
+        admission=args.admission,
     )
     roles = None
     if args.roles:
@@ -188,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cluster = ClusterConfig(
             n_replicas=args.replicas,
-            router=router,
+            router=args.router,
             stickiness_tokens=args.stickiness_tokens,
             executor=args.executor,
             roles=roles,
@@ -207,27 +200,43 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"serving {http_server.model_name} on "
             f"http://{args.host}:{args.port} ({args.executor} executor, "
-            f"{args.replicas} worker(s), {router} routing)"
+            f"{args.replicas} worker(s), {args.router} routing)"
         )
         asyncio.run(serve_async(http_server, args.host, args.port))
         return 0
 
     try:
         if args.replicas > 1:
-            frontend = ClusterFrontend(model, engine_config, cluster)
-            server = frontend.replicas[0]
+            target = make_executor(model, engine_config, cluster)
         else:
-            frontend = None
-            server = SpeContextServer(model, engine_config)
+            target = SpeContextServer(model, engine_config)
     except ValueError as err:
         print(err, file=sys.stderr)
         return 2
+    try:
+        return _run_queue(target, args, config, tokenizer, policies)
+    finally:
+        if args.replicas > 1:
+            target.shutdown()
+
+
+def _run_queue(target, args, config, tokenizer, policies) -> int:
+    """Submit the built-in request queue to ``target`` and print the report.
+
+    ``target`` is the single server, or an executor when ``--replicas``
+    > 1 — whose replica pools may live in child processes, so everything
+    per-replica is read from ``snapshots()``.
+    """
+    clustered = args.replicas > 1
+    if clustered:
+        pool = f"{args.block_size}-token blocks per replica"
+    else:
+        pool = f"{target.pool.capacity} x {target.pool.block_size}-token blocks"
     print(
         f"model: {config.n_layers}-layer {config.attention.value}, "
         f"vocab {config.vocab_size}  |  budget {args.budget}, "
-        f"concurrency {args.concurrency}  |  pool "
-        f"{server.pool.capacity} x {server.pool.block_size}-token blocks, "
-        f"{scheduler} scheduling  |  "
+        f"concurrency {args.concurrency}  |  pool {pool}, "
+        f"{args.scheduler} scheduling  |  "
         f"{'sequential' if args.sequential_decode else 'batched'} decode, "
         f"{args.kv_dtype} KV"
         + (
@@ -247,13 +256,13 @@ def main(argv: list[str] | None = None) -> int:
             else ""
         )
         + (
-            f"  |  {args.replicas} replicas, {router} routing"
-            if frontend is not None
+            f"  |  {args.replicas} replicas ({target.kind}), "
+            f"{args.router} routing"
+            if clustered
             else ""
         )
     )
 
-    target = frontend if frontend is not None else server
     for i in range(args.requests):
         prompt = _recall_prompt(
             tokenizer, np.random.default_rng(args.seed + 1000 + i), args.prompt_len
@@ -291,22 +300,15 @@ def main(argv: list[str] | None = None) -> int:
         rows,
         title=f"{len(outputs)} requests, continuous batching",
     ))
-    if frontend is not None:
-        meter = frontend.stats()
-        pools = [r.pool.stats for r in frontend.replicas]
-        allocated = sum(s.allocated for s in pools)
-        prefill = sum(s.prefill_blocks_allocated for s in pools)
-        reused = sum(s.prefix_blocks_reused for s in pools)
-        n_preempted = len(frontend.preemption_log)
+    if clustered:
+        snapshots = target.snapshots()
+        meter = target.stats()
+        pools = {i: s.pool for i, s in snapshots.items()}
+        specs = [s.spec_stats for s in snapshots.values()]
     else:
-        meter = server.meter
-        stats = server.pool.stats
-        allocated, prefill, reused = (
-            stats.allocated,
-            stats.prefill_blocks_allocated,
-            stats.prefix_blocks_reused,
-        )
-        n_preempted = len(server.preemption_log)
+        meter = target.meter
+        pools = {0: target.pool.stats}
+        specs = [target.spec_stats]
     print(
         f"\nmeter: {len(meter.finished)} finished, "
         f"{meter.generated_tokens} tokens over {meter.makespan_s:.0f} steps "
@@ -319,26 +321,21 @@ def main(argv: list[str] | None = None) -> int:
         f"p95 {meter.queueing_delay_percentile(95):.0f} steps"
     )
     print(
-        f"pool: {allocated} blocks allocated ({prefill} prefill, "
-        f"{reused} reused via prefix cache), {n_preempted} preemptions"
+        f"pool: {sum(s.allocated for s in pools.values())} blocks allocated "
+        f"({sum(s.prefill_blocks_allocated for s in pools.values())} prefill, "
+        f"{sum(s.prefix_blocks_reused for s in pools.values())} reused via "
+        f"prefix cache), {len(target.preemption_log)} preemptions"
     )
     if args.spec_decode_k > 0:
-        if frontend is not None:
-            stats_list = [r.spec_stats for r in frontend.replicas]
-            steps = sum(s.spec_steps for s in stats_list)
-            drafted = sum(s.drafted for s in stats_list)
-            accepted = sum(s.accepted for s in stats_list)
-            rate = accepted / drafted if drafted else 0.0
-        else:
-            spec = server.spec_stats
-            steps, drafted, accepted = spec.spec_steps, spec.drafted, spec.accepted
-            rate = spec.acceptance_rate
+        drafted = sum(s.drafted for s in specs)
+        accepted = sum(s.accepted for s in specs)
         print(
-            f"spec: {steps} verify passes, {drafted} drafted, "
-            f"{accepted} accepted ({rate:.0%} acceptance)"
+            f"spec: {sum(s.spec_steps for s in specs)} verify passes, "
+            f"{drafted} drafted, {accepted} accepted "
+            f"({accepted / drafted if drafted else 0.0:.0%} acceptance)"
         )
-    if frontend is not None:
-        routing = frontend.routing
+    if clustered:
+        routing = target.routing
         rows = [
             [
                 i,
@@ -346,26 +343,26 @@ def main(argv: list[str] | None = None) -> int:
                 routing.affinity_hits[i],
                 routing.affinity_misses[i],
                 routing.cold[i],
-                frontend.replicas[i].pool.stats.prefix_blocks_reused,
+                pools[i].prefix_blocks_reused if i in pools else "-",
             ]
-            for i in range(frontend.n_replicas)
+            for i in range(target.n_workers)
         ]
         print()
         print(format_table(
             ["replica", "routed", "hits", "misses", "cold", "blocks reused"],
             rows,
-            title=f"{router} routing, {routing.hit_rate:.0%} affinity hit "
+            title=f"{args.router} routing, {routing.hit_rate:.0%} affinity hit "
             "rate (non-cold)",
         ))
-        if frontend.migrations:
+        if target.migrations:
             handoffs = sum(
-                1 for m in frontend.migrations
+                1 for m in target.migrations
                 if m.reason == "prefill_handoff"
             )
             print(
-                f"migrations: {len(frontend.migrations)} sessions moved "
+                f"migrations: {len(target.migrations)} sessions moved "
                 f"live ({handoffs} prefill handoffs, "
-                f"{len(frontend.migrations) - handoffs} rebalance)"
+                f"{len(target.migrations) - handoffs} rebalance)"
             )
     return 0
 

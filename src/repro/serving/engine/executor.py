@@ -5,10 +5,8 @@ The executor owns worker *handles* — uniform little surfaces exposing
 cluster-level logic lives once in :class:`ExecutorBase`, operating only
 on that surface:
 
-- **routing** through the shared router registry
-  (:func:`repro.serving.policies.make_router`), with the same probe-once
-  memoization and hit/miss accounting as
-  :class:`~repro.serving.cluster.ClusterFrontend`;
+- **routing** through :class:`~repro.serving.placement.PlacementEngine`
+  (router registry, probe-once memoization, hit/miss/cold accounting);
 - **global/local id translation**: the server requires each replica's
   request ids to be increasing, which a failover resubmission would
   violate, so the executor assigns global ids and submits clones that
@@ -46,7 +44,6 @@ from repro.api.config import ClusterConfig, EngineConfig
 from repro.api.errors import EngineUnavailableError, RequestValidationError
 from repro.api.request import GenerationOutput, GenerationRequest
 from repro.models.llm import TransformerLM
-from repro.serving.cluster import ClusterPreemptionEvent
 from repro.serving.engine.worker import (
     StepResult,
     WorkerCore,
@@ -54,7 +51,11 @@ from repro.serving.engine.worker import (
     worker_main,
 )
 from repro.serving.meter import ThroughputMeter
-from repro.serving.placement import MigrationPlan, PlacementEngine
+from repro.serving.placement import (
+    ClusterPreemptionEvent,
+    MigrationPlan,
+    PlacementEngine,
+)
 from repro.serving.server import RequestFailure, SpeContextServer, StreamEvent
 
 # Load sentinel for dead workers' router views: large enough that any
@@ -362,7 +363,6 @@ class ExecutorBase:
         self._handles = self._spawn(model)
         n = len(self._handles)
         self.placement = PlacementEngine(self.cluster, n)
-        self.router = self.placement.router  # historical alias
         self.routing = self.placement.routing
         self.migrations: list[MigrationPlan] = []  # applied, in order
         self._steps_since_rebalance = 0
@@ -400,20 +400,36 @@ class ExecutorBase:
         """True once any worker has been quarantined."""
         return self.n_alive < self.n_workers
 
-    def shedding(self) -> bool:
-        """True when any live worker's admission policy is shedding."""
-        result = False
+    def _fan_out(self, op: str, *args) -> dict[int, object]:
+        """Reply of ``op`` per live worker index.
+
+        A worker that dies mid-call is left out and queued for recovery;
+        callers run :meth:`_drain_recovery` once their own bookkeeping
+        is consistent.
+        """
+        replies: dict[int, object] = {}
         for handle in self._handles:
             if not handle.alive:
                 continue
             try:
-                snapshot = handle.call("stats")
+                replies[handle.index] = handle.call(op, *args)
             except WorkerDied:
                 self._pending_recovery.append(handle.index)
-                continue
-            result = result or snapshot.shedding
+        return replies
+
+    def snapshots(self) -> dict[int, WorkerSnapshot]:
+        """Per-worker accounting (pool, meter, shedding) of live workers.
+
+        Records held by quarantined workers are unavailable (in the
+        multiprocess case their processes are gone).
+        """
+        snapshots = self._fan_out("stats")
         self._drain_recovery()
-        return result
+        return snapshots
+
+    def shedding(self) -> bool:
+        """True when any live worker's admission policy is shedding."""
+        return any(s.shedding for s in self.snapshots().values())
 
     def worker_of(self, request_id: int) -> int:
         """Worker index a submitted request currently lives on."""
@@ -440,9 +456,10 @@ class ExecutorBase:
         """Validate, route and submit one request; returns its global id.
 
         On rejection (validation error from the executor or the chosen
-        worker) the request object, the id counter and the router cursor
-        are restored — identical retry semantics to
-        :meth:`repro.serving.cluster.ClusterFrontend.add_request`.
+        worker) the request object, the id counter, the routing stats
+        and the router cursor are restored, so a rejected submission is
+        retryable and placement stays identical to a run that never saw
+        it.
         """
         if self._draining:
             raise EngineUnavailableError(
@@ -456,7 +473,7 @@ class ExecutorBase:
                 "unique and increasing"
             )
         self._check_portable(request)
-        views, _ = self._probe(request.prompt_ids)
+        views = self._probe(request.prompt_ids)
         placement = self.placement.place(
             request, views, [h.alive for h in self._handles]
         )
@@ -547,24 +564,14 @@ class ExecutorBase:
             rng=None,
         )
 
-    def _probe(self, prompt_ids: np.ndarray):
+    def _probe(self, prompt_ids: np.ndarray) -> list[_WorkerView]:
         """One load/affinity probe per worker; dead workers get sentinels."""
-        views: list[_WorkerView] = []
-        matches: list[int] = []
-        for handle in self._handles:
-            if handle.alive:
-                try:
-                    reserved, depth, match = handle.call("probe", prompt_ids)
-                    views.append(
-                        _WorkerView(handle.index, reserved, depth, match)
-                    )
-                    matches.append(match)
-                    continue
-                except WorkerDied:
-                    self._pending_recovery.append(handle.index)
-            views.append(_WorkerView(handle.index, _DEAD_LOAD, _DEAD_LOAD, 0))
-            matches.append(0)
-        return views, matches
+        replies = self._fan_out("probe", prompt_ids)
+        dead = (_DEAD_LOAD, _DEAD_LOAD, 0)
+        return [
+            _WorkerView(index, *replies.get(index, dead))
+            for index in range(self.n_workers)
+        ]
 
     # ---- stepping --------------------------------------------------------------
 
@@ -575,12 +582,7 @@ class ExecutorBase:
 
     def advance_clock_to(self, when: float) -> None:
         """Jump every live worker's idle clock forward (trace gaps)."""
-        for handle in self._handles:
-            if handle.alive:
-                try:
-                    handle.call("advance_clock", when)
-                except WorkerDied:
-                    self._pending_recovery.append(handle.index)
+        self._fan_out("advance_clock", when)
         self._clock = float(when)
         self._drain_recovery()
 
@@ -594,10 +596,12 @@ class ExecutorBase:
         ``begin_step`` is fanned out to all live workers before any
         ``end_step`` is awaited, so multiprocess workers overlap their
         waves; results are merged in worker-index order (emission order
-        within a worker) — the same deterministic total order as
-        :meth:`repro.serving.cluster.ClusterFrontend.step`. Workers that
-        die during the wave are quarantined afterwards and their
-        in-flight requests resubmitted to survivors.
+        within a worker) — a deterministic total order. All live workers
+        step every time (idle ones merely tick their clock), so merged
+        meter percentiles are measured on one shared timeline. Workers
+        that die during the wave are quarantined afterwards and their
+        in-flight requests resubmitted to survivors. Returns the requests
+        that finished during this step, sorted by global id.
         """
         self._drain_recovery()
         stepping = [h for h in self._handles if h.alive]
@@ -659,26 +663,49 @@ class ExecutorBase:
             self.placement.plan_rebalance(loads, migratable)
         )
 
+    def migrate(self, request_id: int, target: int) -> bool:
+        """Migrate one in-flight request to ``target`` (manual override).
+
+        Returns False when the request is unknown or already finished,
+        already lives on ``target``, or ``target`` is quarantined;
+        raises :class:`IndexError` for an out-of-range target. Must be
+        called between steps.
+        """
+        if not 0 <= target < self.n_workers:
+            raise IndexError(
+                f"target worker {target} out of range "
+                f"(executor has {self.n_workers})"
+            )
+        assignment = self._assignment.get(request_id)
+        if (
+            assignment is None
+            or assignment[0] == target
+            or not self._handles[target].alive
+        ):
+            return False
+        template = self._templates[request_id]
+        plan = MigrationPlan(
+            request_id=request_id,
+            source=assignment[0],
+            target=target,
+            charge=template.prompt_len + template.sampling.max_new_tokens,
+            reason="manual",
+        )
+        return bool(self._apply_plans([plan]))
+
     def _migration_state(
         self,
     ) -> tuple[list[int | None], dict[int, list[tuple[int, int, bool]]]]:
         """Per-worker loads and migratable sessions, in *global* ids."""
-        loads: list[int | None] = []
+        probes = self._fan_out("probe", _EMPTY_PROMPT)
+        sessions = self._fan_out("migratable")
+        loads: list[int | None] = [None] * self.n_workers
         migratable: dict[int, list[tuple[int, int, bool]]] = {}
-        for handle in self._handles:
-            if not handle.alive:
-                loads.append(None)
-                continue
-            try:
-                reserved, depth, _ = handle.call("probe", _EMPTY_PROMPT)
-                rows = handle.call("migratable")
-            except WorkerDied:
-                self._pending_recovery.append(handle.index)
-                loads.append(None)
-                continue
-            loads.append(reserved + depth)
-            lids = self._locals[handle.index]
-            migratable[handle.index] = [
+        for index, rows in sessions.items():
+            reserved, depth, _ = probes[index]
+            loads[index] = reserved + depth
+            lids = self._locals[index]
+            migratable[index] = [
                 (gid, charge, done)
                 for lid, charge, done in rows
                 if (gid := lids.get(lid)) is not None
@@ -889,7 +916,7 @@ class ExecutorBase:
                 raise EngineUnavailableError(
                     f"all workers dead; cannot recover request {gid}"
                 )
-            views, _ = self._probe(template.prompt_ids)
+            views = self._probe(template.prompt_ids)
             chosen = self.placement.place(
                 template, views, [h.alive for h in self._handles]
             ).target
@@ -932,22 +959,14 @@ class ExecutorBase:
     def stats(self) -> ThroughputMeter:
         """Engine-wide meter: the union of live workers' records.
 
-        Records held by quarantined workers are unavailable (in the
-        multiprocess case their processes are gone); recovered requests
-        are re-timed from their resubmission.
+        Percentiles over the union are not derivable from per-worker
+        aggregates, hence :meth:`ThroughputMeter.merge` rather than any
+        averaging of worker meters. Recovered requests are re-timed from
+        their resubmission.
         """
-        meters = []
-        for handle in self._handles:
-            if not handle.alive:
-                continue
-            try:
-                snapshot: WorkerSnapshot = handle.call("stats")
-            except WorkerDied:
-                self._pending_recovery.append(handle.index)
-                continue
-            meters.append(snapshot.meter)
-        self._drain_recovery()
-        return ThroughputMeter.merge(*meters)
+        return ThroughputMeter.merge(
+            *(s.meter for s in self.snapshots().values())
+        )
 
     def audit_pools(self) -> int:
         """Run the pool-invariant audit on every live worker's replica.
@@ -959,16 +978,7 @@ class ExecutorBase:
         here; a worker dying during the audit is treated like any other
         death (quarantine + recovery), not an audit failure.
         """
-        audited = 0
-        for handle in self._handles:
-            if not handle.alive:
-                continue
-            try:
-                handle.call("audit")
-            except WorkerDied:
-                self._pending_recovery.append(handle.index)
-                continue
-            audited += 1
+        audited = len(self._fan_out("audit"))
         self._drain_recovery()
         return audited
 

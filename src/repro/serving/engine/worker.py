@@ -31,7 +31,7 @@ benchmark measures.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -40,6 +40,7 @@ from repro.serving.meter import ThroughputMeter
 from repro.serving.server import (
     PreemptionEvent,
     RequestFailure,
+    SpecDecodeStats,
     SpeContextServer,
     StreamEvent,
 )
@@ -89,6 +90,7 @@ class WorkerSnapshot:
     reserved_tokens: int
     shedding: bool = False
     n_rejected: int = 0
+    spec_stats: SpecDecodeStats = field(default_factory=SpecDecodeStats)
 
 
 class WorkerCore:
@@ -103,8 +105,6 @@ class WorkerCore:
     - ``advance_clock(when)`` -> jump the idle clock (trace gaps);
     - ``abort(local_id)`` -> bool, drop an in-flight request;
     - ``stats()`` -> :class:`WorkerSnapshot`;
-    - ``drain()`` -> step until the replica empties, one merged
-      :class:`StepResult`;
     - ``audit()`` -> run the pool-invariant audit in-process (raises
       :class:`~repro.kvcache.pool.PoolAuditError` on violation);
     - ``migratable()`` -> ``(local_id, charge, prefill_done)`` per
@@ -161,9 +161,6 @@ class WorkerCore:
             server.pool.longest_prefix_match(prompt_ids),
         )
 
-    def _op_step(self) -> StepResult:
-        return self._step()
-
     def _op_advance_clock(self, when: float) -> None:
         self.server.advance_clock_to(when)
 
@@ -181,27 +178,7 @@ class WorkerCore:
             reserved_tokens=server.reserved_tokens,
             shedding=server.shedding,
             n_rejected=len(server.meter.rejected),
-        )
-
-    def _op_drain(self) -> StepResult:
-        results = [self._step()]
-        while self.server.has_unfinished:
-            results.append(self._step())
-        last = results[-1]
-        return StepResult(
-            stream_events=tuple(
-                e for r in results for e in r.stream_events
-            ),
-            preemption_events=tuple(
-                e for r in results for e in r.preemption_events
-            ),
-            finished=tuple(o for r in results for o in r.finished),
-            has_unfinished=last.has_unfinished,
-            clock=last.clock,
-            n_active=last.n_active,
-            n_waiting=last.n_waiting,
-            step_tokens=sum(r.step_tokens for r in results),
-            failures=tuple(f for r in results for f in r.failures),
+            spec_stats=server.spec_stats,
         )
 
     # Liveness probe addressed to tests and external tooling; the
@@ -261,9 +238,7 @@ class WorkerCore:
         self._chaos_fault = (kind, float(duration_s))
         return "armed"
 
-    # ---- stepping --------------------------------------------------------------
-
-    def _step(self) -> StepResult:
+    def _op_step(self) -> StepResult:
         fault = self._chaos_fault
         self._chaos_fault = None
         if fault is not None:

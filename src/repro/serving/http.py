@@ -46,7 +46,6 @@ import math
 import signal
 import time
 from collections import deque
-from typing import Iterable
 
 import numpy as np
 
@@ -745,64 +744,3 @@ def build_http_server(
     """Executor + async engine + HTTP server, wired per the configs."""
     executor = make_executor(model, config, cluster)
     return HttpServer(AsyncEngine(executor), tokenizer, model_name=model_name)
-
-
-def main(argv: Iterable[str] | None = None) -> int:
-    """``python -m repro.serving.http`` — serve the tiny recall model."""
-    import argparse
-
-    from repro.models.builder import build_recall_model
-    from repro.models.config import tiny_test_config
-
-    parser = argparse.ArgumentParser(
-        prog="specontext-http",
-        description="OpenAI-style HTTP + SSE frontend over the "
-        "process-parallel engine.",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8000)
-    parser.add_argument("--executor", default="inproc",
-                        choices=("inproc", "multiproc"))
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--router", default="least_loaded")
-    parser.add_argument("--admission", default="accept_all")
-    parser.add_argument("--budget", type=int, default=96)
-    parser.add_argument("--concurrency", type=int, default=4)
-    parser.add_argument("--vocab", type=int, default=512)
-    parser.add_argument("--layers", type=int, default=2)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(list(argv) if argv is not None else None)
-
-    tokenizer = SyntheticTokenizer(vocab_size=args.vocab)
-    model_config = tiny_test_config(
-        n_layers=args.layers, vocab_size=args.vocab
-    )
-    model = TransformerLM(
-        build_recall_model(
-            model_config, tokenizer, np.random.default_rng(args.seed)
-        )
-    )
-    config = EngineConfig(
-        budget=args.budget,
-        bos_id=tokenizer.bos_id,
-        max_concurrency=args.concurrency,
-        seed=args.seed,
-        admission=args.admission,
-    )
-    cluster = ClusterConfig(
-        n_replicas=args.workers,
-        router=args.router,
-        executor=args.executor,
-    )
-    server = build_http_server(model, tokenizer, config, cluster)
-    print(
-        f"serving {server.model_name} on http://{args.host}:{args.port} "
-        f"({args.executor} executor, {args.workers} worker(s), "
-        f"{args.router} routing)"
-    )
-    asyncio.run(serve_async(server, args.host, args.port))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -28,7 +28,7 @@ class ThroughputMeter:
     def merge(cls, *meters: "ThroughputMeter") -> "ThroughputMeter":
         """One meter over the union of several meters' records.
 
-        The cluster frontend keeps one :class:`ThroughputMeter` per
+        An executor has one :class:`ThroughputMeter` per
         replica (each server stamps its own completions); a merged view is
         needed for cluster-wide percentiles, which are *not* derivable
         from per-replica aggregates (a p95 of p95s is not the p95 of the

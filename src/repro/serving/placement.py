@@ -1,13 +1,10 @@
-"""Unified placement & migration planning for the cluster layer.
+"""Placement & migration planning for the cluster layer.
 
-Both multi-replica frontends — :class:`~repro.serving.cluster
-.ClusterFrontend` (direct in-process replicas) and
-:class:`~repro.serving.engine.executor.ExecutorBase` (replicas behind
-worker handles) — used to carry their own copies of the same submission
-logic: probe every replica, save the router cursor, route, range-check
-the answer, restore the cursor on rejection, and book the placement into
-hit/miss/cold affinity stats. This module is that logic, once, as an
-explicit three-phase surface::
+Submitting to a replica set (:class:`~repro.serving.engine.executor
+.ExecutorBase`) means: probe every replica, save the router cursor,
+route, range-check the answer, restore the cursor on rejection, and book
+the placement into hit/miss/cold affinity stats. This module is that
+logic as an explicit three-phase surface::
 
     placement = engine.place(request, views)        # route (cursor saved)
     ... submit to views[placement.target] ...
@@ -15,7 +12,7 @@ explicit three-phase surface::
     # or, when the submission was rejected:
     engine.rollback(placement)                      # restore the cursor
 
-plus the *migration planner* the live-KV-migration paths share:
+plus the *migration planner* behind live KV migration:
 
 - :meth:`PlacementEngine.plan_rebalance` drains whole sessions from the
   most loaded replica toward the least loaded one until the skew drops
@@ -24,11 +21,12 @@ plus the *migration planner* the live-KV-migration paths share:
   prefill on a ``prefill``-role replica to the least-loaded
   decode-capable replica (disaggregated prefill/decode).
 
-Plans are pure data (:class:`MigrationPlan`); the frontends apply them
-with :meth:`~repro.serving.server.SpeContextServer.export_session` /
-``import_session`` or the ``export_kv``/``import_kv`` worker ops. All
-planning is deterministic: ties break toward the lowest replica index
-and the lowest request id, so a replayed trace rebalances identically.
+Plans are pure data (:class:`MigrationPlan`); the executor applies them
+with the ``export_kv``/``import_kv`` worker ops
+(:meth:`~repro.serving.server.SpeContextServer.export_session` /
+``import_session`` underneath). All planning is deterministic: ties
+break toward the lowest replica index and the lowest request id, so a
+replayed trace rebalances identically.
 
 Roles (``cluster.roles``) bias *placement only*: new requests land on
 prefill-capable replicas, handoffs target decode-capable ones. Every
@@ -39,13 +37,16 @@ degrades to local decode rather than failing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from repro.api.config import ClusterConfig
 from repro.api.errors import EngineUnavailableError
-from repro.serving.registry import ROUTERS
+from repro.serving import registry
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.serving.server import PreemptionEvent
 
 ROLE_PREFILL = "prefill"
 ROLE_DECODE = "decode"
@@ -105,8 +106,9 @@ class MigrationPlan:
 
     ``charge`` is the session's reserved-token commitment
     (``prompt + max_new_tokens``), the load the move transfers; ``reason``
-    is ``"rebalance"`` (load skew) or ``"prefill_handoff"``
-    (disaggregated prefill -> decode role transition).
+    is ``"rebalance"`` (load skew), ``"prefill_handoff"`` (disaggregated
+    prefill -> decode role transition) or ``"manual"``
+    (:meth:`~repro.serving.engine.executor.ExecutorBase.migrate`).
     """
 
     request_id: int
@@ -114,6 +116,14 @@ class MigrationPlan:
     target: int
     charge: int
     reason: str
+
+
+@dataclass(frozen=True)
+class ClusterPreemptionEvent:
+    """One replica-local preemption, tagged with its replica index."""
+
+    replica: int
+    event: "PreemptionEvent"
 
 
 class _ProbedView:
@@ -147,7 +157,7 @@ class _ProbedView:
 
 
 class PlacementEngine:
-    """The one placement/migration decision-maker both frontends speak."""
+    """The placement/migration decision-maker of a replica set."""
 
     def __init__(self, cluster: ClusterConfig, n_targets: int):
         self.cluster = cluster
@@ -162,9 +172,9 @@ class PlacementEngine:
                 f"{len(self.roles)} roles for {self.n_targets} targets"
             )
         router_opts = {}
-        if ROUTERS.resolve(cluster.router) == "prefix_affinity":
+        if registry.resolve("router", cluster.router) == "prefix_affinity":
             router_opts["stickiness_tokens"] = cluster.stickiness_tokens
-        self.router = ROUTERS.make(cluster.router, **router_opts)
+        self.router = registry.make("router", cluster.router, **router_opts)
         self.routing = ClusterRoutingStats(
             routed=[0] * self.n_targets,
             affinity_hits=[0] * self.n_targets,
@@ -262,16 +272,13 @@ class PlacementEngine:
         self,
         loads: Sequence[int | None],
         migratable: Mapping[int, Sequence[tuple[int, int, bool]]],
-        key_of: Callable[[int], tuple] | None = None,
     ) -> list[MigrationPlan]:
         """Plan session moves that shrink cluster load skew.
 
         ``loads[i]`` is target *i*'s load (reserved tokens + queue depth,
         the least-loaded router's quantity) or None when it is dead.
         ``migratable[i]`` lists ``(request_id, charge, prefill_done)``
-        for sessions that could leave target *i*. ``key_of`` optionally
-        maps a request id to a deterministic tiebreak key (the executor
-        passes global-id order); defaults to the id itself.
+        for sessions that could leave target *i*.
 
         Greedy and deterministic: while the most loaded target exceeds
         ``rebalance_ratio`` times the least loaded *role-compatible*
@@ -280,7 +287,6 @@ class PlacementEngine:
         ``max_migrations_per_pass`` moves. Each move updates the modeled
         loads, so one pass converges instead of oscillating.
         """
-        key_of = key_of or (lambda rid: (rid,))
         live = [i for i, load in enumerate(loads) if load is not None]
         if len(live) < 2:
             return []
@@ -300,7 +306,7 @@ class PlacementEngine:
                 # request id): moves the most load per migration.
                 for rid, charge, done in sorted(
                     remaining[source],
-                    key=lambda item: (-item[1], key_of(item[0])),
+                    key=lambda item: (-item[1], item[0]),
                 ):
                     compatible = self.can_decode if done else self.can_prefill
                     targets = [

@@ -2,17 +2,17 @@
 
 Mirrors :mod:`repro.retrieval.registry`: every scheduling discipline,
 every cluster routing discipline and every admission-control discipline
-is registered under a canonical name (plus display aliases) and resolved
-through one factory::
+is registered under a canonical name (plus display aliases) in
+:mod:`repro.serving.registry` and resolved through its one factory::
 
-    scheduler = make_scheduler("priority")
+    scheduler = registry.make("scheduler", "priority")
     waiting.sort(key=scheduler.admission_key)
     victim = min(active, key=scheduler.victim_key)
 
-    router = make_router("prefix_affinity", stickiness_tokens=16)
+    router = registry.make("router", "prefix_affinity", stickiness_tokens=16)
     replica = router.route(request, replica_views)
 
-    admission = make_admission("queue_depth", max_waiting=8)
+    admission = registry.make("admission", "queue_depth", max_waiting=8)
     reason = admission.should_admit(request, server_view)  # None = admit
 
 A scheduler policy supplies two sort keys over the server's session view:
@@ -21,8 +21,8 @@ A scheduler policy supplies two sort keys over the server's session view:
 - ``victim_key``: under pool pressure the active session with the smallest
   key is preempted first.
 
-A router policy places one request on one replica of a
-:class:`~repro.serving.cluster.ClusterFrontend`; it sees only the cheap
+A router policy places one request on one replica of an executor
+(:class:`~repro.serving.engine.executor.ExecutorBase`); it sees only the cheap
 :class:`ReplicaView` surface (queue depth, reserved tokens, a read-only
 prefix-cache probe), never the replicas' internals.
 
@@ -33,11 +33,11 @@ and compare token streams bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
-from repro.serving.registry import ADMISSIONS, ROUTERS, SCHEDULERS, normalize
+from repro.serving.registry import ADMISSIONS, ROUTERS, SCHEDULERS
 
 
 class SchedulableSession(Protocol):
@@ -84,46 +84,12 @@ class SchedulerPolicy:
         return (-session.arrival_s, -session.request_id)
 
 
-SchedulerBuilder = Callable[[], SchedulerPolicy]
-
-# All three registries now live on the shared display-preserving
-# Registry machinery in repro.serving.registry; the module-level
-# functions below are the historical surface, kept as thin shims.
-_normalize = normalize
-
-
-def register_scheduler(
-    name: str, *aliases: str
-) -> Callable[[SchedulerBuilder], SchedulerBuilder]:
-    """Decorator adding a scheduler under ``name`` (plus aliases)."""
-    return SCHEDULERS.register(name, *aliases)
-
-
-def available_schedulers() -> tuple[str, ...]:
-    """Canonical scheduler names, sorted (shim over the shared registry)."""
-    return SCHEDULERS.available()
-
-
-def resolve_scheduler_name(name: str) -> str:
-    """Canonical name for ``name`` (alias- and case-insensitive).
-
-    Raises the typed :class:`repro.serving.registry.UnknownSchedulerError`
-    (a ``KeyError``) when nothing is registered under ``name``.
-    """
-    return SCHEDULERS.resolve(name)
-
-
-def make_scheduler(name: str) -> SchedulerPolicy:
-    """Build the scheduling policy registered under ``name``."""
-    return SCHEDULERS.make(name)
-
-
-@register_scheduler("fcfs", "fifo")
+@SCHEDULERS.register("fcfs", "fifo")
 def _build_fcfs() -> SchedulerPolicy:
     return SchedulerPolicy()
 
 
-@register_scheduler("priority", "prio")
+@SCHEDULERS.register("priority", "prio")
 class PriorityScheduler(SchedulerPolicy):
     """Higher request priority admits first and is preempted last."""
 
@@ -136,7 +102,7 @@ class PriorityScheduler(SchedulerPolicy):
         return (session.priority, -session.arrival_s, -session.request_id)
 
 
-@register_scheduler("sjf", "shortestpromptfirst", "spf")
+@SCHEDULERS.register("sjf", "shortestpromptfirst", "spf")
 class ShortestPromptFirstScheduler(SchedulerPolicy):
     """Admit short prompts first; evict the largest KV holder first."""
 
@@ -192,7 +158,7 @@ def _load_key(replica: ReplicaView) -> tuple[int, int]:
 
 
 class RouterPolicy:
-    """Base router: round-robin placement (stateful cursor, one per frontend)."""
+    """Base router: round-robin placement (stateful cursor, one per executor)."""
 
     name = "round_robin"
 
@@ -208,46 +174,12 @@ class RouterPolicy:
         return chosen
 
 
-RouterBuilder = Callable[..., RouterPolicy]
-
-
-def register_router(
-    name: str, *aliases: str
-) -> Callable[[RouterBuilder], RouterBuilder]:
-    """Decorator adding a router under ``name`` (plus aliases)."""
-    return ROUTERS.register(name, *aliases)
-
-
-def available_routers() -> tuple[str, ...]:
-    """Canonical router names, sorted (shim over the shared registry)."""
-    return ROUTERS.available()
-
-
-def resolve_router_name(name: str) -> str:
-    """Canonical name for ``name`` (alias- and case-insensitive).
-
-    Raises the typed :class:`repro.serving.registry.UnknownRouterError`
-    (a ``KeyError``) when nothing is registered under ``name``.
-    """
-    return ROUTERS.resolve(name)
-
-
-def make_router(name: str, **opts) -> RouterPolicy:
-    """Build the routing policy registered under ``name``.
-
-    ``opts`` are forwarded to the router's constructor; routers reject
-    options they do not understand (a misspelled knob must not silently
-    fall back to defaults).
-    """
-    return ROUTERS.make(name, **opts)
-
-
-@register_router("round_robin", "rr", "roundrobin")
+@ROUTERS.register("round_robin", "rr", "roundrobin")
 def _build_round_robin() -> RouterPolicy:
     return RouterPolicy()
 
 
-@register_router("least_loaded", "ll", "leastloaded")
+@ROUTERS.register("least_loaded", "ll", "leastloaded")
 class LeastLoadedRouter(RouterPolicy):
     """Place on the replica with the least outstanding work.
 
@@ -264,7 +196,7 @@ class LeastLoadedRouter(RouterPolicy):
         return min(replicas, key=_load_key).index
 
 
-@register_router("prefix_affinity", "pa", "prefixaffinity")
+@ROUTERS.register("prefix_affinity", "pa", "prefixaffinity")
 class PrefixAffinityRouter(RouterPolicy):
     """Route to the replica whose prefix cache best covers the prompt.
 
@@ -362,46 +294,12 @@ class AdmissionController:
         return False
 
 
-AdmissionBuilder = Callable[..., AdmissionController]
-
-
-def register_admission(
-    name: str, *aliases: str
-) -> Callable[[AdmissionBuilder], AdmissionBuilder]:
-    """Decorator adding an admission controller under ``name`` (plus aliases)."""
-    return ADMISSIONS.register(name, *aliases)
-
-
-def available_admissions() -> tuple[str, ...]:
-    """Canonical admission-policy names, sorted (shim over the registry)."""
-    return ADMISSIONS.available()
-
-
-def resolve_admission_name(name: str) -> str:
-    """Canonical name for ``name`` (alias- and case-insensitive).
-
-    Raises the typed :class:`repro.serving.registry.UnknownAdmissionError`
-    (a ``KeyError``) when nothing is registered under ``name``.
-    """
-    return ADMISSIONS.resolve(name)
-
-
-def make_admission(name: str, **opts) -> AdmissionController:
-    """Build the admission controller registered under ``name``.
-
-    ``opts`` are forwarded to the controller's constructor; controllers
-    reject options they do not understand (a misspelled knob must not
-    silently fall back to defaults).
-    """
-    return ADMISSIONS.make(name, **opts)
-
-
-@register_admission("accept_all", "none", "acceptall")
+@ADMISSIONS.register("accept_all", "none", "acceptall")
 def _build_accept_all() -> AdmissionController:
     return AdmissionController()
 
 
-@register_admission("queue_depth", "qd", "queuedepth")
+@ADMISSIONS.register("queue_depth", "qd", "queuedepth")
 class QueueDepthAdmission(AdmissionController):
     """Shed once the waiting queue reaches ``max_waiting`` requests.
 
@@ -436,7 +334,7 @@ class QueueDepthAdmission(AdmissionController):
         return view.n_waiting >= self.max_waiting
 
 
-@register_admission("token_backlog", "tb", "tokenbacklog")
+@ADMISSIONS.register("token_backlog", "tb", "tokenbacklog")
 class TokenBacklogAdmission(AdmissionController):
     """Shed once the outstanding token charge would exceed a cap.
 
@@ -480,7 +378,7 @@ class TokenBacklogAdmission(AdmissionController):
         return view.reserved_tokens >= self.max_backlog_tokens
 
 
-@register_admission("deadline_feasible", "df", "deadlinefeasible", "edf_admit")
+@ADMISSIONS.register("deadline_feasible", "df", "deadlinefeasible", "edf_admit")
 class DeadlineFeasibleAdmission(AdmissionController):
     """Shed requests whose deadline cannot plausibly be met.
 

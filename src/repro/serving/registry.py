@@ -26,10 +26,9 @@ Uniform guarantees, for every kind:
   existing :class:`repro.api.errors.UnknownPolicyError` — with the same
   ``unknown <kind> <name>; available: [...]`` message shape throughout.
 
-The historical per-kind functions (``make_router``, ``make_admission``,
-``make_scheduler``, ``resolve_*_name``, ``available_*``) remain importable
-from :mod:`repro.serving.policies` as thin shims over this module, so
-existing code keeps working; new code should come here.
+Builders register themselves with the ``SCHEDULERS`` / ``ROUTERS`` /
+``ADMISSIONS`` ``.register(name, *aliases)`` decorators
+(:mod:`repro.serving.policies` holds the built-in ones).
 """
 
 from __future__ import annotations

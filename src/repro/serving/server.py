@@ -78,8 +78,8 @@ from repro.kvcache.pool import (
 from repro.models.config import AttentionKind
 from repro.models.llm import DecodeResult, SelectionPolicy, TransformerLM
 from repro.retrieval.registry import make_policy, resolve_policy_name
+from repro.serving import registry
 from repro.serving.meter import ThroughputMeter
-from repro.serving.policies import make_admission, make_scheduler
 from repro.serving.request import Request, RequestState
 
 
@@ -340,9 +340,9 @@ class SpeContextServer:
         self.pool = PagedKVPool(
             self._pool_blocks(), block_size=self.config.block_size
         )
-        self.scheduler = make_scheduler(self.config.scheduler)
-        self.admission = make_admission(
-            self.config.admission, **self.config.admission_opts
+        self.scheduler = registry.make("scheduler", self.config.scheduler)
+        self.admission = registry.make(
+            "admission", self.config.admission, **self.config.admission_opts
         )
         self.meter = ThroughputMeter()
         self._waiting: deque[_Session] = deque()
@@ -660,8 +660,8 @@ class SpeContextServer:
         semantics. The exported prefix chain (if any) is re-published
         into this pool's cache first.
 
-        By default the request keeps its exported id (the cluster
-        frontend migrates global ids verbatim) — the id counter is
+        By default the request keeps its exported id (a direct
+        server-to-server move) — the id counter is
         bumped past it, bypassing the monotonicity check that guards
         *new* submissions. ``new_request_id`` rewrites the id instead:
         the executor path re-keys migrated sessions into the
@@ -790,8 +790,7 @@ class SpeContextServer:
         Every unfinished session (waiting or active) is charged its full
         ``prompt + max_new_tokens`` — the commitment :meth:`_can_admit`
         holds capacity against, not the current partial footprint. The
-        cluster frontend's least-loaded router reads this as the
-        replica's load.
+        executor's least-loaded router reads this as the replica's load.
         """
         return sum(
             s.prompt_len + s.sampling.max_new_tokens

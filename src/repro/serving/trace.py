@@ -11,15 +11,13 @@ workload construction to ad-hoc test code:
   control experiments;
 - :func:`heavy_tailed_trace` draws Pareto inter-arrivals, whose rare
   huge gaps and dense clumps stress deadline feasibility;
-- :func:`replay_trace` feeds a trace through a
-  :class:`~repro.serving.server.SpeContextServer`, submitting each request
-  when the clock reaches its arrival and stepping until drained, invoking
-  an observer after every step (tests assert pool/scheduling invariants
+- :func:`replay_trace` feeds a trace through a frontend — a
+  :class:`~repro.serving.server.SpeContextServer` or a replica set
+  (:class:`~repro.serving.engine.executor.ExecutorBase`), which speak
+  the same submit/step/clock protocol — submitting each request when the
+  clock reaches its arrival and stepping until drained, invoking an
+  observer after every step (tests assert pool/scheduling invariants
   there);
-- :func:`replay_trace_cluster` does the same through a
-  :class:`~repro.serving.cluster.ClusterFrontend`, with an optional
-  per-replica observer invoked for every replica after every cluster
-  step (per-replica pool invariants, preemption schedules);
 - :func:`solo_token_streams` computes the reference output of every
   request run alone on an identical server — the oracle for the
   batched == solo, preemption and cluster bit-identity guarantees.
@@ -134,13 +132,14 @@ def heavy_tailed_trace(
 
 
 def replay_trace(
-    server: SpeContextServer,
+    server,
     trace: Sequence[TraceEntry],
-    observer: Callable[[SpeContextServer], None] | None = None,
+    observer: Callable | None = None,
     on_reject: Callable[[GenerationRequest, Exception], None] | None = None,
 ) -> list[GenerationOutput]:
     """Replay a trace to completion; returns outputs sorted by request id.
 
+    ``server`` is a single server or an executor (global request ids).
     Requests are submitted when the server clock reaches their arrival
     step; across idle gaps the clock jumps to the next arrival. The
     ``observer`` runs after every step with the server as argument — the
@@ -175,35 +174,6 @@ def replay_trace(
         if observer is not None:
             observer(server)
     return sorted(outputs, key=lambda o: o.request_id)
-
-
-def replay_trace_cluster(
-    frontend,
-    trace: Sequence[TraceEntry],
-    observer: Callable | None = None,
-    replica_observer: Callable[[int, SpeContextServer], None] | None = None,
-    on_reject: Callable[[GenerationRequest, Exception], None] | None = None,
-) -> list[GenerationOutput]:
-    """Replay a trace through a cluster frontend; outputs by global id.
-
-    The frontend speaks the same submit/step/clock protocol as a single
-    server, so the replay loop is :func:`replay_trace` itself; this
-    wrapper adds the cluster-specific observation surface:
-    ``observer(frontend)`` runs after every cluster step, then
-    ``replica_observer(index, server)`` runs for every replica — the
-    place to assert per-replica pool invariants while a routed schedule
-    is in flight.
-    """
-
-    def observe(front) -> None:
-        if observer is not None:
-            observer(front)
-        if replica_observer is not None:
-            for index, server in enumerate(front.replicas):
-                replica_observer(index, server)
-
-    watched = observe if (observer or replica_observer) else None
-    return replay_trace(frontend, trace, watched, on_reject=on_reject)
 
 
 def solo_token_streams(

@@ -8,9 +8,9 @@ The migration contract under test:
   deduplicated on re-import);
 - ``export_session``/``import_session`` moves a session wholesale, so
   every migrated request's token stream is bit-identical to a solo run
-  — across all 8 KV policies, batched and sequential decode, the
-  cluster frontend and both executors (the ``export_kv``/``import_kv``
-  worker ops, including the multiprocess pickle path);
+  — across all 8 KV policies, batched and sequential decode, on both
+  executors (the ``export_kv``/``import_kv`` worker ops, including the
+  multiprocess pickle path);
 - pool refcounts and the free stack stay exact while migrations
   interleave with preemptions (audited after every cluster step), and
   a chaos kill of the migration *source* recovers its remaining work
@@ -29,9 +29,9 @@ from repro.api import (
     SamplingParams,
 )
 from repro.kvcache.pool import BlockTable, PagedKVPool
-from repro.serving import ClusterFrontend, SpeContextServer, poisson_trace
+from repro.serving import SpeContextServer, poisson_trace, replay_trace
 from repro.serving.engine import InProcessExecutor, MultiprocExecutor
-from repro.serving.trace import replay_trace_cluster, solo_token_streams
+from repro.serving.trace import solo_token_streams
 
 ALL_NAMES = (
     "specontext", "quest", "h2o", "shadowkv", "clusterkv",
@@ -310,35 +310,30 @@ class TestMidMigrationPreemption:
         pressured = engine_config(
             tiny_tokenizer, pool_blocks=2 * prompt_blocks + 1
         )
-        frontend = ClusterFrontend(
-            tiny_gqa_model,
-            pressured,
-            ClusterConfig(
-                n_replicas=2,
-                router="prefix_affinity",
-                stickiness_tokens=8,
-                rebalance_every=1,
-                rebalance_ratio=1.0,
-                max_migrations_per_pass=2,
-            ),
+        cluster = ClusterConfig(
+            n_replicas=2,
+            router="prefix_affinity",
+            stickiness_tokens=8,
+            rebalance_every=1,
+            rebalance_ratio=1.0,
+            max_migrations_per_pass=2,
         )
         trace = poisson_trace(
             np.random.default_rng(9), [clone(r) for r in requests], 1.0
         )
-        outputs = replay_trace_cluster(
-            frontend,
-            trace,
-            replica_observer=lambda i, server: server.audit_pool(),
-        )
-        assert frontend.migrations, "no migration ever triggered"
-        assert {m.reason for m in frontend.migrations} == {"rebalance"}
-        assert len(frontend.preemption_log) > 0, "no preemption pressure"
-        assert [o.token_ids for o in outputs] == solo
-        for server in frontend.replicas:
-            server.audit_pool()
-            server.pool.evict_all_unreferenced()
-            assert server.pool.n_used == 0
-            assert server.pool.stats.allocated == server.pool.stats.freed
+        with InProcessExecutor(tiny_gqa_model, pressured, cluster) as executor:
+            outputs = replay_trace(
+                executor, trace, lambda e: e.audit_pools()
+            )
+            assert executor.migrations, "no migration ever triggered"
+            assert {m.reason for m in executor.migrations} == {"rebalance"}
+            assert len(executor.preemption_log) > 0, "no preemption pressure"
+            assert [o.token_ids for o in outputs] == solo
+            for handle in executor._handles:
+                pool = handle._core.server.pool
+                pool.evict_all_unreferenced()
+                assert pool.n_used == 0
+                assert pool.stats.allocated == pool.stats.freed
 
 
 # ---- chaos: kill the migration source ----------------------------------------
@@ -389,7 +384,7 @@ class TestChaosKillSource:
 
 
 class TestMigrationBitIdentityMatrix:
-    """Every policy, batched and sequential decode, every frontend."""
+    """Every policy, batched and sequential decode, both executors."""
 
     @pytest.mark.parametrize(
         "batched", (True, False), ids=("batched", "sequential")
@@ -401,23 +396,18 @@ class TestMigrationBitIdentityMatrix:
         config = engine_config(tiny_tokenizer, batched_decode=batched)
         requests = shared_prefix_requests(tiny_tokenizer, policy, n=4)
         solo = solo_token_streams(tiny_gqa_model, config, requests, clone)
-        frontend = ClusterFrontend(
-            tiny_gqa_model,
-            config,
-            ClusterConfig(n_replicas=2, roles=("prefill", "decode")),
-        )
-        for request in requests:
-            frontend.add_request(clone(request))
-        outputs = frontend.run()
-        assert len(frontend.migrations) == len(requests)
-        assert all(
-            m.reason == "prefill_handoff" for m in frontend.migrations
-        )
-        for output in outputs:
-            assert frontend.replica_of(output.request_id) == 1
-        assert [o.token_ids for o in outputs] == solo
-        for server in frontend.replicas:
-            server.audit_pool()
+        cluster = ClusterConfig(n_replicas=2, roles=("prefill", "decode"))
+        with InProcessExecutor(tiny_gqa_model, config, cluster) as executor:
+            for request in requests:
+                executor.add_request(clone(request))
+            outputs = executor.run()
+            # Every session prefilled on worker 0 and finished on worker 1.
+            assert [
+                (m.request_id, m.source, m.target, m.reason)
+                for m in executor.migrations
+            ] == [(i, 0, 1, "prefill_handoff") for i in range(len(requests))]
+            assert [o.token_ids for o in outputs] == solo
+            assert executor.audit_pools() == 2
 
     @pytest.mark.parametrize(
         "batched", (True, False), ids=("batched", "sequential")
@@ -447,33 +437,36 @@ class TestMigrationBitIdentityMatrix:
             assert [tokens[gid] for gid in gids] == solo
             assert executor.audit_pools() == 2
 
+    @pytest.mark.parametrize("executor_cls", EXECUTORS)
     def test_manual_migrate_round_trip_and_edge_cases(
-        self, tiny_gqa_model, tiny_tokenizer
+        self, tiny_gqa_model, tiny_tokenizer, executor_cls
     ):
         config = engine_config(tiny_tokenizer)
         requests = shared_prefix_requests(
             tiny_tokenizer, "shadowkv", n=2, max_new=10
         )
         solo = solo_token_streams(tiny_gqa_model, config, requests, clone)
-        frontend = ClusterFrontend(
-            tiny_gqa_model,
-            config,
-            ClusterConfig(n_replicas=2, router="round_robin"),
-        )
-        for request in requests:
-            frontend.add_request(clone(request))
-        frontend.step()
-        frontend.step()
-        assert frontend.migrate(0, 1) is True  # replica 0 -> 1, mid-decode
-        frontend.step()
-        assert frontend.migrate(0, 0) is True  # and back again
-        assert frontend.migrate(0, 0) is False  # already there
-        assert frontend.migrate(99, 1) is False  # unknown id
-        with pytest.raises(IndexError, match="out of range"):
-            frontend.migrate(1, 5)
-        outputs = frontend.run()
-        assert [o.token_ids for o in outputs] == solo
-        moved = [m for m in frontend.migrations if m.reason == "manual"]
-        assert [(m.source, m.target) for m in moved] == [(0, 1), (1, 0)]
-        for server in frontend.replicas:
-            server.audit_pool()
+        cluster = ClusterConfig(n_replicas=3, router="round_robin")
+        with executor_cls(tiny_gqa_model, config, cluster) as executor:
+            for request in requests:
+                executor.add_request(clone(request))
+            executor.step()
+            executor.step()
+            assert executor.migrate(0, 1) is True  # worker 0 -> 1, mid-decode
+            assert executor.worker_of(0) == 1
+            executor.step()
+            assert executor.migrate(0, 0) is True  # and back again
+            assert executor.migrate(0, 0) is False  # already there
+            assert executor.migrate(99, 1) is False  # unknown id
+            with pytest.raises(IndexError, match="out of range"):
+                executor.migrate(1, 5)
+            executor.kill_worker(2)  # idle: nothing to recover
+            assert executor.migrate(1, 2) is False  # quarantined target
+            outputs = executor.run()
+            assert executor.migrate(0, 1) is False  # finished
+            assert [o.token_ids for o in outputs] == solo
+            assert [
+                (m.source, m.target, m.reason) for m in executor.migrations
+            ] == [(0, 1, "manual"), (1, 0, "manual")]
+            assert executor.resubmissions == []
+            assert executor.audit_pools() == 2

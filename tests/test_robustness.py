@@ -42,13 +42,7 @@ from repro.api import (
     OverloadedError,
     SamplingParams,
 )
-from repro.serving import (
-    AdmissionController,
-    ClusterFrontend,
-    available_admissions,
-    make_admission,
-    resolve_admission_name,
-)
+from repro.serving import AdmissionController, registry
 from repro.serving.engine import InProcessExecutor, MultiprocExecutor
 from repro.serving.http import AsyncEngine, HttpServer
 from repro.serving.server import SpeContextServer
@@ -132,25 +126,25 @@ class TestConfigValidation:
 
 class TestAdmissionRegistry:
     def test_registry_names(self):
-        names = available_admissions()
+        names = registry.available("admission")
         for expected in (
             "accept_all", "queue_depth", "token_backlog", "deadline_feasible",
         ):
             assert expected in names
 
     def test_aliases_resolve(self):
-        assert resolve_admission_name("QD") == "queue_depth"
-        assert resolve_admission_name("none") == "accept_all"
-        assert resolve_admission_name("edf-admit") == "deadline_feasible"
+        assert registry.resolve("admission", "QD") == "queue_depth"
+        assert registry.resolve("admission", "none") == "accept_all"
+        assert registry.resolve("admission", "edf-admit") == "deadline_feasible"
         with pytest.raises(KeyError):
-            resolve_admission_name("nope")
+            registry.resolve("admission", "nope")
 
     def test_make_admission_rejects_unknown_opts(self):
         with pytest.raises(TypeError):
-            make_admission("queue_depth", max_wating=3)
+            registry.make("admission", "queue_depth", max_wating=3)
 
     def test_base_controller_accepts_everything(self, tiny_tokenizer):
-        controller = make_admission("accept_all")
+        controller = registry.make("admission", "accept_all")
         assert isinstance(controller, AdmissionController)
         assert controller.name == "accept_all"
 
@@ -408,6 +402,29 @@ class TestExecutorFailures:
         finally:
             executor.shutdown()
 
+    def test_pop_failures_merges_workers(
+        self, tiny_gqa_model, tiny_tokenizer
+    ):
+        with InProcessExecutor(
+            tiny_gqa_model,
+            engine_config(tiny_tokenizer, max_concurrency=1),
+            ClusterConfig(n_replicas=2, router="round_robin"),
+        ) as executor:
+            rids = []
+            for i in range(4):
+                rids.append(executor.add_request(
+                    filler_request(
+                        tiny_tokenizer, seed=20 + i, max_new=8,
+                        total_deadline_s=4.0 if i >= 2 else None,
+                    )
+                ))
+            while executor.has_unfinished:
+                executor.step()
+            failures = executor.pop_failures()
+            assert sorted(f.request_id for f in failures) == rids[2:]
+            assert executor.pop_failures() == []
+            assert not executor.shedding()
+
     def test_failed_request_never_resubmitted_after_kill(
         self, tiny_gqa_model, tiny_tokenizer
     ):
@@ -593,34 +610,6 @@ class TestAbortRelease:
             assert [o.request_id for o in outputs] == [keep]
         finally:
             executor.shutdown()
-
-
-# ---- cluster frontend merge --------------------------------------------------
-
-
-class TestClusterFailures:
-    def test_cluster_pop_failures_merges_replicas(
-        self, tiny_gqa_model, tiny_tokenizer
-    ):
-        frontend = ClusterFrontend(
-            tiny_gqa_model,
-            engine_config(tiny_tokenizer, max_concurrency=1),
-            ClusterConfig(n_replicas=2, router="round_robin"),
-        )
-        rids = []
-        for i in range(4):
-            rids.append(frontend.add_request(
-                filler_request(
-                    tiny_tokenizer, seed=20 + i, max_new=8,
-                    total_deadline_s=4.0 if i >= 2 else None,
-                )
-            ))
-        while frontend.has_unfinished:
-            frontend.step()
-        failures = frontend.pop_failures()
-        assert sorted(f.request_id for f in failures) == rids[2:]
-        assert frontend.pop_failures() == []
-        assert not frontend.shedding
 
 
 # ---- HTTP robustness surfaces ------------------------------------------------

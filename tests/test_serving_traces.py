@@ -23,11 +23,12 @@ import numpy as np
 import pytest
 
 from repro.api import EngineConfig, GenerationRequest, SamplingParams
-from repro.serving import SpeContextServer, poisson_trace, replay_trace
-from repro.serving.policies import (
-    available_schedulers,
-    make_scheduler,
-    resolve_scheduler_name,
+from repro.serving import (
+    SpeContextServer,
+    make_executor,
+    poisson_trace,
+    registry,
+    replay_trace,
 )
 from repro.serving.trace import TraceEntry, solo_token_streams
 from tests.conftest import make_recall_prompt
@@ -94,7 +95,7 @@ def mixed_workload(tokenizer, n=8, max_new_tokens=12, prompt_tokens=30):
 def occupancy_observer(server: SpeContextServer, high_water: list[int]):
     def observe(s: SpeContextServer) -> None:
         assert s.pool.n_used <= s.pool.capacity
-        s.pool.check_consistency()
+        s.pool.audit(allow_spec_outstanding=True)
         high_water.append(s.pool.n_used)
     return observe
 
@@ -403,7 +404,7 @@ class TestStreaming:
 
 class TestSchedulerRegistry:
     def test_canonical_names(self):
-        assert set(available_schedulers()) == {"fcfs", "priority", "sjf"}
+        assert set(registry.available("scheduler")) == {"fcfs", "priority", "sjf"}
 
     @pytest.mark.parametrize("alias,canonical", [
         ("FIFO", "fcfs"),
@@ -412,11 +413,11 @@ class TestSchedulerRegistry:
         ("SPF", "sjf"),
     ])
     def test_aliases_resolve(self, alias, canonical):
-        assert resolve_scheduler_name(alias) == canonical
+        assert registry.resolve("scheduler", alias) == canonical
 
     def test_unknown_scheduler_raises_with_available(self):
         with pytest.raises(KeyError, match="fcfs"):
-            make_scheduler("round-robin")
+            registry.make("scheduler", "round-robin")
 
     def test_server_rejects_unknown_scheduler(
         self, tiny_gqa_model, tiny_tokenizer
@@ -442,6 +443,36 @@ class TestCli:
         assert "continuous batching" in out
         assert "preemptions" in out
         assert "priority scheduling" in out
+
+    def test_cli_replicas_honour_executor_flag(self, capsys, monkeypatch):
+        """``--replicas 2 --executor multiproc`` runs real worker
+        processes (it used to fall back to in-process replicas silently)
+        and reaps them on exit."""
+        from repro.serving import cli
+
+        built = []
+
+        def recording_make_executor(*args):
+            built.append(make_executor(*args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "make_executor", recording_make_executor)
+        rc = cli.main([
+            "--requests", "4", "--max-new-tokens", "4", "--prompt-len", "40",
+            "--policies", "full,streaming", "--block-size", "8",
+            "--replicas", "2", "--executor", "multiproc",
+            "--spec-decode-k", "2",
+        ])
+        assert rc == 0
+        [executor] = built
+        assert executor.kind == "multiproc"
+        procs = [handle._proc for handle in executor._handles]
+        assert len(procs) == 2 and all(p.pid is not None for p in procs)
+        assert all(p.exitcode == 0 for p in procs)  # shut down, not leaked
+        out = capsys.readouterr().out
+        assert "2 replicas (multiproc)" in out
+        assert "verify passes" in out  # spec summary works for N > 1
+        assert "blocks reused" in out  # per-replica table from snapshots()
 
     @pytest.mark.parametrize("argv", [
         ["--policies", "not-a-policy"],

@@ -479,7 +479,7 @@ class TestPoolSpecReservations:
         assert pool._free == before_free  # order included
         assert (pool.stats.allocated, pool.stats.freed) == before_ledger
         assert pool.stats.spec_reserved == pool.stats.spec_released == len(taken)
-        pool.check_consistency()
+        pool.audit(allow_spec_outstanding=True)
 
     @given(
         capacity=st.integers(min_value=2, max_value=24),
@@ -503,12 +503,12 @@ class TestPoolSpecReservations:
         assert pool.stats.allocated == 1 + n_promote
         assert pool.stats.spec_promoted == n_promote
         assert len(table) == 1 + n_promote
-        pool.check_consistency()
+        pool.audit(allow_spec_outstanding=True)
 
         pool.free_table(table)
         assert pool.stats.freed == 1 + n_promote
         assert pool.n_used == 0  # nothing published, so nothing retained
-        pool.check_consistency()
+        pool.audit(allow_spec_outstanding=True)
 
     def test_reserve_never_evicts_prefix_blocks(self):
         """reserve_spec is opportunistic: a pool whose free stack is empty
@@ -527,7 +527,7 @@ class TestPoolSpecReservations:
         assert pool.n_evictable() == 4
         assert pool.reserve_spec(3) == []
         assert pool.stats.prefix_evictions == 0
-        pool.check_consistency()
+        pool.audit(allow_spec_outstanding=True)
 
     def test_double_release_and_foreign_promote_rejected(self):
         pool = PagedKVPool(4, block_size=4)
@@ -581,11 +581,20 @@ class TestExecutorSpecBitIdentity:
         requests, ref_streams, ref_reasons = reference
         config = spec_config(tiny_tokenizer, 2)
         cluster = ClusterConfig(n_replicas=n_workers, router="round_robin")
+        spec = {}
         for kind in (InProcessExecutor, MultiprocExecutor):
             with kind(tiny_gqa_model, config, cluster) as executor:
                 streams, reasons, _ = run_trace(executor, requests)
+                spec[kind.kind] = {
+                    i: (s.spec_stats.spec_steps, s.spec_stats.drafted,
+                        s.spec_stats.accepted)
+                    for i, s in executor.snapshots().items()
+                }
             assert streams == ref_streams, kind.kind
             assert reasons == ref_reasons, kind.kind
+        # Acceptance telemetry crosses the pipe with the worker snapshot.
+        assert spec["multiproc"] == spec["inproc"]
+        assert sum(steps for steps, _, _ in spec["inproc"].values()) > 0
 
     def test_kill_worker_mid_trace_with_speculation(
         self, tiny_gqa_model, tiny_tokenizer, reference
