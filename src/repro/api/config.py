@@ -127,42 +127,46 @@ class EngineConfig:
         preempt_mode: what happens to a session evicted under pool
             pressure — "swap" stashes its KV cache host-side and restores
             it on resume (exact for every policy); "recompute" drops the
-            cache and replays prefill + forced decode on resume (exact for
-            policies without stateful sampling inside the policy itself).
+            cache and, on resume, rebuilds it through the same chunked
+            prefill a fresh prompt takes, then replays the generated
+            tokens as forced decodes (exact for policies without stateful
+            sampling inside the policy itself).
         scheduler: admission/preemption ordering policy name (resolved
             by ``repro.serving.registry.make("scheduler", ...)``): "fcfs",
             "priority" or "sjf".
-        batched_decode: fuse every active session's decode step into one
-            server-wide forward pass (stacked hidden states, row-batched
-            QKV/O/FFN GEMMs, selection-shape-grouped attention). Token
-            streams and selection histories are bit-identical to the
-            sequential per-session path; set False to fall back to the
-            one-session-at-a-time reference loop.
+        batched_decode: how many sessions share one decode forward pass
+            (stacked hidden states, row-batched QKV/O/FFN GEMMs,
+            selection-shape-grouped attention). True (default) fuses every
+            ready session whose next block is free into one server-wide
+            wave; False flushes the wave after every session, i.e. waves
+            of one through the same code. Token streams, selection
+            histories and event order are bit-identical between the two.
         kv_dtype: storage precision of per-session KV caches, "float64"
             (default, double-precision attention accumulation) or
             "float32" (half the memory traffic; projections are float32 so
             the stored values are unchanged — what production engines do
-            with FP16 KV). Applies equally to both decode paths, which
-            stay bit-identical to each other at either precision.
-        prefill_chunk_tokens: split every prompt prefill into chunks of at
-            most this many tokens, streamed in across server steps so one
-            long-prompt arrival can no longer freeze the decode wave for
-            its whole prefill (head-of-line blocking). A token's KV
-            depends only on the tokens before it, so chunked prefill is
-            bit-identical to the monolithic default (None). Full prompt
-            blocks are prefix-published as chunks complete, so later
-            requests can hit blocks of a still-prefilling peer.
+            with FP16 KV).
+        prefill_chunk_tokens: the size of the chunks every prompt prefill
+            runs in. None (default) is one chunk covering the whole
+            prompt, run inline at admission. A number streams the prompt
+            in across server steps, at most this many tokens at a time,
+            so one long-prompt arrival can no longer freeze the decode
+            wave for its whole prefill (head-of-line blocking). A token's
+            KV depends only on the tokens before it, so the chunk size
+            never changes a token. Full prompt blocks are
+            prefix-published as chunks complete, so later requests can
+            hit blocks of a still-prefilling peer.
         max_step_tokens: per-step token budget shared by the decode wave
             and prefill chunks. Each step reserves one token per ready
             (decoding) session, then spends the remainder on prefill
             chunks in scheduler admission order. The budget bounds
             *prefill* work; decode tokens are never dropped, so a session
             whose final chunk lands mid-step decodes in that same step
-            (matching monolithic admission semantics) and may push the
+            (as a whole-prompt chunk at admission does) and may push the
             step's total a few tokens past the budget. None (default)
             schedules one chunk per prefilling session per step instead
             of a global budget. Requires ``prefill_chunk_tokens`` (a
-            monolithic prefill cannot be budgeted).
+            whole-prompt chunk cannot be budgeted).
         sparse_from_first_token: decode the final prompt token as the first
             policy-governed step (SpeContext's dataflow).
         requests: request multiplier for the theoretical memory model.
@@ -271,7 +275,7 @@ class EngineConfig:
             if self.prefill_chunk_tokens is None:
                 raise ConfigValidationError(
                     "max_step_tokens requires prefill_chunk_tokens: a "
-                    "monolithic prefill runs inline at admission and "
+                    "whole-prompt chunk runs inline at admission and "
                     "cannot be budgeted per step"
                 )
         if self.spec_decode_k < 0:

@@ -29,7 +29,6 @@ from repro.models.tokenizer import SyntheticTokenizer
 from repro.retrieval.registry import available_policies, resolve_policy_name
 from repro.serving import registry
 from repro.serving.engine import make_executor
-from repro.serving.server import SpeContextServer
 from repro.utils.tables import format_table
 from repro.utils.units import human_bytes
 from repro.workloads.base import weave_context
@@ -87,8 +86,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--no-prefix-cache", action="store_true",
                         help="disable prompt prefix-block reuse")
     parser.add_argument("--sequential-decode", action="store_true",
-                        help="disable the fused batched decode path (one "
-                        "batch=1 forward pass per session per step)")
+                        help="decode in waves of one session instead of "
+                        "fused server-wide waves")
     parser.add_argument("--kv-dtype", default="float64",
                         choices=("float32", "float64"),
                         help="KV cache storage precision")
@@ -107,11 +106,10 @@ def main(argv: list[str] | None = None) -> int:
                         "and verify them in one fused target pass "
                         "(greedy sessions only; 0 disables)")
     parser.add_argument("--replicas", type=int, default=1,
-                        help="server replicas behind one executor "
-                        "(1 = plain single-server mode)")
+                        help="server replicas behind one executor")
     parser.add_argument("--router", default="prefix_affinity",
-                        help="cluster routing policy, used when --replicas "
-                        f"> 1 (available: {', '.join(registry.available('router'))})")
+                        help="cluster routing policy "
+                        f"(available: {', '.join(registry.available('router'))})")
     parser.add_argument("--stickiness-tokens", type=int, default=16,
                         help="minimum cached-prefix match for the "
                         "prefix-affinity router to stick to a replica")
@@ -137,9 +135,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="bind port for --serve-http")
     parser.add_argument("--executor", default="inproc",
                         choices=("inproc", "multiproc"),
-                        help="how replicas run when --replicas > 1 or "
-                        "--serve-http: all in-process, or one child "
-                        "process per replica stepped with overlap")
+                        help="how replicas run: all in-process, or one "
+                        "child process per replica stepped with overlap")
     args = parser.parse_args(argv)
 
     try:
@@ -206,36 +203,26 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     try:
-        if args.replicas > 1:
-            target = make_executor(model, engine_config, cluster)
-        else:
-            target = SpeContextServer(model, engine_config)
+        target = make_executor(model, engine_config, cluster)
     except ValueError as err:
         print(err, file=sys.stderr)
         return 2
-    try:
+    with target:
         return _run_queue(target, args, config, tokenizer, policies)
-    finally:
-        if args.replicas > 1:
-            target.shutdown()
 
 
 def _run_queue(target, args, config, tokenizer, policies) -> int:
     """Submit the built-in request queue to ``target`` and print the report.
 
-    ``target`` is the single server, or an executor when ``--replicas``
-    > 1 — whose replica pools may live in child processes, so everything
+    ``target`` is an executor for every ``--replicas`` N (1 included) —
+    its replica pools may live in child processes, so everything
     per-replica is read from ``snapshots()``.
     """
-    clustered = args.replicas > 1
-    if clustered:
-        pool = f"{args.block_size}-token blocks per replica"
-    else:
-        pool = f"{target.pool.capacity} x {target.pool.block_size}-token blocks"
     print(
         f"model: {config.n_layers}-layer {config.attention.value}, "
         f"vocab {config.vocab_size}  |  budget {args.budget}, "
-        f"concurrency {args.concurrency}  |  pool {pool}, "
+        f"concurrency {args.concurrency}  |  pool "
+        f"{args.block_size}-token blocks per replica, "
         f"{args.scheduler} scheduling  |  "
         f"{'sequential' if args.sequential_decode else 'batched'} decode, "
         f"{args.kv_dtype} KV"
@@ -255,12 +242,8 @@ def _run_queue(target, args, config, tokenizer, policies) -> int:
             if args.spec_decode_k > 0
             else ""
         )
-        + (
-            f"  |  {args.replicas} replicas ({target.kind}), "
-            f"{args.router} routing"
-            if clustered
-            else ""
-        )
+        + f"  |  {args.replicas} replica{'s' if args.replicas > 1 else ''} "
+        f"({target.kind}), {args.router} routing"
     )
 
     for i in range(args.requests):
@@ -300,15 +283,10 @@ def _run_queue(target, args, config, tokenizer, policies) -> int:
         rows,
         title=f"{len(outputs)} requests, continuous batching",
     ))
-    if clustered:
-        snapshots = target.snapshots()
-        meter = target.stats()
-        pools = {i: s.pool for i, s in snapshots.items()}
-        specs = [s.spec_stats for s in snapshots.values()]
-    else:
-        meter = target.meter
-        pools = {0: target.pool.stats}
-        specs = [target.spec_stats]
+    snapshots = target.snapshots()
+    meter = target.stats()
+    pools = {i: s.pool for i, s in snapshots.items()}
+    specs = [s.spec_stats for s in snapshots.values()]
     print(
         f"\nmeter: {len(meter.finished)} finished, "
         f"{meter.generated_tokens} tokens over {meter.makespan_s:.0f} steps "
@@ -334,36 +312,35 @@ def _run_queue(target, args, config, tokenizer, policies) -> int:
             f"{drafted} drafted, {accepted} accepted "
             f"({accepted / drafted if drafted else 0.0:.0%} acceptance)"
         )
-    if clustered:
-        routing = target.routing
-        rows = [
-            [
-                i,
-                routing.routed[i],
-                routing.affinity_hits[i],
-                routing.affinity_misses[i],
-                routing.cold[i],
-                pools[i].prefix_blocks_reused if i in pools else "-",
-            ]
-            for i in range(target.n_workers)
+    routing = target.routing
+    rows = [
+        [
+            i,
+            routing.routed[i],
+            routing.affinity_hits[i],
+            routing.affinity_misses[i],
+            routing.cold[i],
+            pools[i].prefix_blocks_reused if i in pools else "-",
         ]
-        print()
-        print(format_table(
-            ["replica", "routed", "hits", "misses", "cold", "blocks reused"],
-            rows,
-            title=f"{args.router} routing, {routing.hit_rate:.0%} affinity hit "
-            "rate (non-cold)",
-        ))
-        if target.migrations:
-            handoffs = sum(
-                1 for m in target.migrations
-                if m.reason == "prefill_handoff"
-            )
-            print(
-                f"migrations: {len(target.migrations)} sessions moved "
-                f"live ({handoffs} prefill handoffs, "
-                f"{len(target.migrations) - handoffs} rebalance)"
-            )
+        for i in range(target.n_workers)
+    ]
+    print()
+    print(format_table(
+        ["replica", "routed", "hits", "misses", "cold", "blocks reused"],
+        rows,
+        title=f"{args.router} routing, {routing.hit_rate:.0%} affinity hit "
+        "rate (non-cold)",
+    ))
+    if target.migrations:
+        handoffs = sum(
+            1 for m in target.migrations
+            if m.reason == "prefill_handoff"
+        )
+        print(
+            f"migrations: {len(target.migrations)} sessions moved "
+            f"live ({handoffs} prefill handoffs, "
+            f"{len(target.migrations) - handoffs} rebalance)"
+        )
     return 0
 
 

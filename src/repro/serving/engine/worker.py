@@ -195,9 +195,10 @@ class WorkerCore:
 
         Returns the :class:`~repro.serving.server.SessionExport` (or
         None when the id is unknown or finished — a rebalance pass races
-        against completion). The snapshot carries the dense KV cache,
-        the live policy/RNG objects and the published prefix chain; it
-        pickles across the pipe like any other reply.
+        against completion). The snapshot is the server's own session
+        record (dense KV cache, live policy/RNG objects, every progress
+        field) plus the published prefix chain; it pickles across the
+        pipe like any other reply.
         """
         return self.server.export_session(request_id)
 

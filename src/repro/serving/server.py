@@ -15,28 +15,35 @@ with the memory discipline of a production engine:
 - on pool exhaustion the scheduler policy (``fcfs`` / ``priority`` /
   ``sjf``, see :mod:`repro.serving.policies`) picks a victim to **preempt**:
   its blocks are freed and the session is requeued, either with its cache
-  stashed host-side (``preempt_mode="swap"``) or to be replayed from the
-  prompt (``preempt_mode="recompute"``). Both modes resume with
-  bit-identical token streams for deterministic policies; swap is exact
-  for every policy (the cache object is restored as-is);
-- with ``prefill_chunk_tokens`` set, prompt prefill is **chunked**: an
-  admitted session enters a ``PREFILLING`` state and its prompt streams
-  in over several steps under a per-step token budget
+  stashed host-side (``preempt_mode="swap"``) or dropped, to be rebuilt
+  from the prompt on resume (``preempt_mode="recompute"``). Both modes
+  resume with bit-identical token streams for deterministic policies;
+  swap is exact for every policy (the cache object is restored as-is);
+- prompt prefill is **chunked**: an admitted session enters a
+  ``PREFILLING`` state and its prompt lands chunk by chunk, each chunk
+  claiming and prefix-publishing the pool blocks it fills (a later
+  request can hit blocks of a still-prefilling peer). A token's KV
+  depends only on its predecessors — the same argument behind the prefix
+  cache — so the chunk size never changes a token.
+  ``prefill_chunk_tokens`` is that size: ``None`` (default) is one chunk
+  covering the whole prompt, run inline at admission; a number streams
+  the prompt in over several steps under a per-step token budget
   (``max_step_tokens``) shared with the decode wave, so one long-prompt
-  arrival no longer freezes every active decode for its whole prefill.
-  Chunking is bit-identical to monolithic prefill (a token's KV depends
-  only on its predecessors — the same argument behind the prefix cache),
-  full prompt blocks are prefix-published as chunks complete (a later
-  request can hit blocks of a still-prefilling peer), and mid-prefill
-  preemption resumes at the correct chunk in both preempt modes;
+  arrival no longer freezes every active decode for its whole prefill,
+  and mid-prefill preemption resumes at the correct chunk in both
+  preempt modes. A recompute-resume rebuilds its cache through the same
+  chunk path and then replays its generated tokens as forced decodes;
 - ``step`` admits, ensures capacity, then runs **one decode step for every
   ready session** — continuous batching at step granularity — and emits
   per-token :class:`StreamEvent`s drainable via :meth:`pop_stream_events`.
-  With ``batched_decode`` (default) the sessions' forward passes are fused
-  into one server-wide batch (stacked hidden states, row-batched GEMMs,
-  selection-shape-grouped attention; see
-  :meth:`repro.models.llm.TransformerLM.decode_step_batch`), bit-identical
-  to the sequential per-session reference loop;
+  Sessions decode in fused *waves* (stacked hidden states, row-batched
+  GEMMs, selection-shape-grouped attention; see
+  :meth:`repro.models.llm.TransformerLM.decode_step_batch`).
+  ``batched_decode`` is the wave size: True (default) grows a wave until
+  a block reservation would need eviction or preemption — a whole step
+  under no pressure; False decodes waves of one. Both produce the same
+  events in the same order; the numeric reference for either is
+  :meth:`repro.models.llm.TransformerLM.generate`;
 - ``run`` steps until the queue drains and returns per-request
   :class:`~repro.api.request.GenerationOutput`s.
 
@@ -164,53 +171,27 @@ class SessionExport:
     """Wholesale picklable snapshot of one in-flight session (live migration).
 
     Produced by :meth:`SpeContextServer.export_session`, consumed by
-    :meth:`SpeContextServer.import_session` on another replica. The dense
-    :class:`~repro.kvcache.cache.ModelKVCache`, the live policy object and
-    the request RNG move *as objects* — the same argument that makes swap
-    preemption exact for every policy makes migration exact: nothing about
-    the session's numeric state is recomputed, so the continued stream is
-    bit-identical to a never-migrated run by construction.
+    :meth:`SpeContextServer.import_session` on another replica. The
+    server's own session record travels *as is* — the dense
+    :class:`~repro.kvcache.cache.ModelKVCache`, the live policy object,
+    the request RNG and every progress field — so a field added to the
+    record cannot be dropped on the way, and the same argument that makes
+    swap preemption exact for every policy makes migration exact: nothing
+    about the session's numeric state is recomputed, so the continued
+    stream is bit-identical to a never-migrated run by construction. Only
+    the block table stays behind (its blocks are freed at the source).
 
     ``chain`` optionally carries the session's published prefix blocks
     (:class:`~repro.kvcache.pool.BlockChainExport`) so the destination's
     prefix cache is warmed for later requests sharing the prefix.
     """
 
-    request: GenerationRequest
-    policy: SelectionPolicy | None
-    budget: int
-    cache: ModelKVCache
-    rng: np.random.Generator | None
-    result: DecodeResult
-    state: str
-    arrival_s: float
-    start_s: float
-    first_token_s: float | None
-    pending: int | None
-    prefill_token: int | None
-    steps_taken: int
-    offload_events: list[OffloadEvent]
-    preemptions: int
-    swap_bytes: int
-    prefix_reused_tokens: int
-    prefill_pos: int
-    prefill_started: bool
-    prefill_done: bool
-    published_blocks: int
-    replaying: bool
+    session: _Session
     chain: BlockChainExport | None = None
 
     @property
     def request_id(self) -> int:
-        assert self.request.request_id is not None
-        return self.request.request_id
-
-    @property
-    def prefill_remaining(self) -> int:
-        """Prompt tokens this session still has to prefill somewhere."""
-        if self.prefill_done:
-            return 0
-        return self.request.prompt_len - self.prefill_pos
+        return self.session.request_id
 
 
 class _SessionState:
@@ -249,7 +230,7 @@ class _Session:
     # (prefix-cache reuse included); prefill_started flips at the first
     # chunk (policy reset + prefix acquisition happen there); replaying
     # marks a recompute-resume that must not touch the sampler, the
-    # prefix cache or the prefill-block stats (mirroring _replay).
+    # prefix cache or the prefill-block stats.
     prefill_pos: int = 0
     prefill_started: bool = False
     prefill_done: bool = False
@@ -279,7 +260,7 @@ class _Session:
 
         Mid-prefill that is the chunk cursor (only ``prefill_pos`` prompt
         tokens are resident); once prefill completes it is the full
-        prompt plus generated tokens, exactly the monolithic accounting.
+        prompt plus generated tokens.
         """
         if not self.prefill_done:
             return self.prefill_pos
@@ -291,9 +272,9 @@ class _Session:
 
         Admission projections must charge a still-prefilling session its
         whole prompt (the blocks it is guaranteed to claim), not the
-        partial cursor — otherwise chunked mode would over-admit relative
-        to the monolithic server, whose active sessions always hold their
-        full prompt.
+        partial cursor — otherwise a small chunk size would over-admit
+        relative to whole-prompt chunks, whose active sessions always
+        hold their full prompt.
         """
         return self.request.prompt_len + len(self.result.token_ids)
 
@@ -613,39 +594,16 @@ class SpeContextServer:
                         chain = None
                 queue.remove(session)
                 self.pool.free_table(session.block_table)
-                state = session.state
-                if state in (_SessionState.READY, _SessionState.PREFILLING):
+                if session.state in (
+                    _SessionState.READY, _SessionState.PREFILLING
+                ):
                     # Same exactness argument as swap preemption: the
                     # ModelKVCache object *is* the stash, so the resumed
                     # stream cannot diverge for any policy.
-                    state = _SessionState.SWAPPED
+                    session.state = _SessionState.SWAPPED
                     session.swap_bytes += session.cache.nbytes()
                 self.migrated_out += 1
-                return SessionExport(
-                    request=session.request,
-                    policy=session.policy,
-                    budget=session.budget,
-                    cache=session.cache,
-                    rng=session.rng,
-                    result=session.result,
-                    state=state,
-                    arrival_s=session.arrival_s,
-                    start_s=session.start_s,
-                    first_token_s=session.first_token_s,
-                    pending=session.pending,
-                    prefill_token=session.prefill_token,
-                    steps_taken=session.steps_taken,
-                    offload_events=session.offload_events,
-                    preemptions=session.preemptions,
-                    swap_bytes=session.swap_bytes,
-                    prefix_reused_tokens=session.prefix_reused_tokens,
-                    prefill_pos=session.prefill_pos,
-                    prefill_started=session.prefill_started,
-                    prefill_done=session.prefill_done,
-                    published_blocks=session.published_blocks,
-                    replaying=session.replaying,
-                    chain=chain,
-                )
+                return SessionExport(session=session, chain=chain)
         return None
 
     def import_session(
@@ -653,10 +611,10 @@ class SpeContextServer:
     ) -> int:
         """Adopt a migrated session; it resumes via the ordinary queue.
 
-        The snapshot's cache/policy/rng objects are installed as-is and
-        the session joins the waiting queue in its exported resume state;
-        the existing activation paths (fresh prefill, swap re-claim,
-        recompute replay) do the rest, so migration adds no new resume
+        The exported session record is adopted as-is and joins the
+        waiting queue in its exported resume state; the existing
+        activation paths (fresh prefill, swap re-claim, recompute
+        rebuild) do the rest, so migration adds no new resume
         semantics. The exported prefix chain (if any) is re-published
         into this pool's cache first.
 
@@ -669,14 +627,15 @@ class SpeContextServer:
         local id could collide with an unrelated session. Returns the
         id the session now answers to.
         """
-        request = export.request
+        session = export.session
+        request = session.request
         if new_request_id is not None:
             request.request_id = int(new_request_id)
         if request.request_id is None:
             raise ValueError("exported session lacks a request_id")
         rid = request.request_id
-        for session in (*self._waiting, *self._active):
-            if session.request_id == rid:
+        for peer in (*self._waiting, *self._active):
+            if peer.request_id == rid:
                 raise ValueError(
                     f"request_id {rid} is already in flight on this replica"
                 )
@@ -690,30 +649,6 @@ class SpeContextServer:
             )
         if export.chain is not None:
             self.pool.import_chain(export.chain)
-        session = _Session(
-            request=request,
-            policy=export.policy,
-            budget=export.budget,
-            cache=export.cache,
-            rng=export.rng,
-            result=export.result,
-            arrival_s=export.arrival_s,
-            start_s=export.start_s,
-            first_token_s=export.first_token_s,
-            pending=export.pending,
-            prefill_token=export.prefill_token,
-            steps_taken=export.steps_taken,
-            offload_events=export.offload_events,
-            state=export.state,
-            preemptions=export.preemptions,
-            swap_bytes=export.swap_bytes,
-            prefix_reused_tokens=export.prefix_reused_tokens,
-            prefill_pos=export.prefill_pos,
-            prefill_started=export.prefill_started,
-            prefill_done=export.prefill_done,
-            published_blocks=export.published_blocks,
-            replaying=export.replaying,
-        )
         self._next_id = max(self._next_id, rid + 1)
         self.migrated_in += 1
         self._waiting.append(session)
@@ -848,74 +783,53 @@ class SpeContextServer:
     def last_step_prefill_tokens(self) -> int:
         """Prompt tokens computed by the most recent ``step``.
 
-        Counts real prefill forward-pass tokens (chunked or monolithic,
-        including recompute replays), not prefix-cache reuse — the number
-        the benchmark's per-step token-budget accounting reads.
+        Counts real prefill forward-pass tokens (recompute rebuilds
+        included), not prefix-cache reuse — the number the benchmark's
+        per-step token-budget accounting reads.
         """
         return self._step_prefill_tokens
 
     def step(self) -> list[GenerationOutput]:
         """Admit, run prefill work, one decode step per ready session.
 
-        With ``prefill_chunk_tokens`` unset (the default), admission runs
-        each prompt's entire prefill inline — the monolithic reference.
-        With it set, admitted sessions enter a ``PREFILLING`` state and
-        the step spends a token budget on prefill chunks *alongside* the
-        decode wave, so long prompts stream in over several steps while
-        decodes keep ticking (no head-of-line blocking). Chunking never
-        changes tokens: a token's KV depends only on its predecessors, so
-        chunked prefill is bit-identical to monolithic prefill.
+        With ``prefill_chunk_tokens`` unset (the default), each admitted
+        prompt prefills as one chunk, inline at admission. With it set,
+        admitted sessions stay ``PREFILLING`` and the step spends a token
+        budget on prefill chunks *alongside* the decode wave, so long
+        prompts stream in over several steps while decodes keep ticking
+        (no head-of-line blocking). The chunk size never changes tokens:
+        a token's KV depends only on its predecessors.
 
-        With ``batched_decode`` (the default) the ready sessions' forward
-        passes are fused into one server-wide batch; otherwise each session
-        runs its own batch=1 pass. Both paths produce bit-identical token
-        streams and selection histories. Returns the requests that finished
+        ``batched_decode`` (the default) fuses the ready sessions'
+        forward passes into server-wide waves; unset, every wave holds
+        one session. Token streams and selection histories are
+        bit-identical either way. Returns the requests that finished
         during this step.
         """
         self._step_prefill_tokens = 0
         self._expire_deadlines()
         self._admit()
         self._prefill_phase()
-        if self.config.batched_decode:
-            finished = self._step_batched()
-        else:
-            finished = self._step_sequential()
+        finished = self._step_batched()
         self._clock += 1.0
         return finished
 
-    def _step_sequential(self) -> list[GenerationOutput]:
-        """Reference loop: one full batch=1 forward pass per session."""
-        finished: list[GenerationOutput] = []
-        for session in list(self._active):
-            if session not in self._active:
-                continue  # preempted this step to make room for a peer
-            if session.state != _SessionState.READY:
-                continue  # still prefilling; no token to decode yet
-            self._ensure_decode_capacity(session)
-            if not self._spec_decode_one(session):
-                self._decode_one(session)
-            if session.done:
-                self._active.remove(session)
-                self.pool.free_table(session.block_table)
-                finished.append(self._finish(session))
-        return finished
-
     def _step_batched(self) -> list[GenerationOutput]:
-        """Fused step: reserve capacity per session, decode in fused waves.
+        """Decode phase: reserve capacity per session, decode in fused waves.
 
-        Sessions are walked in the sequential loop's order. As long as
-        each session's decode block comes straight off the free stack, it
-        joins the current *wave*; when a reservation would need eviction
-        or preemption, the wave decodes first — its completions free their
-        blocks exactly as the sequential interleave (ensure A, decode A,
-        ensure B, ...) would have — and only then does the reservation
-        retry with the sequential path's eviction/preemption semantics.
-        Preemption therefore never hits a reserved-but-undecoded session:
-        victims either already decoded this step (like the sequential
-        loop's earlier-in-order sessions) or have not been reserved yet
-        (and are skipped below, like its preempted-before-their-turn
-        ones). Under no pressure the whole step is one wave — a single
-        server-wide forward pass.
+        The contract is the one-session-at-a-time interleave (ensure A,
+        decode A, ensure B, ...), which ``batched_decode=False`` runs
+        literally: every wave is flushed before the next reservation.
+        With batching on, a session joins the current *wave* as long as
+        its decode block comes straight off the free stack; when a
+        reservation would need eviction or preemption, the wave decodes
+        first — its completions free their blocks exactly as the
+        interleave would have — and only then does the reservation
+        retry, evicting or preempting as it must. Preemption therefore
+        never hits a reserved-but-undecoded session: victims either
+        already decoded this step or have not been reserved yet (and are
+        skipped below). Under no pressure the whole step is one wave — a
+        single server-wide forward pass.
         """
         finished: list[GenerationOutput] = []
         wave: list[_Session] = []
@@ -927,7 +841,9 @@ class SpeContextServer:
             needed = self.pool.blocks_for_tokens(session.current_len + 1) - len(
                 session.block_table
             )
-            if needed > self.pool.n_free and wave:
+            if wave and (
+                needed > self.pool.n_free or not self.config.batched_decode
+            ):
                 finished.extend(self._flush_wave(wave))
                 wave = []
             self._ensure_decode_capacity(session)
@@ -938,9 +854,9 @@ class SpeContextServer:
     def _flush_wave(self, wave: list[_Session]) -> list[GenerationOutput]:
         """One fused forward pass + bookkeeping for ``wave``'s sessions.
 
-        Post-decode bookkeeping runs in wave (= sequential) order so
-        memory-manager walks and stream events match the sequential path
-        event for event.
+        Post-decode bookkeeping runs in wave order so memory-manager
+        walks and stream events come out the same, event for event,
+        however the step was cut into waves.
         """
         if not wave:
             return []
@@ -1144,9 +1060,8 @@ class SpeContextServer:
         prompt blocks from free or cache-evictable blocks without
         preempting an active session. Still-prefilling sessions are
         charged their whole prompt — including the blocks their remaining
-        chunks have not claimed yet — so chunked mode admits exactly what
-        the monolithic server (whose actives always hold their full
-        prompt) would.
+        chunks have not claimed yet — so admission does not depend on the
+        chunk size.
         """
         projected = (
             sum(s.projected_len for s in self._active)
@@ -1168,43 +1083,36 @@ class SpeContextServer:
         return self.pool.can_allocate(needed + reserved)
 
     def _activate(self, session: _Session) -> None:
-        chunked = self.config.prefill_chunk_tokens is not None
+        if session.state == _SessionState.SWAPPED:
+            # Cache restored from the host stash as-is; charge the h2d
+            # leg and re-claim blocks for the KV it holds. A session
+            # preempted mid-prefill holds prefill_pos tokens and keeps
+            # chunking from there.
+            session.swap_bytes += session.cache.nbytes()
+            session.state = (
+                _SessionState.READY
+                if session.prefill_done
+                else _SessionState.PREFILLING
+            )
+            self._active.append(session)
+            self._extend_blocks(session, session.current_len)
+            self._advance_memory(session)
+            return
         if session.state == _SessionState.FRESH:
             session.start_s = self._clock
-            if chunked:
-                # Prefill is deferred to this step's budgeted prefill
-                # phase; the session joins the active set with an empty
-                # cache and a chunk cursor at zero.
-                session.state = _SessionState.PREFILLING
-                self._active.append(session)
-                return
-            self._prefill(session)
-        elif session.state == _SessionState.SWAPPED:
-            # Cache restored from the host stash as-is; charge the h2d leg.
-            session.swap_bytes += session.cache.nbytes()
-            if not session.prefill_done:
-                # Preempted mid-prefill: the stash holds prefill_pos
-                # tokens of KV; re-claim their blocks and keep chunking.
-                session.state = _SessionState.PREFILLING
-                self._active.append(session)
-                self._extend_blocks(session, session.current_len)
-                self._advance_memory(session)
-                return
-        elif session.state == _SessionState.RECOMPUTE:
-            if chunked:
-                # Rebuild through the budgeted chunk path instead of an
-                # inline monolithic replay — a recompute-resume is the
-                # same head-of-line hazard as a fresh long prompt.
-                self._begin_rebuild(session)
-                session.state = _SessionState.PREFILLING
-                self._active.append(session)
-                return
-            self._replay(session)
-        session.state = _SessionState.READY
+        else:
+            # A recompute-resume rebuilds through the same chunk path as
+            # a fresh prompt — it is the same head-of-line hazard.
+            self._begin_rebuild(session)
+        # The session joins the active set with an empty cache and a
+        # chunk cursor at zero; the budgeted prefill phase streams its
+        # prompt in. Unchunked, the one chunk covering the whole prompt
+        # runs right here, so the next admission decision already sees
+        # its blocks and published prefix.
+        session.state = _SessionState.PREFILLING
         self._active.append(session)
-        self._extend_blocks(session, session.current_len)
-        # The prompt's KV lands on the GPU: account it immediately.
-        self._advance_memory(session)
+        if self.config.prefill_chunk_tokens is None:
+            self._prefill_chunk(session, session.prompt_len)
 
     # ---- pool bookkeeping ------------------------------------------------------
 
@@ -1269,7 +1177,7 @@ class SpeContextServer:
             )
         )
 
-    # ---- chunked prefill -------------------------------------------------------
+    # ---- prefill ---------------------------------------------------------------
 
     def _prefill_phase(self) -> None:
         """Spend this step's token budget on prefill chunks.
@@ -1280,8 +1188,8 @@ class SpeContextServer:
         prefill, ``fcfs`` keeps strict arrival order). With no
         ``max_step_tokens`` every prefilling session advances one chunk
         per step. Sessions whose prefill completes here join this step's
-        decode wave — exactly when the monolithic path would have decoded
-        them.
+        decode wave. Unchunked there is nothing to do: every prompt
+        prefilled whole at activation.
         """
         if self.config.prefill_chunk_tokens is None:
             return
@@ -1363,9 +1271,8 @@ class SpeContextServer:
         """Attach payloads for table blocks [start, n_full) and publish.
 
         The one place prompt KV is sliced out of the dense cache into
-        pool blocks — shared by monolithic prefill (one call for the
-        whole prompt) and chunked prefill (one call per chunk, resumed
-        publications passing the cursor as ``start``).
+        pool blocks — one call per chunk, with the publication cursor as
+        ``start``.
         """
         if n_full <= start:
             return
@@ -1412,16 +1319,16 @@ class SpeContextServer:
         self._advance_memory(session)
 
     def _begin_rebuild(self, session: _Session) -> None:
-        """Route a recompute-preempted session back through chunked prefill.
+        """Route a recompute-preempted session back through the chunk path.
 
-        Mirrors ``_replay``'s contract: fresh cache and table, no prefix
-        acquisition or publication, no prefill-block stats, and — when
-        the session had sampled progress — a forced decode replay at
-        completion that never consults the sampler. A victim with no
-        sampled progress (preempted mid-prefill, or a sparse-first
-        session before its first step) restarts as a fresh prefill
-        instead, which *is* allowed to hit the prefix cache: nothing was
-        drawn from its rng, so the restart is exact either way.
+        Fresh cache and table, no prefix acquisition or publication, no
+        prefill-block stats, and — when the session had sampled progress
+        — a forced decode replay at completion that never consults the
+        sampler. A victim with no sampled progress (preempted
+        mid-prefill, or a sparse-first session before its first step)
+        restarts as a fresh prefill instead, which *is* allowed to hit
+        the prefix cache: nothing was drawn from its rng, so the restart
+        is exact either way.
         """
         session.cache = self.model.new_cache(dtype=np.dtype(self.config.kv_dtype))
         session.block_table = BlockTable()
@@ -1433,44 +1340,6 @@ class SpeContextServer:
         )
         if not session.replaying:
             session.pending = None
-
-    # ---- prefill / replay ------------------------------------------------------
-
-    def _prefill(self, session: _Session) -> None:
-        """Prefill mirroring ``TransformerLM.generate``'s two entry modes,
-        with prefix-cache reuse of full prompt blocks.
-
-        _prefill/_decode_one deliberately open-code the generate() loop:
-        continuous batching needs one-step-at-a-time control that the
-        closed loop can't provide. Equivalence with the model path is
-        pinned by tests/test_api_server.py (wrapper == direct generate,
-        batched == solo) and tests/test_serving_traces.py (prefix hits and
-        preemption never change tokens).
-        """
-        prompt = session.request.prompt_ids
-        policy = session.policy
-        if policy is not None and hasattr(policy, "reset"):
-            policy.reset()
-        sparse_first = self.config.sparse_from_first_token and prompt.size >= 2
-        prefill_ids = prompt[:-1] if sparse_first else prompt
-        session.prefill_started = True
-        reused = self._acquire_prefix(session, prompt, prefill_ids.size)
-        remaining = prefill_ids[reused:]
-        self._step_prefill_tokens += int(remaining.size)
-        if sparse_first:
-            self.model.prefill(remaining, session.cache)
-            if policy is not None:
-                policy.begin_generation(prefill_ids, session.cache)
-            session.pending = int(prompt[-1])
-        else:
-            logits = self.model.prefill(remaining, session.cache)
-            if policy is not None:
-                policy.begin_generation(prefill_ids, session.cache)
-            session.prefill_token = self._sample(session, logits)
-        session.prefill_pos = int(prefill_ids.size)
-        session.prefill_done = True
-        self._publish_prefix(session, prompt, prefill_ids.size)
-        session.published_blocks = prefill_ids.size // self.pool.block_size
 
     def _acquire_prefix(
         self, session: _Session, prompt: np.ndarray, prefill_len: int
@@ -1499,42 +1368,6 @@ class SpeContextServer:
         reused = len(chain) * self.pool.block_size
         session.prefix_reused_tokens = reused
         return reused
-
-    def _publish_prefix(
-        self, session: _Session, prompt: np.ndarray, prefill_len: int
-    ) -> None:
-        """Publish this prompt's full blocks for reuse by later requests."""
-        self._extend_blocks(session, session.current_len, prefill=True)
-        if not self.config.enable_prefix_cache:
-            return
-        n_full = prefill_len // self.pool.block_size
-        reused = session.prefix_reused_tokens // self.pool.block_size
-        self._write_and_publish_blocks(session, prompt, reused, n_full)
-
-    def _replay(self, session: _Session) -> None:
-        """Rebuild a recompute-preempted session's cache and policy state.
-
-        Prefill runs again and every already-generated token is replayed
-        as a *forced* decode step — the sampler is never consulted, so the
-        request RNG stream is untouched and the continuation is
-        bit-identical for policies whose state is a deterministic function
-        of the replayed inputs.
-        """
-        session.cache = self.model.new_cache(dtype=np.dtype(self.config.kv_dtype))
-        session.block_table = BlockTable()
-        prompt = session.request.prompt_ids
-        policy = session.policy
-        if policy is not None and hasattr(policy, "reset"):
-            policy.reset()
-        sparse_first = self.config.sparse_from_first_token and prompt.size >= 2
-        prefill_ids = prompt[:-1] if sparse_first else prompt
-        self.model.prefill(prefill_ids, session.cache)
-        self._step_prefill_tokens += int(prefill_ids.size)
-        if policy is not None:
-            policy.begin_generation(prefill_ids, session.cache)
-        session.prefill_pos = int(prefill_ids.size)
-        session.prefill_done = True
-        self._replay_decodes(session)
 
     def _replay_decodes(self, session: _Session) -> None:
         """Replay every already-generated token as a *forced* decode step.
@@ -1587,25 +1420,6 @@ class SpeContextServer:
         ):
             return False
         return session.sampling.max_new_tokens - session.steps_taken >= 2
-
-    def _spec_propose(
-        self, session: _Session
-    ) -> tuple[list[int], list[int]]:
-        """Draft tokens and reserve their pool blocks for one session.
-
-        The draft length is capped so a fully accepted run (k drafts + one
-        bonus token) lands exactly on ``max_new_tokens``, then trimmed to
-        the blocks the free stack can supply — speculation never evicts
-        prefix-cache blocks and never preempts a peer, so it cannot change
-        scheduling decisions relative to a non-speculative run. Returns
-        ``(drafts, reserved_block_ids)``; both empty when the session
-        cannot speculate this step (out-of-map token, no free blocks).
-        """
-        k = self._spec_budget(session)
-        if k < 1:
-            return [], []
-        drafts = self._draft.draft(self._spec_stream(session), k)
-        return self._spec_reserve(session, drafts)
 
     def _spec_budget(self, session: _Session) -> int:
         """Draft length cap for one session this step."""
@@ -1732,47 +1546,7 @@ class SpeContextServer:
         self.spec_stats.accepted += m - 1
         return greedy[:m]
 
-    def _spec_decode_one(self, session: _Session) -> bool:
-        """Sequential-path draft-verify step; True when it committed tokens."""
-        if not self._spec_eligible(session):
-            return False
-        drafts, reserved = self._spec_propose(session)
-        if not drafts:
-            return False
-        seq = [int(session.pending)] + drafts
-        policy = session.policy
-        if policy is not None:
-            policy.spec_begin()
-            for t, token in enumerate(seq):
-                policy.pre_step(session.steps_taken + t, int(token), session.cache)
-        logits_list, selections_list = self.model.decode_spec_batch(
-            [seq], [session.cache], [policy]
-        )
-        committed = self._spec_finalize(
-            session, seq, logits_list[0], selections_list[0], reserved
-        )
-        for token in committed:
-            self._commit_token(session, int(token))
-        return True
-
     # ---- decode ----------------------------------------------------------------
-
-    def _decode_one(self, session: _Session) -> None:
-        """One decode step for one session (one generated token)."""
-        if session.steps_taken == 0 and session.prefill_token is not None:
-            token = session.prefill_token
-        else:
-            policy = session.policy
-            if policy is not None:
-                policy.pre_step(
-                    session.steps_taken, int(session.pending), session.cache
-                )
-            logits, selections, _ = self.model.decode_step(
-                int(session.pending), session.cache, policy=policy
-            )
-            session.result.selections.append(selections)
-            token = self._sample(session, logits)
-        self._commit_token(session, int(token))
 
     def _commit_token(self, session: _Session, token: int) -> None:
         """Record one generated token: stats, stop conditions, streaming."""

@@ -323,6 +323,48 @@ class TestServer:
         assert len(server.meter.finished) == 0
 
 
+class TestServerMatchesModelGenerate:
+    """The numeric oracle for the server's one decode path.
+
+    ``batched_decode=False`` runs the same ``_flush_wave`` as the fused
+    mode (in waves of one), so comparing the two modes no longer checks
+    anything numeric. The independent reference is the model layer's
+    closed loop — one monolithic prefill plus batch=1 ``decode_step`` per
+    token — which shares no serving code."""
+
+    @pytest.mark.parametrize("chunk", [None, 32])
+    @pytest.mark.parametrize("batched", [True, False])
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_stream_equals_generate(
+        self, name, batched, chunk, tiny_gqa_model, tiny_tokenizer
+    ):
+        config = server_config(
+            tiny_tokenizer, batched_decode=batched, prefill_chunk_tokens=chunk
+        )
+        prompt, _, _ = make_recall_prompt(
+            tiny_tokenizer, np.random.default_rng(21), n_filler=120
+        )
+        server = SpeContextServer(tiny_gqa_model, config)
+        server.add_request(GenerationRequest(
+            prompt, sampling=SamplingParams(max_new_tokens=5), policy=name
+        ))
+        [output] = server.run()
+        # Built the way SpeContextServer._resolve_policy builds it.
+        opts = {}
+        if name == "specontext":
+            opts = dict(
+                bos_id=config.bos_id,
+                head_config=config.head_config,
+                level=config.selection_level,
+                rng=np.random.default_rng(config.seed),
+            )
+        policy = make_policy(name, tiny_gqa_model, config.budget, **opts)
+        direct = tiny_gqa_model.generate(
+            prompt, 5, policy=policy, sparse_from_first_token=True
+        )
+        assert output.token_ids == direct.token_ids
+
+
 class TestEngineBackCompat:
     @pytest.fixture
     def engine(self, tiny_gqa_model, tiny_tokenizer):

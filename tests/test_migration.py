@@ -19,6 +19,9 @@ The migration contract under test:
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,7 @@ from repro.api import (
 from repro.kvcache.pool import BlockTable, PagedKVPool
 from repro.serving import SpeContextServer, poisson_trace, replay_trace
 from repro.serving.engine import InProcessExecutor, MultiprocExecutor
+from repro.serving.server import _Session
 from repro.serving.trace import solo_token_streams
 
 ALL_NAMES = (
@@ -210,6 +214,23 @@ class TestChainExportImport:
         dest.audit(tables=[])
 
 
+def _same(a, b) -> bool:
+    """Structural equality over session state (arrays, rngs, objects)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, np.random.Generator):
+        return _same(a.bit_generator.state, b.bit_generator.state)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if hasattr(a, "__dict__"):
+        return _same(vars(a), vars(b))
+    return a == b
+
+
 # ---- server-level session round-trip -----------------------------------------
 
 
@@ -230,7 +251,7 @@ class TestSessionRoundTrip:
             source.step()
         export = source.export_session(1)
         assert export is not None
-        assert export.request.request_id == 1
+        assert export.request_id == 1
         source.audit_pool()  # the drained table left no dangling refs
         assert source.migrated_out == 1
         # The published prefix chain travels with the session and warms
@@ -253,6 +274,38 @@ class TestSessionRoundTrip:
         assert [o.token_ids for o in merged] == solo
         source.audit_pool()
         dest.audit_pool()
+
+    @pytest.mark.parametrize("executor_cls", EXECUTORS)
+    def test_every_session_field_survives_migration(
+        self, executor_cls, tiny_gqa_model, tiny_tokenizer
+    ):
+        """The session record itself is the export: whatever fields
+        ``_Session`` has (or grows) arrive at the destination unchanged —
+        only the block table stays behind. Read back through the worker
+        ops, so the multiprocess case covers the pickle legs too."""
+        config = engine_config(tiny_tokenizer, prefill_chunk_tokens=16)
+        requests = shared_prefix_requests(tiny_tokenizer, "specontext", n=2)
+        cluster = ClusterConfig(n_replicas=2, router="round_robin")
+        with executor_cls(tiny_gqa_model, config, cluster) as executor:
+            gids = [executor.add_request(clone(r)) for r in requests]
+            for _ in range(3):
+                executor.step()  # prefilled in two chunks, then decoding
+            source, old_lid = executor._assignment[gids[0]]
+            target = 1 - source
+            export = executor._handles[source].call("export_kv", old_lid)
+            sent = copy.deepcopy(export.session)
+            assert sent.state == "swapped" and sent.steps_taken > 0
+            assert len(sent.block_table) == 0
+            new_lid = executor._handles[target].call("import_kv", export)
+            sent.request.request_id = new_lid  # re-keyed by import_kv
+            adopted = executor._handles[target].call(
+                "export_kv", new_lid
+            ).session
+        for spec in dataclasses.fields(_Session):
+            if spec.name != "block_table":
+                assert _same(
+                    getattr(sent, spec.name), getattr(adopted, spec.name)
+                ), spec.name
 
     def test_export_of_unknown_or_finished_session_is_none(
         self, tiny_gqa_model, tiny_tokenizer

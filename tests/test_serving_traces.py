@@ -209,6 +209,56 @@ class TestPoolPressureServing:
                 o.stats.swap_bytes > 0 for o in preempted
             )
 
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_recompute_victim_preempted_before_first_decode_restarts_fresh(
+        self, batched, tiny_gqa_model, tiny_tokenizer
+    ):
+        """The one recompute-resume with nothing to replay: a
+        sparse-from-first-token session prefilled and preempted in the
+        same step has drawn no token, so it restarts as a fresh prefill
+        (and may hit its own still-cached prompt blocks) instead of
+        replaying. Streams and pool invariants must not notice."""
+        early = GenerationRequest(
+            filler_prompt(tiny_tokenizer, 60, 23),  # 24 tokens = 3 blocks
+            SamplingParams(max_new_tokens=12),
+            policy="quest",
+        )
+        late = GenerationRequest(
+            filler_prompt(tiny_tokenizer, 61, 31),  # 32 tokens = 4 blocks
+            SamplingParams(max_new_tokens=6),
+            policy="h2o",
+        )
+        config = pool_config(
+            tiny_tokenizer,
+            pool_blocks=8,
+            preempt_mode="recompute",
+            batched_decode=batched,
+        )
+        solo = solo_token_streams(tiny_gqa_model, config, [early, late], clone)
+        server = SpeContextServer(tiny_gqa_model, config)
+        # `late` arrives exactly when `early` crosses into its 5th block:
+        # its prompt takes the last 4 free blocks, then early's decode
+        # reservation evicts it (fcfs preempts the newest arrival).
+        trace = [TraceEntry(0, clone(early)), TraceEntry(8, clone(late))]
+        events: list = []
+        tokens_at_preemption: list[int] = []
+
+        def observe(s: SpeContextServer) -> None:
+            s.audit_pool()
+            events.extend(s.pop_stream_events())
+            if s.preemption_log and not tokens_at_preemption:
+                tokens_at_preemption.append(
+                    sum(e.request_id == 1 for e in events)
+                )
+
+        outputs = replay_trace(server, trace, observer=observe)
+        [event] = server.preemption_log
+        assert (event.request_id, event.clock, event.mode) == (1, 8.0, "recompute")
+        assert tokens_at_preemption == [0]  # evicted before its first token
+        assert [o.token_ids for o in outputs] == solo
+        assert outputs[1].stats.preemptions == 1
+        assert server.pool.n_used == server.pool.n_evictable()
+
     def test_no_starvation_under_priority_flood(
         self, tiny_gqa_model, tiny_tokenizer
     ):
@@ -444,10 +494,13 @@ class TestCli:
         assert "preemptions" in out
         assert "priority scheduling" in out
 
-    def test_cli_replicas_honour_executor_flag(self, capsys, monkeypatch):
-        """``--replicas 2 --executor multiproc`` runs real worker
-        processes (it used to fall back to in-process replicas silently)
-        and reaps them on exit."""
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_cli_replicas_honour_executor_flag(
+        self, replicas, capsys, monkeypatch
+    ):
+        """``--replicas N --executor multiproc`` runs real worker
+        processes for every N — N=1 used to build a bare server and drop
+        ``--executor`` silently — and reaps them on exit."""
         from repro.serving import cli
 
         built = []
@@ -460,17 +513,18 @@ class TestCli:
         rc = cli.main([
             "--requests", "4", "--max-new-tokens", "4", "--prompt-len", "40",
             "--policies", "full,streaming", "--block-size", "8",
-            "--replicas", "2", "--executor", "multiproc",
+            "--replicas", str(replicas), "--executor", "multiproc",
             "--spec-decode-k", "2",
         ])
         assert rc == 0
         [executor] = built
         assert executor.kind == "multiproc"
         procs = [handle._proc for handle in executor._handles]
-        assert len(procs) == 2 and all(p.pid is not None for p in procs)
+        assert len(procs) == replicas
+        assert all(p.pid is not None for p in procs)
         assert all(p.exitcode == 0 for p in procs)  # shut down, not leaked
         out = capsys.readouterr().out
-        assert "2 replicas (multiproc)" in out
+        assert f"{replicas} replica" in out and "(multiproc)" in out
         assert "verify passes" in out  # spec summary works for N > 1
         assert "blocks reused" in out  # per-replica table from snapshots()
 
