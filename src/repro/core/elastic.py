@@ -47,27 +47,29 @@ class ElasticTransferTracker:
     bytes_per_token: int
     elastic: bool = True  # False models naive full reload each step
     steps: list[StepTransfer] = field(default_factory=list)
-    _last: set[int] | None = None
+    # Previous step's sorted unique indices.
+    _last: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def observe(self, selection: np.ndarray) -> StepTransfer:
         """Record one step's selection (any shape; flattened to a set)."""
-        now = {int(t) for t in np.asarray(selection).ravel()}
-        if self._last is None or not self.elastic:
-            loaded = len(now)
-            evicted = 0 if self._last is None else len(self._last)
-            overlap = 0.0 if self._last is None else (
-                len(now & self._last) / max(len(now), 1)
-            )
+        now = np.unique(np.asarray(selection))
+        last = self._last
+        shared = (
+            0 if last is None
+            else np.intersect1d(now, last, assume_unique=True).size
+        )
+        if last is None or not self.elastic:
+            loaded = now.size
+            evicted = 0 if last is None else last.size
         else:
-            loaded = len(now - self._last)
-            evicted = len(self._last - now)
-            overlap = len(now & self._last) / max(len(now), 1)
+            loaded = now.size - shared
+            evicted = last.size - shared
         step = StepTransfer(
             loaded_tokens=loaded,
             evicted_tokens=evicted,
             bytes_moved=loaded * self.bytes_per_token,
-            overlap_fraction=overlap,
-            selection_size=len(now),
+            overlap_fraction=shared / max(now.size, 1),
+            selection_size=now.size,
         )
         self.steps.append(step)
         self._last = now

@@ -105,7 +105,9 @@ class LightweightRetrievalHead:
         self._noise_rng = np.random.default_rng(rng.integers(0, 2**63))
 
         # The head's own K cache: per-head key vectors, one row per token.
-        self._keys = np.zeros((self.n_heads, 0, dc), dtype=DTYPE)
+        # Storage grows by capacity doubling (as LayerKVCache does); the
+        # valid length is len(self._token_ids).
+        self._k = np.zeros((self.n_heads, 64, dc), dtype=DTYPE)
         self._token_ids: list[int] = []
 
     # ---- construction ---------------------------------------------------------
@@ -140,9 +142,13 @@ class LightweightRetrievalHead:
     # ---- K cache maintenance ----------------------------------------------------
 
     def reset(self) -> None:
-        """Drop the K cache (new request)."""
-        self._keys = np.zeros((self.n_heads, 0, self.dc), dtype=DTYPE)
+        """Drop the K cache (new request); the storage is kept for reuse."""
         self._token_ids = []
+
+    @property
+    def keys(self) -> np.ndarray:
+        """View of the valid key rows, shape (n_heads, len, dc)."""
+        return self._k[:, : len(self._token_ids)]
 
     def observe(self, token_ids: np.ndarray | list[int] | int) -> None:
         """Append tokens to the head's K cache (prompt chunk or new token)."""
@@ -158,8 +164,15 @@ class LightweightRetrievalHead:
         prev = self.content[prev_ids]
         shifted = prev + self.config.shift_mix * cur
 
-        new_keys = np.empty((self.n_heads, len(token_ids), self.dc), dtype=DTYPE)
-        positions = np.arange(start, start + len(token_ids))
+        end = start + len(token_ids)
+        if end > self._k.shape[1]:
+            grown = np.zeros(
+                (self.n_heads, max(end, 2 * self._k.shape[1]), self.dc), dtype=DTYPE
+            )
+            grown[:, :start] = self._k[:, :start]
+            self._k = grown
+        new_keys = self._k[:, start:end]  # written in place
+        positions = np.arange(start, end)
         for h, role in enumerate(self.roles):
             if role == "induction":
                 new_keys[h] = shifted @ self.wk[h].T
@@ -174,32 +187,26 @@ class LightweightRetrievalHead:
                 new_keys[h] = self._noise_rng.standard_normal(
                     (len(token_ids), self.dc)
                 ).astype(DTYPE)
-        self._keys = np.concatenate([self._keys, new_keys], axis=1)
         self._token_ids.extend(token_ids)
 
     def __len__(self) -> int:
         return len(self._token_ids)
 
-    def marker(self) -> tuple[int, int, dict]:
+    def marker(self) -> tuple[int, dict]:
         """Snapshot of mutable head state, for speculative rollback.
 
-        Captures the K-cache/token lengths and the noise-head RNG state —
+        Captures the K-cache length and the noise-head RNG state —
         everything :meth:`observe` mutates — so :meth:`restore` can return
         the head bit-exactly to this point after rejected draft tokens.
         """
-        return (
-            self._keys.shape[1],
-            len(self._token_ids),
-            self._noise_rng.bit_generator.state,
-        )
+        return (len(self._token_ids), self._noise_rng.bit_generator.state)
 
-    def restore(self, marker: tuple[int, int, dict]) -> None:
+    def restore(self, marker: tuple[int, dict]) -> None:
         """Undo observes made after :meth:`marker` was taken."""
-        keys_len, ids_len, rng_state = marker
-        if keys_len > self._keys.shape[1] or ids_len > len(self._token_ids):
+        length, rng_state = marker
+        if length > len(self._token_ids):
             raise ValueError("marker is newer than the current head state")
-        self._keys = self._keys[:, :keys_len, :]
-        del self._token_ids[ids_len:]
+        del self._token_ids[length:]  # key rows past the length are dead storage
         self._noise_rng.bit_generator.state = rng_state
 
     # ---- scoring & selection -----------------------------------------------------
@@ -210,23 +217,24 @@ class LightweightRetrievalHead:
             raise RuntimeError("retrieval head has observed no tokens")
         seq = len(self._token_ids)
         cur = self.content[int(current_token)]
+        keys = self.keys
         logits = np.empty((self.n_heads, seq), dtype=np.float64)
         sqrt_dc = np.sqrt(self.dc)
         pos = seq  # the position the current token will occupy
         for h, role in enumerate(self.roles):
             if role == "induction":
                 q = self.wq[h] @ cur
-                logits[h] = (self._keys[h] @ q) * self.config.induction_sharpness
+                logits[h] = (keys[h] @ q) * self.config.induction_sharpness
             elif role == "sink":
                 q = self.content[self.bos_id]
-                logits[h] = (self._keys[h] @ q) * self.config.sink_sharpness
+                logits[h] = (keys[h] @ q) * self.config.sink_sharpness
             elif role == "local":
                 u = np.ones((1, 1, self.dc), dtype=DTYPE) / np.sqrt(self.dc)
                 clamped = min(pos, self.rope.max_position - 1)
                 q = self.rope.apply(u, np.array([clamped]))[0, 0]
-                logits[h] = (self._keys[h] @ q) * self.config.local_sharpness
+                logits[h] = (keys[h] @ q) * self.config.local_sharpness
             else:
-                logits[h] = self._keys[h] @ (cur / sqrt_dc)
+                logits[h] = keys[h] @ (cur / sqrt_dc)
         return softmax(logits, axis=-1)
 
     def group_reduced_weights(self, current_token: int) -> np.ndarray:
@@ -285,7 +293,7 @@ class LightweightRetrievalHead:
 
     def k_cache_bytes(self, bytes_per_value: int = 2) -> int:
         """Footprint of the head's K cache at the current length."""
-        return self._keys.shape[0] * self._keys.shape[1] * self.dc * bytes_per_value
+        return self.n_heads * len(self._token_ids) * self.dc * bytes_per_value
 
 
 class SpeContextPolicy:
@@ -312,7 +320,7 @@ class SpeContextPolicy:
         self._spec_mode = False
         self._spec_base: int | None = None
         self._spec_currents: list[np.ndarray | None] = []
-        self._spec_markers: list[tuple[tuple[int, int, dict], int]] = []
+        self._spec_markers: list[tuple[tuple[int, dict], int]] = []
 
     def reset(self) -> None:
         """Clear per-request state so the policy can serve a new request.

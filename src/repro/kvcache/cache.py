@@ -83,47 +83,59 @@ class LayerKVCache:
         (kv_heads, k) for head-level selection (the paper's Figure 5 gather).
         Returns (k, v) shaped (batch, kv_heads, k, dim).
         """
-        indices = np.asarray(indices)
-        if np.any(indices < 0) or np.any(indices >= self._len):
-            raise IndexError(
-                f"gather index out of range [0, {self._len}): "
-                f"min={int(indices.min()) if indices.size else 0}, "
-                f"max={int(indices.max()) if indices.size else 0}"
-            )
-        if indices.ndim == 1:
-            return (
-                self._k[:, :, indices, :],
-                self._v[:, :, indices, :],
-            )
-        if indices.ndim == 2:
-            if indices.shape[0] != self.n_kv_heads:
-                raise ValueError(
-                    f"head-level indices have {indices.shape[0]} rows, "
-                    f"cache has {self.n_kv_heads} kv heads"
-                )
-            idx = indices[None, :, :, None]  # (1, kv_heads, k, 1)
-            k_sel = np.take_along_axis(self.keys, np.broadcast_to(
-                idx, (self.batch, self.n_kv_heads, indices.shape[1], self.head_dim)
-            ), axis=2)
-            v_sel = np.take_along_axis(self.values, np.broadcast_to(
-                idx, (self.batch, self.n_kv_heads, indices.shape[1], self.head_dim)
-            ), axis=2)
-            return k_sel, v_sel
-        raise ValueError(f"indices must be 1-D or 2-D, got ndim={indices.ndim}")
+        indices = self._checked(indices)
+        shape = (self.batch, self.n_kv_heads, indices.shape[-1], self.head_dim)
+        k_out = np.empty(shape, dtype=self.dtype)
+        v_out = np.empty(shape, dtype=self.dtype)
+        for b in range(self.batch):
+            self._take_rows(b, indices, k_out[b], v_out[b])
+        return k_out, v_out
 
     def gather_into(
         self, indices: np.ndarray, k_out: np.ndarray, v_out: np.ndarray
     ) -> None:
-        """1-D token gather written straight into caller buffers.
+        """:meth:`gather` (batch 0) written straight into caller buffers.
 
-        Batched-decode fast path: identical values to :meth:`gather` with
-        1-D indices (batch 0), but lands in the group's preallocated
-        stacked K/V buffers instead of allocating per-session temporaries
-        that a later ``np.stack`` would copy again. Bounds are enforced by
-        ``np.take(mode="raise")``.
+        Batched-decode hot path: the selection lands in the group's
+        preallocated stacked ``(kv_heads, k, dim)`` K/V buffers instead of
+        per-session temporaries that a later ``np.stack`` would copy again.
         """
-        np.take(self._k[0, :, : self._len], indices, axis=1, out=k_out)
-        np.take(self._v[0, :, : self._len], indices, axis=1, out=v_out)
+        self._take_rows(0, self._checked(indices), k_out, v_out)
+
+    def _checked(self, indices: np.ndarray) -> np.ndarray:
+        """``indices`` as an array, after the shape and range checks."""
+        indices = np.asarray(indices)
+        if indices.ndim not in (1, 2):
+            raise ValueError(f"indices must be 1-D or 2-D, got ndim={indices.ndim}")
+        if indices.ndim == 2 and indices.shape[0] != self.n_kv_heads:
+            raise ValueError(
+                f"head-level indices have {indices.shape[0]} rows, "
+                f"cache has {self.n_kv_heads} kv heads"
+            )
+        if indices.size:
+            low, high = int(indices.min()), int(indices.max())
+            if low < 0 or high >= self._len:
+                raise IndexError(
+                    f"gather index out of range [0, {self._len}): "
+                    f"min={low}, max={high}"
+                )
+        return indices
+
+    def _take_rows(
+        self, b: int, indices: np.ndarray, k_out: np.ndarray, v_out: np.ndarray
+    ) -> None:
+        """Copy the selected rows of each head's contiguous (capacity, dim)
+        block: cost follows the selection, not the cache length.
+
+        ``indices`` passed :meth:`_checked`, so ``mode="clip"`` never clips;
+        it is there because ``mode="raise"`` stages ``out`` through a
+        temporary (a second copy of every selected byte).
+        """
+        per_head = indices.ndim == 2
+        for h in range(self.n_kv_heads):
+            rows = indices[h] if per_head else indices
+            self._k[b, h].take(rows, axis=0, out=k_out[h], mode="clip")
+            self._v[b, h].take(rows, axis=0, out=v_out[h], mode="clip")
 
     def copy_kv_into(
         self, k_out: np.ndarray, v_out: np.ndarray, limit: int | None = None

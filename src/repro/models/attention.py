@@ -464,56 +464,45 @@ class AttentionModule:
                 w = softmax(scores, axis=-1)
                 out[j] = np.matmul(w, v)  # repro: allow(row-fused-matmul)
             return out.reshape(n, cfg.n_q_heads, cfg.head_dim)
-        buckets: dict[tuple, list[int]] = {}
+        # Rows stack when they attend the same number of entries; a row
+        # with a selection (1-D or head-level alike) gathers, a full row
+        # copies its visible prefix.
+        buckets: dict[tuple[bool, int], list[int]] = {}
         for j, selection in enumerate(selections):
             if selection is None:
                 width = len(caches[j]) if limits is None else int(limits[j])
-                key = ("full", width)
             else:
-                selection = np.asarray(selection)
-                if selection.ndim == 2:
-                    key = ("head", selection.shape[1])
-                else:
-                    key = ("flat", selection.shape[0])
-            buckets.setdefault(key, []).append(j)
+                width = np.shape(selection)[-1]
+            buckets.setdefault((selection is not None, width), []).append(j)
         kv_dtype = caches[0].keys.dtype
-        for (kind, width), members in buckets.items():
+        for (selected, width), members in buckets.items():
             g = len(members)
-            if kind == "head":
-                ks, vs = [], []
-                for j in members:
-                    k_sel, v_sel = caches[j].gather(np.asarray(selections[j]))
-                    ks.append(k_sel[0])
-                    vs.append(v_sel[0])
-                k = np.stack(ks)  # (g, Hkv, s, dim)
-                v = np.stack(vs)
+            # Gather straight into the stacked buffers — one copy, not a
+            # per-session temporary plus a stack copy. Verify waves carve
+            # the buffers out of the persistent scratch (see __init__) so
+            # their (k+1)-fold size never churns the allocator; ordinary
+            # decode keeps plain allocations.
+            shape = (g, cfg.n_kv_heads, width, cfg.head_dim)
+            if limits is not None:
+                count = int(np.prod(shape))
+                scratch = self._spec_kv_scratch
+                if (
+                    scratch is None
+                    or scratch.size < 2 * count
+                    or scratch.dtype != kv_dtype
+                ):
+                    scratch = np.empty(2 * count, dtype=kv_dtype)
+                    self._spec_kv_scratch = scratch
+                k = scratch[:count].reshape(shape)
+                v = scratch[count : 2 * count].reshape(shape)
             else:
-                # Gather straight into the stacked buffers — one copy, not
-                # a per-session temporary plus a stack copy. Verify waves
-                # carve the buffers out of the persistent scratch (see
-                # __init__) so their (k+1)-fold size never churns the
-                # allocator; ordinary decode keeps plain allocations.
-                shape = (g, cfg.n_kv_heads, width, cfg.head_dim)
-                if limits is not None:
-                    count = int(np.prod(shape))
-                    scratch = self._spec_kv_scratch
-                    if (
-                        scratch is None
-                        or scratch.size < 2 * count
-                        or scratch.dtype != kv_dtype
-                    ):
-                        scratch = np.empty(2 * count, dtype=kv_dtype)
-                        self._spec_kv_scratch = scratch
-                    k = scratch[:count].reshape(shape)
-                    v = scratch[count : 2 * count].reshape(shape)
+                k = np.empty(shape, dtype=kv_dtype)
+                v = np.empty_like(k)
+            for gi, j in enumerate(members):
+                if selected:
+                    caches[j].gather_into(selections[j], k[gi], v[gi])
                 else:
-                    k = np.empty(shape, dtype=kv_dtype)
-                    v = np.empty_like(k)
-                for gi, j in enumerate(members):
-                    if kind == "full":
-                        caches[j].copy_kv_into(k[gi], v[gi], limit=width)
-                    else:
-                        caches[j].gather_into(selections[j], k[gi], v[gi])
+                    caches[j].copy_kv_into(k[gi], v[gi], limit=width)
             whole_batch = g == n  # skip fancy-index copies for one bucket
             qg = q_g if whole_batch else q_g[members]  # (g, Hkv, group, dim)
             # repro: allow(row-fused-matmul): 4-D matmul dispatches one

@@ -210,6 +210,7 @@ class TransformerLM:
         position_rows = np.asarray(positions)
         x = self.embed(np.asarray(token_ids))  # (n, d_model)
         selections: list[dict[int, np.ndarray]] = [{} for _ in range(n)]
+        plans: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n
         for i, layer in enumerate(self.layers):
             layer_caches = [cache[i] for cache in caches]
             step_selections: list[np.ndarray | None] = []
@@ -220,7 +221,7 @@ class TransformerLM:
                         i, x[j], positions[j], layer_caches[j]
                     )
                 if selection is not None:
-                    selection = self._ensure_current(selection, positions[j])
+                    selection = self._planned(plans, j, selection, positions[j])
                     selections[j][i] = selection
                 step_selections.append(selection)
             x = layer.decode_rows(x, position_rows, layer_caches, step_selections)
@@ -281,6 +282,7 @@ class TransformerLM:
         selections: list[list[dict[int, np.ndarray]]] = [
             [{} for _ in seq] for seq in token_seqs
         ]
+        plans: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(positions)
         for i, layer in enumerate(self.layers):
             row_caches = [caches[j][i] for j in row_session]
             layer_input = x
@@ -294,7 +296,7 @@ class TransformerLM:
                     i, layer_input[r], position, row_caches[r]
                 )
                 if selection is not None:
-                    selection = self._ensure_current(selection, position)
+                    selection = self._planned(plans, r, selection, position)
                     selections[j][row_offset[r]][i] = selection
                 return selection
 
@@ -308,6 +310,28 @@ class TransformerLM:
             out.append(logits[start : start + length])
             start += length
         return out, selections
+
+    def _planned(
+        self,
+        plans: list[tuple[np.ndarray, np.ndarray] | None],
+        row: int,
+        selection: np.ndarray,
+        position: int,
+    ) -> np.ndarray:
+        """:meth:`_ensure_current` for one row of a fused step, computed once
+        for as long as the row's policy keeps returning the same object.
+
+        SpeContext selects before the forward pass, so every layer's
+        ``select`` hands back one array: the union with the current token
+        is built for the first layer and reused by the rest. Layer-wise
+        policies return a fresh array per layer and are planned per layer.
+        """
+        plan = plans[row]
+        if plan is None or plan[0] is not selection:
+            plan = plans[row] = (
+                selection, self._ensure_current(selection, position)
+            )
+        return plan[1]
 
     @staticmethod
     def _ensure_current(selection: np.ndarray, position: int) -> np.ndarray:

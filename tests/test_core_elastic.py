@@ -64,6 +64,53 @@ class TestTracker:
         tracker.observe(np.array([1, 2]))
         assert tracker.mean_overlap == 1.0
 
+    @staticmethod
+    def _set_reference(selections, bytes_per_token, elastic):
+        """The tracker as it was written with Python sets, step by step."""
+        steps, last = [], None
+        for selection in selections:
+            now = {int(t) for t in np.asarray(selection).ravel()}
+            overlap = 0.0 if last is None else len(now & last) / max(len(now), 1)
+            if last is None or not elastic:
+                loaded = len(now)
+                evicted = 0 if last is None else len(last)
+            else:
+                loaded = len(now - last)
+                evicted = len(last - now)
+            steps.append(
+                (loaded, evicted, loaded * bytes_per_token, overlap, len(now))
+            )
+            last = now
+        return steps
+
+    @pytest.mark.parametrize("elastic", [True, False])
+    @pytest.mark.parametrize("shape", [(24,), (4, 24), (4, 0)])
+    def test_equals_set_reference_on_random_streams(self, elastic, shape):
+        """Duplicates inside a step, drifting windows and empty steps."""
+        rng = np.random.default_rng(sum(shape) + elastic)
+        selections = [
+            rng.integers(3 * t, 3 * t + 60, size=shape) for t in range(40)
+        ]
+        tracker = ElasticTransferTracker(bytes_per_token=56, elastic=elastic)
+        for selection in selections:
+            tracker.observe(selection)
+        got = [
+            (
+                s.loaded_tokens, s.evicted_tokens, s.bytes_moved,
+                s.overlap_fraction, s.selection_size,
+            )
+            for s in tracker.steps
+        ]
+        want = self._set_reference(selections, 56, elastic)
+        assert got == want
+        assert tracker.total_bytes == sum(step[2] for step in want)
+        assert tracker.mean_overlap == (
+            float(np.mean([step[3] for step in want[1:]]))
+        )
+        full = sum(step[4] for step in want) * 56
+        reduction = 0.0 if full == 0 else 1.0 - tracker.total_bytes / full
+        assert tracker.transfer_reduction_vs_full_reload() == reduction
+
     @given(
         st.lists(
             st.sets(st.integers(0, 40), min_size=4, max_size=4),

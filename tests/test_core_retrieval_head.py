@@ -79,7 +79,67 @@ class TestKCache:
         b.observe(ids[13:])
         for h, role in enumerate(a.roles):
             if role != "noise":
-                np.testing.assert_allclose(a._keys[h], b._keys[h], rtol=1e-5)
+                np.testing.assert_allclose(a.keys[h], b.keys[h], rtol=1e-5)
+
+    def test_token_by_token_observe_across_doublings_equals_one_shot(
+        self, tiny_gqa_model, tiny_tokenizer
+    ):
+        """300 single-token observes cross the 64 -> 128 -> 256 -> 512
+        reallocations; the deterministic roles' keys match a one-shot
+        observe (which allocates once, at the final size)."""
+        one_shot = make_head(tiny_gqa_model, tiny_tokenizer)
+        stepwise = make_head(tiny_gqa_model, tiny_tokenizer)
+        ids = [int(t) for t in np.random.default_rng(5).integers(8, 500, size=300)]
+        one_shot.observe(ids)
+        for token in ids:
+            stepwise.observe(token)
+        assert len(stepwise) == len(one_shot) == 300
+        assert stepwise.keys.shape == one_shot.keys.shape
+        assert stepwise.k_cache_bytes() == one_shot.k_cache_bytes()
+        for h, role in enumerate(one_shot.roles):
+            if role != "noise":
+                np.testing.assert_allclose(
+                    stepwise.keys[h], one_shot.keys[h], rtol=1e-5
+                )
+
+    def test_restore_after_reallocation_is_bit_exact(
+        self, tiny_gqa_model, tiny_tokenizer
+    ):
+        """The spec-rollback contract: marker -> observes that outgrow the
+        storage -> restore puts keys, token ids and the noise stream back,
+        and replaying the same tokens reproduces the same keys."""
+        head = make_head(tiny_gqa_model, tiny_tokenizer)
+        assert "noise" in head.roles
+        head.observe(list(range(10, 70)))  # 60 rows in 64 slots
+        marker = head.marker()
+        keys_at_marker = head.keys.copy()
+        ids_at_marker = list(head._token_ids)
+        rng_at_marker = head._noise_rng.bit_generator.state
+
+        drafted = list(range(100, 180))  # 80 more: reallocates
+        head.observe(drafted[:3])
+        head.observe(drafted[3:])
+        keys_after = head.keys.copy()
+        assert len(head) == 140
+
+        head.restore(marker)
+        assert len(head) == 60
+        assert head._token_ids == ids_at_marker
+        assert head._noise_rng.bit_generator.state == rng_at_marker
+        assert (head.keys == keys_at_marker).all()
+        assert head.k_cache_bytes() == keys_at_marker.size * 2
+
+        head.observe(drafted[:3])
+        head.observe(drafted[3:])
+        assert (head.keys == keys_after).all()
+
+    def test_restore_rejects_newer_marker(self, tiny_gqa_model, tiny_tokenizer):
+        head = make_head(tiny_gqa_model, tiny_tokenizer)
+        head.observe([1, 2, 3])
+        marker = head.marker()
+        head.reset()
+        with pytest.raises(ValueError):
+            head.restore(marker)
 
     def test_scoring_empty_cache_raises(self, tiny_gqa_model, tiny_tokenizer):
         head = make_head(tiny_gqa_model, tiny_tokenizer)

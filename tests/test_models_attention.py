@@ -136,6 +136,45 @@ class TestCurrentTokenUnion:
             np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=1e-5)
 
 
+@pytest.mark.parametrize("model_name", MODELS)
+class TestDecodeRowsMixedWave:
+    def test_mixed_wave_equals_per_session_decode(
+        self, model_name, request, tiny_tokenizer
+    ):
+        """Full, 1-D and head-level rows of different widths in one wave
+        (two of them sharing a width, so a 1-D and a head-level row stack
+        in one bucket): every row is bit-equal to ``decode`` on its own."""
+        model = request.getfixturevalue(model_name)
+        cfg = model.config
+        attn = model.layers[0].attention
+        sel_heads = (
+            cfg.n_q_heads if cfg.attention is AttentionKind.MLA else cfg.n_kv_heads
+        )
+        rng = np.random.default_rng(77)
+        lengths = [40, 33, 52, 40, 47, 36]
+        shapes = [None, None, (5,), (9,), (sel_heads, 9), (sel_heads, 12)]
+
+        batched, solo, selections = [], [], []
+        for length, shape in zip(lengths, shapes):
+            cache = model.new_cache()
+            model.prefill(_prompt(tiny_tokenizer, rng, n=length), cache)
+            batched.append(cache[0])
+            solo.append(cache.clone()[0])
+            # Indices reach `length`: the decoded token is appended first.
+            selections.append(
+                None if shape is None else rng.integers(0, length + 1, size=shape)
+            )
+        positions = np.array(lengths)
+        x_rows = rng.standard_normal((len(lengths), cfg.d_model)).astype(np.float32)
+
+        attn.append_token_rows(x_rows, positions, batched)
+        out_rows = attn.decode_rows(x_rows, positions, batched, selections)
+        for j, length in enumerate(lengths):
+            attn.append_token(x_rows[j], length, solo[j])
+            out, _ = attn.decode(x_rows[j], length, solo[j], selection=selections[j])
+            assert (out_rows[j] == out).all(), j
+
+
 class TestRopeMaskHoisting:
     def test_masks_precomputed_and_reused(self, tiny_gqa_model):
         """Masks are built once at __init__, not per projection call."""

@@ -339,7 +339,10 @@ class TestBatchedDecodeStep:
                 model.prefill(prompt[:-1], cache)
                 policy = None
                 if name is not None:
-                    policy = make_policy(name, model, budget)
+                    opts = (
+                        {"bos_id": tokenizer.bos_id} if name == "specontext" else {}
+                    )
+                    policy = make_policy(name, model, budget, **opts)
                     policy.begin_generation(prompt[:-1], cache)
                 caches.append(cache)
                 policies.append(policy)
@@ -356,6 +359,8 @@ class TestBatchedDecodeStep:
             names = [None, "streaming", "sliding", "full"]
         else:
             names = [None, "streaming", "quest", "h2o", "sliding", "full"]
+        # One pre-step selection object for every layer: the per-step plan.
+        names += ["specontext", "specontext"]
         (seq_caches, seq_policies, seq_pending), (
             bat_caches, bat_policies, bat_pending,
         ) = self._make_sessions(model, tiny_tokenizer, names)
@@ -382,6 +387,11 @@ class TestBatchedDecodeStep:
                     assert np.array_equal(bat_selections[j][layer], sel), (
                         names[j], step, layer,
                     )
+                if names[j] == "specontext":
+                    planned = list(bat_selections[j].values())
+                    assert len(planned) == len(model.layers)
+                    assert planned[0].ndim == 2  # head-level
+                    assert all(sel is planned[0] for sel in planned)
                 token = int(np.argmax(seq_logits[j]))
                 assert token == int(np.argmax(bat_logits[j]))
                 seq_pending[j] = token
