@@ -9,8 +9,8 @@ Config -> registry -> server, in three steps:
 3. run the continuous-batching ``SpeContextServer`` and read per-request
    ``GenerationStats`` (bytes over PCIe, selection overlap, offloads).
 
-The legacy one-shot ``SpeContextEngine.generate()`` still works and is now
-a thin wrapper over a single-request server session.
+The one-shot ``SpeContextEngine(model, EngineConfig(...)).generate()`` is a
+thin wrapper over the same server: one ``specontext`` request per call.
 
 Run:  python examples/quickstart.py
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api import EngineConfig, GenerationRequest, SamplingParams
+from repro.core.engine import SpeContextEngine
 from repro.core.retrieval_head import RetrievalHeadConfig
 from repro.hardware.spec import EDGE_RTX4060_4GB
 from repro.models.builder import build_recall_model
@@ -51,7 +52,7 @@ def main() -> None:
     model = TransformerLM(build_recall_model(config, tokenizer, rng))
     prompt, facts, asked, chain_len = build_prompt(tokenizer, rng)
 
-    # 1. One config object instead of loose engine kwargs.
+    # 1. One config object for the server (and the one-shot engine).
     engine_config = EngineConfig(
         budget=96,
         spec=EDGE_RTX4060_4GB,
@@ -91,6 +92,13 @@ def main() -> None:
         f"\nmeter: {len(meter.finished)} requests, "
         f"{meter.generated_tokens} tokens in {meter.makespan_s:.0f} server steps"
     )
+
+    # 4. The one-shot engine: the same config, one specontext request per
+    #    generate() call — and the same tokens as the batched server.
+    engine = SpeContextEngine(model, engine_config)
+    stats = engine.generate(prompt, max_new_tokens=chain_len)
+    assert stats.text_token_ids == outputs[0].token_ids
+    print(f"engine.generate(): {tokenizer.decode(stats.text_token_ids)!r}")
 
 
 if __name__ == "__main__":

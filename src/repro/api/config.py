@@ -1,10 +1,10 @@
 """Engine-level and request-level configuration for the serving API.
 
-``EngineConfig`` captures everything that used to be loose
-``SpeContextEngine.__init__`` kwargs — budget, hardware spec, selection
-policy and granularity, elastic loading — plus the serving knobs the
-continuous-batching :class:`~repro.serving.server.SpeContextServer` needs
-(admission concurrency, seeding). ``SamplingParams`` captures the loose
+``EngineConfig`` captures everything an engine or server is built from —
+budget, hardware spec, selection policy and granularity, elastic loading —
+plus the serving knobs the continuous-batching
+:class:`~repro.serving.server.SpeContextServer` needs (admission
+concurrency, seeding). ``SamplingParams`` captures the loose
 ``generate()`` kwargs (token limit, temperature, stop ids).
 
 ``ClusterConfig`` captures the multi-replica layer's knobs (replica
@@ -106,8 +106,8 @@ class EngineConfig:
         policy: default selection-policy name (see
             :func:`repro.retrieval.registry.make_policy`).
         selection_level: SpeContext granularity, "head" or "batch".
-        bos_id: BOS token id, needed to build retrieval heads for
-            "specontext" requests when no prebuilt head is supplied.
+        bos_id: BOS token id, needed to build the server's retrieval head
+            (required by "specontext" requests).
         head_config: retrieval-head construction parameters.
         elastic: set-difference (True) vs full-reload (False) transfer
             accounting.
@@ -126,11 +126,11 @@ class EngineConfig:
             values are bit-identical to recomputation).
         preempt_mode: what happens to a session evicted under pool
             pressure — "swap" stashes its KV cache host-side and restores
-            it on resume (exact for every policy); "recompute" drops the
-            cache and, on resume, rebuilds it through the same chunked
-            prefill a fresh prompt takes, then replays the generated
-            tokens as forced decodes (exact for policies without stateful
-            sampling inside the policy itself).
+            it on resume; "recompute" drops the cache and, on resume,
+            rebuilds it through the same chunked prefill a fresh prompt
+            takes, then replays the generated tokens as forced decodes.
+            Every policy's state is a function of the tokens it has seen,
+            so both modes resume bit-identically for all of them.
         scheduler: admission/preemption ordering policy name (resolved
             by ``repro.serving.registry.make("scheduler", ...)``): "fcfs",
             "priority" or "sjf".
@@ -171,10 +171,11 @@ class EngineConfig:
             policy-governed step (SpeContext's dataflow).
         requests: request multiplier for the theoretical memory model.
         dlm_bytes: DLM weight bytes charged to the memory model when the
-            server builds it; None (default) auto-sizes from a retrieval
-            head when the default policy is specontext, an explicit value
-            (including 0) is used as-is.
-        seed: base seed for per-request retrieval-head construction.
+            server builds it; None (default) charges the server's one
+            retrieval head when the default policy is specontext, an
+            explicit value (including 0) is used as-is.
+        seed: seed of the server's retrieval head (its Q/K perturbations
+            and noise-role key table).
         policy_opts: default extra kwargs forwarded to ``make_policy``.
         spec_decode_k: speculative decoding draft length. 0 (default)
             disables speculation. With k >= 1 the server builds a

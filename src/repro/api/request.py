@@ -15,50 +15,63 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.api.config import SamplingParams
-from repro.api.errors import EmptyPromptError
+from repro.api.errors import EmptyPromptError, RequestValidationError
 
-if TYPE_CHECKING:  # pragma: no cover - type-only imports, avoid cycles
+if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from repro.core.engine import GenerationStats
-    from repro.models.llm import SelectionPolicy
 
 
 @dataclass
 class GenerationRequest:
     """One generation request for the server.
 
+    Plain data — names, numbers and seeds, never policy or generator
+    objects — so every frontend accepts exactly the same requests and can
+    pickle, resubmit or replay them bit-identically.
+
     Attributes:
         prompt_ids: 1-D token array (non-empty).
-        sampling: decoding parameters.
+        sampling: decoding parameters (``seed`` drives temperature sampling).
         policy: selection policy for this request — a registry name (see
-            :func:`repro.retrieval.registry.make_policy`), a prebuilt
-            policy object, or None to use the engine config's default.
+            :func:`repro.retrieval.registry.make_policy`) or None to use
+            the engine config's default.
         budget: KV token budget; None uses the engine config's default.
         policy_opts: extra kwargs forwarded to ``make_policy`` (merged over
-            the engine config's ``policy_opts``).
+            the engine config's ``policy_opts``); ``specontext`` accepts
+            ``level`` only — its retrieval head belongs to the server.
         priority: scheduling weight — higher values admit earlier and are
             preempted later under the "priority" scheduler; other
             schedulers ignore it. Ties break by arrival order.
         request_id: assigned by the server at submission.
-        rng: sampling RNG override (takes precedence over sampling.seed).
     """
 
     prompt_ids: np.ndarray
     sampling: SamplingParams = field(default_factory=SamplingParams)
-    policy: "str | SelectionPolicy | None" = None
+    policy: str | None = None
     budget: int | None = None
     policy_opts: dict = field(default_factory=dict)
     priority: int = 0
     request_id: int | None = None
-    rng: np.random.Generator | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.prompt_ids = np.asarray(self.prompt_ids)
+        self.validate()
+
+    def validate(self) -> None:
+        """Typed checks, run at construction and again by every frontend's
+        ``add_request`` (fields are mutable in between)."""
         if self.prompt_ids.ndim != 1 or self.prompt_ids.size == 0:
             raise EmptyPromptError(
                 "prompt_ids must be a non-empty 1-D token array"
             )
         if self.budget is not None and self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
+        if self.policy is not None and not isinstance(self.policy, str):
+            raise RequestValidationError(
+                "policy must be a registry name (or None for the engine "
+                f"default), got {type(self.policy).__name__}; policy "
+                "objects cannot be shipped to workers or replayed"
+            )
 
     @property
     def prompt_len(self) -> int:

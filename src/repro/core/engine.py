@@ -13,31 +13,22 @@ quantities (bytes over PCIe, overlap, offload schedule) are produced by the
 same components the timing simulator uses, so the functional path and the
 performance experiments cannot drift apart.
 
-``generate()`` is a compatibility wrapper: it submits a single
-:class:`~repro.api.request.GenerationRequest` to a private
-:class:`~repro.serving.server.SpeContextServer` session, reusing one
-:class:`SpeContextPolicy` (and its retrieval head) plus one adaptive
-memory manager across calls — construction and Algorithm-1 threshold
-computation happen once, per-request state is reset explicitly.
+``generate()`` is a convenience wrapper: it submits one ordinary
+``policy="specontext"`` :class:`~repro.api.request.GenerationRequest` to a
+private :class:`~repro.serving.server.SpeContextServer`, whose retrieval
+head and Algorithm-1 thresholds are built once and serve every call.
 Multi-request callers should use the server directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.api.config import EngineConfig, SamplingParams
 from repro.api.request import GenerationRequest
 from repro.core.adaptive import OffloadEvent
-from repro.core.memory_model import MemoryModel
-from repro.core.retrieval_head import (
-    LightweightRetrievalHead,
-    RetrievalHeadConfig,
-    SpeContextPolicy,
-)
-from repro.hardware.spec import EDGE_RTX4060, HardwareSpec
 from repro.models.llm import DecodeResult, TransformerLM
 
 
@@ -61,93 +52,19 @@ class GenerationStats:
 
 
 class SpeContextEngine:
-    """Long-context generation with speculative context sparsity.
+    """Long-context generation with speculative context sparsity."""
 
-    Accepts either the legacy kwargs or an :class:`EngineConfig` (which
-    wins for any field it carries).
-    """
-
-    def __init__(
-        self,
-        model: TransformerLM,
-        bos_id: int,
-        budget: int = 2048,
-        spec: HardwareSpec = EDGE_RTX4060,
-        selection_level: str = "head",
-        head_config: RetrievalHeadConfig | None = None,
-        elastic: bool = True,
-        requests: int = 1,
-        rng: np.random.Generator | None = None,
-        config: EngineConfig | None = None,
-    ):
-        if config is None:
-            config = EngineConfig(
-                budget=budget,
-                spec=spec,
-                selection_level=selection_level,
-                bos_id=bos_id,
-                head_config=head_config,
-                elastic=elastic,
-                requests=requests,
-                max_concurrency=1,
-            )
-        else:
-            clashing = [
-                name
-                for name, (value, default) in {
-                    "budget": (budget, 2048),
-                    "spec": (spec, EDGE_RTX4060),
-                    "selection_level": (selection_level, "head"),
-                    "head_config": (head_config, None),
-                    "elastic": (elastic, True),
-                    "requests": (requests, 1),
-                }.items()
-                if value != default
-            ]
-            if config.bos_id is not None and config.bos_id != bos_id:
-                clashing.append("bos_id")
-            if clashing:
-                raise ValueError(
-                    f"pass {clashing} inside config=EngineConfig(...), not as "
-                    "legacy kwargs; mixing the two would silently ignore the "
-                    "kwargs"
-                )
-            if config.bos_id is None:
-                # Write back so the stored config (and the private server,
-                # exposed via .server) knows the engine's BOS token.
-                config = replace(config, bos_id=bos_id)
-        self.config = config
-        self.model = model
-        self.budget = config.budget
-        self.spec = config.spec
-        self.selection_level = config.selection_level
-        self.elastic = config.elastic
-        rng = rng or np.random.default_rng(0)
-        self.head = LightweightRetrievalHead.from_teacher(
-            model.weights, bos_id, rng, config=config.head_config
-        )
-        dlm_bytes = 2 * self.head.parameter_count(include_shared_embedding=True)
-        self.memory_model = MemoryModel(
-            model.config, dlm_bytes, config.spec,
-            requests=config.requests, budget=config.budget,
-        )
-        # The policy (and its head) persist across generate() calls; the
-        # server resets their per-request state at each admission.
-        self.policy = SpeContextPolicy(
-            self.head, config.budget, level=config.selection_level
-        )
+    def __init__(self, model: TransformerLM, config: EngineConfig):
         # Imported lazily: repro.serving.server depends on repro.core.*,
         # so a module-level import here would be circular.
         from repro.serving.server import SpeContextServer
 
-        self._server = SpeContextServer(
-            model, config=config, memory_model=self.memory_model
-        )
-
-    @property
-    def server(self):
-        """The underlying single-session server (for inspection/metering)."""
-        return self._server
+        if config.bos_id is None:
+            raise ValueError("SpeContextEngine needs EngineConfig.bos_id")
+        self.model = model
+        self.config = config
+        self.server = SpeContextServer(model, config)  # inspection/metering
+        self.head = self.server.head
 
     def generate(
         self,
@@ -155,29 +72,29 @@ class SpeContextEngine:
         max_new_tokens: int,
         stop_ids: tuple[int, ...] = (),
         temperature: float = 0.0,
-        rng: np.random.Generator | None = None,
+        seed: int | None = None,
     ) -> GenerationStats:
         """Generate with retrieval-head sparsity; returns tokens + stats.
 
-        Thin wrapper: one request through the server, policy reused. The
-        private server's history/meter reflect only the latest call, so
-        repeated generation doesn't accumulate bookkeeping.
+        One request through the server. The private server's history/meter
+        reflect only the latest call, so repeated generation doesn't
+        accumulate bookkeeping.
         """
-        self._server.clear_history()
-        request = GenerationRequest(
-            prompt_ids=np.asarray(prompt_ids),
-            sampling=SamplingParams(
-                max_new_tokens=max_new_tokens,
-                temperature=temperature,
-                stop_ids=tuple(stop_ids),
-            ),
-            policy=self.policy,
-            budget=self.budget,
-            rng=rng,
+        self.server.clear_history()
+        self.server.add_request(
+            GenerationRequest(
+                prompt_ids=np.asarray(prompt_ids),
+                sampling=SamplingParams(
+                    max_new_tokens=max_new_tokens,
+                    temperature=temperature,
+                    stop_ids=tuple(stop_ids),
+                    seed=seed,
+                ),
+                policy="specontext",
+            )
         )
-        request_id = self._server.add_request(request)
-        outputs = self._server.run()
-        return next(o for o in outputs if o.request_id == request_id).stats
+        [output] = self.server.run()
+        return output.stats
 
     def pruning_ratio(self, full_dlm_parameters: int) -> float:
         """Parameter reduction of the retrieval head vs the full DLM."""

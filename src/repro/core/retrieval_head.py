@@ -33,6 +33,7 @@ Selection granularities (Sec. 4.2):
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,46 @@ class RetrievalHeadConfig:
     always_recent: int = 2
 
 
+class _NoiseKeys:
+    """A fixed random key per (noise head, position), materialised on demand.
+
+    The same trade ``RotaryEmbedding`` makes for cos/sin: a position-indexed
+    table instead of a stateful generator. Row ``p`` of head ``i`` is always
+    the ``p``-th draw of that head's own stream, so the table grows by
+    capacity doubling without any row depending on how ``observe`` calls (or
+    the growth steps) were chunked.
+    """
+
+    def __init__(self, seed: int, n_heads: int, dc: int, max_position: int):
+        self._rngs = [np.random.default_rng([seed, i]) for i in range(n_heads)]
+        self._rows = np.zeros((n_heads, 0, dc), dtype=DTYPE)
+        self.max_position = max_position
+
+    def rows(self, start: int, end: int) -> np.ndarray:
+        """Keys of positions [start, end), shape (n_heads, end - start, dc)."""
+        if end > self.max_position:
+            raise ValueError(
+                f"position {end - 1} exceeds table size {self.max_position}"
+            )
+        have, dc = self._rows.shape[1:]
+        if end > have:
+            grown = min(max(end, 2 * have, 64), self.max_position)
+            fresh = [rng.standard_normal((grown - have, dc)) for rng in self._rngs]
+            self._rows = np.concatenate(
+                [self._rows, np.asarray(fresh, dtype=DTYPE)], axis=1
+            )
+        return self._rows[:, start:end]
+
+
 class LightweightRetrievalHead:
-    """Pruned-DLM retrieval head bound to a specific teacher model."""
+    """Pruned-DLM retrieval head bound to a specific teacher model.
+
+    The weights (content, ``wq``/``wk``, RoPE, noise-key table) are built
+    once and never written again; the K cache and token ids are the only
+    per-request state, and they are a pure function of the observed token
+    history. :meth:`view` hands out further heads over the same weights,
+    one per concurrent session.
+    """
 
     def __init__(
         self,
@@ -82,6 +121,7 @@ class LightweightRetrievalHead:
         self.bos_id = bos_id
         self.roles = roles  # one role per retrieval q-head
         self.n_heads = len(roles)
+        self._noise_heads = [h for h, role in enumerate(roles) if role == "noise"]
         dc = content.shape[1]
         self.dc = dc
 
@@ -102,13 +142,24 @@ class LightweightRetrievalHead:
         self.rope = RotaryEmbedding(
             dim=dc, max_position=scale, base=teacher_config.rope_base, yarn=yarn
         )
-        self._noise_rng = np.random.default_rng(rng.integers(0, 2**63))
+        self._noise = _NoiseKeys(
+            int(rng.integers(0, 2**63)), len(self._noise_heads), dc, scale
+        )
+        for shared in (self.content, self.wq, self.wk):
+            shared.setflags(write=False)
 
         # The head's own K cache: per-head key vectors, one row per token.
         # Storage grows by capacity doubling (as LayerKVCache does); the
         # valid length is len(self._token_ids).
         self._k = np.zeros((self.n_heads, 64, dc), dtype=DTYPE)
         self._token_ids: list[int] = []
+
+    def view(self) -> "LightweightRetrievalHead":
+        """A head for one more session: shared weights, its own empty K cache."""
+        view = copy.copy(self)
+        view._k = np.zeros((self.n_heads, 64, self.dc), dtype=DTYPE)
+        view._token_ids = []
+        return view
 
     # ---- construction ---------------------------------------------------------
 
@@ -152,8 +203,6 @@ class LightweightRetrievalHead:
 
     def observe(self, token_ids: np.ndarray | list[int] | int) -> None:
         """Append tokens to the head's K cache (prompt chunk or new token)."""
-        if isinstance(token_ids, (int, np.integer)):
-            token_ids = [int(token_ids)]
         token_ids = [int(t) for t in np.asarray(token_ids).ravel()]
         if not token_ids:
             return
@@ -179,35 +228,25 @@ class LightweightRetrievalHead:
             elif role == "sink":
                 new_keys[h] = cur
             elif role == "local":
-                u = np.ones(
-                (1, len(token_ids), self.dc), dtype=DTYPE
-            ) / np.sqrt(self.dc)
-                new_keys[h] = self.rope.apply(u, positions)[0]
-            else:  # noise
-                new_keys[h] = self._noise_rng.standard_normal(
-                    (len(token_ids), self.dc)
-                ).astype(DTYPE)
+                u = np.ones((1, len(token_ids), self.dc), dtype=DTYPE)
+                new_keys[h] = self.rope.apply(u / np.sqrt(self.dc), positions)[0]
+        if self._noise_heads:
+            new_keys[self._noise_heads] = self._noise.rows(start, end)
         self._token_ids.extend(token_ids)
 
     def __len__(self) -> int:
         return len(self._token_ids)
 
-    def marker(self) -> tuple[int, dict]:
-        """Snapshot of mutable head state, for speculative rollback.
+    def restore(self, length: int) -> None:
+        """Truncate the K cache back to ``length`` tokens (spec rollback).
 
-        Captures the K-cache length and the noise-head RNG state —
-        everything :meth:`observe` mutates — so :meth:`restore` can return
-        the head bit-exactly to this point after rejected draft tokens.
+        Every key row is a function of the token history alone, so an
+        earlier ``len(head)`` is all it takes to return the head
+        bit-exactly to that point after rejected draft tokens.
         """
-        return (len(self._token_ids), self._noise_rng.bit_generator.state)
-
-    def restore(self, marker: tuple[int, dict]) -> None:
-        """Undo observes made after :meth:`marker` was taken."""
-        length, rng_state = marker
         if length > len(self._token_ids):
-            raise ValueError("marker is newer than the current head state")
+            raise ValueError("length is newer than the current head state")
         del self._token_ids[length:]  # key rows past the length are dead storage
-        self._noise_rng.bit_generator.state = rng_state
 
     # ---- scoring & selection -----------------------------------------------------
 
@@ -320,7 +359,7 @@ class SpeContextPolicy:
         self._spec_mode = False
         self._spec_base: int | None = None
         self._spec_currents: list[np.ndarray | None] = []
-        self._spec_markers: list[tuple[tuple[int, dict], int]] = []
+        self._spec_markers: list[tuple[int, int]] = []
 
     def reset(self) -> None:
         """Clear per-request state so the policy can serve a new request.
@@ -344,12 +383,10 @@ class SpeContextPolicy:
     def pre_step(self, step: int, token_id: int, cache: ModelKVCache) -> None:
         """Run retrieval for this step before the LLM forward pass."""
         if self._spec_mode:
-            # Marker t captures state *before* pre_step t, so restoring
-            # marker m after committing m positions leaves exactly the
-            # committed pre_steps applied.
-            self._spec_markers.append(
-                (self.head.marker(), len(self.selection_history))
-            )
+            # Marker t captures the lengths *before* pre_step t, so
+            # restoring marker m after committing m positions leaves
+            # exactly the committed pre_steps applied.
+            self._spec_markers.append((len(self.head), len(self.selection_history)))
         if len(self.head) <= self.budget:
             self._current = None
         else:
@@ -381,8 +418,8 @@ class SpeContextPolicy:
                 f"commit count {m} outside [1, {len(self._spec_currents)}]"
             )
         if m < len(self._spec_currents):
-            marker, hist_len = self._spec_markers[m]
-            self.head.restore(marker)
+            head_len, hist_len = self._spec_markers[m]
+            self.head.restore(head_len)
             self.selection_history = self.selection_history[:hist_len]
         self._current = self._spec_currents[m - 1]
         self._spec_mode = False

@@ -21,13 +21,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
-from repro.core.retrieval_head import (
-    LightweightRetrievalHead,
-    RetrievalHeadConfig,
-    SpeContextPolicy,
-)
+from repro.api.errors import UnknownPolicyError
+from repro.core.retrieval_head import LightweightRetrievalHead, SpeContextPolicy
 from repro.models.llm import SelectionPolicy, TransformerLM
 from repro.retrieval.clusterkv import ClusterKVPolicy
 from repro.retrieval.full import FullAttentionPolicy
@@ -74,7 +69,7 @@ def resolve_policy_name(name: str) -> str:
     key = _normalize(name)
     key = _ALIASES.get(key, key)
     if key not in _REGISTRY:
-        raise KeyError(
+        raise UnknownPolicyError(
             f"unknown policy {name!r}; available: {list(available_policies())}"
         )
     return key
@@ -86,9 +81,10 @@ def make_policy(
     """Build the selection policy ``name`` for ``model`` at ``budget``.
 
     ``opts`` are forwarded to the concrete policy (e.g. ``page_size`` for
-    quest, ``n_sinks`` for streaming, ``head``/``level``/``bos_id`` for
-    specontext). Raises ``KeyError`` for unknown names and
-    ``NotImplementedError`` when a K-cache baseline meets an MLA model.
+    quest, ``n_sinks`` for streaming, ``head``/``level`` for
+    specontext). Raises the typed ``UnknownPolicyError`` (a ``KeyError``)
+    for unknown names and ``NotImplementedError`` when a K-cache baseline
+    meets an MLA model.
     """
     return _REGISTRY[resolve_policy_name(name)](model, budget, **opts)
 
@@ -100,29 +96,15 @@ def make_policy(
 def _build_specontext(
     model: TransformerLM,
     budget: int,
-    head: LightweightRetrievalHead | None = None,
+    head: LightweightRetrievalHead,
     level: str = "head",
-    bos_id: int | None = None,
-    head_config: RetrievalHeadConfig | None = None,
-    rng: np.random.Generator | None = None,
-    head_seed: int = 0,
 ) -> SpeContextPolicy:
-    """SpeContext's retrieval head; builds a fresh head unless one is given.
+    """SpeContext's policy over a fresh session view of ``head``.
 
-    A head owns its own K cache, so concurrent sessions must not share one
-    instance — pass ``head=`` only for sequential reuse.
+    The view shares every weight array with ``head`` and owns its K cache,
+    so any number of concurrent policies can be built from one head.
     """
-    if head is None:
-        rng = rng if rng is not None else np.random.default_rng(head_seed)
-        if bos_id is None:
-            raise ValueError(
-                "specontext needs bos_id= (to build a retrieval head) "
-                "or a prebuilt head="
-            )
-        head = LightweightRetrievalHead.from_teacher(
-            model.weights, bos_id, rng, config=head_config
-        )
-    return SpeContextPolicy(head, budget, level=level)
+    return SpeContextPolicy(head.view(), budget, level=level)
 
 
 @register_policy("quest")

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.api.config import ClusterConfig, EngineConfig
-from repro.api.errors import EngineUnavailableError, RequestValidationError
+from repro.api.errors import EngineUnavailableError
 from repro.api.request import GenerationOutput, GenerationRequest
 from repro.models.llm import TransformerLM
 from repro.serving.engine.worker import (
@@ -472,7 +472,7 @@ class ExecutorBase:
                 f"request_id {request.request_id} already used; ids must be "
                 "unique and increasing"
             )
-        self._check_portable(request)
+        request.validate()
         views = self._probe(request.prompt_ids)
         placement = self.placement.place(
             request, views, [h.alive for h in self._handles]
@@ -528,40 +528,11 @@ class ExecutorBase:
         self._drain_recovery()
         return True
 
-    def _check_portable(self, request: GenerationRequest) -> None:
-        """Reject requests that cannot survive shipment or failover.
-
-        Enforced by *both* executors so acceptance is identical: a
-        prebuilt policy object owns mutable state that cannot be
-        pickled to a worker or replayed after one dies, and a generator
-        object's consumed state cannot be rewound for resubmission
-        (seeds can — ``sampling.seed`` replays bit-identically).
-        """
-        if request.policy is not None and not isinstance(request.policy, str):
-            raise RequestValidationError(
-                "executor requests must name policies by registry name; "
-                "prebuilt policy objects cannot be shipped to workers or "
-                "resubmitted after a worker failure"
-            )
-        if request.rng is not None:
-            raise RequestValidationError(
-                "executor requests must carry sampling.seed rather than an "
-                "rng object; seeds replay bit-identically after worker "
-                "failover, generator state does not"
-            )
-
     @staticmethod
     def _clone(request: GenerationRequest) -> GenerationRequest:
         """A pristine, unsubmitted copy (prompt array shared, read-only)."""
-        return GenerationRequest(
-            prompt_ids=request.prompt_ids,
-            sampling=request.sampling,
-            policy=request.policy,
-            budget=request.budget,
-            policy_opts=dict(request.policy_opts),
-            priority=request.priority,
-            request_id=None,
-            rng=None,
+        return replace(
+            request, policy_opts=dict(request.policy_opts), request_id=None
         )
 
     def _probe(self, prompt_ids: np.ndarray) -> list[_WorkerView]:

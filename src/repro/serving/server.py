@@ -17,8 +17,8 @@ with the memory discipline of a production engine:
   its blocks are freed and the session is requeued, either with its cache
   stashed host-side (``preempt_mode="swap"``) or dropped, to be rebuilt
   from the prompt on resume (``preempt_mode="recompute"``). Both modes
-  resume with bit-identical token streams for deterministic policies;
-  swap is exact for every policy (the cache object is restored as-is);
+  resume bit-identically for every policy: each policy's state is a
+  function of the tokens it has seen;
 - prompt prefill is **chunked**: an admitted session enters a
   ``PREFILLING`` state and its prompt lands chunk by chunk, each chunk
   claiming and prefix-publishing the pool blocks it fills (a later
@@ -66,14 +66,14 @@ from repro.api.errors import (
     DeadlineExceededError,
     OverloadedError,
     PromptTooLongError,
-    UnknownPolicyError,
+    RequestValidationError,
 )
 from repro.api.request import GenerationOutput, GenerationRequest
 from repro.core.adaptive import AdaptiveMemoryManager, OffloadEvent
 from repro.core.elastic import ElasticTransferTracker
 from repro.core.engine import GenerationStats
 from repro.core.memory_model import MemoryModel
-from repro.core.retrieval_head import SpeContextPolicy
+from repro.core.retrieval_head import LightweightRetrievalHead, SpeContextPolicy
 from repro.distill.dlm import DraftModel
 from repro.kvcache.cache import ModelKVCache
 from repro.kvcache.pool import (
@@ -82,7 +82,6 @@ from repro.kvcache.pool import (
     PagedKVPool,
     PoolExhausted,
 )
-from repro.models.config import AttentionKind
 from repro.models.llm import DecodeResult, SelectionPolicy, TransformerLM
 from repro.retrieval.registry import make_policy, resolve_policy_name
 from repro.serving import registry
@@ -207,7 +206,7 @@ class _Session:
     """One in-flight request: its cache, policy, blocks, decode progress."""
 
     request: GenerationRequest
-    policy: SelectionPolicy | None
+    policy: SelectionPolicy
     budget: int  # the budget that actually governs selection
     cache: ModelKVCache
     rng: np.random.Generator | None
@@ -290,11 +289,20 @@ class SpeContextServer:
         self,
         model: TransformerLM,
         config: EngineConfig | None = None,
-        memory_model: MemoryModel | None = None,
         draft_model: DraftModel | None = None,
     ):
         self.model = model
         self.config = config or EngineConfig()
+        # The paper's one pruned DLM beside the LLM: every specontext
+        # session decodes on a view of it (shared weights, its own K cache).
+        self.head: LightweightRetrievalHead | None = None
+        if self.config.bos_id is not None:
+            self.head = LightweightRetrievalHead.from_teacher(
+                model.weights,
+                self.config.bos_id,
+                np.random.default_rng(self.config.seed),
+                config=self.config.head_config,
+            )
         # Draft model for speculative decoding: built from the target's own
         # embedding when enabled and not injected (tests inject truncated-
         # vocab variants). Plumbed here rather than via EngineConfig so the
@@ -304,17 +312,25 @@ class SpeContextServer:
         else:
             self._draft = None
         self.spec_stats = SpecDecodeStats()
-        if memory_model is None:
-            memory_model = MemoryModel(
-                model.config,
-                self.config.dlm_bytes
-                if self.config.dlm_bytes is not None
-                else self._estimate_dlm_bytes(),
-                self.config.spec,
-                requests=self.config.requests,
-                budget=self.config.budget,
-            )
-        self.memory_model = memory_model
+        dlm_bytes = self.config.dlm_bytes
+        if dlm_bytes is None:
+            # M_DLM (Eq. 6-8), charged once: Q/K projections plus the
+            # embedding slice, FP16, when specontext is the default policy.
+            dlm_bytes = 0
+            if (
+                self.head is not None
+                and resolve_policy_name(self.config.policy) == "specontext"
+            ):
+                dlm_bytes = 2 * self.head.parameter_count(
+                    include_shared_embedding=True
+                )
+        self.memory_model = MemoryModel(
+            model.config,
+            dlm_bytes,
+            self.config.spec,
+            requests=self.config.requests,
+            budget=self.config.budget,
+        )
         # One manager for the whole server: thresholds are computed once;
         # runtime state is reset between busy periods (idle -> first admit).
         self.manager = AdaptiveMemoryManager(self.memory_model)
@@ -355,30 +371,6 @@ class SpeContextServer:
         floor = -(-self.model.config.max_position // block)
         return max(derived, floor, 1)
 
-    def _estimate_dlm_bytes(self) -> int:
-        """Retrieval-head bytes to charge the memory model (Eq. 6-8).
-
-        When the default policy is specontext, per-request heads occupy
-        real memory; the size is a pure function of the teacher's shapes
-        (per-head Q/K projections plus the shared embedding slice, FP16),
-        so the server's Algorithm-1 thresholds match the one-shot
-        engine's for the same workload without building a head.
-        """
-        if (
-            self.config.bos_id is None
-            or resolve_policy_name(self.config.policy) != "specontext"
-        ):
-            return 0
-        cfg = self.model.config
-        dc = cfg.head_dim
-        n_heads = (
-            cfg.n_kv_heads
-            if cfg.attention is AttentionKind.MLA
-            else cfg.n_kv_heads * cfg.group_size
-        )
-        params = 2 * n_heads * dc * dc + cfg.vocab_size * dc
-        return 2 * params
-
     def clear_history(self) -> None:
         """Drop accumulated outputs, meter records and stream events.
 
@@ -403,6 +395,7 @@ class SpeContextServer:
         prompt larger than the pool) leaves the server and the request
         object untouched and retryable.
         """
+        request.validate()
         if request.request_id is not None and request.request_id < self._next_id:
             raise ValueError(
                 f"request_id {request.request_id} already used; ids must be "
@@ -426,39 +419,18 @@ class SpeContextServer:
                 f"holds {self.pool.capacity}; raise pool_blocks or shrink "
                 "the request"
             )
-        if not isinstance(request.policy, str) and request.policy is not None:
-            # A prebuilt policy owns mutable per-request state (K cache,
-            # selection history); sharing one across in-flight sessions
-            # would silently merge their token streams.
-            for session in (*self._waiting, *self._active):
-                if session.policy is request.policy:
-                    raise ValueError(
-                        "policy object is already bound to in-flight request "
-                        f"{session.request_id}; prebuilt policies can only be "
-                        "reused sequentially"
-                    )
         reason = self.admission.should_admit(request, self)
         if reason is not None:
-            # Shed before policy/RNG resolution: a doomed request must not
-            # pay for retrieval-head construction, and the request object
-            # stays untouched and retryable (no id is consumed).
+            # Shed before policy/RNG resolution: the request object stays
+            # untouched and retryable (no id is consumed).
             self._record_shed(request)
             raise OverloadedError(
                 f"request shed by admission policy "
                 f"{self.admission.name!r}: {reason}",
                 retry_after_s=self.admission.retry_after_s(self),
             )
-        try:
-            policy = self._resolve_policy(request)
-        except UnknownPolicyError:
-            raise
-        except KeyError as err:
-            # The registry speaks KeyError; surface the typed error the
-            # HTTP layer maps to a structured 4xx (still a KeyError, so
-            # pre-existing callers keep working).
-            raise UnknownPolicyError(
-                err.args[0] if err.args else str(err)
-            ) from err
+        budget = request.budget or self.config.budget
+        policy = self._resolve_policy(request, budget)
         rng = self._resolve_rng(request)
         if request.request_id is None:
             request.request_id = self._next_id
@@ -466,7 +438,7 @@ class SpeContextServer:
         session = _Session(
             request=request,
             policy=policy,
-            budget=self._effective_budget(request, policy),
+            budget=budget,
             cache=self.model.new_cache(dtype=np.dtype(self.config.kv_dtype)),
             rng=rng,
             result=DecodeResult(
@@ -477,47 +449,37 @@ class SpeContextServer:
         self._waiting.append(session)
         return request.request_id
 
-    def _effective_budget(
-        self, request: GenerationRequest, policy: SelectionPolicy | None
-    ) -> int:
-        """The budget that actually governs selection for this session.
-
-        A prebuilt policy carries its own budget, which wins over the
-        request/config values so stats never misreport what ran.
-        """
-        policy_budget = getattr(policy, "budget", None)
-        if policy_budget is not None:
-            return int(policy_budget)
-        return request.budget or self.config.budget
-
-    def _resolve_policy(self, request: GenerationRequest) -> SelectionPolicy | None:
+    def _resolve_policy(
+        self, request: GenerationRequest, budget: int
+    ) -> SelectionPolicy:
         policy = request.policy if request.policy is not None else self.config.policy
-        if not isinstance(policy, str):
-            return policy  # prebuilt instance (sequential reuse, e.g. engine)
+        name = resolve_policy_name(policy)
         # Config-level opts describe the config's *default* policy; they
         # must not leak into requests that name a different one.
         opts = dict(request.policy_opts)
-        if resolve_policy_name(policy) == resolve_policy_name(self.config.policy):
+        if name == resolve_policy_name(self.config.policy):
             opts = {**self.config.policy_opts, **opts}
-        budget = request.budget or self.config.budget
-        if resolve_policy_name(policy) == "specontext":
-            # Each concurrent session needs its own head (it owns a K
-            # cache); identical seeding keeps batched runs bit-identical
-            # to single-request runs.
-            opts.setdefault("bos_id", self.config.bos_id)
-            opts.setdefault("head_config", self.config.head_config)
+        if name == "specontext":
+            if set(opts) - {"level"}:
+                raise RequestValidationError(
+                    f"specontext policy_opts accept 'level' only, got "
+                    f"{sorted(opts)}; the retrieval head is the server's "
+                    "(EngineConfig.head_config / seed)"
+                )
+            if self.head is None:
+                raise ValueError(
+                    "specontext needs EngineConfig.bos_id to build the "
+                    "retrieval head"
+                )
             opts.setdefault("level", self.config.selection_level)
-            if "head" not in opts and "rng" not in opts:
-                opts["rng"] = np.random.default_rng(self.config.seed)
-        return make_policy(policy, self.model, budget, **opts)
+            opts["head"] = self.head
+        return make_policy(name, self.model, budget, **opts)
 
     def _resolve_rng(self, request: GenerationRequest) -> np.random.Generator | None:
-        if request.rng is not None:
-            return request.rng
         if request.sampling.seed is not None:
             return np.random.default_rng(request.sampling.seed)
         if request.sampling.temperature > 0:
-            raise ValueError("temperature sampling requires a seed or rng")
+            raise ValueError("temperature sampling requires a seed")
         return None
 
     def _record_shed(self, request: GenerationRequest) -> None:
@@ -878,10 +840,9 @@ class SpeContextServer:
             )
         if forward and not specs:
             for session in forward:
-                if session.policy is not None:
-                    session.policy.pre_step(
-                        session.steps_taken, int(session.pending), session.cache
-                    )
+                session.policy.pre_step(
+                    session.steps_taken, int(session.pending), session.cache
+                )
             logits, selections = self.model.decode_step_batch(
                 [int(s.pending) for s in forward],
                 [s.cache for s in forward],
@@ -897,8 +858,6 @@ class SpeContextServer:
                 seq = [int(session.pending)] + drafts
                 seqs.append(seq)
                 policy = session.policy
-                if policy is None:
-                    continue
                 if id(session) in specs:
                     policy.spec_begin()
                     for t, token in enumerate(seq):
@@ -1232,7 +1191,7 @@ class SpeContextServer:
         policy = session.policy
         if not session.prefill_started:
             session.prefill_started = True
-            if policy is not None and hasattr(policy, "reset"):
+            if hasattr(policy, "reset"):
                 policy.reset()
             if not session.replaying:
                 reused = self._acquire_prefix(session, prompt, prefill_ids.size)
@@ -1299,9 +1258,7 @@ class SpeContextServer:
     ) -> None:
         """Last chunk landed: arm the session for decoding this step."""
         was_replaying = session.replaying
-        policy = session.policy
-        if policy is not None:
-            policy.begin_generation(prefill_ids, session.cache)
+        session.policy.begin_generation(prefill_ids, session.cache)
         if sparse_first:
             session.pending = int(session.request.prompt_ids[-1])
         elif not was_replaying:
@@ -1373,8 +1330,8 @@ class SpeContextServer:
         """Replay every already-generated token as a *forced* decode step.
 
         The sampler is never consulted, so the request RNG stream is
-        untouched and the continuation is bit-identical for policies
-        whose state is a deterministic function of the replayed inputs.
+        untouched, and every policy's state is a function of the replayed
+        inputs, so the continuation is bit-identical.
         """
         prompt = session.request.prompt_ids
         policy = session.policy
@@ -1385,8 +1342,7 @@ class SpeContextServer:
             if step == 0 and session.prefill_token is not None:
                 pending = int(token)
                 continue
-            if policy is not None:
-                policy.pre_step(step, int(pending), session.cache)
+            policy.pre_step(step, int(pending), session.cache)
             _, selections, _ = self.model.decode_step(
                 int(pending), session.cache, policy=policy
             )
@@ -1403,10 +1359,10 @@ class SpeContextServer:
         Speculation is restricted to greedy sessions: acceptance is a
         longest-prefix match against argmax, which is only provably
         stream-preserving at temperature 0 (and sampled sessions' RNG
-        streams must not be touched out of step order). Prebuilt policies
-        must implement the spec_begin/spec_commit rollback protocol; at
-        least two tokens must remain so a draft plus its verifier row fit
-        under ``max_new_tokens``.
+        streams must not be touched out of step order). A registered policy
+        without the spec_begin/spec_commit rollback protocol is never
+        speculated; at least two tokens must remain so a draft plus its
+        verifier row fit under ``max_new_tokens``.
         """
         if self._draft is None:
             return False
@@ -1415,9 +1371,7 @@ class SpeContextServer:
         if session.steps_taken == 0 and session.prefill_token is not None:
             return False  # step-0 shortcut commits without a forward pass
         policy = session.policy
-        if policy is not None and not (
-            hasattr(policy, "spec_begin") and hasattr(policy, "spec_commit")
-        ):
+        if not (hasattr(policy, "spec_begin") and hasattr(policy, "spec_commit")):
             return False
         return session.sampling.max_new_tokens - session.steps_taken >= 2
 
@@ -1530,8 +1484,7 @@ class SpeContextServer:
             m += 1
         base_len = session.cache.seq_len - len(seq)
         session.cache.truncate(base_len + m)
-        if session.policy is not None:
-            session.policy.spec_commit(m)
+        session.policy.spec_commit(m)
         need = max(
             0,
             self.pool.blocks_for_tokens(session.current_len + m)

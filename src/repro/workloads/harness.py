@@ -103,7 +103,8 @@ class PolicyBench:
     uses the head-level retrieval head, "Ours(batch)" the coarse
     batch-level ablation of Sec. 4.2. Construction is delegated to
     :func:`repro.retrieval.registry.make_policy` — the bench only supplies
-    the shared retrieval head (sequential decode runs can reuse it).
+    the retrieval head, and every policy gets its own session view of it,
+    so a score never depends on which examples or engines ran before.
     """
 
     # figure-engine name -> (registry name, extra make_policy opts)

@@ -9,8 +9,13 @@ import numpy as np
 import pytest
 
 from repro.api import EngineConfig, GenerationRequest, SamplingParams
+from repro.api.errors import RequestValidationError
 from repro.core.engine import SpeContextEngine
-from repro.core.retrieval_head import RetrievalHeadConfig, SpeContextPolicy
+from repro.core.retrieval_head import (
+    LightweightRetrievalHead,
+    RetrievalHeadConfig,
+    SpeContextPolicy,
+)
 from repro.hardware.spec import CLOUD_A800, EDGE_RTX4060_4GB
 from repro.models.config import LLAMA_LIKE_8B
 from repro.perf.engines import SPECONTEXT
@@ -48,6 +53,22 @@ def server_config(tokenizer, **overrides) -> EngineConfig:
     return EngineConfig(**defaults)
 
 
+def build_head(model, config: EngineConfig) -> LightweightRetrievalHead:
+    """The head a server with ``config`` builds, constructed independently."""
+    return LightweightRetrievalHead.from_teacher(
+        model.weights,
+        config.bos_id,
+        np.random.default_rng(config.seed),
+        config=config.head_config,
+    )
+
+
+def registry_opts(name, model, tokenizer) -> dict:
+    if name != "specontext":
+        return {}
+    return {"head": build_head(model, server_config(tokenizer))}
+
+
 def mixed_requests(tokenizer, n=8, max_new_tokens=3):
     """One request per policy name, alternating budgets."""
     requests = []
@@ -80,7 +101,7 @@ class TestRegistry:
     def test_round_trip_builds_working_policy(
         self, name, tiny_gqa_model, tiny_tokenizer
     ):
-        opts = {"bos_id": tiny_tokenizer.bos_id} if name == "specontext" else {}
+        opts = registry_opts(name, tiny_gqa_model, tiny_tokenizer)
         policy = make_policy(name, tiny_gqa_model, 64, **opts)
         assert hasattr(policy, "begin_generation")
         assert hasattr(policy, "pre_step")
@@ -117,19 +138,26 @@ class TestRegistry:
     def test_mla_supported_policies_construct(
         self, name, tiny_mla_model, tiny_tokenizer
     ):
-        opts = {"bos_id": tiny_tokenizer.bos_id} if name == "specontext" else {}
+        opts = registry_opts(name, tiny_mla_model, tiny_tokenizer)
         make_policy(name, tiny_mla_model, 64, **opts)
 
-    def test_specontext_needs_head_or_bos_id(self, tiny_gqa_model):
-        with pytest.raises(ValueError, match="bos_id"):
+    def test_specontext_needs_a_head(self, tiny_gqa_model):
+        with pytest.raises(TypeError, match="head"):
             make_policy("specontext", tiny_gqa_model, 64)
+        for removed in ("rng", "seed", "bos_id", "head_config"):
+            with pytest.raises(TypeError):
+                make_policy("specontext", tiny_gqa_model, 64, **{removed: 0})
 
-    def test_specontext_accepts_prebuilt_head(self, tiny_gqa_model, tiny_tokenizer):
-        first = make_policy(
-            "specontext", tiny_gqa_model, 64, bos_id=tiny_tokenizer.bos_id
-        )
-        second = make_policy("specontext", tiny_gqa_model, 64, head=first.head)
-        assert second.head is first.head
+    def test_specontext_policies_are_views_of_one_head(
+        self, tiny_gqa_model, tiny_tokenizer
+    ):
+        head = build_head(tiny_gqa_model, server_config(tiny_tokenizer))
+        first = make_policy("specontext", tiny_gqa_model, 64, head=head)
+        second = make_policy("specontext", tiny_gqa_model, 64, head=head)
+        assert first.head is not second.head and first.head is not head
+        assert np.shares_memory(first.head.wq, head.wq)
+        first.head.observe([1, 2, 3])
+        assert (len(first.head), len(second.head), len(head)) == (3, 0, 0)
 
     def test_opts_forwarded(self, tiny_gqa_model):
         policy = make_policy("quest", tiny_gqa_model, 64, page_size=8)
@@ -252,21 +280,6 @@ class TestServer:
         ))
         assert server.run()[0].token_ids[0] == expected
 
-    def test_prebuilt_policy_budget_wins_in_stats(
-        self, tiny_gqa_model, tiny_tokenizer
-    ):
-        """stats.budget reports the budget that actually governed selection."""
-        server = SpeContextServer(tiny_gqa_model, server_config(tiny_tokenizer))
-        prebuilt = make_policy(
-            "specontext", tiny_gqa_model, 96, bos_id=tiny_tokenizer.bos_id
-        )
-        rng = np.random.default_rng(21)
-        prompt, _, _ = make_recall_prompt(tiny_tokenizer, rng, n_filler=200)
-        server.add_request(GenerationRequest(
-            prompt, SamplingParams(max_new_tokens=2), policy=prebuilt, budget=32
-        ))
-        assert server.run()[0].stats.budget == 96
-
     def test_failed_submission_leaves_request_retryable(
         self, tiny_gqa_model, tiny_tokenizer
     ):
@@ -283,27 +296,92 @@ class TestServer:
         assert server.add_request(request) == 0
         assert server.run()[0].n_generated == 2
 
-    def test_shared_prebuilt_policy_rejected_while_in_flight(
+    def test_one_head_per_server(self, tiny_gqa_model, tiny_tokenizer, monkeypatch):
+        """N specontext requests: ``from_teacher`` runs once, every session
+        shares the server head's weight arrays (none is allocated by
+        ``add_request``) and the memory model is charged that one head —
+        the same bytes the per-request analytic formula used to give."""
+        builds = []
+        original = LightweightRetrievalHead.from_teacher.__func__
+
+        def counting(cls, *args, **kwargs):
+            builds.append(1)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(
+            LightweightRetrievalHead, "from_teacher", classmethod(counting)
+        )
+        server = SpeContextServer(tiny_gqa_model, server_config(tiny_tokenizer))
+        prompt, _, _ = make_recall_prompt(
+            tiny_tokenizer, np.random.default_rng(24), n_filler=100
+        )
+        for _ in range(4):
+            server.add_request(GenerationRequest(
+                prompt, SamplingParams(max_new_tokens=2), policy="specontext"
+            ))
+        assert len(builds) == 1
+        head = server.head
+        views = [session.policy.head for session in server._waiting]
+        assert len({id(view) for view in views}) == 4
+        for view in views:
+            for name, value in vars(view).items():
+                if name in ("_k", "_token_ids"):
+                    assert value is not getattr(head, name)  # the session's own
+                else:
+                    assert value is getattr(head, name), name  # shared, not copied
+            for name in ("wq", "wk", "content"):
+                assert np.shares_memory(getattr(view, name), getattr(head, name))
+        assert len(server.run()) == 4 and len(builds) == 1
+
+        cfg = tiny_gqa_model.config
+        analytic = 2 * (
+            2 * cfg.n_kv_heads * cfg.group_size * cfg.head_dim**2
+            + cfg.vocab_size * cfg.head_dim
+        )
+        assert server.memory_model.dlm_bytes == analytic
+        assert analytic == 2 * head.parameter_count(include_shared_embedding=True)
+
+    def test_memory_model_dlm_bytes_follow_the_config(
+        self, tiny_gqa_model, tiny_mla_model, tiny_tokenizer
+    ):
+        def dlm_bytes(model, **overrides):
+            config = server_config(tiny_tokenizer, **overrides)
+            return SpeContextServer(model, config).memory_model.dlm_bytes
+
+        assert dlm_bytes(tiny_gqa_model, policy="quest") == 0
+        assert dlm_bytes(tiny_gqa_model, bos_id=None) == 0
+        assert dlm_bytes(tiny_gqa_model, dlm_bytes=123) == 123
+        mla = tiny_mla_model.config  # MLA: one retrieval head per q-head
+        assert dlm_bytes(tiny_mla_model) == 2 * (
+            2 * mla.n_kv_heads * mla.head_dim**2 + mla.vocab_size * mla.head_dim
+        )
+
+    def test_specontext_policy_opts_accept_level_only(
         self, tiny_gqa_model, tiny_tokenizer
     ):
         server = SpeContextServer(tiny_gqa_model, server_config(tiny_tokenizer))
-        prebuilt = make_policy(
-            "specontext", tiny_gqa_model, 96, bos_id=tiny_tokenizer.bos_id
+        prompt, _, _ = make_recall_prompt(
+            tiny_tokenizer, np.random.default_rng(25), n_filler=100
         )
-        rng = np.random.default_rng(24)
-        prompt, _, _ = make_recall_prompt(tiny_tokenizer, rng, n_filler=100)
+        for opts in (
+            {"head": server.head},
+            {"head_config": RetrievalHeadConfig()},
+            {"bos_id": 0},
+            {"rng": np.random.default_rng(0)},
+            {"seed": 1},
+        ):
+            request = GenerationRequest(
+                prompt, SamplingParams(max_new_tokens=2),
+                policy="specontext", policy_opts=opts,
+            )
+            with pytest.raises(RequestValidationError, match="level"):
+                server.add_request(request)
+            assert request.request_id is None and server.n_waiting == 0
         server.add_request(GenerationRequest(
-            prompt, SamplingParams(max_new_tokens=2), policy=prebuilt
+            prompt, SamplingParams(max_new_tokens=2),
+            policy="specontext", policy_opts={"level": "batch"},
         ))
-        with pytest.raises(ValueError, match="already bound"):
-            server.add_request(GenerationRequest(
-                prompt, SamplingParams(max_new_tokens=2), policy=prebuilt
-            ))
-        server.run()
-        # Sequential reuse (previous session drained) is fine.
-        server.add_request(GenerationRequest(
-            prompt, SamplingParams(max_new_tokens=2), policy=prebuilt
-        ))
+        assert server._waiting[0].policy.level == "batch"
         assert server.run()[0].n_generated == 2
 
     def test_clear_history_bounds_bookkeeping(
@@ -349,14 +427,12 @@ class TestServerMatchesModelGenerate:
             prompt, sampling=SamplingParams(max_new_tokens=5), policy=name
         ))
         [output] = server.run()
-        # Built the way SpeContextServer._resolve_policy builds it.
+        # The server's policy, from a head built without the server.
         opts = {}
         if name == "specontext":
             opts = dict(
-                bos_id=config.bos_id,
-                head_config=config.head_config,
+                head=build_head(tiny_gqa_model, config),
                 level=config.selection_level,
-                rng=np.random.default_rng(config.seed),
             )
         policy = make_policy(name, tiny_gqa_model, config.budget, **opts)
         direct = tiny_gqa_model.generate(
@@ -365,16 +441,13 @@ class TestServerMatchesModelGenerate:
         assert output.token_ids == direct.token_ids
 
 
-class TestEngineBackCompat:
+class TestEngine:
+    """``SpeContextEngine``: one EngineConfig, ordinary named requests."""
+
     @pytest.fixture
     def engine(self, tiny_gqa_model, tiny_tokenizer):
         return SpeContextEngine(
-            tiny_gqa_model,
-            tiny_tokenizer.bos_id,
-            budget=96,
-            spec=EDGE_RTX4060_4GB,
-            head_config=RetrievalHeadConfig(noise=0.1),
-            rng=np.random.default_rng(0),
+            tiny_gqa_model, server_config(tiny_tokenizer, max_concurrency=1)
         )
 
     def test_wrapper_matches_direct_model_generate(
@@ -384,11 +457,12 @@ class TestEngineBackCompat:
         rng = np.random.default_rng(12)
         prompt, _, _ = make_recall_prompt(tiny_tokenizer, rng, n_filler=300)
         stats = engine.generate(prompt, max_new_tokens=4)
-        fresh_policy = SpeContextPolicy(engine.head, 96, level="head")
+        fresh_policy = SpeContextPolicy(engine.head.view(), 96, level="head")
         direct = tiny_gqa_model.generate(
             prompt, 4, policy=fresh_policy, sparse_from_first_token=True
         )
         assert stats.text_token_ids == direct.token_ids
+        assert stats.budget == engine.config.budget == 96
 
     def test_engine_rejects_request_past_max_position(
         self, engine, tiny_tokenizer
@@ -401,21 +475,19 @@ class TestEngineBackCompat:
         with pytest.raises(ValueError, match="max_position"):
             engine.generate(prompt, max_new_tokens=max_position)
 
-    def test_policy_reused_across_calls(self, engine, tiny_tokenizer):
-        """The satellite: one policy object serves every generate() call."""
-        policy_before = engine.policy
+    def test_repeat_calls_are_identical(self, engine, tiny_tokenizer):
+        """One head serves every generate() call, and because its keys are
+        a function of the tokens alone, a repeated call repeats everything
+        — transfer bytes included."""
+        head_before = engine.head
         rng = np.random.default_rng(13)
         prompt, _, _ = make_recall_prompt(tiny_tokenizer, rng, n_filler=300)
         first = engine.generate(prompt, max_new_tokens=3)
-        assert engine.policy is policy_before
         second = engine.generate(prompt, max_new_tokens=3)
-        assert engine.policy is policy_before
-        # Explicit reset between requests: histories don't leak across
-        # calls (tokens and offload schedule repeat; transfer bytes may
-        # wiggle because noise-role head keys are drawn from a stateful
-        # rng, exactly as in the pre-refactor engine).
+        assert engine.head is head_before is engine.server.head
+        assert len(engine.head) == 0  # sessions decode on views
         assert first.text_token_ids == second.text_token_ids
-        assert first.bytes_transferred > 0 and second.bytes_transferred > 0
+        assert first.bytes_transferred == second.bytes_transferred > 0
         assert [e.seq_len for e in first.offload_events] == [
             e.seq_len for e in second.offload_events
         ]
@@ -430,61 +502,31 @@ class TestEngineBackCompat:
         engine.generate(prompt_a, max_new_tokens=3)
         reused = engine.generate(prompt_b, max_new_tokens=3)
         fresh = SpeContextEngine(
-            tiny_gqa_model,
-            tiny_tokenizer.bos_id,
-            budget=96,
-            spec=EDGE_RTX4060_4GB,
-            head_config=RetrievalHeadConfig(noise=0.1),
-            rng=np.random.default_rng(0),
+            tiny_gqa_model, server_config(tiny_tokenizer, max_concurrency=1)
         ).generate(prompt_b, max_new_tokens=3)
         assert reused.text_token_ids == fresh.text_token_ids
+        assert reused.bytes_transferred == fresh.bytes_transferred
         assert len(reused.offload_events) == len(fresh.offload_events)
 
-    def test_engine_accepts_engine_config(self, tiny_gqa_model, tiny_tokenizer):
-        config = EngineConfig(
-            budget=96,
-            spec=EDGE_RTX4060_4GB,
-            head_config=RetrievalHeadConfig(noise=0.1),
-            max_concurrency=1,
-        )
-        engine = SpeContextEngine(
-            tiny_gqa_model, tiny_tokenizer.bos_id, config=config,
-            rng=np.random.default_rng(0),
-        )
-        assert engine.budget == 96
+    def test_sampled_generation_is_seeded(self, engine, tiny_tokenizer):
         rng = np.random.default_rng(15)
-        prompt, expected, _ = make_recall_prompt(tiny_tokenizer, rng, n_filler=300)
-        stats = engine.generate(prompt, max_new_tokens=1)
-        assert stats.text_token_ids[0] == expected
+        prompt, _, _ = make_recall_prompt(tiny_tokenizer, rng, n_filler=200)
+        a = engine.generate(prompt, max_new_tokens=4, temperature=0.8, seed=3)
+        b = engine.generate(prompt, max_new_tokens=4, temperature=0.8, seed=3)
+        assert a.text_token_ids == b.text_token_ids
+        with pytest.raises(ValueError, match="requires a seed"):
+            engine.generate(prompt, max_new_tokens=4, temperature=0.8)
 
-    def test_engine_rejects_mixed_kwargs_and_config(
+    def test_engine_takes_a_config_and_needs_bos_id(
         self, tiny_gqa_model, tiny_tokenizer
     ):
-        with pytest.raises(ValueError, match="budget"):
-            SpeContextEngine(
-                tiny_gqa_model,
-                tiny_tokenizer.bos_id,
-                budget=96,
-                config=EngineConfig(spec=EDGE_RTX4060_4GB),
-            )
-
-    def test_engine_bos_id_config_contract(self, tiny_gqa_model, tiny_tokenizer):
-        """Clashing bos_ids raise; a None config.bos_id is filled in."""
         with pytest.raises(ValueError, match="bos_id"):
-            SpeContextEngine(
-                tiny_gqa_model,
-                0,
-                config=EngineConfig(
-                    bos_id=tiny_tokenizer.bos_id, max_concurrency=1
-                ),
-            )
+            SpeContextEngine(tiny_gqa_model, EngineConfig(max_concurrency=1))
+        with pytest.raises(TypeError):
+            SpeContextEngine(tiny_gqa_model, tiny_tokenizer.bos_id, budget=96)
         engine = SpeContextEngine(
-            tiny_gqa_model,
-            tiny_tokenizer.bos_id,
-            config=EngineConfig(max_concurrency=1),
-            rng=np.random.default_rng(0),
+            tiny_gqa_model, EngineConfig(bos_id=tiny_tokenizer.bos_id)
         )
-        assert engine.config.bos_id == tiny_tokenizer.bos_id
         assert engine.head.bos_id == tiny_tokenizer.bos_id
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import EngineConfig
 from repro.core.engine import SpeContextEngine
 from repro.core.retrieval_head import RetrievalHeadConfig
 from repro.distill.dlm import full_dlm_analog
@@ -12,16 +13,20 @@ from repro.hardware.spec import EDGE_RTX4060_4GB
 from tests.conftest import make_recall_prompt
 
 
-@pytest.fixture
-def engine(tiny_gqa_model, tiny_tokenizer):
-    return SpeContextEngine(
-        tiny_gqa_model,
-        tiny_tokenizer.bos_id,
+def engine_config(tokenizer, **overrides) -> EngineConfig:
+    return EngineConfig(
         budget=96,
         spec=EDGE_RTX4060_4GB,
+        bos_id=tokenizer.bos_id,
         head_config=RetrievalHeadConfig(noise=0.1),
-        rng=np.random.default_rng(0),
+        max_concurrency=1,
+        **overrides,
     )
+
+
+@pytest.fixture
+def engine(tiny_gqa_model, tiny_tokenizer):
+    return SpeContextEngine(tiny_gqa_model, engine_config(tiny_tokenizer))
 
 
 class TestGeneration:
@@ -63,17 +68,11 @@ class TestSystemAccounting:
     def test_elastic_reduces_transfer(self, tiny_gqa_model, tiny_tokenizer):
         rng = np.random.default_rng(15)
         prompt, _, _ = make_recall_prompt(tiny_tokenizer, rng, n_filler=300)
-        kwargs = dict(
-            bos_id=tiny_tokenizer.bos_id,
-            budget=96,
-            spec=EDGE_RTX4060_4GB,
-            head_config=RetrievalHeadConfig(noise=0.1),
-        )
         elastic = SpeContextEngine(
-            tiny_gqa_model, elastic=True, rng=np.random.default_rng(0), **kwargs
+            tiny_gqa_model, engine_config(tiny_tokenizer, elastic=True)
         )
         naive = SpeContextEngine(
-            tiny_gqa_model, elastic=False, rng=np.random.default_rng(0), **kwargs
+            tiny_gqa_model, engine_config(tiny_tokenizer, elastic=False)
         )
         a = elastic.generate(prompt, max_new_tokens=6)
         b = naive.generate(prompt, max_new_tokens=6)

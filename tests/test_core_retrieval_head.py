@@ -20,6 +20,17 @@ def make_head(model, tokenizer, noise=0.15, **kwargs):
     )
 
 
+def assert_same_keys(a, b):
+    """Noise/sink/local rows bit-equal; induction rows to GEMM-blocking
+    tolerance (``shifted @ wk.T`` blocks differently per chunk shape)."""
+    assert a.keys.shape == b.keys.shape
+    for h, role in enumerate(a.roles):
+        if role == "induction":
+            np.testing.assert_allclose(a.keys[h], b.keys[h], rtol=1e-5)
+        else:
+            assert (a.keys[h] == b.keys[h]).all(), role
+
+
 class TestConstruction:
     def test_head_count_matches_teacher_q_heads(self, tiny_gqa_model, tiny_tokenizer):
         head = make_head(tiny_gqa_model, tiny_tokenizer)
@@ -69,52 +80,49 @@ class TestKCache:
     def test_chunked_observe_equals_single_observe(
         self, tiny_gqa_model, tiny_tokenizer
     ):
-        """Deterministic-role keys are chunking-invariant (noise heads draw
-        from a stream, so they are excluded)."""
         a = make_head(tiny_gqa_model, tiny_tokenizer)
         b = make_head(tiny_gqa_model, tiny_tokenizer)
         ids = list(range(10, 40))
         a.observe(ids)
         b.observe(ids[:13])
         b.observe(ids[13:])
-        for h, role in enumerate(a.roles):
-            if role != "noise":
-                np.testing.assert_allclose(a.keys[h], b.keys[h], rtol=1e-5)
+        assert_same_keys(b, a)
 
     def test_token_by_token_observe_across_doublings_equals_one_shot(
         self, tiny_gqa_model, tiny_tokenizer
     ):
-        """300 single-token observes cross the 64 -> 128 -> 256 -> 512
-        reallocations; the deterministic roles' keys match a one-shot
-        observe (which allocates once, at the final size)."""
-        one_shot = make_head(tiny_gqa_model, tiny_tokenizer)
-        stepwise = make_head(tiny_gqa_model, tiny_tokenizer)
+        """The K cache is a pure function of the token history: however
+        300 tokens are chunked across the 64 -> 128 -> 256 -> 512
+        reallocations (of the K buffer and of the noise-key table), the
+        keys match a one-shot observe, which allocates once."""
         ids = [int(t) for t in np.random.default_rng(5).integers(8, 500, size=300)]
+        one_shot = make_head(tiny_gqa_model, tiny_tokenizer)
+        assert set(one_shot.roles) == {"induction", "sink", "local", "noise"}
         one_shot.observe(ids)
-        for token in ids:
-            stepwise.observe(token)
-        assert len(stepwise) == len(one_shot) == 300
-        assert stepwise.keys.shape == one_shot.keys.shape
-        assert stepwise.k_cache_bytes() == one_shot.k_cache_bytes()
-        for h, role in enumerate(one_shot.roles):
-            if role != "noise":
-                np.testing.assert_allclose(
-                    stepwise.keys[h], one_shot.keys[h], rtol=1e-5
-                )
+        for sizes in ([1] * 300, [1, 63, 2, 130, 104], [299, 1], [7] * 42 + [6]):
+            assert sum(sizes) == 300
+            chunked = make_head(tiny_gqa_model, tiny_tokenizer)
+            start = 0
+            for size in sizes:
+                chunked.observe(ids[start : start + size])
+                start += size
+            assert len(chunked) == len(one_shot) == 300
+            assert chunked.k_cache_bytes() == one_shot.k_cache_bytes()
+            assert_same_keys(chunked, one_shot)
 
     def test_restore_after_reallocation_is_bit_exact(
         self, tiny_gqa_model, tiny_tokenizer
     ):
-        """The spec-rollback contract: marker -> observes that outgrow the
-        storage -> restore puts keys, token ids and the noise stream back,
-        and replaying the same tokens reproduces the same keys."""
+        """The spec-rollback contract: a marker is just ``len(head)``.
+        marker -> observes that outgrow the storage -> restore puts keys
+        and token ids back, and replaying the same tokens — chunked
+        differently — reproduces the same keys, noise rows included."""
         head = make_head(tiny_gqa_model, tiny_tokenizer)
         assert "noise" in head.roles
         head.observe(list(range(10, 70)))  # 60 rows in 64 slots
-        marker = head.marker()
+        marker = len(head)
         keys_at_marker = head.keys.copy()
         ids_at_marker = list(head._token_ids)
-        rng_at_marker = head._noise_rng.bit_generator.state
 
         drafted = list(range(100, 180))  # 80 more: reallocates
         head.observe(drafted[:3])
@@ -125,26 +133,79 @@ class TestKCache:
         head.restore(marker)
         assert len(head) == 60
         assert head._token_ids == ids_at_marker
-        assert head._noise_rng.bit_generator.state == rng_at_marker
         assert (head.keys == keys_at_marker).all()
         assert head.k_cache_bytes() == keys_at_marker.size * 2
 
-        head.observe(drafted[:3])
-        head.observe(drafted[3:])
-        assert (head.keys == keys_after).all()
+        for token in drafted:
+            head.observe(token)
+        replayed = head.keys
+        for h, role in enumerate(head.roles):
+            if role == "induction":  # GEMM blocking differs by chunk shape
+                np.testing.assert_allclose(replayed[h], keys_after[h], rtol=1e-5)
+            else:
+                assert (replayed[h] == keys_after[h]).all(), role
+
+    def test_noise_keys_stop_at_the_rope_table(self, tiny_gqa_model, tiny_tokenizer):
+        """Positions past ``rope.max_position`` raise, as RotaryEmbedding
+        does for the local role, and leave the head unchanged."""
+        head = make_head(tiny_gqa_model, tiny_tokenizer)
+        limit = head.rope.max_position
+        head.observe([9] * (limit - 1))
+        with pytest.raises(ValueError, match="exceeds table size"):
+            head._noise.rows(limit - 1, limit + 1)
+        with pytest.raises(ValueError, match="exceeds table size"):
+            head.observe([9, 9])
+        assert len(head) == limit - 1
+        head.observe(9)
+        assert len(head) == limit
 
     def test_restore_rejects_newer_marker(self, tiny_gqa_model, tiny_tokenizer):
         head = make_head(tiny_gqa_model, tiny_tokenizer)
         head.observe([1, 2, 3])
-        marker = head.marker()
         head.reset()
         with pytest.raises(ValueError):
-            head.restore(marker)
+            head.restore(3)
 
     def test_scoring_empty_cache_raises(self, tiny_gqa_model, tiny_tokenizer):
         head = make_head(tiny_gqa_model, tiny_tokenizer)
         with pytest.raises(RuntimeError):
             head.attention_weights(5)
+
+
+class TestViews:
+    def test_views_share_weights_and_own_their_rows(
+        self, tiny_gqa_model, tiny_tokenizer
+    ):
+        head = make_head(tiny_gqa_model, tiny_tokenizer)
+        a, b = head.view(), head.view()
+        for view in (a, b):
+            for name in ("wq", "wk", "content"):
+                assert np.shares_memory(getattr(view, name), getattr(head, name))
+            assert view.rope is head.rope
+            assert view._noise is head._noise
+            assert not np.shares_memory(view._k, head._k)
+        a.observe(list(range(10, 90)))  # grows a's buffer and the shared table
+        b.observe([5, 6, 7])
+        assert (len(a), len(b), len(head)) == (80, 3, 0)
+        solo = make_head(tiny_gqa_model, tiny_tokenizer)
+        solo.observe([5, 6, 7])
+        assert (b.keys == solo.keys).all()  # b never saw a's rows
+        noise = [h for h, role in enumerate(head.roles) if role == "noise"]
+        assert (a.keys[noise][:, :3] == b.keys[noise]).all()  # one table
+
+    def test_shared_weights_are_read_only(self, tiny_gqa_model, tiny_tokenizer):
+        head = make_head(tiny_gqa_model, tiny_tokenizer)
+        for array in (head.wq, head.wk, head.content):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_view_of_a_used_head_starts_empty(self, tiny_gqa_model, tiny_tokenizer):
+        head = make_head(tiny_gqa_model, tiny_tokenizer)
+        head.observe([1, 2, 3])
+        view = head.view()
+        assert len(view) == 0 and len(head) == 3
+        view.observe([4])
+        assert head._token_ids == [1, 2, 3]
 
 
 class TestSelection:

@@ -23,12 +23,14 @@ contract runs over ``EXECUTORS = (InProcessExecutor, MultiprocExecutor)``:
 - typed validation errors raised worker-side ship back across the pipe
   and leave the executor retryable (request, ids, routing stats and
   router cursor restored);
-- requests that cannot survive shipment or failover (generator objects,
-  prebuilt policy objects) are rejected identically by both executors.
+- requests are plain data (names and seeds, never policy or generator
+  objects): the single server and both executors refuse the same
+  requests with the same typed error.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing as mp
 import threading
 
@@ -804,24 +806,39 @@ class TestExecutorValidation:
         # versus a run that never saw the bad submissions.
         assert placements == clean
 
-    @pytest.mark.parametrize("kind", EXECUTORS)
-    def test_non_portable_requests_rejected(
+    @pytest.mark.parametrize("kind", (SpeContextServer, *EXECUTORS))
+    def test_requests_are_plain_data_on_every_frontend(
         self, tiny_gqa_model, tiny_tokenizer, kind
     ):
+        """Names and seeds only: the single server and both executors
+        refuse the same requests with the same typed (HTTP 400) error,
+        and stay retryable afterwards."""
         base = mixed_policy_requests(tiny_tokenizer, n=1)[0]
-        with kind(
-            tiny_gqa_model,
-            engine_config(tiny_tokenizer),
-            cluster_config(1),
-        ) as executor:
-            with_rng = clone(base)
-            with_rng.rng = np.random.default_rng(3)
-            with pytest.raises(RequestValidationError, match="seed"):
-                executor.add_request(with_rng)
+        with pytest.raises(RequestValidationError, match="registry name"):
+            GenerationRequest(base.prompt_ids, policy=object())
+        with pytest.raises(TypeError, match="rng"):
+            GenerationRequest(base.prompt_ids, rng=np.random.default_rng(3))
+        config = engine_config(tiny_tokenizer)
+        with contextlib.ExitStack() as stack:
+            if kind is SpeContextServer:
+                frontend = SpeContextServer(tiny_gqa_model, config)
+            else:
+                frontend = stack.enter_context(
+                    kind(tiny_gqa_model, config, cluster_config(1))
+                )
             prebuilt = clone(base)
-            prebuilt.policy = object()  # stands in for a policy instance
-            with pytest.raises(RequestValidationError, match="registry name"):
-                executor.add_request(prebuilt)
+            prebuilt.policy = object()  # set after construction
+            head_opts = clone(base)
+            head_opts.policy = "specontext"
+            head_opts.policy_opts = {"rng": 1}
+            for bad, match in ((prebuilt, "registry name"), (head_opts, "level")):
+                with pytest.raises(RequestValidationError, match=match) as err:
+                    frontend.add_request(bad)
+                assert type(err.value) is RequestValidationError
+                assert err.value.http_status == 400
+                assert err.value.code == "invalid_request_error"
+                assert bad.request_id is None
+            assert frontend.add_request(clone(base)) == 0
 
     def test_make_executor_dispatch(self, tiny_gqa_model, tiny_tokenizer):
         config = engine_config(tiny_tokenizer)

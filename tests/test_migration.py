@@ -220,8 +220,8 @@ def _same(a, b) -> bool:
         return False
     if isinstance(a, np.ndarray):
         return a.dtype == b.dtype and np.array_equal(a, b)
-    if isinstance(a, np.random.Generator):
-        return _same(a.bit_generator.state, b.bit_generator.state)
+    if isinstance(a, np.random.Generator):  # same state <=> same next draws
+        return _same(*(copy.deepcopy(g).integers(2**63, size=4) for g in (a, b)))
     if isinstance(a, dict):
         return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
     if isinstance(a, (list, tuple)):

@@ -326,8 +326,12 @@ class TestBatchedDecodeStep:
 
     def _make_sessions(self, model, tokenizer, policy_names, budget=48):
         """Two identical session sets: one for each decode path."""
+        from repro.core.retrieval_head import LightweightRetrievalHead
         from repro.retrieval.registry import make_policy
 
+        head = LightweightRetrievalHead.from_teacher(
+            model.weights, tokenizer.bos_id, np.random.default_rng(0)
+        )
         sets = []
         for _ in range(2):
             caches, pendings, policies = [], [], []
@@ -339,9 +343,7 @@ class TestBatchedDecodeStep:
                 model.prefill(prompt[:-1], cache)
                 policy = None
                 if name is not None:
-                    opts = (
-                        {"bos_id": tokenizer.bos_id} if name == "specontext" else {}
-                    )
+                    opts = {"head": head} if name == "specontext" else {}
                     policy = make_policy(name, model, budget, **opts)
                     policy.begin_generation(prompt[:-1], cache)
                 caches.append(cache)

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.api import EngineConfig, GenerationRequest, SamplingParams
+from repro.core.retrieval_head import SpeContextPolicy
 from repro.serving import (
     SpeContextServer,
     make_executor,
@@ -39,13 +40,6 @@ ALL_NAMES = (
     "specontext", "quest", "h2o", "shadowkv", "clusterkv",
     "streaming", "sliding", "full",
 )
-# Policies whose per-request state is a deterministic function of the
-# replayed inputs — exact under recompute-mode preemption. (specontext's
-# noise-role head keys come from a stateful rng, so it needs swap mode.)
-RECOMPUTE_EXACT = (
-    "quest", "h2o", "shadowkv", "clusterkv", "streaming", "sliding", "full",
-)
-
 
 def pool_config(tokenizer, **overrides) -> EngineConfig:
     defaults = dict(
@@ -75,6 +69,64 @@ def clone(request: GenerationRequest) -> GenerationRequest:
         budget=request.budget,
         priority=request.priority,
     )
+
+
+def tracked(server: SpeContextServer, request: GenerationRequest):
+    """Submit; return the session record (its policy outlives the run)."""
+    server.add_request(request)
+    return server._waiting[-1]
+
+
+def solo_sessions(model, config, requests):
+    """Each request run alone on a fresh server, as finished sessions."""
+    sessions = []
+    for request in requests:
+        solo = SpeContextServer(model, config)
+        sessions.append(tracked(solo, clone(request)))
+        solo.run()
+    return sessions
+
+
+def assert_same_selections(ours, theirs):
+    """Per-step {layer: selection} histories, equal array for array."""
+    assert len(ours) == len(theirs)
+    for step_ours, step_theirs in zip(ours, theirs):
+        assert step_ours.keys() == step_theirs.keys()
+        for layer, selection in step_theirs.items():
+            assert np.array_equal(step_ours[layer], selection), layer
+
+
+def assert_session_matches_solo(session, solo):
+    """Tokens, every step's selections and — for specontext — the
+    retrieval head's selection history and final K cache, bit for bit."""
+    assert session.result.token_ids == solo.result.token_ids
+    assert_same_selections(session.result.selections, solo.result.selections)
+    assert type(session.policy) is type(solo.policy)
+    if isinstance(solo.policy, SpeContextPolicy):
+        ours, theirs = session.policy, solo.policy
+        assert len(ours.selection_history) == len(theirs.selection_history) > 0
+        for a, b in zip(ours.selection_history, theirs.selection_history):
+            assert np.array_equal(a, b)
+        assert "noise" in theirs.head.roles
+        assert np.array_equal(ours.head.keys, theirs.head.keys)
+
+
+def preemption_request(tokenizer, name: str, priority: int = 0):
+    """The forced-preemption matrix's request for policy ``name``."""
+    return GenerationRequest(
+        filler_prompt(tokenizer, 40 + ALL_NAMES.index(name), 28),
+        SamplingParams(max_new_tokens=14),
+        policy=name,
+        budget=16,  # below the prompt: every policy really selects
+        priority=priority,
+    )
+
+
+@pytest.fixture(scope="module")
+def solo_by_policy(tiny_gqa_model, tiny_tokenizer):
+    requests = [preemption_request(tiny_tokenizer, name) for name in ALL_NAMES]
+    sessions = solo_sessions(tiny_gqa_model, pool_config(tiny_tokenizer), requests)
+    return dict(zip(ALL_NAMES, sessions))
 
 
 def mixed_workload(tokenizer, n=8, max_new_tokens=12, prompt_tokens=30):
@@ -174,40 +226,41 @@ class TestPoolPressureServing:
     @pytest.mark.parametrize("mode", ["swap", "recompute"])
     @pytest.mark.parametrize("scheduler", ["fcfs", "priority", "sjf"])
     def test_preemption_exact_across_modes_and_schedulers(
-        self, mode, scheduler, tiny_gqa_model, tiny_tokenizer
+        self, mode, scheduler, solo_by_policy, tiny_gqa_model, tiny_tokenizer
     ):
-        policies = RECOMPUTE_EXACT if mode == "recompute" else ALL_NAMES
-        requests = [
-            GenerationRequest(
-                filler_prompt(tiny_tokenizer, 40 + i, 28),
-                SamplingParams(max_new_tokens=14),
-                policy=policies[i % len(policies)],
-                priority=i % 2,
+        """All 8 policies are preempted in every mode x scheduler cell, and
+        each ends with the tokens, per-step selections and (specontext)
+        retrieval-head state of its solo run — recompute included, because
+        every policy's state is a function of the tokens it has seen.
+        Three rotations of the submission order move the three victims of
+        a run over all eight policies."""
+        victims = set()
+        for rotation in range(3):
+            names = ALL_NAMES[rotation:] + ALL_NAMES[:rotation]
+            requests = [
+                preemption_request(tiny_tokenizer, name, priority=i % 2)
+                for i, name in enumerate(names)
+            ]
+            server = SpeContextServer(
+                tiny_gqa_model,
+                pool_config(
+                    tiny_tokenizer,
+                    pool_blocks=9,
+                    preempt_mode=mode,
+                    scheduler=scheduler,
+                ),
             )
-            for i in range(4)
-        ]
-        solo = solo_token_streams(
-            tiny_gqa_model, pool_config(tiny_tokenizer), requests, clone
-        )
-        server = SpeContextServer(
-            tiny_gqa_model,
-            pool_config(
-                tiny_tokenizer,
-                pool_blocks=9,
-                preempt_mode=mode,
-                scheduler=scheduler,
-            ),
-        )
-        for request in requests:
-            server.add_request(clone(request))
-        outputs = server.run()
-        assert len(server.preemption_log) > 0
-        assert [o.token_ids for o in outputs] == solo
-        if mode == "swap":
-            preempted = [o for o in outputs if o.stats.preemptions]
-            assert preempted and all(
-                o.stats.swap_bytes > 0 for o in preempted
-            )
+            sessions = [tracked(server, request) for request in requests]
+            outputs = server.run()
+            victims |= {names[e.request_id] for e in server.preemption_log}
+            for name, session in zip(names, sessions):
+                assert_session_matches_solo(session, solo_by_policy[name])
+            if mode == "swap":
+                preempted = [o for o in outputs if o.stats.preemptions]
+                assert preempted and all(
+                    o.stats.swap_bytes > 0 for o in preempted
+                )
+        assert victims == set(ALL_NAMES)
 
     @pytest.mark.parametrize("batched", [True, False])
     def test_recompute_victim_preempted_before_first_decode_restarts_fresh(
@@ -625,13 +678,7 @@ def assert_outputs_bit_identical(batched_outputs, sequential_outputs):
         assert sb.swap_bytes == ss.swap_bytes
         assert sb.prefix_reused_tokens == ss.prefix_reused_tokens
         assert len(sb.offload_events) == len(ss.offload_events)
-        assert len(sb.result.selections) == len(ss.result.selections)
-        for step_b, step_s in zip(sb.result.selections, ss.result.selections):
-            assert step_b.keys() == step_s.keys()
-            for layer, selection in step_s.items():
-                assert np.array_equal(step_b[layer], selection), (
-                    b.request_id, layer,
-                )
+        assert_same_selections(sb.result.selections, ss.result.selections)
 
 
 class TestBatchedDecodeEquivalence:
@@ -708,14 +755,14 @@ class TestBatchedDecodeEquivalence:
     def test_preempt_modes_bit_identical(
         self, mode, tiny_gqa_model, tiny_tokenizer
     ):
-        policies = RECOMPUTE_EXACT if mode == "recompute" else ALL_NAMES
         requests = [
             GenerationRequest(
                 filler_prompt(tiny_tokenizer, 70 + i, 28),
                 SamplingParams(max_new_tokens=14),
-                policy=policies[i % len(policies)],
+                policy=name,
+                budget=16,  # below the prompt: every policy really selects
             )
-            for i in range(4)
+            for i, name in enumerate(ALL_NAMES)
         ]
         batched, sequential, b_out, s_out = self.run_pair(
             tiny_gqa_model,

@@ -68,6 +68,41 @@ class TestPolicyBench:
             else:
                 assert policy is not None
 
+    def test_ours_is_invariant_to_example_and_engine_order(self, setup):
+        """Every policy is a fresh session view of the bench's head, so an
+        example's score and selections do not depend on which examples or
+        which engine ("Ours" / "Ours(batch)") ran before it."""
+        rng = np.random.default_rng(44)
+        examples = [
+            make_trivia(setup.tokenizer, rng, context_len=384, answer_len=3)
+            for _ in range(2)
+        ]
+        prepared = [prepare_prompt(setup.model, e.prompt_ids) for e in examples]
+
+        def run(order):
+            cells = {}
+            for engine, i in order:
+                out = decode_with_policy(
+                    setup.model, prepared[i], setup.bench.policy(engine, 32),
+                    examples[i].max_new_tokens, examples[i].stop_ids,
+                )
+                cells[engine, i] = (score_qa(examples[i], out.token_ids), out)
+            return cells
+
+        order = [(e, i) for e in ("Ours", "Ours(batch)") for i in range(2)]
+        forward, backward = run(order), run(order[::-1])
+        for cell in order:
+            (score_f, out_f), (score_b, out_b) = forward[cell], backward[cell]
+            assert score_f == score_b and out_f.token_ids == out_b.token_ids
+            assert len(out_f.selections) == len(out_b.selections) > 0
+            for step_f, step_b in zip(out_f.selections, out_b.selections):
+                assert step_f.keys() == step_b.keys() and step_f
+                for layer, selection in step_f.items():
+                    assert np.array_equal(selection, step_b[layer])
+        a, b = setup.bench.policy("Ours", 32), setup.bench.policy("Ours(batch)", 32)
+        assert a.head is not b.head and a.head is not setup.bench.head
+        assert np.shares_memory(a.head.wq, setup.bench.head.wq)
+
     def test_unknown_engine_raises(self, setup):
         with pytest.raises(KeyError):
             setup.bench.policy("vLLM", 64)
