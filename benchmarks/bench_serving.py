@@ -17,8 +17,10 @@ trajectory:
    latency percentiles and per-step token-budget accounting. The long
    prefill freezes the monolithic decode wave for one giant step —
    head-of-line blocking — while the chunked server streams it in under
-   the step budget, so TTFT p95 and decode-step p95 must improve
-   (CI gates on ``--min-ttft-gain``).
+   the step budget, so decode-step p95 must improve (CI gates on
+   ``--min-step-gain``). ``ttft_p95_gain`` is reported, not gated: on
+   this trace TTFT p95 is the long prompt's *own* TTFT, which chunking
+   stretches over several steps by design.
 
 3. **Speculative decode** — replays a mixed trace (periodic prompts the
    distilled draft model predicts nearly perfectly, plus unpredictable
@@ -40,7 +42,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_serving.py            # full
     PYTHONPATH=src python benchmarks/bench_serving.py --smoke \
-        --min-speedup 1.0 --min-ttft-gain 1.0                    # CI gate
+        --min-speedup 1.0 --min-step-gain 1.0                    # CI gate
     PYTHONPATH=src python benchmarks/bench_serving.py --sessions 16 \
         --policy quest --long-prompt-len 1024 --out BENCH_serving.json
     PYTHONPATH=src python benchmarks/bench_serving.py --spec-smoke \
@@ -590,10 +592,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="arrival step of the long prompt")
     parser.add_argument("--prefill-chunk-tokens", type=int, default=32)
     parser.add_argument("--max-step-tokens", type=int, default=48)
-    parser.add_argument("--min-ttft-gain", type=float, default=None,
-                        help="exit non-zero if monolithic/chunked TTFT p95 "
-                        "falls below this ratio (1.0 = chunked must not "
-                        "regress)")
+    parser.add_argument("--min-step-gain", type=float, default=None,
+                        help="exit non-zero if monolithic/chunked decode-step "
+                        "p95 falls below this ratio (1.0 = chunking must not "
+                        "worsen head-of-line blocking)")
     # ---- speculative-decoding sub-benchmark ----
     parser.add_argument("--spec-k", type=int, default=4,
                         help="draft tokens per verify pass in the "
@@ -717,13 +719,13 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
     if (
-        args.min_ttft_gain is not None
-        and chunked_report["ttft_p95_gain"] < args.min_ttft_gain
+        args.min_step_gain is not None
+        and chunked_report["decode_step_p95_gain"] < args.min_step_gain
     ):
         print(
-            f"FAIL: chunked-prefill TTFT p95 gain "
-            f"{chunked_report['ttft_p95_gain']:.2f}x below required "
-            f"{args.min_ttft_gain:.2f}x",
+            f"FAIL: chunked-prefill decode-step p95 gain "
+            f"{chunked_report['decode_step_p95_gain']:.2f}x below required "
+            f"{args.min_step_gain:.2f}x",
             file=sys.stderr,
         )
         return 1

@@ -177,11 +177,14 @@ class RotaryEmbedding:
                 f"positions shape {positions.shape} does not match seq "
                 f"len {x.shape[-2]}"
             )
-        if np.any(positions >= self.max_position):
-            raise ValueError(
-                f"position {int(positions.max())} exceeds table size "
-                f"{self.max_position}"
-            )
+        if positions.size:
+            low, high = int(positions.min()), int(positions.max())
+            if low < 0:  # fancy indexing would wrap it to the table's tail
+                raise ValueError(f"negative position {low}")
+            if high >= self.max_position:
+                raise ValueError(
+                    f"position {high} exceeds table size {self.max_position}"
+                )
         cos = self._cos[positions]
         sin = self._sin[positions]
         half = self.dim // 2

@@ -127,10 +127,10 @@ class TestBenchServing:
         assert rc == 1
         assert "below required" in capsys.readouterr().err
 
-    def test_min_ttft_gain_gate_fails_when_unmet(self, tmp_path, capsys):
-        rc, _ = self.run_bench(tmp_path, extra=("--min-ttft-gain", "1e9"))
+    def test_min_step_gain_gate_fails_when_unmet(self, tmp_path, capsys):
+        rc, _ = self.run_bench(tmp_path, extra=("--min-step-gain", "1e9"))
         assert rc == 1
-        assert "TTFT" in capsys.readouterr().err
+        assert "decode-step p95 gain" in capsys.readouterr().err
 
     def test_unknown_policy_rejected(self, tmp_path, capsys):
         rc = bench_serving.main(["--policy", "nope", "--out", str(tmp_path / "x")])

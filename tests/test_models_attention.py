@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.models.attention import PREFILL_TILE
 from repro.models.config import AttentionKind
 
 
@@ -180,8 +183,6 @@ class TestRopeMaskHoisting:
         """Masks are built once at __init__, not per projection call."""
         for layer in tiny_gqa_model.layers:
             attn = layer.attention
-            assert attn._q_rope_mask() is attn._q_mask
-            assert attn._kv_rope_mask() is attn._kv_mask
             assert not attn._q_mask.flags.writeable
             assert attn._q_mask.dtype == bool
             assert attn._q_mask.shape == (attn.config.n_q_heads,)
@@ -200,3 +201,111 @@ class TestRopeMaskHoisting:
                 ).all()
             else:
                 assert attn._q_mask.all()
+
+
+def _naive_prefill(attn, x, base, cache):
+    """Row-by-row float64 causal attention over ``cache`` (which already
+    holds the chunk's own KV at ``base..``), then the output projection."""
+    cfg = attn.config
+    seq = x.shape[0]
+    q = attn._project_q(x, np.arange(base, base + seq)).astype(np.float64)
+    if cfg.attention is AttentionKind.MLA:
+        k, v = attn._mla_expand(cache.keys[0, 0], np.arange(len(cache)))
+    else:
+        k, v = cache.keys[0], cache.values[0]
+    k, v = k.astype(np.float64), v.astype(np.float64)
+    group = cfg.n_q_heads // k.shape[0]
+    heads = np.empty((seq, cfg.n_q_heads, cfg.head_dim))
+    for h in range(cfg.n_q_heads):
+        for r in range(seq):
+            visible = base + r + 1
+            scores = k[h // group, :visible] @ q[h, r] / np.sqrt(cfg.head_dim)
+            weights = np.exp(scores - scores.max())
+            heads[r, h] = (weights / weights.sum()) @ v[h // group, :visible]
+    return heads.reshape(seq, -1) @ attn.layer.wo.astype(np.float64).T
+
+
+T = PREFILL_TILE
+
+
+@pytest.mark.parametrize("model_name", MODELS)
+class TestPrefillKernel:
+    @pytest.mark.parametrize("kv_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "base,rows",
+        [
+            (0, 1),  # a single row
+            (T // 2 + 3, 1),  # ... at an unaligned base
+            (0, T),  # exactly one tile
+            (0, T + 7),  # rows not a multiple of the tile
+            (T // 2 + 3, 2 * T + 9),  # unaligned base, three tiles
+            (T, 3 * T),  # several whole tiles behind a cached prefix
+        ],
+    )
+    def test_prefill_matches_naive_reference(
+        self, model_name, kv_dtype, base, rows, request
+    ):
+        model = request.getfixturevalue(model_name)
+        attn = model.layers[0].attention
+        cache = model.new_cache(dtype=kv_dtype)[0]
+        rng = np.random.default_rng([base, rows])
+        x = rng.standard_normal((base + rows, model.config.d_model)).astype(np.float32)
+        if base:
+            attn.prefill(x[:base], np.arange(base), cache)
+        out = attn.prefill(x[base:], np.arange(base, base + rows), cache)
+        expected = _naive_prefill(attn, x[base:], base, cache)
+        assert out.dtype == np.float32
+        # Float64 KV: one rounding of the heads to float32, then the
+        # float32 output GEMM. Float32 KV: scores of a few hundred carry
+        # ~1e-5 of float32 rounding into the exponent (measured worst
+        # 1.4e-4; the einsum kernel this replaced read 6e-5 here).
+        tol = 1e-6 if kv_dtype is np.float64 else 5e-4
+        np.testing.assert_allclose(out, expected, rtol=tol, atol=tol)
+
+    def test_prefill_never_calls_einsum(
+        self, model_name, request, tiny_tokenizer, monkeypatch
+    ):
+        """The non-BLAS c_einsum contractions (~7 GFLOP/s where matmul
+        runs ~40) must not come back unnoticed."""
+
+        def einsum(*args, **kwargs):
+            raise AssertionError("np.einsum on the prefill path")
+
+        monkeypatch.setattr(np, "einsum", einsum)
+        model = request.getfixturevalue(model_name)
+        prompt = _prompt(tiny_tokenizer, np.random.default_rng(56), n=T + 9)
+        cache = model.new_cache()
+        model.prefill(prompt[:T], cache)
+        model.prefill(prompt[T:], cache)  # resumed chunk over a cached prefix
+        assert cache.seq_len == prompt.size
+
+
+N_PROMPT = 2 * T + 22
+
+
+@pytest.mark.parametrize("kv_dtype", [np.float32, np.float64])
+@settings(max_examples=20, deadline=None)
+@given(cuts=st.frozensets(st.integers(1, N_PROMPT - 1), max_size=12))
+@example(cuts=frozenset())  # one chunk: the identical call
+@example(cuts=frozenset(range(1, N_PROMPT)))  # every chunk one token
+@example(cuts=frozenset({1, T - 1, T, T + 1, N_PROMPT - 1}))
+def test_any_chunking_of_a_prompt_prefills_the_same(
+    cuts, kv_dtype, tiny_gqa_model, tiny_tokenizer
+):
+    """Chunked == unchunked prefill is a token-stream contract: the
+    next-token argmax is equal for every chunking, values agree within the
+    tolerance ``test_prefill_chunked_matches_one_shot`` uses."""
+    model = tiny_gqa_model
+    prompt = _prompt(tiny_tokenizer, np.random.default_rng(57), n=N_PROMPT)
+    one_shot = model.new_cache(dtype=kv_dtype)
+    expected = model.prefill(prompt, one_shot)
+    chunked = model.new_cache(dtype=kv_dtype)
+    for chunk in np.split(prompt, sorted(cuts)):
+        logits = model.prefill(chunk, chunked)
+    assert int(np.argmax(logits)) == int(np.argmax(expected))
+    np.testing.assert_allclose(logits, expected, rtol=1e-4, atol=1e-5)
+    for want, got in zip(one_shot.layers, chunked.layers):
+        np.testing.assert_allclose(got.keys, want.keys, rtol=1e-4, atol=1e-5)
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-4, atol=1e-5)
+    if not cuts:
+        np.testing.assert_array_equal(logits, expected)

@@ -52,10 +52,24 @@ class TestRotaryEmbedding:
         with pytest.raises(ValueError):
             RotaryEmbedding(dim=7, max_position=16)
 
-    def test_position_overflow_rejected(self):
+    @pytest.mark.parametrize(
+        "positions,message",
+        [
+            ([4], "exceeds table size"),
+            ([0, 9], "exceeds table size"),
+            # Fancy indexing would wrap these: -1 reads the table's last row.
+            ([-1], "negative position -1"),
+            ([2, -3, 1], "negative position -3"),
+        ],
+    )
+    def test_position_outside_table_rejected(self, positions, message):
         rope = RotaryEmbedding(dim=8, max_position=4)
-        with pytest.raises(ValueError):
-            rope.apply(_rand((1, 1, 8)), np.array([4]))
+        with pytest.raises(ValueError, match=message):
+            rope.apply(_rand((1, len(positions), 8)), np.array(positions))
+
+    def test_empty_positions_accepted(self):
+        rope = RotaryEmbedding(dim=8, max_position=4)
+        assert rope.apply(_rand((1, 0, 8)), np.array([], dtype=int)).shape == (1, 0, 8)
 
     def test_position_shape_mismatch_rejected(self):
         rope = RotaryEmbedding(dim=8, max_position=16)
