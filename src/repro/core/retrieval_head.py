@@ -42,7 +42,7 @@ from repro.kvcache.cache import LayerKVCache, ModelKVCache
 from repro.models.builder import head_roles
 from repro.models.config import AttentionKind, ModelConfig
 from repro.models.weights import DTYPE, ModelWeights
-from repro.tensor.ops import softmax, top_k_indices
+from repro.tensor.ops import top_k_indices
 from repro.tensor.rope import RotaryEmbedding, YarnConfig
 
 
@@ -65,45 +65,58 @@ class RetrievalHeadConfig:
     always_recent: int = 2
 
 
-class _NoiseKeys:
-    """A fixed random key per (noise head, position), materialised on demand.
+class _PositionTables:
+    """Keys and queries that depend on the position alone, built on demand.
 
     The same trade ``RotaryEmbedding`` makes for cos/sin: a position-indexed
-    table instead of a stateful generator. Row ``p`` of head ``i`` is always
-    the ``p``-th draw of that head's own stream, so the table grows by
-    capacity doubling without any row depending on how ``observe`` calls (or
-    the growth steps) were chunked.
+    table instead of a stateful generator (``noise``) or a ``rope.apply`` per
+    step (``local``). Row ``p`` of noise head ``i`` is always the ``p``-th
+    draw of that head's own stream and local row ``p`` is always
+    ``rope.apply(ones / sqrt(dc), [p])``, so the tables grow by capacity
+    doubling without any row depending on how ``observe`` calls (or the
+    growth steps) were chunked. One instance serves every view of a head.
     """
 
-    def __init__(self, seed: int, n_heads: int, dc: int, max_position: int):
-        self._rngs = [np.random.default_rng([seed, i]) for i in range(n_heads)]
-        self._rows = np.zeros((n_heads, 0, dc), dtype=DTYPE)
-        self.max_position = max_position
+    def __init__(self, seed: int, n_noise: int, dc: int, rope: RotaryEmbedding):
+        self._rngs = [np.random.default_rng([seed, i]) for i in range(n_noise)]
+        self._rope = rope
+        self.noise = np.zeros((n_noise, 0, dc))  # float32-rounded keys
+        self.local_q = np.zeros((0, dc))  # un-rounded: the local query at p
+        self.local_k = np.zeros((0, dc))  # float32-rounded: the local key at p
 
-    def rows(self, start: int, end: int) -> np.ndarray:
-        """Keys of positions [start, end), shape (n_heads, end - start, dc)."""
-        if end > self.max_position:
-            raise ValueError(
-                f"position {end - 1} exceeds table size {self.max_position}"
-            )
-        have, dc = self._rows.shape[1:]
-        if end > have:
-            grown = min(max(end, 2 * have, 64), self.max_position)
-            fresh = [rng.standard_normal((grown - have, dc)) for rng in self._rngs]
-            self._rows = np.concatenate(
-                [self._rows, np.asarray(fresh, dtype=DTYPE)], axis=1
-            )
-        return self._rows[:, start:end]
+    def reserve(self, end: int) -> None:
+        """Materialise rows [0, end); ``end`` is at most ``rope.max_position``."""
+        have, dc = self.local_q.shape
+        if end <= have:
+            return
+        grown = min(max(end, 2 * have, 64), self._rope.max_position)
+        draws = [rng.standard_normal((grown - have, dc)) for rng in self._rngs]
+        fresh = np.asarray(draws, dtype=DTYPE).reshape(len(draws), grown - have, dc)
+        self.noise = np.concatenate([self.noise, fresh], axis=1)
+        u = np.ones((grown - have, dc), dtype=DTYPE) / np.sqrt(dc)
+        local = self._rope.apply(u, np.arange(have, grown))
+        self.local_q = np.concatenate([self.local_q, local])
+        self.local_k = np.concatenate([self.local_k, local.astype(DTYPE)])
 
 
 class LightweightRetrievalHead:
     """Pruned-DLM retrieval head bound to a specific teacher model.
 
-    The weights (content, ``wq``/``wk``, RoPE, noise-key table) are built
-    once and never written again; the K cache and token ids are the only
-    per-request state, and they are a pure function of the observed token
-    history. :meth:`view` hands out further heads over the same weights,
-    one per concurrent session.
+    The weights (content, ``wq``/``wk``, the sink query, RoPE, the position
+    tables) are built once and shared by every :meth:`view`; a session owns
+    only the key rows that depend on its token history — one block per
+    ``induction`` head and one ``sink`` block (``content[token]``, the same
+    for every sink head) — and the token ids. ``local`` and ``noise`` keys
+    are rows of the shared position tables, so a decode step computes only
+    what its new token causes.
+
+    Precision is a contract, not an accident: ``wq``/``wk`` are float64
+    (``/ np.sqrt(dc)`` promotes), so the ``induction``, ``local`` and
+    ``noise`` queries are float64 and those roles score float32-rounded keys
+    in float64 arithmetic; the ``sink`` query is a float32 content row and
+    scores in float32. Each key block is stored in the dtype its GEMV runs
+    in — float64 containers of float32 values, float32 for ``sink`` — so
+    scoring converts nothing. Changing any of this moves selection bits.
     """
 
     def __init__(
@@ -121,7 +134,6 @@ class LightweightRetrievalHead:
         self.bos_id = bos_id
         self.roles = roles  # one role per retrieval q-head
         self.n_heads = len(roles)
-        self._noise_heads = [h for h, role in enumerate(roles) if role == "noise"]
         dc = content.shape[1]
         self.dc = dc
 
@@ -133,6 +145,7 @@ class LightweightRetrievalHead:
 
         self.wq = np.stack([perturbed() for _ in range(self.n_heads)])
         self.wk = np.stack([perturbed() for _ in range(self.n_heads)])
+        self._sink_q = self.content[bos_id]
 
         scale = max(teacher_config.max_position, config.dlm_trained_context)
         yarn = YarnConfig(
@@ -142,23 +155,44 @@ class LightweightRetrievalHead:
         self.rope = RotaryEmbedding(
             dim=dc, max_position=scale, base=teacher_config.rope_base, yarn=yarn
         )
-        self._noise = _NoiseKeys(
-            int(rng.integers(0, 2**63)), len(self._noise_heads), dc, scale
+        self._tables = _PositionTables(
+            int(rng.integers(0, 2**63)), roles.count("noise"), dc, self.rope
         )
-        for shared in (self.content, self.wq, self.wk):
+        for shared in (self.content, self.wq, self.wk, self._sink_q):
             shared.setflags(write=False)
 
-        # The head's own K cache: per-head key vectors, one row per token.
-        # Storage grows by capacity doubling (as LayerKVCache does); the
-        # valid length is len(self._token_ids).
-        self._k = np.zeros((self.n_heads, 64, dc), dtype=DTYPE)
+        # Heads that score alike are scored once: a row is (role, index) —
+        # each induction head's block, each noise head's table, 0 for the one
+        # sink row and the one local row. Group reduction and batch pooling
+        # are maxima and max(a, a) = a, so nothing downstream changes.
+        self._induction_heads = [h for h, r in enumerate(roles) if r == "induction"]
+        per_head = [
+            (role, roles[:h].count(role) if role in ("induction", "noise") else 0)
+            for h, role in enumerate(roles)
+        ]
+        self._rows = sorted(set(per_head))
+        per_q_head = teacher_config.attention in (AttentionKind.MHA, AttentionKind.MLA)
+        group = 1 if per_q_head else teacher_config.group_size
+        self._row_of_head = np.array([self._rows.index(row) for row in per_head])
+        # Distinct rows of each selection group, squared off by repetition.
+        groups = [
+            sorted(set(rows)) for rows in self._row_of_head.reshape(-1, group).tolist()
+        ]
+        width = max(map(len, groups))
+        self._group_rows = np.array([(rows * width)[:width] for rows in groups])
+        self._new_cache()
+
+    def _new_cache(self) -> None:
+        """Empty per-session storage: grows by capacity doubling (as
+        LayerKVCache does); the valid length is len(self._token_ids)."""
+        self._induction = np.zeros((len(self._induction_heads), 64, self.dc))
+        self._sink = np.zeros((64, self.dc), dtype=DTYPE)
         self._token_ids: list[int] = []
 
     def view(self) -> "LightweightRetrievalHead":
         """A head for one more session: shared weights, its own empty K cache."""
         view = copy.copy(self)
-        view._k = np.zeros((self.n_heads, 64, self.dc), dtype=DTYPE)
-        view._token_ids = []
+        view._new_cache()
         return view
 
     # ---- construction ---------------------------------------------------------
@@ -196,10 +230,24 @@ class LightweightRetrievalHead:
         """Drop the K cache (new request); the storage is kept for reuse."""
         self._token_ids = []
 
+    def _key_block(self, role: str, index: int) -> np.ndarray:
+        """Key storage of one distinct row, (capacity, dc)."""
+        if role == "induction":
+            return self._induction[index]
+        if role == "sink":
+            return self._sink
+        if role == "local":
+            return self._tables.local_k
+        return self._tables.noise[index]
+
     @property
     def keys(self) -> np.ndarray:
-        """View of the valid key rows, shape (n_heads, len, dc)."""
-        return self._k[:, : len(self._token_ids)]
+        """The K cache the paper's head holds, (n_heads, len, dc) float32."""
+        seq = len(self._token_ids)
+        keys = np.empty((self.n_heads, seq, self.dc), dtype=DTYPE)
+        for h, row in enumerate(self._row_of_head):
+            keys[h] = self._key_block(*self._rows[row])[:seq]
+        return keys
 
     def observe(self, token_ids: np.ndarray | list[int] | int) -> None:
         """Append tokens to the head's K cache (prompt chunk or new token)."""
@@ -207,31 +255,28 @@ class LightweightRetrievalHead:
         if not token_ids:
             return
         start = len(self._token_ids)
+        end = start + len(token_ids)
+        limit = self.rope.max_position
+        if end > limit:
+            raise ValueError(f"position {end - 1} exceeds table size {limit}")
         prev_ids = ([self._token_ids[-1]] if self._token_ids else [token_ids[0]])
         prev_ids = prev_ids + token_ids[:-1]
         cur = self.content[token_ids]  # (n, dc)
         prev = self.content[prev_ids]
         shifted = prev + self.config.shift_mix * cur
 
-        end = start + len(token_ids)
-        if end > self._k.shape[1]:
-            grown = np.zeros(
-                (self.n_heads, max(end, 2 * self._k.shape[1]), self.dc), dtype=DTYPE
-            )
-            grown[:, :start] = self._k[:, :start]
-            self._k = grown
-        new_keys = self._k[:, start:end]  # written in place
-        positions = np.arange(start, end)
-        for h, role in enumerate(self.roles):
-            if role == "induction":
-                new_keys[h] = shifted @ self.wk[h].T
-            elif role == "sink":
-                new_keys[h] = cur
-            elif role == "local":
-                u = np.ones((1, len(token_ids), self.dc), dtype=DTYPE)
-                new_keys[h] = self.rope.apply(u / np.sqrt(self.dc), positions)[0]
-        if self._noise_heads:
-            new_keys[self._noise_heads] = self._noise.rows(start, end)
+        if end > self._sink.shape[0]:
+            capacity = max(end, 2 * self._sink.shape[0])
+            for name in ("_induction", "_sink"):
+                old = getattr(self, name)
+                grown = np.zeros((*old.shape[:-2], capacity, self.dc), old.dtype)
+                grown[..., :start, :] = old[..., :start, :]
+                setattr(self, name, grown)
+        for block, h in zip(self._induction, self._induction_heads):
+            block[start:end] = (shifted @ self.wk[h].T).astype(DTYPE)
+        self._sink[start:end] = cur
+        # One row past the keys: the local query of the next step.
+        self._tables.reserve(min(end + 1, limit))
         self._token_ids.extend(token_ids)
 
     def __len__(self) -> int:
@@ -250,31 +295,38 @@ class LightweightRetrievalHead:
 
     # ---- scoring & selection -----------------------------------------------------
 
+    def _row_weights(self, current_token: int) -> np.ndarray:
+        """Attention weights of each distinct row, (rows, seq) float64."""
+        seq = len(self._token_ids)
+        if not seq:
+            raise RuntimeError("retrieval head has observed no tokens")
+        cfg = self.config
+        cur = self.content[int(current_token)]
+        noise_q = cur / np.sqrt(self.dc)
+        # The current token will occupy position ``seq``.
+        local_q = self._tables.local_q[min(seq, self.rope.max_position - 1)]
+        weights = np.empty((len(self._rows), seq))
+        for out, (role, index) in zip(weights, self._rows):
+            keys = self._key_block(role, index)[:seq]
+            if role == "sink":  # float32 GEMV and scaling, widened on store
+                out[:] = (keys @ self._sink_q) * cfg.sink_sharpness
+            elif role == "induction":
+                np.matmul(keys, self.wq[self._induction_heads[index]] @ cur, out=out)
+                out *= cfg.induction_sharpness
+            elif role == "local":
+                np.matmul(keys, local_q, out=out)
+                out *= cfg.local_sharpness
+            else:
+                np.matmul(keys, noise_q, out=out)
+        # softmax, in place
+        weights -= weights.max(axis=-1, keepdims=True)
+        np.exp(weights, out=weights)
+        weights /= weights.sum(axis=-1, keepdims=True)
+        return weights
+
     def attention_weights(self, current_token: int) -> np.ndarray:
         """Head-level attention weights over the K cache, (n_heads, seq)."""
-        if not self._token_ids:
-            raise RuntimeError("retrieval head has observed no tokens")
-        seq = len(self._token_ids)
-        cur = self.content[int(current_token)]
-        keys = self.keys
-        logits = np.empty((self.n_heads, seq), dtype=np.float64)
-        sqrt_dc = np.sqrt(self.dc)
-        pos = seq  # the position the current token will occupy
-        for h, role in enumerate(self.roles):
-            if role == "induction":
-                q = self.wq[h] @ cur
-                logits[h] = (keys[h] @ q) * self.config.induction_sharpness
-            elif role == "sink":
-                q = self.content[self.bos_id]
-                logits[h] = (keys[h] @ q) * self.config.sink_sharpness
-            elif role == "local":
-                u = np.ones((1, 1, self.dc), dtype=DTYPE) / np.sqrt(self.dc)
-                clamped = min(pos, self.rope.max_position - 1)
-                q = self.rope.apply(u, np.array([clamped]))[0, 0]
-                logits[h] = (keys[h] @ q) * self.config.local_sharpness
-            else:
-                logits[h] = keys[h] @ (cur / sqrt_dc)
-        return softmax(logits, axis=-1)
+        return self._row_weights(current_token)[self._row_of_head]
 
     def group_reduced_weights(self, current_token: int) -> np.ndarray:
         """Attention weights reduced to selection heads.
@@ -282,12 +334,7 @@ class LightweightRetrievalHead:
         For GQA/MQA: element-wise max within each query-head group
         (Fig. 5c/d). For MHA/MLA the q-level weights are returned as-is.
         """
-        weights = self.attention_weights(current_token)
-        cfg = self.teacher_config
-        if cfg.attention in (AttentionKind.MHA, AttentionKind.MLA):
-            return weights
-        group = cfg.group_size
-        return weights.reshape(cfg.n_kv_heads, group, -1).max(axis=1)
+        return self._row_weights(current_token)[self._group_rows].max(axis=1)
 
     def select(
         self, current_token: int, budget: int, level: str = "head"
@@ -297,23 +344,25 @@ class LightweightRetrievalHead:
         Returns (n_sel_heads, budget) for ``level='head'`` or a broadcast of
         the single shared set for ``level='batch'``.
         """
-        weights = self.group_reduced_weights(current_token)
-        seq = weights.shape[1]
+        pinned = self.group_reduced_weights(current_token)  # fresh: ours to edit
+        seq = pinned.shape[1]
         budget = min(budget, seq)
         # Pin sink and recent positions into every head's top-k (they are
         # selected outright, never duplicated, by boosting their weights
         # above the achievable softmax range).
-        pinned = weights.copy()
         if self.config.always_sink > 0:
             pinned[:, : self.config.always_sink] = 2.0
         if self.config.always_recent > 0:
             pinned[:, max(seq - self.config.always_recent, 0):] = 2.0
         if level == "head":
-            return np.sort(top_k_indices(pinned, budget, axis=-1), axis=-1)
+            # The set top_k_indices returns, without ordering it twice.
+            np.negative(pinned, out=pinned)
+            top = np.argpartition(pinned, budget - 1, axis=-1)[:, :budget]
+            return np.sort(top, axis=-1)
         if level == "batch":
             pooled = pinned.max(axis=0)
             shared = np.sort(top_k_indices(pooled, budget))
-            return np.broadcast_to(shared, (weights.shape[0], budget)).copy()
+            return np.broadcast_to(shared, (pinned.shape[0], budget)).copy()
         raise ValueError(f"unknown selection level {level!r}")
 
     # ---- overhead accounting -------------------------------------------------------

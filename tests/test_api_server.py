@@ -29,6 +29,7 @@ from repro.serving.request import Request
 from repro.serving.scheduler import StaticBatchScheduler
 from repro.serving.server import SpeContextServer
 from tests.conftest import make_recall_prompt
+from tests.test_core_retrieval_head import assert_view_contract
 
 warnings.filterwarnings("ignore", message="One of the clusters is empty")
 
@@ -324,11 +325,10 @@ class TestServer:
         views = [session.policy.head for session in server._waiting]
         assert len({id(view) for view in views}) == 4
         for view in views:
-            for name, value in vars(view).items():
-                if name in ("_k", "_token_ids"):
-                    assert value is not getattr(head, name)  # the session's own
-                else:
-                    assert value is getattr(head, name), name  # shared, not copied
+            # Only per-session state is the session's own; everything else
+            # (weights, RoPE, the position tables) is shared, not copied.
+            assert_view_contract(view, head)
+            assert view._tables is head._tables
             for name in ("wq", "wk", "content"):
                 assert np.shares_memory(getattr(view, name), getattr(head, name))
         assert len(server.run()) == 4 and len(builds) == 1

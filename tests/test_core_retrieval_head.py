@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.retrieval_head import (
     LightweightRetrievalHead,
@@ -11,13 +13,137 @@ from repro.core.retrieval_head import (
     SpeContextPolicy,
 )
 from repro.distill.dlm import full_dlm_analog
+from repro.models import AttentionKind
+from repro.tensor.ops import softmax, top_k_indices
+
+
+HEAD_SEED = 3
 
 
 def make_head(model, tokenizer, noise=0.15, **kwargs):
     config = RetrievalHeadConfig(noise=noise, **kwargs)
     return LightweightRetrievalHead.from_teacher(
-        model.weights, tokenizer.bos_id, np.random.default_rng(3), config=config
+        model.weights, tokenizer.bos_id, np.random.default_rng(HEAD_SEED), config=config
     )
+
+
+def make_head_with_roles(model, tokenizer, roles):
+    """A head with hand-picked roles (one selection head per role)."""
+    cfg = model.config
+    assert cfg.group_size == 1
+    return LightweightRetrievalHead(
+        cfg, model.weights.embedding[:, : cfg.head_dim], tokenizer.bos_id,
+        roles, RetrievalHeadConfig(), np.random.default_rng(HEAD_SEED),
+    )
+
+
+def assert_view_contract(view, head):
+    """Every attribute of a view is the server head's own object, except
+    the per-session state, which is fresh and shares no memory with it."""
+    own = {n for n, value in vars(view).items() if value is not getattr(head, n)}
+    assert own and len(view) == 0
+    for name in own:
+        value = getattr(view, name)
+        if isinstance(value, np.ndarray):
+            assert not np.shares_memory(value, getattr(head, name)), name
+            assert not value.any(), name
+        else:
+            assert value == [], name
+    assert own.isdisjoint({"wq", "wk", "content", "rope"})
+
+
+class OracleHead:
+    """The straight-line head the fast one must equal bit for bit: every
+    key row in one float32 array, a per-head scoring loop with a
+    ``rope.apply`` per local head, a full softmax, ``top_k_indices`` then
+    ``np.sort``. Reads only a head's weights; keeps its own history."""
+
+    def __init__(self, head, max_len=640):
+        self.h = head
+        rng = np.random.default_rng(HEAD_SEED)  # replay the constructor's draws
+        for _ in range(2 * head.n_heads):
+            rng.standard_normal((head.dc, head.dc))
+        seed = int(rng.integers(0, 2**63))
+        self.noise = [
+            np.random.default_rng([seed, i]).standard_normal((max_len, head.dc))
+            for i in range(head.roles.count("noise"))
+        ]
+        self.keys = np.zeros((head.n_heads, 0, head.dc), dtype=np.float32)
+        self.ids = []
+
+    def observe(self, ids):
+        h, n = self.h, len(ids)
+        prev = ([self.ids[-1]] if self.ids else [ids[0]]) + ids[:-1]
+        cur = h.content[ids]
+        shifted = h.content[prev] + h.config.shift_mix * cur
+        positions = np.arange(len(self.ids), len(self.ids) + n)
+        new = np.zeros((h.n_heads, n, h.dc), dtype=np.float32)
+        noise = iter(self.noise)
+        for i, role in enumerate(h.roles):
+            if role == "induction":
+                new[i] = shifted @ h.wk[i].T
+            elif role == "sink":
+                new[i] = cur
+            elif role == "local":
+                u = np.ones((1, n, h.dc), dtype=np.float32)
+                new[i] = h.rope.apply(u / np.sqrt(h.dc), positions)[0]
+            else:
+                new[i] = next(noise)[positions]
+        self.keys = np.concatenate([self.keys, new], axis=1)
+        self.ids += ids
+
+    def restore(self, length):
+        self.keys = self.keys[:, :length]
+        del self.ids[length:]
+
+    def weights(self, token):
+        h, seq = self.h, len(self.ids)
+        cur = h.content[token]
+        logits = np.empty((h.n_heads, seq), dtype=np.float64)
+        for i, role in enumerate(h.roles):
+            if role == "induction":
+                q = h.wq[i] @ cur
+                logits[i] = (self.keys[i] @ q) * h.config.induction_sharpness
+            elif role == "sink":
+                q = h.content[h.bos_id]
+                logits[i] = (self.keys[i] @ q) * h.config.sink_sharpness
+            elif role == "local":
+                u = np.ones((1, 1, h.dc), dtype=np.float32) / np.sqrt(h.dc)
+                clamped = min(seq, h.rope.max_position - 1)
+                q = h.rope.apply(u, np.array([clamped]))[0, 0]
+                logits[i] = (self.keys[i] @ q) * h.config.local_sharpness
+            else:
+                logits[i] = self.keys[i] @ (cur / np.sqrt(h.dc))
+        return softmax(logits, axis=-1)
+
+    def reduced(self, token):
+        cfg = self.h.teacher_config
+        weights = self.weights(token)
+        if cfg.attention in (AttentionKind.MHA, AttentionKind.MLA):
+            return weights
+        return weights.reshape(cfg.n_kv_heads, cfg.group_size, -1).max(axis=1)
+
+    def select(self, token, budget, level):
+        pinned = self.reduced(token).copy()
+        seq = pinned.shape[1]
+        budget = min(budget, seq)
+        pinned[:, : self.h.config.always_sink] = 2.0
+        pinned[:, max(seq - self.h.config.always_recent, 0):] = 2.0
+        if level == "head":
+            return np.sort(top_k_indices(pinned, budget, axis=-1), axis=-1)
+        shared = np.sort(top_k_indices(pinned.max(axis=0), budget))
+        return np.broadcast_to(shared, (pinned.shape[0], budget)).copy()
+
+
+def assert_equals_oracle(head, oracle, token, budget, level):
+    assert len(head) == len(oracle.ids)
+    for ours, theirs in (
+        (head.keys, oracle.keys),
+        (head.attention_weights(token), oracle.weights(token)),
+        (head.group_reduced_weights(token), oracle.reduced(token)),
+        (head.select(token, budget, level), oracle.select(token, budget, level)),
+    ):
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
 
 
 def assert_same_keys(a, b):
@@ -146,18 +272,37 @@ class TestKCache:
                 assert (replayed[h] == keys_after[h]).all(), role
 
     def test_noise_keys_stop_at_the_rope_table(self, tiny_gqa_model, tiny_tokenizer):
-        """Positions past ``rope.max_position`` raise, as RotaryEmbedding
-        does for the local role, and leave the head unchanged."""
+        """Positions past ``rope.max_position`` raise, naming the position,
+        and leave the head unchanged."""
         head = make_head(tiny_gqa_model, tiny_tokenizer)
+        assert {"local", "noise"} <= set(head.roles)
+        self.check_position_limit(head)
+
+    def test_position_limit_does_not_depend_on_the_roles(
+        self, tiny_mha_model, tiny_tokenizer
+    ):
+        """No table-backed role at all: ``observe`` itself checks the limit."""
+        head = make_head_with_roles(
+            tiny_mha_model, tiny_tokenizer, ["induction", "sink"]
+        )
+        self.check_position_limit(head)
+
+    @staticmethod
+    def check_position_limit(head):
         limit = head.rope.max_position
         head.observe([9] * (limit - 1))
-        with pytest.raises(ValueError, match="exceeds table size"):
-            head._noise.rows(limit - 1, limit + 1)
-        with pytest.raises(ValueError, match="exceeds table size"):
+        with pytest.raises(ValueError, match=f"position {limit} exceeds table size"):
             head.observe([9, 9])
         assert len(head) == limit - 1
         head.observe(9)
         assert len(head) == limit
+        with pytest.raises(ValueError, match=f"position {limit} exceeds table size"):
+            head.observe(9)
+        # The query of the next step would sit at ``limit``: it clamps to
+        # the last table row, as the straight-line head does.
+        oracle = OracleHead(head, max_len=limit)
+        oracle.observe([9] * limit)
+        assert np.array_equal(head.attention_weights(11), oracle.weights(11))
 
     def test_restore_rejects_newer_marker(self, tiny_gqa_model, tiny_tokenizer):
         head = make_head(tiny_gqa_model, tiny_tokenizer)
@@ -178,20 +323,39 @@ class TestViews:
     ):
         head = make_head(tiny_gqa_model, tiny_tokenizer)
         a, b = head.view(), head.view()
+        assert a._tables is b._tables is head._tables  # one set per server
         for view in (a, b):
-            for name in ("wq", "wk", "content"):
-                assert np.shares_memory(getattr(view, name), getattr(head, name))
-            assert view.rope is head.rope
-            assert view._noise is head._noise
-            assert not np.shares_memory(view._k, head._k)
-        a.observe(list(range(10, 90)))  # grows a's buffer and the shared table
+            assert_view_contract(view, head)
+        a.observe(list(range(10, 90)))  # grows a's blocks and the shared tables
         b.observe([5, 6, 7])
         assert (len(a), len(b), len(head)) == (80, 3, 0)
+        assert a._tables is b._tables is head._tables  # grown, never copied
         solo = make_head(tiny_gqa_model, tiny_tokenizer)
         solo.observe([5, 6, 7])
         assert (b.keys == solo.keys).all()  # b never saw a's rows
         noise = [h for h, role in enumerate(head.roles) if role == "noise"]
         assert (a.keys[noise][:, :3] == b.keys[noise]).all()  # one table
+
+    def test_a_views_storage_is_only_its_token_history(
+        self, tiny_mha_model, tiny_tokenizer
+    ):
+        """``local`` and ``noise`` keys live in the shared position tables:
+        adding such heads adds nothing to what a session owns."""
+        def own_bytes(roles):
+            head = make_head_with_roles(tiny_mha_model, tiny_tokenizer, roles)
+            view = head.view()
+            view.observe(list(range(8, 208)))
+            assert view.keys.shape == (len(roles), 200, head.dc)
+            return sum(
+                value.nbytes
+                for name, value in vars(view).items()
+                if isinstance(value, np.ndarray) and value is not getattr(head, name)
+            )
+
+        base = own_bytes(["induction", "sink"])
+        assert base > 0
+        assert own_bytes(["induction", "sink", "sink"] + ["local", "noise"] * 3) == base
+        assert own_bytes(["induction", "induction", "sink"]) > base
 
     def test_shared_weights_are_read_only(self, tiny_gqa_model, tiny_tokenizer):
         head = make_head(tiny_gqa_model, tiny_tokenizer)
@@ -348,3 +512,60 @@ class TestPolicy:
         first = policy.select(0, None, 100, None)
         for layer in range(1, 4):
             np.testing.assert_array_equal(first, policy.select(layer, None, 100, None))
+
+
+class TestEqualsTheStraightLineHead:
+    """Exactness of the fast head: weights, selections and keys are
+    ``array_equal`` to :class:`OracleHead` at every step."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        kind=st.sampled_from(["gqa", "mha", "mqa", "mla"]),
+        prompt_lens=st.tuples(st.integers(1, 70), st.integers(1, 70)),
+        budget=st.integers(1, 300),
+        level=st.sampled_from(["head", "batch"]),
+        rollback=st.tuples(st.integers(60, 250), st.integers(1, 59)),
+        seed=st.integers(0, 2**16),
+    )
+    @example(kind="gqa", prompt_lens=(64, 1), budget=128, level="head",
+             rollback=(129, 1), seed=0)
+    @example(kind="mla", prompt_lens=(1, 65), budget=1, level="batch",
+             rollback=(200, 59), seed=1)
+    @example(kind="mqa", prompt_lens=(70, 70), budget=300, level="head",
+             rollback=(60, 30), seed=2)
+    def test_two_interleaved_views_equal_their_oracles_at_every_step(
+        self, tiny_gqa_model, tiny_mha_model, tiny_mqa_model, tiny_mla_model,
+        tiny_tokenizer, kind, prompt_lens, budget, level, rollback, seed,
+    ):
+        """Two views of one head, stepped in a drawn interleaving from
+        their prompts to 270 tokens each — three doublings of the session
+        blocks (64 -> 512) and at least two of the shared tables — with
+        the budget on both sides of the length and one rollback, of the
+        view that first reaches ``rollback[0]`` tokens, by ``rollback[1]``."""
+        models = dict(gqa=tiny_gqa_model, mha=tiny_mha_model,
+                      mqa=tiny_mqa_model, mla=tiny_mla_model)
+        head = make_head(models[kind], tiny_tokenizer)
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for prompt_len in prompt_lens:
+            view, oracle = head.view(), OracleHead(head)
+            prompt = [int(t) for t in rng.integers(8, 500, size=prompt_len)]
+            view.observe(prompt)
+            oracle.observe(prompt)
+            pairs.append((view, oracle))
+        rollback_at, rollback_by = rollback
+        rolled_back = False
+        while pairs:
+            which = int(rng.integers(len(pairs)))
+            view, oracle = pairs[which]
+            token = int(rng.integers(8, 500))
+            assert_equals_oracle(view, oracle, token, budget, level)
+            view.observe(token)
+            oracle.observe([token])
+            if not rolled_back and len(view) >= rollback_at:
+                rolled_back = True
+                view.restore(len(view) - rollback_by)
+                oracle.restore(len(oracle.ids) - rollback_by)
+            if len(view) >= 270:
+                del pairs[which]
+        assert rolled_back
