@@ -40,9 +40,10 @@ def main() -> None:
     prompt_len, out_len = 2048, 32768
     for seq in range(prompt_len, prompt_len + out_len + 1, 1024):
         for event in manager.advance(seq):
+            # Layers leave last-first, so layers 0..event.layer-1 stay on GPU.
             print(f"  seq {event.seq_len:>6}: offload layer {event.layer:>2} "
                   f"({event.bytes_freed / 1e6:.0f}MB freed), "
-                  f"{manager.layers_on_gpu}/{manager.n_layers} layers on GPU")
+                  f"{event.layer}/{manager.n_layers} layers on GPU")
 
     # --- Figure 10(b) miniature -------------------------------------------
     sim = PerfSimulator(model, spec, budget=2048)

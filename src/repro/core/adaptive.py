@@ -6,10 +6,10 @@ cache of trailing layers (last layer first: layer L-1, then L-2, ...) to
 CPU DRAM, keeping as many layers GPU-resident as the memory model allows.
 
 The manager is pure control logic: callers give it the current sequence
-length and it returns which layers to offload; an optional
-:class:`MemoryLedger` and per-layer :class:`TieredKVStore`s are updated
-when attached, so the functional engine and the timing simulator share one
-implementation.
+length and it returns which layers to offload, each event carrying the
+bytes the layer's KV cache frees. The serving path attributes those events
+to the requests whose growth triggered them, and admission control reads
+the same thresholds through :meth:`AdaptiveMemoryManager.admits`.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.memory_model import MemoryModel
-from repro.hardware.memory import MemoryLedger, MemoryTier
-from repro.kvcache.pool import TieredKVStore
 
 
 @dataclass(frozen=True)
@@ -35,8 +33,6 @@ class AdaptiveMemoryManager:
     """Tracks L_CPU/L_GPU against the threshold list during decoding."""
 
     memory_model: MemoryModel
-    ledger: MemoryLedger | None = None
-    stores: list[TieredKVStore] | None = None
     layers_on_cpu: int = 0
     events: list[OffloadEvent] = field(default_factory=list)
     _thresholds: list[int] = field(default_factory=list)
@@ -97,7 +93,8 @@ class AdaptiveMemoryManager:
         """Algorithm 2's inner while-loop for the current sequence length.
 
         Offloads additional trailing layers until ``seq_len < S_T[L_CPU]``
-        (or all layers are offloaded). Returns the offload events triggered.
+        (or all layers are offloaded). Returns the offload events triggered;
+        each frees one layer's KV footprint at ``seq_len`` for every request.
         """
         new_events: list[OffloadEvent] = []
         while (
@@ -105,31 +102,14 @@ class AdaptiveMemoryManager:
             and seq_len >= self._thresholds[self.layers_on_cpu]
         ):
             layer = self.n_layers - self.layers_on_cpu - 1  # offload last first
-            freed = self._offload_layer(layer, seq_len)
+            freed = (
+                self.memory_model.model.kv_bytes_per_token_layer()
+                * seq_len
+                * self.memory_model.requests
+            )
             event = OffloadEvent(layer=layer, seq_len=seq_len, bytes_freed=freed)
             new_events.append(event)
             self.events.append(event)
             self.layers_on_cpu += 1
         return new_events
 
-    def layer_tier(self, layer: int) -> MemoryTier:
-        """Where a layer's KV cache currently lives."""
-        if layer >= self.n_layers - self.layers_on_cpu:
-            return MemoryTier.CPU
-        return MemoryTier.GPU
-
-    def _offload_layer(self, layer: int, seq_len: int) -> int:
-        freed = 0
-        if self.stores is not None:
-            freed = self.stores[layer].evict_all()
-        else:
-            freed = (
-                self.memory_model.model.kv_bytes_per_token_layer()
-                * seq_len
-                * self.memory_model.requests
-            )
-        if self.ledger is not None:
-            name = f"kv-layer{layer}"
-            if name in self.ledger:
-                self.ledger.migrate(name, MemoryTier.CPU)
-        return freed

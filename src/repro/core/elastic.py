@@ -6,14 +6,13 @@ only the set difference ``S_now − S_last`` is transferred; evicted slots
 (``S_last − S_now``) are overwritten in place. Under a fixed budget the two
 differences have equal size, so loads == evictions every step.
 
-Two collaborating pieces:
-
-- :class:`ElasticTransferTracker` — pure set algebra over selection
-  sequences; computes per-step transfer volumes and overlap statistics
-  without touching payloads. Used by the analysis/timing experiments.
-- :class:`ElasticKVLoader` — the functional integration: routes real KV
-  payloads from a :class:`TieredKVStore` through per-layer
-  :class:`GpuSlotBuffer`s, asserting residency invariants along the way.
+:class:`ElasticTransferTracker` is set algebra over a stream of selections:
+it computes per-step transfer volumes and overlap statistics without
+touching payloads. The serving path reads it for every finished request
+(``GenerationStats.bytes_transferred`` / ``transfer_reduction`` /
+``mean_selection_overlap``) while attention itself gathers the full budget
+each step; :mod:`repro.perf.simulate` times elastic loading from an
+overlap parameter instead.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from repro.kvcache.pool import GpuSlotBuffer, TieredKVStore
 
 
 @dataclass
@@ -40,8 +37,13 @@ class StepTransfer:
 class ElasticTransferTracker:
     """Set-difference accounting over a stream of per-head selections.
 
-    ``bytes_per_token`` is the K+V footprint of one token in one layer;
-    multiply by layers outside if tracking a whole model.
+    ``bytes_per_token`` is the K+V footprint of one token in one layer
+    (all KV heads); multiply by layers outside if tracking a whole model.
+
+    The accounting unit is the token. A 2-D (head-level) selection is
+    flattened to the union over heads, and a token that any head selects
+    is charged the full ``bytes_per_token`` once. Per-head gathers that
+    differ across heads are therefore not modelled.
     """
 
     bytes_per_token: int
@@ -93,56 +95,3 @@ class ElasticTransferTracker:
         if full == 0:
             return 0.0
         return 1.0 - self.total_bytes / full
-
-
-class ElasticKVLoader:
-    """Per-layer slot buffers fed from a tiered store by set difference.
-
-    The loader owns one :class:`GpuSlotBuffer` per (layer, kv-head) — head-
-    level selections place different tokens in different heads' slots — and
-    charges every miss to the tiered store's transfer ledger.
-    """
-
-    def __init__(self, stores: list[TieredKVStore], budget: int):
-        if budget < 1:
-            raise ValueError(f"budget must be >= 1, got {budget}")
-        self.stores = stores
-        self.budget = budget
-        self._buffers: list[list[GpuSlotBuffer]] = [
-            [
-                GpuSlotBuffer(budget + 1, 1, store.head_dim)
-                for _ in range(store.n_kv_heads)
-            ]
-            for store in stores
-        ]
-
-    def load_step(self, layer: int, selection: np.ndarray) -> int:
-        """Update layer buffers to hold ``selection``; returns bytes moved.
-
-        ``selection`` is (n_kv_heads, k) or 1-D (broadcast to all heads).
-        """
-        store = self.stores[layer]
-        selection = np.asarray(selection)
-        if selection.ndim == 1:
-            selection = np.broadcast_to(selection, (store.n_kv_heads, selection.size))
-        total_bytes = 0
-        per_head_bytes = store.bytes_per_token // store.n_kv_heads
-
-        for h in range(store.n_kv_heads):
-            buffer = self._buffers[layer][h]
-
-            def fetch(token: int, head=h):
-                k, v = store._keys[head, token], store._values[head, token]
-                return k[None, :], v[None, :]
-
-            loaded, _ = buffer.update(selection[h], fetch)
-            total_bytes += loaded * per_head_bytes
-        store.ledger.record("h2d", total_bytes)
-        return total_bytes
-
-    def gather(self, layer: int, head: int, token_indices: np.ndarray):
-        """Read staged KV for one head (asserts residency)."""
-        return self._buffers[layer][head].gather(token_indices)
-
-    def resident_tokens(self, layer: int, head: int) -> frozenset[int]:
-        return self._buffers[layer][head].resident_tokens

@@ -1,4 +1,4 @@
-"""Hardware substrate: specs, latency model, memory accounting, streams.
+"""Hardware substrate: specs, latency model, streams.
 
 The paper evaluates on two real machines (A800-80GB "cloud" and RTX 4060
 Laptop 8GB "edge", Table 2). This package substitutes an analytic timing
@@ -8,7 +8,6 @@ PCIe-bound KV transfer (Fig. 6a), and the HBM-capacity cliff (Fig. 2a) are
 all properties of the *schedule*, which the simulator models explicitly.
 """
 
-from repro.hardware.memory import MemoryLedger, MemoryTier, OutOfMemoryError
 from repro.hardware.spec import CLOUD_A800, EDGE_RTX4060, EDGE_RTX4060_4GB, HardwareSpec
 from repro.hardware.streams import StreamOp, StreamSimulator
 from repro.hardware.timing import LatencyModel, OpCost
@@ -20,9 +19,6 @@ __all__ = [
     "EDGE_RTX4060_4GB",
     "LatencyModel",
     "OpCost",
-    "MemoryLedger",
-    "MemoryTier",
-    "OutOfMemoryError",
     "StreamSimulator",
     "StreamOp",
 ]

@@ -50,10 +50,6 @@ class LatencyModel:
             return 0.0
         return n_bytes / self.spec.pcie_bandwidth + self.spec.kernel_launch_overhead_s
 
-    def sync_seconds(self) -> float:
-        """Cost of one stream synchronization point."""
-        return self.spec.sync_overhead_s
-
     # ---- Transformer building blocks -------------------------------------
 
     def matmul_cost(self, m: int, k: int, n: int, batch: int = 1) -> OpCost:

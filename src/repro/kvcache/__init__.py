@@ -3,44 +3,31 @@
 The paper's three challenges are all KV-cache lifecycle problems, so the
 cache is a first-class subsystem here rather than an array inside the model:
 
-- ``LayerKVCache``: the dense append/gather cache every attention variant uses.
-- ``PagedKVPool``: the server-wide block pool — refcounted copy-on-write
-  blocks, hash-chained prefix caching, deterministic free-list reuse.
-- ``TieredKVStore``: CPU/DRAM-backed cache with an explicit transfer ledger,
-  so experiments can count bytes moved over PCIe.
-- ``GpuSlotBuffer``: the fixed-budget on-GPU staging buffer that elastic
-  loading updates in place (Sec. 5.4's ``Tensor.copy_()``).
-
-The tiered store and slot buffer live in :mod:`repro.kvcache.pool`
-alongside the pool (the former ``tiered``/``slots``/``paged`` modules
-were consolidated there; Quest's page-metadata layout now lives entirely
-inside :mod:`repro.retrieval.quest`, which never used the standalone
-``PagedKVCache``).
+- ``LayerKVCache`` / ``ModelKVCache`` (:mod:`repro.kvcache.cache`): the
+  dense append/gather cache every attention variant uses, one per layer.
+- ``PagedKVPool`` (:mod:`repro.kvcache.pool`): the server-wide block pool —
+  refcounted copy-on-write blocks, hash-chained prefix caching,
+  deterministic free-list reuse — with ``BlockTable`` per sequence and
+  ``BlockChainExport`` for moving a chain between pools.
 """
 
 from repro.kvcache.cache import LayerKVCache, ModelKVCache
 from repro.kvcache.pool import (
     BlockChainExport,
     BlockTable,
-    GpuSlotBuffer,
     PagedKVPool,
     PoolExhausted,
     PoolStats,
-    TieredKVStore,
-    TransferLedger,
     hash_token_prefix,
 )
 
 __all__ = [
     "BlockChainExport",
     "BlockTable",
-    "GpuSlotBuffer",
     "LayerKVCache",
     "ModelKVCache",
     "PagedKVPool",
     "PoolExhausted",
     "PoolStats",
-    "TieredKVStore",
-    "TransferLedger",
     "hash_token_prefix",
 ]

@@ -26,14 +26,6 @@ The pool tracks *capacity and sharing*; the dense per-session
 :class:`~repro.kvcache.cache.ModelKVCache` remains the compute-side view.
 Block payloads (one ``(keys, values)`` pair per layer) are attached where
 sharing needs real data: prefix-cache entries and CoW forks.
-
-This module also hosts the seed-era tier/slot substrate the elastic
-loader builds on (consolidated here from the former ``kvcache.tiered``
-and ``kvcache.slots`` modules): :class:`TieredKVStore` /
-:class:`TransferLedger` model CPU/GPU residency with an explicit PCIe
-transfer ledger, and :class:`GpuSlotBuffer` models the fixed-budget
-on-GPU staging buffer elastic loading updates in place (Sec. 5.4's
-``Tensor.copy_()``).
 """
 
 from __future__ import annotations
@@ -42,8 +34,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from repro.hardware.memory import MemoryTier
 
 # Payload: one (keys, values) array pair per transformer layer, each shaped
 # (batch, kv_heads, block_tokens, head_dim) — a slice of a ModelKVCache.
@@ -592,11 +582,6 @@ class PagedKVPool:
 
     # ---- invariant audit (tests + chaos harness) -------------------------------
 
-    @property
-    def spec_outstanding(self) -> frozenset[int]:
-        """Block ids reserved by reserve_spec and not yet promoted/released."""
-        return frozenset(self._spec_outstanding)
-
     def audit(
         self,
         tables: "list[BlockTable] | None" = None,
@@ -708,236 +693,3 @@ class PagedKVPool:
                     f"{expected[block.block_id]} references "
                     "(tables + prefix cache + spec reservations)",
                 )
-
-
-# ---- CPU/GPU tiered store + slot buffers (consolidated seed-era substrate) ---
-#
-# The elastic loader (:mod:`repro.core.elastic`) and the adaptive memory
-# manager stage budgeted KV subsets onto the GPU; these classes model the
-# two tiers, the per-byte PCIe ledger the experiments read, and the
-# in-place slot buffer of Sec. 5.4.
-
-
-@dataclass
-class TransferLedger:
-    """Running totals of host<->device traffic, in bytes and events."""
-
-    h2d_bytes: int = 0
-    d2h_bytes: int = 0
-    h2d_events: int = 0
-    d2h_events: int = 0
-    history: list[tuple[str, int]] = field(default_factory=list)
-
-    def record(self, direction: str, n_bytes: int) -> None:
-        """Log one transfer; ``direction`` is 'h2d' or 'd2h'."""
-        if n_bytes < 0:
-            raise ValueError(f"negative transfer size {n_bytes}")
-        if direction == "h2d":
-            self.h2d_bytes += n_bytes
-            self.h2d_events += 1
-        elif direction == "d2h":
-            self.d2h_bytes += n_bytes
-            self.d2h_events += 1
-        else:
-            raise ValueError(f"unknown direction {direction!r}")
-        self.history.append((direction, n_bytes))
-
-    @property
-    def total_bytes(self) -> int:
-        return self.h2d_bytes + self.d2h_bytes
-
-    def reset(self) -> None:
-        """Zero all counters (e.g., between experiment phases)."""
-        self.h2d_bytes = 0
-        self.d2h_bytes = 0
-        self.h2d_events = 0
-        self.d2h_events = 0
-        self.history.clear()
-
-
-class TieredKVStore:
-    """One layer's KV cache with a per-token residency tier.
-
-    The canonical copy of every token's KV pair is kept (we are simulating
-    the two tiers inside one process); what the store tracks is *residency*
-    — which token indices are currently on the GPU — and the transfer
-    traffic implied by moving them. ``bytes_per_token`` is the K+V footprint
-    of one token in this layer at FP16.
-    """
-
-    def __init__(self, n_kv_heads: int, head_dim: int, bytes_per_value: int = 2):
-        self.n_kv_heads = n_kv_heads
-        self.head_dim = head_dim
-        self.bytes_per_token = 2 * n_kv_heads * head_dim * bytes_per_value
-        self._keys = np.zeros((n_kv_heads, 0, head_dim))
-        self._values = np.zeros((n_kv_heads, 0, head_dim))
-        self._on_gpu: set[int] = set()
-        self.ledger = TransferLedger()
-
-    def __len__(self) -> int:
-        return self._keys.shape[1]
-
-    @property
-    def gpu_resident(self) -> frozenset[int]:
-        """Token indices whose KV pairs currently reside on the GPU."""
-        return frozenset(self._on_gpu)
-
-    def append(self, keys: np.ndarray, values: np.ndarray, tier: MemoryTier) -> None:
-        """Append newly generated tokens, materialized on ``tier``.
-
-        Newly generated KV pairs are born on the GPU (attention just produced
-        them); appending with ``tier=CPU`` models an immediate writeback and
-        is charged as a d2h transfer.
-        """
-        if keys.shape != values.shape:
-            raise ValueError("keys and values must have identical shapes")
-        start = len(self)
-        self._keys = np.concatenate([self._keys, keys], axis=1)
-        self._values = np.concatenate([self._values, values], axis=1)
-        new_indices = range(start, len(self))
-        if tier is MemoryTier.GPU:
-            self._on_gpu.update(new_indices)
-        else:
-            self.ledger.record("d2h", keys.shape[1] * self.bytes_per_token)
-
-    def fetch_to_gpu(self, token_indices: np.ndarray) -> int:
-        """Ensure the given tokens are GPU-resident; returns bytes transferred.
-
-        Only tokens not already resident are charged — this is exactly the
-        elastic-loading saving.
-        """
-        token_indices = np.asarray(token_indices).ravel()
-        if token_indices.size and (
-            token_indices.min() < 0 or token_indices.max() >= len(self)
-        ):
-            raise IndexError("fetch index out of range")
-        missing = [int(t) for t in token_indices if int(t) not in self._on_gpu]
-        if missing:
-            moved = len(missing) * self.bytes_per_token
-            self.ledger.record("h2d", moved)
-            self._on_gpu.update(missing)
-            return moved
-        return 0
-
-    def evict_from_gpu(self, token_indices: np.ndarray) -> int:
-        """Drop GPU residency for the given tokens; returns bytes freed.
-
-        Eviction is free of PCIe traffic (the CPU copy is canonical); the
-        return value is the GPU memory released.
-        """
-        token_indices = np.asarray(token_indices).ravel()
-        present = [int(t) for t in token_indices if int(t) in self._on_gpu]
-        for t in present:
-            self._on_gpu.discard(t)
-        return len(present) * self.bytes_per_token
-
-    def evict_all(self) -> int:
-        """Offload the entire layer to CPU (Algorithm 2's per-layer offload)."""
-        freed = len(self._on_gpu) * self.bytes_per_token
-        self._on_gpu.clear()
-        return freed
-
-    def gather(self, token_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Read (keys, values) for tokens; they must be GPU-resident.
-
-        Raises RuntimeError if any requested token is not resident — in a
-        real system that read would be a fault; surfacing it keeps the
-        dataflow honest in tests.
-        """
-        token_indices = np.asarray(token_indices).ravel()
-        not_resident = [int(t) for t in token_indices if int(t) not in self._on_gpu]
-        if not_resident:
-            raise RuntimeError(
-                f"gather of non-resident tokens {not_resident[:8]}"
-                f"{'...' if len(not_resident) > 8 else ''}; fetch_to_gpu first"
-            )
-        return self._keys[:, token_indices, :], self._values[:, token_indices, :]
-
-    def gpu_bytes(self) -> int:
-        """GPU memory currently consumed by this layer's resident tokens."""
-        return len(self._on_gpu) * self.bytes_per_token
-
-
-class GpuSlotBuffer:
-    """Slot-addressed KV buffer of fixed capacity ``budget``.
-
-    K/V payloads are stored per-slot with shape (kv_heads, dim); lookups by
-    token index go through the slot map.
-    """
-
-    def __init__(self, budget: int, n_kv_heads: int, head_dim: int):
-        if budget < 1:
-            raise ValueError(f"budget must be >= 1, got {budget}")
-        self.budget = budget
-        self.n_kv_heads = n_kv_heads
-        self.head_dim = head_dim
-        self._k = np.zeros((budget, n_kv_heads, head_dim))
-        self._v = np.zeros((budget, n_kv_heads, head_dim))
-        self._slot_of: dict[int, int] = {}
-        self._free_slots: list[int] = list(range(budget - 1, -1, -1))
-
-    @property
-    def resident_tokens(self) -> frozenset[int]:
-        """Token indices currently held in slots."""
-        return frozenset(self._slot_of)
-
-    def update(
-        self,
-        new_selection: np.ndarray,
-        fetch_kv: "callable",
-    ) -> tuple[int, int]:
-        """Make the buffer hold exactly ``new_selection``.
-
-        ``fetch_kv(token_index) -> (k, v)`` supplies payloads for tokens not
-        already resident (each shaped (kv_heads, dim)). Returns
-        ``(n_loaded, n_evicted)`` so callers can account transfer volume.
-
-        Slots of evicted tokens are recycled for the incoming ones, which is
-        the in-place ``copy_`` semantics of the paper.
-        """
-        wanted = {int(t) for t in np.asarray(new_selection).ravel()}
-        if len(wanted) > self.budget:
-            raise ValueError(
-                f"selection of {len(wanted)} tokens exceeds budget {self.budget}"
-            )
-        current = set(self._slot_of)
-        to_evict = sorted(current - wanted)
-        to_load = sorted(wanted - current)
-
-        for token in to_evict:
-            slot = self._slot_of.pop(token)
-            self._free_slots.append(slot)
-
-        for token in to_load:
-            if not self._free_slots:
-                raise RuntimeError("slot buffer exhausted; accounting bug")
-            slot = self._free_slots.pop()
-            k, v = fetch_kv(token)
-            k = np.asarray(k)
-            v = np.asarray(v)
-            if k.shape != (self.n_kv_heads, self.head_dim):
-                raise ValueError(
-                    f"fetched K shape {k.shape} != ({self.n_kv_heads}, {self.head_dim})"
-                )
-            self._k[slot] = k
-            self._v[slot] = v
-            self._slot_of[token] = slot
-
-        return len(to_load), len(to_evict)
-
-    def gather(self, token_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Read (K, V) for resident tokens, shaped (kv_heads, n, dim)."""
-        token_indices = np.asarray(token_indices).ravel()
-        slots = []
-        for t in token_indices:
-            slot = self._slot_of.get(int(t))
-            if slot is None:
-                raise KeyError(f"token {int(t)} not resident in slot buffer")
-            slots.append(slot)
-        k = self._k[slots].transpose(1, 0, 2)
-        v = self._v[slots].transpose(1, 0, 2)
-        return k, v
-
-    def nbytes(self, bytes_per_value: int = 2) -> int:
-        """GPU footprint of the buffer (allocated, not just used)."""
-        return 2 * self.budget * self.n_kv_heads * self.head_dim * bytes_per_value

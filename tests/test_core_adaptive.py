@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-import numpy as np
+import pytest
 
 from repro.core.adaptive import AdaptiveMemoryManager
 from repro.core.memory_model import MemoryModel
-from repro.hardware.memory import MemoryTier
 from repro.hardware.spec import HardwareSpec
-from repro.kvcache.pool import TieredKVStore
 from repro.models.config import tiny_test_config
 from repro.utils.units import GB
 
 
-def make_manager(target_threshold: int = 400, requests: int = 1, **kwargs):
+def make_manager(target_threshold: int = 400, requests: int = 1):
     """A manager whose first threshold lands near ``target_threshold``."""
     config = tiny_test_config(n_layers=4)
     hd = config.n_kv_heads * config.head_dim
@@ -26,7 +24,7 @@ def make_manager(target_threshold: int = 400, requests: int = 1, **kwargs):
         gpu_flops=1e12, gpu_bandwidth=1e11, pcie_bandwidth=1e9,
     )
     mm = MemoryModel(config, dlm_bytes=0, spec=spec, requests=requests, budget=64)
-    return AdaptiveMemoryManager(mm, **kwargs)
+    return AdaptiveMemoryManager(mm)
 
 
 class TestAdvance:
@@ -69,42 +67,112 @@ class TestAdvance:
         manager.advance(seq)
         assert manager.layers_on_cpu == expected
 
-    def test_layer_tier_tracks_offloads(self):
-        manager = make_manager()
-        seq = manager.thresholds()[0] + 1
-        manager.advance(seq)
-        last = manager.n_layers - 1
-        assert manager.layer_tier(last) is MemoryTier.CPU
-        assert manager.layer_tier(0) is MemoryTier.GPU
-
     def test_never_offloads_beyond_all_layers(self):
         manager = make_manager()
         manager.advance(10**9)
         assert manager.layers_on_cpu == manager.n_layers
 
-    def test_events_report_freed_bytes(self):
-        manager = make_manager()
-        events = manager.advance(manager.thresholds()[0] + 1)
-        assert all(e.bytes_freed > 0 for e in events)
-
-
-class TestWithStores:
-    def test_offload_evicts_store_payload(self):
-        config = tiny_test_config(n_layers=4)
-        stores = [
-            TieredKVStore(config.n_kv_heads, config.head_dim)
-            for _ in range(config.n_layers)
-        ]
-        rng = np.random.default_rng(0)
-        n_tokens = 32
-        for store in stores:
-            kv = rng.standard_normal(
-                (config.n_kv_heads, n_tokens, config.head_dim)
-            )
-            store.append(kv, kv.copy(), MemoryTier.GPU)
-        manager = make_manager(stores=stores)
-        events = manager.advance(manager.thresholds()[0] + 1)
+    @pytest.mark.parametrize("requests", [1, 2])
+    def test_events_report_freed_bytes(self, requests):
+        manager = make_manager(requests=requests)
+        seq = manager.thresholds()[0] + 1
+        events = manager.advance(seq)
         assert events
-        for event in events:
-            assert stores[event.layer].gpu_bytes() == 0
-            assert event.bytes_freed > 0
+        per_layer = manager.memory_model.model.kv_bytes_per_token_layer()
+        assert all(e.bytes_freed == per_layer * seq * requests for e in events)
+
+    def test_freed_bytes_grow_with_length(self):
+        manager = make_manager()
+        thresholds = manager.thresholds()
+        first = manager.advance(thresholds[0])
+        later = manager.advance(thresholds[1] + 5)
+        assert first and later
+        assert later[0].bytes_freed > first[-1].bytes_freed
+
+    def test_event_records_triggering_length(self):
+        manager = make_manager()
+        seq = manager.thresholds()[0] + 3
+        events = manager.advance(seq)
+        assert events
+        assert all(e.seq_len == seq for e in events)
+
+    def test_multi_event_call_offloads_contiguous_trailing_layers(self):
+        manager = make_manager()
+        seq = manager.thresholds()[1] + 1
+        events = manager.advance(seq)
+        n = manager.required_offloads(seq)
+        assert n >= 2
+        last = manager.n_layers - 1
+        assert [e.layer for e in events] == list(range(last, last - n, -1))
+
+    def test_layers_on_gpu_counts_down_per_event(self):
+        manager = make_manager()
+        events = manager.advance(manager.thresholds()[1] + 1)
+        assert manager.layers_on_gpu == manager.n_layers - len(events)
+        # Layers leave last-first, so the layers still on the GPU after an
+        # event are exactly those below the one it offloaded.
+        assert events[-1].layer == manager.layers_on_gpu
+
+    def test_events_accumulate_across_calls(self):
+        manager = make_manager()
+        thresholds = manager.thresholds()
+        first = manager.advance(thresholds[0])
+        second = manager.advance(thresholds[1])
+        assert first and second
+        assert manager.events == first + second
+        assert manager.layers_on_cpu == len(manager.events)
+
+    def test_required_offloads_zero_below_first_threshold(self):
+        manager = make_manager()
+        assert manager.required_offloads(manager.thresholds()[0] - 1) == 0
+
+    def test_required_offloads_saturates_at_all_layers(self):
+        manager = make_manager()
+        beyond = manager.capacity_tokens() + 1
+        assert manager.required_offloads(beyond) == manager.n_layers
+        assert manager.required_offloads(10**9) == manager.n_layers
+
+
+class TestThresholds:
+    def test_thresholds_returns_a_copy(self):
+        manager = make_manager()
+        before = manager.thresholds()
+        manager.thresholds().clear()
+        assert manager.thresholds() == before
+        assert len(before) == manager.n_layers + 1
+
+    def test_thresholds_grow_as_layers_leave(self):
+        manager = make_manager()
+        thresholds = manager.thresholds()
+        assert thresholds == sorted(thresholds)
+        assert thresholds[0] < thresholds[-1]
+
+    def test_capacity_is_all_offloaded_threshold(self):
+        manager = make_manager()
+        assert manager.capacity_tokens() == manager.thresholds()[manager.n_layers]
+
+    def test_admits_up_to_capacity(self):
+        manager = make_manager()
+        capacity = manager.capacity_tokens()
+        assert manager.admits(0)
+        assert manager.admits(capacity)
+        assert not manager.admits(capacity + 1)
+
+
+class TestReset:
+    def test_reset_returns_all_layers_to_gpu(self):
+        manager = make_manager()
+        manager.advance(10**9)
+        manager.reset()
+        assert manager.layers_on_cpu == 0
+        assert manager.layers_on_gpu == manager.n_layers
+        assert manager.events == []
+
+    def test_reset_replays_same_offloads(self):
+        manager = make_manager()
+        thresholds = manager.thresholds()
+        seq = thresholds[1] + 1
+        first = manager.advance(seq)
+        manager.reset()
+        assert manager.thresholds() == thresholds
+        assert manager.advance(seq) == first

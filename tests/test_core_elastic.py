@@ -8,9 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.elastic import ElasticKVLoader, ElasticTransferTracker
-from repro.hardware.memory import MemoryTier
-from repro.kvcache.pool import TieredKVStore
+from repro.core.elastic import ElasticTransferTracker
 
 
 class TestTracker:
@@ -143,59 +141,166 @@ class TestTracker:
         assert tracker.total_bytes == 7 * sum(s.loaded_tokens for s in tracker.steps)
 
 
-def _store(n_tokens: int, n_kv_heads: int = 2, head_dim: int = 4) -> TieredKVStore:
-    store = TieredKVStore(n_kv_heads=n_kv_heads, head_dim=head_dim)
-    rng = np.random.default_rng(0)
-    keys = rng.standard_normal((n_kv_heads, n_tokens, head_dim))
-    values = rng.standard_normal((n_kv_heads, n_tokens, head_dim))
-    store.append(keys, values, MemoryTier.CPU)
-    return store
+class TestTrackerAccounting:
+    def test_empty_tracker_reports_zero(self):
+        tracker = ElasticTransferTracker(bytes_per_token=8)
+        assert tracker.steps == []
+        assert tracker.total_bytes == 0
+        assert tracker.mean_overlap == 0.0
+        assert tracker.transfer_reduction_vs_full_reload() == 0.0
 
+    def test_single_step_mean_overlap_is_zero(self):
+        tracker = ElasticTransferTracker(bytes_per_token=8)
+        tracker.observe(np.array([1, 2, 3]))
+        assert tracker.mean_overlap == 0.0
+        assert tracker.transfer_reduction_vs_full_reload() == 0.0
 
-class TestLoader:
-    def test_budget_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ElasticKVLoader([_store(8)], budget=0)
+    @pytest.mark.parametrize("bytes_per_token", [1, 56, 4096])
+    def test_bytes_scale_with_token_size(self, bytes_per_token):
+        tracker = ElasticTransferTracker(bytes_per_token=bytes_per_token)
+        tracker.observe(np.array([1, 2, 3, 4]))
+        step = tracker.observe(np.array([3, 4, 5, 6]))
+        assert step.bytes_moved == 2 * bytes_per_token
+        assert tracker.total_bytes == 6 * bytes_per_token
 
-    def test_load_step_places_selection(self):
-        store = _store(32)
-        loader = ElasticKVLoader([store], budget=4)
-        moved = loader.load_step(0, np.array([1, 5, 9, 13]))
-        assert moved > 0
-        assert loader.resident_tokens(0, 0) == frozenset({1, 5, 9, 13})
+    def test_non_elastic_evicts_whole_previous_selection(self):
+        tracker = ElasticTransferTracker(bytes_per_token=10, elastic=False)
+        tracker.observe(np.array([1, 2, 3]))
+        step = tracker.observe(np.array([2, 3, 4, 5]))
+        assert step.loaded_tokens == 4
+        assert step.evicted_tokens == 3
+        assert step.overlap_fraction == 0.5
 
-    def test_repeat_load_moves_nothing(self):
-        store = _store(32)
-        loader = ElasticKVLoader([store], budget=4)
-        sel = np.array([1, 5, 9, 13])
-        loader.load_step(0, sel)
-        assert loader.load_step(0, sel) == 0
+    def test_shrinking_selection_evicts_without_loading(self):
+        tracker = ElasticTransferTracker(bytes_per_token=10)
+        tracker.observe(np.array([1, 2, 3, 4]))
+        step = tracker.observe(np.array([2, 3]))
+        assert (step.loaded_tokens, step.evicted_tokens) == (0, 2)
+        assert step.bytes_moved == 0
+        assert step.overlap_fraction == 1.0
 
-    def test_difference_only_transfer(self):
-        store = _store(32)
-        loader = ElasticKVLoader([store], budget=4)
-        first = loader.load_step(0, np.array([1, 2, 3, 4]))
-        second = loader.load_step(0, np.array([3, 4, 5, 6]))
-        assert second == first // 2  # two of four tokens changed
+    def test_growing_selection_loads_only_new_tokens(self):
+        tracker = ElasticTransferTracker(bytes_per_token=10)
+        tracker.observe(np.array([1, 2]))
+        step = tracker.observe(np.array([1, 2, 7, 9]))
+        assert (step.loaded_tokens, step.evicted_tokens) == (2, 0)
+        assert step.bytes_moved == 20
+        assert step.overlap_fraction == 0.5
 
-    def test_gathered_payload_matches_store(self):
-        store = _store(16)
-        loader = ElasticKVLoader([store], budget=4)
-        sel = np.array([2, 7, 11, 3])
-        loader.load_step(0, sel)
-        k, _ = loader.gather(0, 0, np.array([7, 11]))
-        expected_k = store._keys[0, [7, 11]]
-        np.testing.assert_allclose(np.squeeze(k), expected_k)
+    def test_empty_step_has_zero_overlap(self):
+        tracker = ElasticTransferTracker(bytes_per_token=10)
+        tracker.observe(np.array([1, 2]))
+        step = tracker.observe(np.array([], dtype=np.int64))
+        assert step.selection_size == 0
+        assert step.overlap_fraction == 0.0
+        assert (step.loaded_tokens, step.evicted_tokens) == (0, 2)
 
-    def test_per_head_selection(self):
-        store = _store(32)
-        loader = ElasticKVLoader([store], budget=2)
-        loader.load_step(0, np.array([[1, 2], [3, 4]]))
-        assert loader.resident_tokens(0, 0) == frozenset({1, 2})
-        assert loader.resident_tokens(0, 1) == frozenset({3, 4})
+    def test_every_observe_appends_its_step(self):
+        tracker = ElasticTransferTracker(bytes_per_token=1)
+        returned = [tracker.observe(np.arange(i, i + 4)) for i in range(5)]
+        assert tracker.steps == returned
+        assert tracker.steps[-1] is returned[-1]
 
-    def test_ledger_charged(self):
-        store = _store(32)
-        loader = ElasticKVLoader([store], budget=4)
-        loader.load_step(0, np.array([0, 1, 2, 3]))
-        assert store.ledger.total_bytes > 0
+    def test_accepts_python_lists(self):
+        tracker = ElasticTransferTracker(bytes_per_token=3)
+        tracker.observe([5, 1, 5])
+        step = tracker.observe([1, 2])
+        assert step.selection_size == 2
+        assert step.loaded_tokens == 1
+        assert tracker.total_bytes == 3 * 3
+
+    def test_head_union_charged_once(self):
+        """A token selected by several heads costs one ``bytes_per_token``."""
+        tracker = ElasticTransferTracker(bytes_per_token=10)
+        step = tracker.observe(np.array([[1, 2], [2, 3], [3, 1]]))
+        assert step.loaded_tokens == 3
+        assert step.bytes_moved == 30
+
+    def test_head_permutation_moves_nothing(self):
+        """Heads swapping selections leave the union, and the charge, at 0."""
+        tracker = ElasticTransferTracker(bytes_per_token=10)
+        tracker.observe(np.array([[1, 2], [3, 4]]))
+        step = tracker.observe(np.array([[3, 4], [1, 2]]))
+        assert step.loaded_tokens == 0
+        assert step.overlap_fraction == 1.0
+
+    @given(
+        st.lists(
+            st.sets(st.integers(0, 40), min_size=0, max_size=10),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_loads_and_evictions_are_set_differences(self, selections):
+        """loaded == |S_now − S_last| and evicted == |S_last − S_now|."""
+        tracker = ElasticTransferTracker(bytes_per_token=1)
+        last: set[int] = set()
+        for sel in selections:
+            step = tracker.observe(np.array(sorted(sel), dtype=np.int64))
+            assert step.loaded_tokens == len(sel - last)
+            assert step.evicted_tokens == len(last - sel)
+            last = sel
+
+    @given(
+        st.lists(
+            st.sets(st.integers(0, 30), min_size=0, max_size=8),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_resident_count_equals_current_selection(self, selections):
+        """Loads minus evictions so far leave exactly |S_now| resident."""
+        tracker = ElasticTransferTracker(bytes_per_token=1)
+        for sel in selections:
+            tracker.observe(np.array(sorted(sel), dtype=np.int64))
+            resident = sum(s.loaded_tokens - s.evicted_tokens for s in tracker.steps)
+            assert resident == len(sel)
+
+    @given(
+        st.lists(st.sets(st.integers(0, 30), max_size=4), min_size=1, max_size=8)
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_growing_stream_loads_each_token_once(self, increments):
+        """With nothing evicted, total loads count unique first touches."""
+        tracker = ElasticTransferTracker(bytes_per_token=5)
+        seen: set[int] = set()
+        for inc in increments:
+            seen |= inc
+            tracker.observe(np.array(sorted(seen), dtype=np.int64))
+        assert all(s.evicted_tokens == 0 for s in tracker.steps)
+        assert tracker.total_bytes == 5 * len(seen)
+
+    @given(
+        st.lists(
+            st.sets(st.integers(0, 30), min_size=1, max_size=8),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_elastic_never_moves_more_than_full_reload(self, selections):
+        elastic = ElasticTransferTracker(bytes_per_token=4)
+        naive = ElasticTransferTracker(bytes_per_token=4, elastic=False)
+        for sel in selections:
+            elastic.observe(np.array(sorted(sel)))
+            naive.observe(np.array(sorted(sel)))
+        assert elastic.total_bytes <= naive.total_bytes
+        assert 0.0 <= elastic.transfer_reduction_vs_full_reload() < 1.0
+
+    @given(
+        st.lists(
+            st.sets(st.integers(0, 30), min_size=1, max_size=8),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_non_elastic_bytes_equal_full_reload(self, selections):
+        naive = ElasticTransferTracker(bytes_per_token=4, elastic=False)
+        for sel in selections:
+            naive.observe(np.array(sorted(sel)))
+        assert naive.total_bytes == 4 * sum(len(sel) for sel in selections)
+        assert naive.transfer_reduction_vs_full_reload() == 0.0
+

@@ -1,4 +1,4 @@
-"""Tests for the hardware substrate: specs, timing, memory ledger, streams."""
+"""Tests for the hardware substrate: specs, timing, streams."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +9,7 @@ from repro.hardware import (
     EDGE_RTX4060,
     EDGE_RTX4060_4GB,
     LatencyModel,
-    MemoryLedger,
-    MemoryTier,
     OpCost,
-    OutOfMemoryError,
     StreamOp,
     StreamSimulator,
 )
@@ -61,64 +58,6 @@ class TestLatencyModel:
         assert total.flops == 4.0
         assert total.gpu_bytes == 6.0
         assert total.kernels == 3
-
-
-class TestMemoryLedger:
-    def test_allocate_and_free(self):
-        ledger = MemoryLedger(EDGE_RTX4060)
-        ledger.allocate("weights", 2 * GB, MemoryTier.GPU)
-        assert ledger.used(MemoryTier.GPU) == 2 * GB
-        ledger.free("weights")
-        assert ledger.used(MemoryTier.GPU) == 0
-
-    def test_oom_raised(self):
-        ledger = MemoryLedger(EDGE_RTX4060)
-        with pytest.raises(OutOfMemoryError):
-            ledger.allocate("kv", 100 * GB, MemoryTier.GPU)
-
-    def test_duplicate_name_rejected(self):
-        ledger = MemoryLedger(CLOUD_A800)
-        ledger.allocate("a", 1, MemoryTier.GPU)
-        with pytest.raises(ValueError):
-            ledger.allocate("a", 1, MemoryTier.GPU)
-
-    def test_migrate_moves_bytes(self):
-        ledger = MemoryLedger(EDGE_RTX4060)
-        ledger.allocate("kv", GB, MemoryTier.GPU)
-        moved = ledger.migrate("kv", MemoryTier.CPU)
-        assert moved == GB
-        assert ledger.used(MemoryTier.GPU) == 0
-        assert ledger.used(MemoryTier.CPU) == GB
-
-    def test_migrate_same_tier_noop(self):
-        ledger = MemoryLedger(EDGE_RTX4060)
-        ledger.allocate("kv", GB, MemoryTier.CPU)
-        assert ledger.migrate("kv", MemoryTier.CPU) == 0
-
-    def test_resize_tracks_peak(self):
-        ledger = MemoryLedger(EDGE_RTX4060)
-        ledger.allocate("kv", GB, MemoryTier.GPU)
-        ledger.resize("kv", 3 * GB)
-        ledger.resize("kv", GB)
-        assert ledger.peak_gpu_bytes == 3 * GB
-
-    def test_resize_oom(self):
-        ledger = MemoryLedger(EDGE_RTX4060_4GB)
-        ledger.allocate("kv", 3 * GB, MemoryTier.GPU)
-        with pytest.raises(OutOfMemoryError):
-            ledger.resize("kv", 5 * GB)
-
-    @given(st.lists(st.integers(1, 10**9), min_size=1, max_size=20))
-    @settings(max_examples=30, deadline=None)
-    def test_property_used_is_sum(self, sizes):
-        ledger = MemoryLedger(CLOUD_A800)
-        total = 0
-        for i, size in enumerate(sizes):
-            if total + size > CLOUD_A800.gpu_memory_bytes:
-                break
-            ledger.allocate(f"buf{i}", size, MemoryTier.GPU)
-            total += size
-        assert ledger.used(MemoryTier.GPU) == total
 
 
 class TestStreamSimulator:

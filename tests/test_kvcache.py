@@ -1,9 +1,6 @@
-"""Tests for the KV-cache substrate: dense cache, tiered store, slot buffer.
+"""Tests for the dense KV caches (:mod:`repro.kvcache.cache`).
 
-The former standalone ``PagedKVCache`` (Quest's page-metadata layout) was
-deleted in the kvcache consolidation — :mod:`repro.retrieval.quest` owns
-that layout internally and is covered by the retrieval-policy tests; the
-tiered store and slot buffer now live in :mod:`repro.kvcache.pool`.
+The paged pool has its own suite in ``test_paged_pool.py``.
 """
 
 import numpy as np
@@ -11,13 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware.memory import MemoryTier
-from repro.kvcache import (
-    GpuSlotBuffer,
-    LayerKVCache,
-    ModelKVCache,
-    TieredKVStore,
-)
+from repro.kvcache import LayerKVCache, ModelKVCache
 
 
 def _kv(n, heads=2, dim=4, seed=0):
@@ -192,147 +183,3 @@ class TestModelKVCache:
         cache[1].append(k, v)
         assert cache.nbytes() == 2 * cache[0].nbytes()
 
-
-class TestTieredKVStore:
-    def _store(self, n=16):
-        store = TieredKVStore(n_kv_heads=2, head_dim=4)
-        rng = np.random.default_rng(0)
-        store.append(
-            rng.standard_normal((2, n, 4)),
-            rng.standard_normal((2, n, 4)),
-            MemoryTier.CPU,
-        )
-        return store
-
-    def test_fetch_charges_only_missing(self):
-        store = self._store()
-        moved1 = store.fetch_to_gpu(np.array([0, 1, 2]))
-        assert moved1 == 3 * store.bytes_per_token
-        moved2 = store.fetch_to_gpu(np.array([1, 2, 3]))
-        assert moved2 == 1 * store.bytes_per_token
-
-    def test_gather_requires_residency(self):
-        store = self._store()
-        with pytest.raises(RuntimeError):
-            store.gather(np.array([0]))
-        store.fetch_to_gpu(np.array([0]))
-        k, v = store.gather(np.array([0]))
-        assert k.shape == (2, 1, 4)
-
-    def test_evict_frees_gpu(self):
-        store = self._store()
-        store.fetch_to_gpu(np.array([0, 1]))
-        freed = store.evict_from_gpu(np.array([0]))
-        assert freed == store.bytes_per_token
-        assert store.gpu_resident == frozenset({1})
-
-    def test_append_on_gpu_no_traffic(self):
-        store = TieredKVStore(2, 4)
-        store.append(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)), MemoryTier.GPU)
-        assert store.ledger.total_bytes == 0
-        assert store.gpu_resident == frozenset({0, 1, 2})
-
-    def test_append_on_cpu_charges_writeback(self):
-        store = TieredKVStore(2, 4)
-        store.append(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)), MemoryTier.CPU)
-        assert store.ledger.d2h_bytes == 3 * store.bytes_per_token
-
-    def test_evict_all(self):
-        store = self._store()
-        store.fetch_to_gpu(np.arange(8))
-        freed = store.evict_all()
-        assert freed == 8 * store.bytes_per_token
-        assert store.gpu_bytes() == 0
-
-    def test_fetch_out_of_range(self):
-        with pytest.raises(IndexError):
-            self._store(4).fetch_to_gpu(np.array([10]))
-
-    @given(st.lists(
-        st.sets(st.integers(0, 15), min_size=1, max_size=10),
-        min_size=1, max_size=8,
-    ))
-    @settings(max_examples=30, deadline=None)
-    def test_property_traffic_counts_unique_misses(self, selections):
-        """Total h2d bytes == unique first-touches, under fetch-only workload."""
-        store = self._store(16)
-        seen = set()
-        for sel in selections:
-            store.fetch_to_gpu(np.array(sorted(sel)))
-            seen |= sel
-        assert store.ledger.h2d_bytes == len(seen) * store.bytes_per_token
-
-
-class TestGpuSlotBuffer:
-    def _fetch(self, token):
-        k = np.full((2, 4), float(token))
-        return k, -k
-
-    def test_update_loads_and_evicts(self):
-        buf = GpuSlotBuffer(budget=4, n_kv_heads=2, head_dim=4)
-        loaded, evicted = buf.update(np.array([1, 2, 3]), self._fetch)
-        assert (loaded, evicted) == (3, 0)
-        loaded, evicted = buf.update(np.array([2, 3, 4]), self._fetch)
-        assert (loaded, evicted) == (1, 1)
-        assert buf.resident_tokens == frozenset({2, 3, 4})
-
-    def test_gather_returns_payload(self):
-        buf = GpuSlotBuffer(4, 2, 4)
-        buf.update(np.array([7, 9]), self._fetch)
-        k, v = buf.gather(np.array([9, 7]))
-        assert k.shape == (2, 2, 4)
-        np.testing.assert_array_equal(k[:, 0, :], np.full((2, 4), 9.0))
-        np.testing.assert_array_equal(v[:, 1, :], np.full((2, 4), -7.0))
-
-    def test_gather_missing_token(self):
-        buf = GpuSlotBuffer(2, 2, 4)
-        buf.update(np.array([0]), self._fetch)
-        with pytest.raises(KeyError):
-            buf.gather(np.array([5]))
-
-    def test_over_budget_rejected(self):
-        buf = GpuSlotBuffer(2, 2, 4)
-        with pytest.raises(ValueError):
-            buf.update(np.array([0, 1, 2]), self._fetch)
-
-    @given(
-        st.lists(
-            st.sets(st.integers(0, 30), min_size=1, max_size=8),
-            min_size=1,
-            max_size=12,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_property_residency_equals_selection(self, selections):
-        """Invariant from DESIGN.md: after update, residents == S_now."""
-        buf = GpuSlotBuffer(budget=8, n_kv_heads=1, head_dim=2)
-        def fetch(t):
-            return np.full((1, 2), float(t)), np.full((1, 2), float(t))
-
-        for sel in selections:
-            buf.update(np.array(sorted(sel)), fetch)
-            assert buf.resident_tokens == frozenset(sel)
-            k, _ = buf.gather(np.array(sorted(sel)))
-            np.testing.assert_array_equal(
-                k[0, :, 0], np.array(sorted(sel), dtype=float)
-            )
-
-    @given(
-        st.sets(st.integers(0, 40), min_size=4, max_size=8),
-        st.sets(st.integers(0, 40), min_size=4, max_size=8),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_property_fixed_budget_symmetric_diff(self, s_last, s_now):
-        """|S_last| == |S_now| implies loads == evictions (Sec. 5.4)."""
-        size = min(len(s_last), len(s_now))
-        s_last = set(sorted(s_last)[:size])
-        s_now = set(sorted(s_now)[:size])
-        buf = GpuSlotBuffer(budget=8, n_kv_heads=1, head_dim=2)
-        def fetch(t):
-            return np.zeros((1, 2)), np.zeros((1, 2))
-
-        buf.update(np.array(sorted(s_last)), fetch)
-        loaded, evicted = buf.update(np.array(sorted(s_now)), fetch)
-        assert loaded == len(s_now - s_last)
-        assert evicted == len(s_last - s_now)
-        assert loaded == evicted
