@@ -12,9 +12,9 @@ resident blocks (prefix caching), and when decode growth exhausts the
 pool the scheduler preempts the lowest-priority session and requeues it —
 token streams stay bit-identical to unpressured runs.
 
-Part 3 — the paper's scale: the same serving questions on the performance
-simulator (A800, 8B-class model) — memory-admitted batch sizes and static
-FIFO batching under three engines, the serving view behind Table 3.
+Part 3 — the paper's scale on the performance simulator (A800, 8B-class
+models): memory-admitted batch sizes under three engines, then Table 3
+itself, decode throughput at the paper's request counts.
 
 Run:  python examples/cloud_serving.py
 """
@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api import EngineConfig, GenerationRequest, SamplingParams
+from repro.experiments import table3_throughput
 from repro.hardware.spec import CLOUD_A800
 from repro.models.builder import build_recall_model
 from repro.models.config import DEEPSEEK_DISTILL_LIKE_8B, tiny_test_config
@@ -32,9 +33,7 @@ from repro.models.tokenizer import SyntheticTokenizer
 from repro.perf.capacity import max_fitting_batch
 from repro.perf.engines import FLASHINFER, HF_FLASH_ATTENTION, SPECONTEXT
 from repro.perf.simulate import PerfSimulator
-from repro.serving import SpeContextServer, StaticBatchScheduler
-from repro.serving.request import Request
-from repro.utils.tables import format_table
+from repro.serving import SpeContextServer
 from repro.workloads.base import weave_context
 
 ENGINES = (HF_FLASH_ATTENTION, FLASHINFER, SPECONTEXT)
@@ -138,18 +137,8 @@ def serve_overcommitted(seed: int = 0) -> None:
     print(f"  token streams bit-identical to solo runs: {identical}\n")
 
 
-def build_queue(n: int, seed: int = 0) -> list[Request]:
-    """Reasoning-heavy request mix: short prompts, long generations."""
-    rng = np.random.default_rng(seed)
-    shapes = [(2048, 16384), (2048, 32768), (4096, 16384)]
-    return [
-        Request(request_id=i, in_len=shapes[int(k)][0], out_len=shapes[int(k)][1])
-        for i, k in enumerate(rng.integers(0, len(shapes), size=n))
-    ]
-
-
 def simulate_cloud() -> None:
-    """Part 3: Table 3's serving view on the performance simulator."""
+    """Part 3: memory-admitted batch sizes, then Table 3 on the simulator."""
     sim = PerfSimulator(DEEPSEEK_DISTILL_LIKE_8B, CLOUD_A800, budget=2048)
     print(f"model: {DEEPSEEK_DISTILL_LIKE_8B.name}  |  GPU: {CLOUD_A800.name}")
 
@@ -157,31 +146,8 @@ def simulate_cloud() -> None:
     for engine in ENGINES:
         cap = max_fitting_batch(sim, engine, 2048, 32768)
         print(f"  {engine.name:24s} {cap}")
-
-    rows = []
-    for engine in ENGINES:
-        queue = build_queue(24)
-        meter = StaticBatchScheduler(sim, engine).execute(queue)
-        rows.append([
-            engine.name,
-            round(meter.tokens_per_second, 1),
-            round(meter.mean_latency_s, 1),
-            round(meter.latency_percentile(95), 1),
-            len(meter.finished),
-            len(meter.rejected),
-        ])
     print()
-    print(format_table(
-        ["Engine", "tokens/s", "mean latency (s)", "p95 latency (s)",
-         "finished", "rejected"],
-        rows,
-        title="24 mixed reasoning requests, static FIFO batching",
-    ))
-    print(
-        "\nSpeContext packs larger batches (its KV footprint is budget-"
-        "bounded) and decodes faster per step, compounding into the "
-        "throughput gap of Table 3."
-    )
+    print(table3_throughput.run(quick=True).format())
 
 
 def main() -> None:

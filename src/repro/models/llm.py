@@ -1,11 +1,13 @@
 """The decoder-only LM engine: prefill, decode, generation, selection hooks.
 
-``TransformerLM.generate`` accepts an optional *selection policy* — the
-object that decides which KV entries each decode step attends to. Policies
-come from :mod:`repro.retrieval` (layer-wise baselines: Quest, ClusterKV,
-ShadowKV, StreamingLLM, H2O) or :mod:`repro.core` (SpeContext's retrieval
-head, which selects once per step *before* the forward pass). A ``None``
-policy is full attention.
+``TransformerLM.generate`` is the greedy single-session reference that
+the serving paths are checked against (sampling lives in
+:class:`~repro.serving.server.SpeContextServer`). It accepts an optional
+*selection policy* — the object that decides which KV entries each decode
+step attends to. Policies come from :mod:`repro.retrieval` (layer-wise
+baselines: Quest, ClusterKV, ShadowKV, StreamingLLM, H2O) or
+:mod:`repro.core` (SpeContext's retrieval head, which selects once per step
+*before* the forward pass). A ``None`` policy is full attention.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from repro.kvcache.cache import LayerKVCache, ModelKVCache
 from repro.models.config import AttentionKind
 from repro.models.layers import DecoderLayer
 from repro.models.weights import ModelWeights
-from repro.tensor.ops import linear, linear_rows, rms_norm, softmax
+from repro.tensor.ops import linear, linear_rows, rms_norm
 from repro.tensor.rope import RotaryEmbedding, YarnConfig
 
 
@@ -354,17 +356,14 @@ class TransformerLM:
         max_new_tokens: int,
         policy: SelectionPolicy | None = None,
         stop_ids: tuple[int, ...] = (),
-        temperature: float = 0.0,
-        rng: np.random.Generator | None = None,
         capture_attention: bool = False,
-        cache: ModelKVCache | None = None,
         sparse_from_first_token: bool = False,
     ) -> DecodeResult:
-        """Prefill then autoregressively decode up to ``max_new_tokens``.
+        """Greedily decode up to ``max_new_tokens`` on a fresh cache.
 
-        ``temperature == 0`` is greedy; otherwise softmax sampling with
-        ``rng`` (required). ``stop_ids`` terminate generation after being
-        emitted.
+        The single-session greedy reference the serving paths are checked
+        against; sampling lives in the server. ``stop_ids`` terminate
+        generation after being emitted.
 
         ``sparse_from_first_token``: prefill only ``prompt[:-1]`` and decode
         the final prompt token as the first (policy-governed) decode step, so
@@ -373,13 +372,10 @@ class TransformerLM:
         default (False) matches HuggingFace semantics where the first
         generated token comes from full-attention prefill logits.
         """
-        if temperature > 0 and rng is None:
-            raise ValueError("temperature sampling requires an rng")
         prompt_ids = np.asarray(prompt_ids)
         if prompt_ids.ndim != 1 or prompt_ids.size == 0:
             raise ValueError("prompt must be a non-empty 1-D token array")
-        if cache is None:
-            cache = self.new_cache()
+        cache = self.new_cache()
 
         result = DecodeResult(
             prompt_len=int(prompt_ids.size), token_ids=[], stopped_by_eos=False
@@ -396,7 +392,7 @@ class TransformerLM:
             if policy is not None:
                 policy.begin_generation(prompt_ids, cache)
             pending = None
-            prefill_token = self._sample(logits, temperature, rng)
+            prefill_token = int(np.argmax(logits))
 
         for step in range(max_new_tokens):
             if step == 0 and prefill_token is not None:
@@ -411,33 +407,10 @@ class TransformerLM:
                 result.selections.append(selections)
                 if capture_attention:
                     result.attention_trace.append(attn)
-                token = self._sample(logits, temperature, rng)
-            result.token_ids.append(int(token))
-            if int(token) in stop_ids:
+                token = int(np.argmax(logits))
+            result.token_ids.append(token)
+            if token in stop_ids:
                 result.stopped_by_eos = True
                 break
-            pending = int(token)
+            pending = token
         return result
-
-    @staticmethod
-    def _sample(
-        logits: np.ndarray,
-        temperature: float,
-        rng: np.random.Generator | None,
-        top_p: float = 1.0,
-    ) -> int:
-        if temperature <= 0:
-            return int(np.argmax(logits))
-        probs = softmax(logits / temperature)
-        if top_p < 1.0:
-            # Nucleus cutoff: keep the smallest probability mass >= top_p.
-            # Stable sort on (-prob, token id) makes tie-breaking — and
-            # therefore the sampled stream — deterministic at fixed seed.
-            order = np.argsort(-probs, kind="stable")
-            cumulative = np.cumsum(probs[order])
-            keep = int(np.searchsorted(cumulative, top_p, side="left")) + 1
-            nucleus = order[:keep]
-            filtered = np.zeros_like(probs)
-            filtered[nucleus] = probs[nucleus]
-            probs = filtered / filtered.sum()
-        return int(rng.choice(probs.size, p=probs))

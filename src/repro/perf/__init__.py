@@ -8,10 +8,11 @@ Public surface:
 - :mod:`repro.perf.simulate` — :class:`PerfSimulator`, which maps
   (engine, model, hardware, workload) to per-step stream schedules and
   end-to-end throughput.
-- :mod:`repro.perf.capacity` — batch-size search under memory limits.
+- :mod:`repro.perf.capacity` — the largest batch an engine admits under
+  memory limits.
 """
 
-from repro.perf.capacity import CapacityResult, best_batch, max_fitting_batch
+from repro.perf.capacity import max_fitting_batch
 from repro.perf.engines import (
     ABLATION_ENGINES,
     CLOUD_ENGINES,
@@ -59,7 +60,6 @@ __all__ = [
     "SPECONTEXT_C1",
     "SPECONTEXT_C1_C2",
     "SPECONTEXT_C1_C2_C3",
-    "CapacityResult",
     "DEFAULT_OVERLAP",
     "EngineSpec",
     "GenerationTimeline",
@@ -70,7 +70,6 @@ __all__ = [
     "RetrievalKind",
     "StepSample",
     "Workload",
-    "best_batch",
     "engine_by_name",
     "max_fitting_batch",
 ]

@@ -1,31 +1,18 @@
-"""Batch capacity search for multi-request serving (Table 3's grey numbers).
+"""Batch capacity under memory limits for multi-request serving.
 
-The paper reports each engine at a chosen request count; this module
-provides the search a serving operator would run: scan candidate batch
-sizes, discard those that OOM, and keep the one with the best simulated
-end-to-end throughput. Engines whose public kernels are single-request
-(Quest, ClusterKV) are capped at batch 1.
+The paper reports each engine at a chosen request count (Table 3's grey
+numbers, :data:`repro.experiments.table3_throughput.PAPER_BATCHES`); this
+module answers the question behind them: the largest candidate batch an
+engine can admit without OOM. Engines whose public kernels are
+single-request (Quest, ClusterKV) are capped at batch 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.perf.engines import EngineSpec
-from repro.perf.simulate import GenerationTimeline, PerfSimulator, Workload
+from repro.perf.simulate import PerfSimulator, Workload
 
 DEFAULT_CANDIDATES = (1, 2, 4, 6, 8, 16, 32, 64)
-
-
-@dataclass(frozen=True)
-class CapacityResult:
-    """Outcome of the batch search for one engine on one workload."""
-
-    engine_name: str
-    best_batch: int
-    tokens_per_second: float
-    timeline: GenerationTimeline | None
-    all_oom: bool = False
 
 
 def max_fitting_batch(
@@ -43,41 +30,3 @@ def max_fitting_batch(
         if not sim.oom_reason(engine, Workload(in_len, out_len, batch)):
             best = batch
     return best
-
-
-def best_batch(
-    sim: PerfSimulator,
-    engine: EngineSpec,
-    in_len: int,
-    out_len: int,
-    candidates: tuple[int, ...] = DEFAULT_CANDIDATES,
-    n_samples: int = 24,
-) -> CapacityResult:
-    """Throughput-maximizing batch size for one engine on one workload."""
-    best: GenerationTimeline | None = None
-    best_batch_size = 0
-    for batch in candidates:
-        if engine.supports_multi_request is False and batch > 1:
-            break
-        timeline = sim.simulate(
-            engine, Workload(in_len, out_len, batch), n_samples=n_samples
-        )
-        if timeline.oom:
-            continue
-        if best is None or timeline.tokens_per_second > best.tokens_per_second:
-            best = timeline
-            best_batch_size = batch
-    if best is None:
-        return CapacityResult(
-            engine_name=engine.name,
-            best_batch=0,
-            tokens_per_second=0.0,
-            timeline=None,
-            all_oom=True,
-        )
-    return CapacityResult(
-        engine_name=engine.name,
-        best_batch=best_batch_size,
-        tokens_per_second=best.tokens_per_second,
-        timeline=best,
-    )

@@ -1,4 +1,4 @@
-"""Serving layer: the request-level server plus batching/metering substrate.
+"""Serving layer: the request-level server, its replica sets and metering.
 
 - :class:`SpeContextServer` — continuous batching of *real* functional
   inference over a shared paged KV pool: concurrent sessions with
@@ -21,9 +21,8 @@
 - :mod:`repro.serving.chaos` — deterministic fault-injection harness:
   scripted kill/stall/slow-step/pipe-drop/pool-burst plans replayed
   against an executor, reporting exactly-once streams and typed errors.
-- :class:`StaticBatchScheduler` — memory-aware FIFO batching over the
-  performance *simulator* (Table 3's serving view).
-- :class:`ThroughputMeter` / :class:`Request` — shared accounting.
+- :class:`ThroughputMeter` / :class:`RequestRecord` — the server's
+  immutable per-request records and their latency/throughput aggregates.
 - :mod:`repro.serving.http` — asyncio OpenAI-style HTTP + SSE frontend
   over an executor (``POST /v1/completions``, ``GET /v1/models``,
   ``/healthz``, ``/stats``), stdlib-only.
@@ -38,7 +37,7 @@ from repro.serving.engine import (
     WorkerHealth,
     make_executor,
 )
-from repro.serving.meter import ThroughputMeter
+from repro.serving.meter import RequestRecord, ThroughputMeter
 from repro.serving.placement import (
     ClusterPreemptionEvent,
     ClusterRoutingStats,
@@ -56,8 +55,6 @@ from repro.serving.registry import (
     UnknownRouterError,
     UnknownSchedulerError,
 )
-from repro.serving.request import Request, RequestState
-from repro.serving.scheduler import BatchPlan, StaticBatchScheduler
 from repro.serving.server import (
     PreemptionEvent,
     RequestFailure,
@@ -75,7 +72,6 @@ from repro.serving.trace import (
 
 __all__ = [
     "AdmissionController",
-    "BatchPlan",
     "ChaosReport",
     "ClusterPreemptionEvent",
     "ClusterRoutingStats",
@@ -88,14 +84,12 @@ __all__ = [
     "Placement",
     "PlacementEngine",
     "PreemptionEvent",
-    "Request",
     "RequestFailure",
-    "RequestState",
+    "RequestRecord",
     "RouterPolicy",
     "SchedulerPolicy",
     "SessionExport",
     "SpeContextServer",
-    "StaticBatchScheduler",
     "StepResult",
     "StreamEvent",
     "ThroughputMeter",

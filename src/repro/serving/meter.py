@@ -1,11 +1,10 @@
 """Throughput and latency accounting for serving runs.
 
-Latency aggregates are computed **only** over requests that are finished
-with valid timestamps. Rejected requests (which legitimately carry unset
-``start_s``/``finish_s``) are counted separately and can never skew
-latency or throughput numbers; a record whose state is mutated after being
-recorded (e.g. a finished request requeued for a retry pass) is likewise
-excluded at read time instead of crashing or contributing a stale sample.
+The server produces one immutable :class:`RequestRecord` per terminal
+request and files it as finished or rejected. Latency aggregates are
+computed **only** over finished records with valid timestamps. Rejected
+records (which legitimately carry unset ``start_s``/``finish_s``) are
+counted separately and can never skew latency or throughput numbers.
 """
 
 from __future__ import annotations
@@ -14,15 +13,53 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.serving.request import Request, RequestState
+
+@dataclass(frozen=True)
+class RequestRecord:
+    """One terminal request on the serving clock.
+
+    ``request_id`` is None for a request shed at submission, which never
+    gets one. ``out_len`` counts generated tokens when finished and
+    requested tokens when rejected; a rejected record leaves ``start_s``
+    and ``finish_s`` unset. ``first_token_s`` is None when not stamped.
+    """
+
+    request_id: int | None
+    in_len: int
+    out_len: int
+    arrival_s: float = 0.0
+    start_s: float = 0.0
+    finish_s: float = 0.0
+    first_token_s: float | None = None
+
+    def __post_init__(self):
+        if self.in_len < 1 or self.out_len < 1:
+            raise ValueError("in_len and out_len must be positive")
+
+    @property
+    def latency_s(self) -> float:
+        """Queue + execution latency (arrival -> finish)."""
+        return self.finish_s - self.arrival_s
+
+    @property
+    def ttft_s(self) -> float | None:
+        """Time to first token (arrival -> first emitted token), if recorded."""
+        if self.first_token_s is None:
+            return None
+        return self.first_token_s - self.arrival_s
+
+    @property
+    def queueing_delay_s(self) -> float:
+        """Time spent waiting before first activation (arrival -> start)."""
+        return self.start_s - self.arrival_s
 
 
 @dataclass
 class ThroughputMeter:
     """Aggregates completed requests into serving metrics."""
 
-    finished: list[Request] = field(default_factory=list)
-    rejected: list[Request] = field(default_factory=list)
+    finished: list[RequestRecord] = field(default_factory=list)
+    rejected: list[RequestRecord] = field(default_factory=list)
 
     @classmethod
     def merge(cls, *meters: "ThroughputMeter") -> "ThroughputMeter":
@@ -32,9 +69,8 @@ class ThroughputMeter:
         replica (each server stamps its own completions); a merged view is
         needed for cluster-wide percentiles, which are *not* derivable
         from per-replica aggregates (a p95 of p95s is not the p95 of the
-        union). Records are shared, not copied — the merged meter is a
-        read-side view, and mutating it (``record``/``clear``) does not
-        touch the sources.
+        union). Records are shared, not copied; recording into the merged
+        meter does not touch the sources.
         """
         merged = cls()
         for meter in meters:
@@ -42,35 +78,27 @@ class ThroughputMeter:
             merged.rejected.extend(meter.rejected)
         return merged
 
-    def record(self, request: Request) -> None:
-        if request.state is RequestState.FINISHED:
-            if request.finish_s < request.start_s or (
-                request.finish_s < request.arrival_s
-            ):
-                raise ValueError(
-                    f"request {request.request_id} recorded as finished with "
-                    f"unset/inverted timestamps (arrival={request.arrival_s}, "
-                    f"start={request.start_s}, finish={request.finish_s})"
-                )
-            if request.first_token_s is not None and (
-                request.first_token_s < request.arrival_s
-                or request.first_token_s > request.finish_s
-            ):
-                raise ValueError(
-                    f"request {request.request_id} recorded with first token "
-                    f"outside its lifetime (arrival={request.arrival_s}, "
-                    f"first_token={request.first_token_s}, "
-                    f"finish={request.finish_s})"
-                )
-            self.finished.append(request)
-        elif request.state is RequestState.REJECTED:
-            self.rejected.append(request)
-        else:
-            raise ValueError(f"request {request.request_id} still {request.state}")
+    def record_finished(self, record: RequestRecord) -> None:
+        if record.finish_s < record.start_s or record.finish_s < record.arrival_s:
+            raise ValueError(
+                f"request {record.request_id} recorded as finished with "
+                f"unset/inverted timestamps (arrival={record.arrival_s}, "
+                f"start={record.start_s}, finish={record.finish_s})"
+            )
+        if record.first_token_s is not None and (
+            record.first_token_s < record.arrival_s
+            or record.first_token_s > record.finish_s
+        ):
+            raise ValueError(
+                f"request {record.request_id} recorded with first token "
+                f"outside its lifetime (arrival={record.arrival_s}, "
+                f"first_token={record.first_token_s}, "
+                f"finish={record.finish_s})"
+            )
+        self.finished.append(record)
 
-    def _completed(self) -> list[Request]:
-        """Finished records that are *still* finished (state re-checked)."""
-        return [r for r in self.finished if r.state is RequestState.FINISHED]
+    def record_rejected(self, record: RequestRecord) -> None:
+        self.rejected.append(record)
 
     @property
     def n_rejected(self) -> int:
@@ -82,21 +110,20 @@ class ThroughputMeter:
         total = len(self.finished) + len(self.rejected)
         if total == 0:
             return 1.0
-        return len(self._completed()) / total
+        return len(self.finished) / total
 
     @property
     def makespan_s(self) -> float:
         """Wall time from first arrival to last completion."""
-        completed = self._completed()
-        if not completed:
+        if not self.finished:
             return 0.0
-        start = min(r.arrival_s for r in completed)
-        end = max(r.finish_s for r in completed)
+        start = min(r.arrival_s for r in self.finished)
+        end = max(r.finish_s for r in self.finished)
         return end - start
 
     @property
     def generated_tokens(self) -> int:
-        return sum(r.out_len for r in self._completed())
+        return sum(r.out_len for r in self.finished)
 
     @property
     def tokens_per_second(self) -> float:
@@ -110,14 +137,13 @@ class ThroughputMeter:
     def busy_s(self) -> float:
         """Total time with at least one request in service.
 
-        The union of the completed requests' ``[start_s, finish_s]``
+        The union of the finished requests' ``[start_s, finish_s]``
         intervals. Trace replay jumps the clock across arrival gaps
         (``advance_clock_to``), which inflates the makespan without the
         server doing any work; the busy span excludes those injected
         idle gaps.
         """
-        completed = self._completed()
-        intervals = sorted((r.start_s, r.finish_s) for r in completed)
+        intervals = sorted((r.start_s, r.finish_s) for r in self.finished)
         busy = 0.0
         span_start: float | None = None
         span_end = 0.0
@@ -147,52 +173,42 @@ class ThroughputMeter:
 
     def latency_percentile(self, q: float) -> float:
         """q-th percentile of end-to-end request latency (q in [0, 100])."""
-        completed = self._completed()
-        if not completed:
-            return 0.0
-        return float(np.percentile([r.latency_s for r in completed], q))
+        return _percentile([r.latency_s for r in self.finished], q)
 
     @property
     def mean_latency_s(self) -> float:
-        completed = self._completed()
-        if not completed:
-            return 0.0
-        return float(np.mean([r.latency_s for r in completed]))
+        return _mean([r.latency_s for r in self.finished])
 
     def _ttft_samples(self) -> list[float]:
-        return [
-            r.ttft_s for r in self._completed() if r.first_token_s is not None
-        ]
+        return [r.ttft_s for r in self.finished if r.first_token_s is not None]
 
     def ttft_percentile(self, q: float) -> float:
         """q-th percentile of time-to-first-token (q in [0, 100]).
 
-        Only requests whose first-token time was recorded contribute;
-        the server stamps every finished request, legacy/synthetic
-        records without one are simply excluded.
+        Only records whose first-token time was recorded contribute;
+        the server stamps every finished request, records built without
+        one are simply excluded.
         """
-        samples = self._ttft_samples()
-        if not samples:
-            return 0.0
-        return float(np.percentile(samples, q))
+        return _percentile(self._ttft_samples(), q)
 
     @property
     def mean_ttft_s(self) -> float:
-        samples = self._ttft_samples()
-        if not samples:
-            return 0.0
-        return float(np.mean(samples))
+        return _mean(self._ttft_samples())
 
     def queueing_delay_percentile(self, q: float) -> float:
         """q-th percentile of arrival->activation delay (q in [0, 100])."""
-        completed = self._completed()
-        if not completed:
-            return 0.0
-        return float(np.percentile([r.queueing_delay_s for r in completed], q))
+        return _percentile([r.queueing_delay_s for r in self.finished], q)
 
     @property
     def mean_queueing_delay_s(self) -> float:
-        completed = self._completed()
-        if not completed:
-            return 0.0
-        return float(np.mean([r.queueing_delay_s for r in completed]))
+        return _mean([r.queueing_delay_s for r in self.finished])
+
+
+def _percentile(samples: list[float], q: float) -> float:
+    """q-th percentile of ``samples``; 0.0 when there are none."""
+    return float(np.percentile(samples, q)) if samples else 0.0
+
+
+def _mean(samples: list[float]) -> float:
+    """Mean of ``samples``; 0.0 when there are none."""
+    return float(np.mean(samples)) if samples else 0.0

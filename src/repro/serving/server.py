@@ -85,8 +85,8 @@ from repro.kvcache.pool import (
 from repro.models.llm import DecodeResult, SelectionPolicy, TransformerLM
 from repro.retrieval.registry import make_policy, resolve_policy_name
 from repro.serving import registry
-from repro.serving.meter import ThroughputMeter
-from repro.serving.request import Request, RequestState
+from repro.serving.meter import RequestRecord, ThroughputMeter
+from repro.tensor.ops import softmax
 
 
 @dataclass(frozen=True)
@@ -382,8 +382,7 @@ class SpeContextServer:
         self._stream.clear()
         self._failures.clear()
         self._preemption_log.clear()
-        self.meter.finished.clear()
-        self.meter.rejected.clear()
+        self.meter = ThroughputMeter()
 
     # ---- submission ------------------------------------------------------------
 
@@ -486,20 +485,14 @@ class SpeContextServer:
         """Meter a shed submission as rejected.
 
         Shed requests never consume a request id (they stay retryable), so
-        the record carries a synthetic negative id unique among rejections.
+        the record carries none.
         """
-        record = Request(
-            request_id=(
-                request.request_id
-                if request.request_id is not None
-                else -(len(self.meter.rejected) + 1)
-            ),
+        self.meter.record_rejected(RequestRecord(
+            request_id=None,
             in_len=request.prompt_len,
             out_len=request.sampling.max_new_tokens,
             arrival_s=self._clock,
-        )
-        record.state = RequestState.REJECTED
-        self.meter.record(record)
+        ))
 
     def abort(self, request_id: int) -> bool:
         """Drop an in-flight request (client disconnect, executor abort).
@@ -988,14 +981,12 @@ class SpeContextServer:
                 clock=self._clock,
             )
         )
-        record = Request(
+        self.meter.record_rejected(RequestRecord(
             request_id=session.request_id,
             in_len=session.prompt_len,
             out_len=session.sampling.max_new_tokens,
             arrival_s=session.arrival_s,
-        )
-        record.state = RequestState.REJECTED
-        self.meter.record(record)
+        ))
 
     # ---- admission -------------------------------------------------------------
 
@@ -1525,12 +1516,23 @@ class SpeContextServer:
         )
 
     def _sample(self, session: _Session, logits: np.ndarray) -> int:
-        return TransformerLM._sample(
-            logits,
-            session.sampling.temperature,
-            session.rng,
-            top_p=session.sampling.top_p,
-        )
+        temperature = session.sampling.temperature
+        if temperature <= 0:
+            return int(np.argmax(logits))
+        probs = softmax(logits / temperature)
+        top_p = session.sampling.top_p
+        if top_p < 1.0:
+            # Nucleus cutoff: keep the smallest probability mass >= top_p.
+            # Stable sort on (-prob, token id) makes tie-breaking — and
+            # therefore the sampled stream — deterministic at fixed seed.
+            order = np.argsort(-probs, kind="stable")
+            cumulative = np.cumsum(probs[order])
+            keep = int(np.searchsorted(cumulative, top_p, side="left")) + 1
+            nucleus = order[:keep]
+            filtered = np.zeros_like(probs)
+            filtered[nucleus] = probs[nucleus]
+            probs = filtered / filtered.sum()
+        return int(session.rng.choice(probs.size, p=probs))
 
     def _advance_memory(self, session: _Session) -> None:
         """Walk Algorithm 2 against the aggregate multi-request footprint.
@@ -1608,14 +1610,12 @@ class SpeContextServer:
         return total, reduction, overlap
 
     def _record_meter(self, session: _Session) -> None:
-        record = Request(
+        self.meter.record_finished(RequestRecord(
             request_id=session.request_id,
             in_len=session.request.prompt_len,
             out_len=len(session.result.token_ids),
             arrival_s=session.arrival_s,
-        )
-        record.state = RequestState.FINISHED
-        record.start_s = session.start_s
-        record.finish_s = self._clock + 1.0  # this step completes at clock+1
-        record.first_token_s = session.first_token_s
-        self.meter.record(record)
+            start_s=session.start_s,
+            finish_s=self._clock + 1.0,  # this step completes at clock+1
+            first_token_s=session.first_token_s,
+        ))

@@ -4,7 +4,7 @@ Selection only affects the *decode* phase, so the harness prefills each
 prompt once and decodes on cloned caches under every (policy, budget)
 combination — a large saving when sweeping engines x budgets (Fig. 8/9).
 
-The decode loop mirrors ``TransformerLM.generate(...,
+The decode loop mirrors the greedy reference ``TransformerLM.generate(...,
 sparse_from_first_token=True)``: the final prompt token is decoded as the
 first policy-governed step, so selection affects every generated token —
 SpeContext's dataflow, applied uniformly to all engines for fairness.

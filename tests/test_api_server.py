@@ -16,17 +16,12 @@ from repro.core.retrieval_head import (
     RetrievalHeadConfig,
     SpeContextPolicy,
 )
-from repro.hardware.spec import CLOUD_A800, EDGE_RTX4060_4GB
-from repro.models.config import LLAMA_LIKE_8B
-from repro.perf.engines import SPECONTEXT
-from repro.perf.simulate import PerfSimulator
+from repro.hardware.spec import EDGE_RTX4060_4GB
 from repro.retrieval.registry import (
     available_policies,
     make_policy,
     resolve_policy_name,
 )
-from repro.serving.request import Request
-from repro.serving.scheduler import StaticBatchScheduler
 from repro.serving.server import SpeContextServer
 from tests.conftest import make_recall_prompt
 from tests.test_core_retrieval_head import assert_view_contract
@@ -234,6 +229,32 @@ class TestServer:
 
         assert run_once() == run_once()
 
+    @pytest.mark.parametrize(
+        "temperature, top_p", [(0.0, 1.0), (0.8, 1e-9)],
+        ids=["temperature-zero", "nucleus-of-one"],
+    )
+    def test_degenerate_sampling_is_greedy(
+        self, temperature, top_p, tiny_gqa_model, tiny_tokenizer
+    ):
+        """A zero temperature takes the argmax; a nucleus that keeps one
+        token samples it with probability 1. Either way the seeded stream
+        is the greedy one."""
+        prompt, _, _ = make_recall_prompt(
+            tiny_tokenizer, np.random.default_rng(7), n_filler=200
+        )
+
+        def run_once(sampling):
+            server = SpeContextServer(
+                tiny_gqa_model, server_config(tiny_tokenizer)
+            )
+            server.add_request(GenerationRequest(prompt, sampling, policy="full"))
+            return server.run()[0].token_ids
+
+        sampled = run_once(SamplingParams(
+            max_new_tokens=6, temperature=temperature, top_p=top_p, seed=3
+        ))
+        assert sampled == run_once(SamplingParams(max_new_tokens=6))
+
     def test_temperature_without_seed_rejected(
         self, tiny_gqa_model, tiny_tokenizer
     ):
@@ -400,6 +421,31 @@ class TestServer:
         assert server.outputs == []
         assert len(server.meter.finished) == 0
 
+    def test_clear_history_starts_a_fresh_meter(
+        self, tiny_gqa_model, tiny_tokenizer
+    ):
+        """A meter a caller kept before the reset still holds its records;
+        later completions land in the new meter only."""
+        server = SpeContextServer(tiny_gqa_model, server_config(tiny_tokenizer))
+        prompt, _, _ = make_recall_prompt(
+            tiny_tokenizer, np.random.default_rng(23), n_filler=100
+        )
+
+        def serve_one():
+            server.add_request(GenerationRequest(
+                prompt, SamplingParams(max_new_tokens=1), policy="full"
+            ))
+            server.run()
+
+        serve_one()
+        kept = server.meter
+        server.clear_history()
+        assert server.meter is not kept
+        assert len(kept.finished) == 1
+        serve_one()
+        assert len(kept.finished) == 1
+        assert len(server.meter.finished) == 1
+
 
 class TestServerMatchesModelGenerate:
     """The numeric oracle for the server's one decode path.
@@ -529,40 +575,3 @@ class TestEngine:
         )
         assert engine.head.bos_id == tiny_tokenizer.bos_id
 
-
-class TestSchedulerMemoization:
-    def test_capacity_lookups_memoized_by_shape(self, monkeypatch):
-        import repro.serving.scheduler as scheduler_module
-
-        sim = PerfSimulator(LLAMA_LIKE_8B, CLOUD_A800, budget=2048)
-        calls: list[tuple[int, int]] = []
-        real = scheduler_module.max_fitting_batch
-
-        def counting(sim_, engine_, in_len, out_len, candidates):
-            calls.append((in_len, out_len))
-            return real(sim_, engine_, in_len, out_len, candidates)
-
-        monkeypatch.setattr(scheduler_module, "max_fitting_batch", counting)
-        scheduler = StaticBatchScheduler(sim, SPECONTEXT)
-        requests = [
-            Request(request_id=i, in_len=2048, out_len=4096) for i in range(12)
-        ]
-        plans = scheduler.plan(requests)
-        assert sum(len(p.request_ids) for p in plans) == 12
-        # Naive planning called max_fitting_batch once per request added to
-        # a group; memoized planning hits the simulator once per shape.
-        assert calls == [(2048, 4096)]
-
-    def test_memoized_plans_match_shapes(self, monkeypatch):
-        sim = PerfSimulator(LLAMA_LIKE_8B, CLOUD_A800, budget=2048)
-        scheduler = StaticBatchScheduler(sim, SPECONTEXT)
-        mixed = [
-            Request(request_id=i, in_len=2048 if i % 2 == 0 else 4096,
-                    out_len=4096)
-            for i in range(6)
-        ]
-        plans = scheduler.plan(mixed)
-        assert sum(len(p.request_ids) for p in plans) == 6
-        # Head shape (2048, 4096) plus the padded group shape (4096, 4096):
-        # every other lookup is a cache hit.
-        assert set(scheduler._capacity_cache) == {(2048, 4096), (4096, 4096)}

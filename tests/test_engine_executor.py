@@ -48,7 +48,13 @@ from repro.api.errors import (
     RequestValidationError,
     UnknownPolicyError,
 )
-from repro.serving import ThroughputMeter, poisson_trace, registry, replay_trace
+from repro.serving import (
+    RequestRecord,
+    ThroughputMeter,
+    poisson_trace,
+    registry,
+    replay_trace,
+)
 from repro.serving.engine import (
     InProcessExecutor,
     MultiprocExecutor,
@@ -58,7 +64,6 @@ from repro.serving.engine import (
     make_executor,
     serve_connection,
 )
-from repro.serving.request import Request, RequestState
 from repro.serving.server import SpeContextServer
 from repro.serving.trace import solo_token_streams
 
@@ -884,7 +889,7 @@ class TestExecutorStats:
         for snapshot in snapshots.values():
             assert snapshot.n_active == 0 and snapshot.reserved_tokens == 0
             for record in snapshot.meter.finished:
-                union.record(record)
+                union.record_finished(record)
         for q in (50, 95):
             assert meter.ttft_percentile(q) == union.ttft_percentile(q)
             assert meter.latency_percentile(q) == union.latency_percentile(q)
@@ -893,15 +898,11 @@ class TestExecutorStats:
 # ---- meter merge (no model needed) -------------------------------------------
 
 
-def finished_record(rid, arrival, start, first, finish, out_len=4) -> Request:
-    record = Request(
-        request_id=rid, in_len=8, out_len=out_len, arrival_s=arrival
+def finished_record(rid, arrival, start, first, finish, out_len=4) -> RequestRecord:
+    return RequestRecord(
+        request_id=rid, in_len=8, out_len=out_len, arrival_s=arrival,
+        start_s=start, finish_s=finish, first_token_s=first,
     )
-    record.state = RequestState.FINISHED
-    record.start_s = start
-    record.first_token_s = first
-    record.finish_s = finish
-    return record
 
 
 class TestMeterMerge:
@@ -926,8 +927,8 @@ class TestMeterMerge:
         union = ThroughputMeter()
         shards = [ThroughputMeter() for _ in range(3)]
         for i, record in enumerate(records):
-            union.record(record)
-            shards[i % 3].record(record)
+            union.record_finished(record)
+            shards[i % 3].record_finished(record)
         merged = ThroughputMeter.merge(*shards)
         for q in (50, 90, 95, 99):
             assert merged.latency_percentile(q) == union.latency_percentile(q)
@@ -944,16 +945,14 @@ class TestMeterMerge:
         empty = ThroughputMeter.merge(ThroughputMeter(), ThroughputMeter())
         assert empty.completion_rate == 1.0
         shard = ThroughputMeter()
-        rejected = Request(request_id=0, in_len=8, out_len=4)
-        rejected.state = RequestState.REJECTED
-        shard.record(rejected)
+        shard.record_rejected(RequestRecord(request_id=0, in_len=8, out_len=4))
         merged = ThroughputMeter.merge(shard)
         assert merged.n_rejected == 1
 
     def test_merge_is_a_view_not_a_deep_copy(self):
         shard = ThroughputMeter()
-        shard.record(finished_record(0, 0.0, 0.0, 1.0, 4.0))
+        shard.record_finished(finished_record(0, 0.0, 0.0, 1.0, 4.0))
         merged = ThroughputMeter.merge(shard)
-        merged.record(finished_record(1, 1.0, 1.0, 2.0, 5.0))
+        merged.record_finished(finished_record(1, 1.0, 1.0, 2.0, 5.0))
         assert len(shard.finished) == 1  # source untouched
         assert len(merged.finished) == 2

@@ -153,14 +153,6 @@ class TestGeneration:
         b = tiny_gqa_model.generate(prompt, max_new_tokens=3)
         assert a.token_ids == b.token_ids
 
-    def test_temperature_requires_rng(
-        self, tiny_gqa_model, tiny_tokenizer, rng_factory
-    ):
-        rng = rng_factory.stream("temp")
-        prompt, _, _ = make_recall_prompt(tiny_tokenizer, rng)
-        with pytest.raises(ValueError):
-            tiny_gqa_model.generate(prompt, max_new_tokens=1, temperature=1.0)
-
     def test_empty_prompt_rejected(self, tiny_gqa_model):
         with pytest.raises(ValueError):
             tiny_gqa_model.generate(np.array([], dtype=int), max_new_tokens=1)

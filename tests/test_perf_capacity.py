@@ -1,4 +1,4 @@
-"""Tests for batch-capacity search."""
+"""Tests for memory-limited batch capacity."""
 
 from __future__ import annotations
 
@@ -6,8 +6,14 @@ import pytest
 
 from repro.hardware.spec import CLOUD_A800
 from repro.models.config import LLAMA_LIKE_8B
-from repro.perf.capacity import best_batch, max_fitting_batch
-from repro.perf.engines import FLASHINFER, HF_EAGER, QUEST, SPECONTEXT
+from repro.perf.capacity import max_fitting_batch
+from repro.perf.engines import (
+    CLUSTERKV,
+    FLASHINFER,
+    HF_EAGER,
+    QUEST,
+    SPECONTEXT,
+)
 from repro.perf.simulate import PerfSimulator
 
 
@@ -32,21 +38,21 @@ class TestMaxFittingBatch:
     def test_single_request_engines_capped_at_one(self, sim):
         assert max_fitting_batch(sim, QUEST, 2048, 8192) <= 1
 
+    @pytest.mark.parametrize("engine", [QUEST, CLUSTERKV], ids=lambda e: e.name)
+    def test_single_request_engine_admits_exactly_one(self, sim, engine):
+        assert max_fitting_batch(sim, engine, 2048, 2048) == 1
 
-class TestBestBatch:
-    def test_best_batch_prefers_larger_batches(self, sim):
-        result = best_batch(sim, FLASHINFER, 2048, 8192, n_samples=6)
-        assert result.best_batch >= 8
-        assert result.tokens_per_second > 0
-        assert result.timeline is not None
+    @pytest.mark.parametrize(
+        "engine", [FLASHINFER, SPECONTEXT], ids=lambda e: e.name
+    )
+    def test_capacity_shrinks_as_outputs_grow(self, sim, engine):
+        caps = [
+            max_fitting_batch(sim, engine, 2048, out_len)
+            for out_len in (2048, 8192, 32768, 131072)
+        ]
+        assert caps == sorted(caps, reverse=True)
+        assert caps[0] > caps[-1]
 
-    def test_ours_best_batch_beats_full_attention(self, sim):
-        ours = best_batch(sim, SPECONTEXT, 2048, 16384, n_samples=6)
-        full = best_batch(sim, FLASHINFER, 2048, 16384, n_samples=6)
-        assert ours.tokens_per_second > full.tokens_per_second
-
-    def test_all_oom_flagged(self, sim):
-        result = best_batch(sim, HF_EAGER, 131072, 2048, n_samples=4)
-        assert result.all_oom
-        assert result.best_batch == 0
-        assert result.timeline is None
+    def test_answer_is_a_candidate_or_zero(self, sim):
+        assert max_fitting_batch(sim, FLASHINFER, 2048, 2048, (3, 5, 7)) == 7
+        assert max_fitting_batch(sim, FLASHINFER, 2048, 2048, ()) == 0

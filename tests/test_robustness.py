@@ -174,6 +174,7 @@ class TestAdmissionControl:
         assert shed.request_id is None
         assert server.shedding
         assert len(server.meter.rejected) == 1
+        assert server.meter.rejected[0].request_id is None
         server.run()
         assert not server.shedding
         rid = server.add_request(shed)

@@ -1,53 +1,63 @@
-"""Tests for the serving substrate: requests, scheduler, meter."""
+"""Tests for the serving meter and its request records."""
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
-from repro.hardware.spec import CLOUD_A800
-from repro.models.config import LLAMA_LIKE_8B
-from repro.perf.engines import FLASHINFER, HF_EAGER, QUEST, SPECONTEXT
-from repro.perf.simulate import PerfSimulator
-from repro.serving.meter import ThroughputMeter
-from repro.serving.request import Request, RequestState
-from repro.serving.scheduler import StaticBatchScheduler
+from repro.serving.meter import RequestRecord, ThroughputMeter
 
 
-@pytest.fixture(scope="module")
-def sim():
-    return PerfSimulator(LLAMA_LIKE_8B, CLOUD_A800, budget=2048)
+def record(
+    request_id=0, *, out_len=10, arrival=0.0, start=0.0, finish=0.0, first=None
+) -> RequestRecord:
+    return RequestRecord(
+        request_id=request_id,
+        in_len=10,
+        out_len=out_len,
+        arrival_s=arrival,
+        start_s=start,
+        finish_s=finish,
+        first_token_s=first,
+    )
 
 
-def requests(n: int, in_len=2048, out_len=4096) -> list[Request]:
-    return [Request(request_id=i, in_len=in_len, out_len=out_len) for i in range(n)]
+def meter_of(*records: RequestRecord) -> ThroughputMeter:
+    meter = ThroughputMeter()
+    for r in records:
+        meter.record_finished(r)
+    return meter
 
 
-class TestRequest:
+class TestRequestRecord:
     def test_validation(self):
         with pytest.raises(ValueError):
-            Request(request_id=0, in_len=0, out_len=10)
+            RequestRecord(request_id=0, in_len=0, out_len=10)
 
-    def test_latency_requires_finish(self):
-        request = Request(request_id=0, in_len=10, out_len=10)
-        with pytest.raises(RuntimeError):
-            _ = request.latency_s
+    @pytest.mark.parametrize(
+        "in_len, out_len", [(10, 0), (-1, 10), (10, -5)],
+        ids=["zero-output", "negative-input", "negative-output"],
+    )
+    def test_rejects_nonpositive_lengths(self, in_len, out_len):
+        with pytest.raises(ValueError, match="positive"):
+            RequestRecord(request_id=0, in_len=in_len, out_len=out_len)
 
-    def test_total_tokens(self):
-        assert Request(request_id=0, in_len=10, out_len=5).total_tokens == 15
+    @pytest.mark.parametrize(
+        "first, latency, ttft, queueing",
+        [(5.0, 11.0, 4.0, 2.0), (None, 11.0, None, 2.0)],
+        ids=["stamped", "unstamped"],
+    )
+    def test_derived_times(self, first, latency, ttft, queueing):
+        r = record(arrival=1.0, start=3.0, first=first, finish=12.0)
+        assert r.latency_s == pytest.approx(latency)
+        assert r.ttft_s == (None if ttft is None else pytest.approx(ttft))
+        assert r.queueing_delay_s == pytest.approx(queueing)
 
 
 class TestMeter:
-    def test_records_only_terminal_states(self):
-        meter = ThroughputMeter()
-        with pytest.raises(ValueError):
-            meter.record(Request(request_id=0, in_len=1, out_len=1))
-
     def test_throughput_math(self):
-        meter = ThroughputMeter()
-        r = Request(request_id=0, in_len=10, out_len=100, arrival_s=0.0)
-        r.state = RequestState.FINISHED
-        r.finish_s = 10.0
-        meter.record(r)
+        meter = meter_of(record(out_len=100, finish=10.0))
         assert meter.generated_tokens == 100
         assert meter.tokens_per_second == pytest.approx(10.0)
         assert meter.latency_percentile(50) == pytest.approx(10.0)
@@ -61,15 +71,8 @@ class TestMeter:
     def test_rejected_requests_never_skew_latency_aggregates(self):
         """Rejected requests carry unset start_s/finish_s (0.0); they must
         be counted as rejections, not as zero-latency samples."""
-        meter = ThroughputMeter()
-        finished = Request(request_id=0, in_len=10, out_len=50, arrival_s=2.0)
-        finished.state = RequestState.FINISHED
-        finished.start_s = 4.0
-        finished.finish_s = 12.0
-        meter.record(finished)
-        rejected = Request(request_id=1, in_len=10, out_len=50, arrival_s=3.0)
-        rejected.state = RequestState.REJECTED  # start_s/finish_s unset
-        meter.record(rejected)
+        meter = meter_of(record(0, out_len=50, arrival=2.0, start=4.0, finish=12.0))
+        meter.record_rejected(record(1, out_len=50, arrival=3.0))
 
         assert meter.n_rejected == 1
         assert meter.completion_rate == pytest.approx(0.5)
@@ -81,63 +84,94 @@ class TestMeter:
         assert meter.makespan_s == pytest.approx(10.0)
         assert meter.generated_tokens == 50
 
-    def test_finished_record_requires_timestamps(self):
-        """The scheduler bug class this guards: marking a request FINISHED
-        but never stamping its clock times now fails at record time."""
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            # start_s/finish_s left at 0.0 after a later arrival.
+            (record(arrival=5.0), "timestamps"),
+            # First token stamped before the request arrived.
+            (record(arrival=4.0, start=4.0, finish=10.0, first=2.0), "first token"),
+            # Finished before it was activated.
+            (record(arrival=0.0, start=5.0, finish=3.0), "inverted"),
+            # First token stamped after the request finished.
+            (record(arrival=0.0, start=0.0, finish=6.0, first=7.0), "first token"),
+        ],
+        ids=[
+            "unset-timestamps",
+            "first-token-before-arrival",
+            "finish-before-start",
+            "first-token-after-finish",
+        ],
+    )
+    def test_finished_record_rejects_invalid_timestamps(self, bad, match):
         meter = ThroughputMeter()
-        bogus = Request(request_id=0, in_len=10, out_len=10, arrival_s=5.0)
-        bogus.state = RequestState.FINISHED  # start_s/finish_s left at 0.0
-        with pytest.raises(ValueError, match="timestamps"):
-            meter.record(bogus)
+        with pytest.raises(ValueError, match=match):
+            meter.record_finished(bad)
+        assert meter.finished == []
 
-    def test_busy_period_throughput_on_gapped_trace(self):
-        """Regression: trace replay jumps the clock across arrival gaps,
-        so the makespan-based tokens/s punishes sparse traces for time
-        the server never worked. Two 10-step busy periods of 100 tokens
-        each, separated by an 80-step idle gap: makespan throughput sees
-        100 steps, busy throughput the 20 the server actually served."""
-        meter = ThroughputMeter()
-        for i, (arrival, start, finish) in enumerate(
-            [(0.0, 0.0, 10.0), (90.0, 90.0, 100.0)]
-        ):
-            r = Request(
-                request_id=i, in_len=10, out_len=100, arrival_s=arrival
-            )
-            r.state = RequestState.FINISHED
-            r.start_s = start
-            r.finish_s = finish
-            meter.record(r)
-        assert meter.makespan_s == pytest.approx(100.0)
-        assert meter.tokens_per_second == pytest.approx(2.0)
-        assert meter.busy_s == pytest.approx(20.0)
-        assert meter.busy_tokens_per_second == pytest.approx(10.0)
+    @pytest.mark.parametrize(
+        "boundary",
+        [
+            record(arrival=2.0, start=2.0, first=2.0, finish=6.0),
+            # A one-token request: its first token is its last.
+            record(arrival=2.0, start=3.0, first=6.0, finish=6.0),
+            record(arrival=2.0, start=2.0, first=2.0, finish=2.0),
+        ],
+        ids=["first-token-at-arrival", "first-token-at-finish", "zero-duration"],
+    )
+    def test_finished_record_accepts_boundary_timestamps(self, boundary):
+        meter = meter_of(boundary)
+        assert meter.finished == [boundary]
 
-    def test_busy_period_merges_overlapping_intervals(self):
-        """Concurrent sessions must not double-count their overlap."""
+    def test_shed_record_carries_no_id(self):
+        """A request shed at submission never got an id; a rejected-only
+        meter reports zero completion and zero latency."""
         meter = ThroughputMeter()
-        for i, (start, finish) in enumerate([(0.0, 6.0), (2.0, 8.0)]):
-            r = Request(request_id=i, in_len=10, out_len=40, arrival_s=start)
-            r.state = RequestState.FINISHED
-            r.start_s = start
-            r.finish_s = finish
-            meter.record(r)
-        assert meter.busy_s == pytest.approx(8.0)
-        assert meter.busy_tokens_per_second == pytest.approx(10.0)
+        meter.record_rejected(record(None, out_len=8, arrival=3.0))
+        assert meter.rejected[0].request_id is None
+        assert meter.n_rejected == 1
+        assert meter.completion_rate == 0.0
+        assert meter.mean_latency_s == 0.0
+        assert meter.generated_tokens == 0
+
+    @pytest.mark.parametrize(
+        "records, makespan, tps, busy, busy_tps",
+        [
+            # Trace replay jumps the clock across arrival gaps: two 10-step
+            # busy periods of 100 tokens each around an 80-step idle gap.
+            # Makespan throughput sees 100 steps, busy throughput the 20
+            # the server actually served.
+            (
+                [
+                    record(0, out_len=100, finish=10.0),
+                    record(1, out_len=100, arrival=90.0, start=90.0, finish=100.0),
+                ],
+                100.0, 2.0, 20.0, 10.0,
+            ),
+            # Concurrent sessions must not double-count their overlap.
+            (
+                [
+                    record(0, out_len=40, finish=6.0),
+                    record(1, out_len=40, arrival=2.0, start=2.0, finish=8.0),
+                ],
+                8.0, 10.0, 8.0, 10.0,
+            ),
+        ],
+        ids=["gapped-trace", "overlapping-intervals"],
+    )
+    def test_busy_period_throughput(self, records, makespan, tps, busy, busy_tps):
+        meter = meter_of(*records)
+        assert meter.makespan_s == pytest.approx(makespan)
+        assert meter.tokens_per_second == pytest.approx(tps)
+        assert meter.busy_s == pytest.approx(busy)
+        assert meter.busy_tokens_per_second == pytest.approx(busy_tps)
 
     def test_ttft_and_queueing_delay_percentiles(self):
-        meter = ThroughputMeter()
-        specs = [  # (arrival, start, first_token, finish)
-            (0.0, 0.0, 2.0, 10.0),
-            (1.0, 3.0, 5.0, 12.0),
-            (2.0, 8.0, 16.0, 20.0),
-        ]
-        for i, (arrival, start, first, finish) in enumerate(specs):
-            r = Request(request_id=i, in_len=10, out_len=10, arrival_s=arrival)
-            r.state = RequestState.FINISHED
-            r.start_s = start
-            r.finish_s = finish
-            r.first_token_s = first
-            meter.record(r)
+        meter = meter_of(
+            record(0, arrival=0.0, start=0.0, first=2.0, finish=10.0),
+            record(1, arrival=1.0, start=3.0, first=5.0, finish=12.0),
+            record(2, arrival=2.0, start=8.0, first=16.0, finish=20.0),
+        )
         # TTFT samples: 2, 4, 14; queueing delays: 0, 2, 6.
         assert meter.ttft_percentile(50) == pytest.approx(4.0)
         assert meter.ttft_percentile(100) == pytest.approx(14.0)
@@ -146,95 +180,18 @@ class TestMeter:
         assert meter.mean_queueing_delay_s == pytest.approx(8.0 / 3)
 
     def test_ttft_skips_records_without_first_token(self):
-        """Legacy/synthetic records never stamped a first-token time;
-        they must drop out of TTFT aggregates instead of polluting them."""
-        meter = ThroughputMeter()
-        legacy = Request(request_id=0, in_len=10, out_len=10, arrival_s=0.0)
-        legacy.state = RequestState.FINISHED
-        legacy.finish_s = 5.0
-        meter.record(legacy)
+        """Records built without a first-token time must drop out of TTFT
+        aggregates instead of polluting them."""
+        meter = meter_of(record(0, finish=5.0))
         assert meter.ttft_percentile(95) == 0.0
         assert meter.mean_ttft_s == 0.0
-        stamped = Request(request_id=1, in_len=10, out_len=10, arrival_s=0.0)
-        stamped.state = RequestState.FINISHED
-        stamped.finish_s = 5.0
-        stamped.first_token_s = 3.0
-        meter.record(stamped)
+        meter.record_finished(record(1, finish=5.0, first=3.0))
         assert meter.mean_ttft_s == pytest.approx(3.0)
 
-    def test_first_token_outside_lifetime_rejected(self):
-        meter = ThroughputMeter()
-        bogus = Request(request_id=0, in_len=10, out_len=10, arrival_s=4.0)
-        bogus.state = RequestState.FINISHED
-        bogus.start_s = 4.0
-        bogus.finish_s = 10.0
-        bogus.first_token_s = 2.0  # before arrival
-        with pytest.raises(ValueError, match="first token"):
-            meter.record(bogus)
-
-    def test_record_mutated_after_recording_is_excluded_not_crashing(self):
-        """A finished record requeued for a retry pass used to make every
-        latency aggregate raise (Request.latency_s checks state); now it
-        is simply excluded until it finishes again."""
-        meter = ThroughputMeter()
-        request = Request(request_id=0, in_len=10, out_len=20, arrival_s=0.0)
-        request.state = RequestState.FINISHED
-        request.finish_s = 4.0
-        meter.record(request)
-        request.state = RequestState.QUEUED  # caller retries it
-        assert meter.mean_latency_s == 0.0
-        assert meter.generated_tokens == 0
-        assert meter.makespan_s == 0.0
-        request.state = RequestState.FINISHED
+    def test_recorded_record_is_frozen(self):
+        """A filed record cannot be re-stated behind the meter's back, so
+        the aggregates never need to re-check what they read."""
+        meter = meter_of(record(out_len=20, finish=4.0))
+        with pytest.raises(FrozenInstanceError):
+            meter.finished[0].finish_s = 8.0
         assert meter.mean_latency_s == pytest.approx(4.0)
-
-
-class TestScheduler:
-    def test_batches_respect_memory_cap(self, sim):
-        scheduler = StaticBatchScheduler(sim, FLASHINFER)
-        plans = scheduler.plan(requests(40, out_len=32768))
-        cap = max(len(p.request_ids) for p in plans)
-        assert cap <= 16  # 40 long-output requests can't co-run
-        assert sum(len(p.request_ids) for p in plans) == 40
-
-    def test_sparse_engine_packs_bigger_batches(self, sim):
-        full_plans = StaticBatchScheduler(sim, FLASHINFER).plan(requests(64))
-        ours_plans = StaticBatchScheduler(sim, SPECONTEXT).plan(requests(64))
-        assert len(ours_plans) <= len(full_plans)
-
-    def test_single_request_engine_runs_sequentially(self, sim):
-        plans = StaticBatchScheduler(sim, QUEST).plan(requests(5))
-        assert len(plans) == 5
-        assert all(len(p.request_ids) == 1 for p in plans)
-
-    def test_execute_finishes_everything(self, sim):
-        reqs = requests(8)
-        meter = StaticBatchScheduler(sim, SPECONTEXT).execute(reqs)
-        assert len(meter.finished) == 8
-        assert meter.tokens_per_second > 0
-        assert all(r.state is RequestState.FINISHED for r in reqs)
-
-    def test_impossible_requests_rejected(self, sim):
-        reqs = requests(2, in_len=131072, out_len=2048)
-        meter = StaticBatchScheduler(sim, HF_EAGER).execute(reqs)
-        assert len(meter.rejected) == 2
-        assert meter.tokens_per_second == 0.0
-
-    def test_fifo_latency_ordering(self, sim):
-        """Later batches finish later (static FIFO batching)."""
-        reqs = requests(32)
-        StaticBatchScheduler(sim, FLASHINFER).execute(reqs)
-        finishes = [r.finish_s for r in reqs]
-        assert finishes == sorted(finishes)
-
-    def test_ours_serves_faster_on_long_outputs(self, sim):
-        """In the reasoning regime (long outputs), sparsity wins; at short
-        outputs full attention is competitive, as in the paper."""
-        fast = StaticBatchScheduler(sim, SPECONTEXT).execute(
-            requests(32, out_len=32768)
-        )
-        slow = StaticBatchScheduler(sim, FLASHINFER).execute(
-            requests(32, out_len=32768)
-        )
-        assert fast.tokens_per_second > slow.tokens_per_second
-        assert fast.mean_latency_s < slow.mean_latency_s
