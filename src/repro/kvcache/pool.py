@@ -5,9 +5,12 @@ fixed pool of fixed-size blocks shared by every in-flight sequence, not as
 per-request private caches. This module brings that discipline to the
 functional server:
 
-- :class:`PagedKVPool` owns ``n_blocks`` blocks of ``block_size`` tokens
-  each; every allocation and free goes through it, so aggregate occupancy
-  is observable and bounded by construction.
+- :class:`PagedKVPool` owns a *capacity* of ``n_blocks`` blocks of
+  ``block_size`` tokens each; every allocation and free goes through it,
+  so aggregate occupancy is observable and bounded by construction.
+- A block's record is created the first time an allocation takes its id,
+  so building and auditing a pool costs what the workload has touched,
+  not the capacity (which a memory model may size at millions of tokens).
 - Blocks are **refcounted**: a sequence's :class:`BlockTable` and the
   prefix cache can hold the same physical block. Writes to a shared block
   go through :meth:`PagedKVPool.write_block`, which forks a private copy
@@ -20,7 +23,10 @@ functional server:
   no sequence still references them.
 - The free list is a **stack** (LIFO): the ids an allocation returns are a
   pure function of the alloc/free history, which makes pool behaviour
-  reproducible run-to-run — a property the trace tests pin.
+  reproducible run-to-run — a property the trace tests pin. The stack
+  holds only *recycled* ids; never-touched ids sit implicitly below them
+  in ascending allocation order (id ``len(records)`` comes next), which
+  is exactly the order an eager ``[n-1, ..., 0]`` stack would yield.
 
 The pool tracks *capacity and sharing*; the dense per-session
 :class:`~repro.kvcache.cache.ModelKVCache` remains the compute-side view.
@@ -146,7 +152,14 @@ class _Block:
 
 
 class PagedKVPool:
-    """Fixed-capacity block pool with refcounts, CoW and a prefix cache."""
+    """Fixed-capacity block pool with refcounts, CoW and a prefix cache.
+
+    The pool owns ids ``[0, capacity)`` but keeps records and a free stack
+    for *touched* ids only: ``_blocks[i]`` exists once id ``i`` has been
+    allocated (fresh ids are taken in ascending order, so
+    ``len(_blocks)`` is the high-water mark), and ``_free`` holds recycled
+    ids below that mark. Ids at or above it are free with refcount 0.
+    """
 
     def __init__(self, n_blocks: int, block_size: int = 16):
         if n_blocks < 1:
@@ -154,9 +167,12 @@ class PagedKVPool:
         if block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
         self.block_size = block_size
-        self._blocks = [_Block(block_id=i) for i in range(n_blocks)]
-        # LIFO free stack, seeded so that block 0 is allocated first.
-        self._free: list[int] = list(range(n_blocks - 1, -1, -1))
+        self._capacity = n_blocks
+        # Records of touched ids, indexed by id; grows on first allocation.
+        self._blocks: list[_Block] = []
+        # LIFO stack of recycled ids; untouched ids come after it, lowest
+        # first, so block 0 is allocated first.
+        self._free: list[int] = []
         # prefix key -> block id, in insertion order (dict preserves it);
         # re-publication moves a key to the back, giving LRU eviction.
         self._prefix_index: dict[bytes, int] = {}
@@ -170,11 +186,11 @@ class PagedKVPool:
 
     @property
     def capacity(self) -> int:
-        return len(self._blocks)
+        return self._capacity
 
     @property
     def n_free(self) -> int:
-        return len(self._free)
+        return len(self._free) + self._capacity - len(self._blocks)
 
     @property
     def n_used(self) -> int:
@@ -197,37 +213,69 @@ class PagedKVPool:
         return self.n_free + self.n_evictable() >= n
 
     def ref_count(self, block_id: int) -> int:
-        return self._blocks[block_id].ref_count
+        block = self._record(block_id)
+        return 0 if block is None else block.ref_count
+
+    def _record(self, block_id: int) -> _Block | None:
+        """The record of ``block_id``, or None while it was never allocated.
+
+        Every id a caller passes in goes through here, so an id outside
+        ``[0, capacity)`` raises instead of wrapping onto another block.
+        """
+        if not 0 <= block_id < self._capacity:
+            raise IndexError(
+                f"block id {block_id} outside pool [0, {self._capacity})"
+            )
+        return self._blocks[block_id] if block_id < len(self._blocks) else None
+
+    def _live(self, block_id: int, action: str) -> _Block:
+        """The record of a referenced block; ValueError if it is free."""
+        block = self._record(block_id)
+        if block is None or block.ref_count < 1:
+            raise ValueError(f"{action} of free block {block_id}")
+        return block
+
+    def _reservation(self, block_id: int) -> _Block:
+        """The record of a block held at refcount 1 (a spec reservation)."""
+        block = self._record(block_id)
+        if block is None or block.ref_count != 1:
+            raise ValueError(
+                f"block {block_id} is not a live spec reservation "
+                f"(ref_count={self.ref_count(block_id)})"
+            )
+        return block
+
+    def _take_free(self) -> int:
+        """Pop the top free id (recycled first, then the lowest untouched)."""
+        if self._free:
+            block = self._blocks[self._free.pop()]
+        else:
+            block = _Block(block_id=len(self._blocks))
+            self._blocks.append(block)
+        assert block.ref_count == 0
+        block.ref_count = 1
+        block.payload = None
+        block.prefix_key = None
+        return block.block_id
 
     # ---- allocate / retain / release -------------------------------------------
 
     def allocate(self) -> int:
         """Pop one free block (refcount 1), evicting cached blocks if needed."""
-        if not self._free and not self._evict_one_unreferenced():
+        if not self.n_free and not self._evict_one_unreferenced():
             raise PoolExhausted(
                 f"pool exhausted: {self.capacity} blocks all referenced"
             )
-        block_id = self._free.pop()
-        block = self._blocks[block_id]
-        assert block.ref_count == 0
-        block.ref_count = 1
-        block.payload = None
-        block.prefix_key = None
         self.stats.allocated += 1
-        return block_id
+        return self._take_free()
 
     def retain(self, block_id: int) -> None:
         """Add one reference to an allocated block."""
-        block = self._blocks[block_id]
-        if block.ref_count < 1:
-            raise ValueError(f"retain of free block {block_id}")
-        block.ref_count += 1
+        self._live(block_id, "retain").ref_count += 1
 
     def release(self, block_id: int) -> bool:
         """Drop one reference; returns True when the block was freed."""
-        block = self._blocks[block_id]
-        if block.ref_count < 1:
-            raise ValueError(f"release of free block {block_id}")
+        block = self._live(block_id, "release")
         block.ref_count -= 1
         if block.ref_count == 0:
             if block.prefix_key is not None:
@@ -264,13 +312,8 @@ class PagedKVPool:
         if n < 0:
             raise ValueError(f"reserve count must be non-negative, got {n}")
         taken: list[int] = []
-        while len(taken) < n and self._free:
-            block_id = self._free.pop()
-            block = self._blocks[block_id]
-            assert block.ref_count == 0
-            block.ref_count = 1
-            block.payload = None
-            block.prefix_key = None
+        while len(taken) < n and self.n_free:
+            block_id = self._take_free()
             taken.append(block_id)
             self._spec_outstanding.add(block_id)
             self.stats.spec_reserved += 1
@@ -284,12 +327,7 @@ class PagedKVPool:
         so final :class:`PoolStats` match the never-drafted reference.
         """
         for block_id in block_ids:
-            block = self._blocks[block_id]
-            if block.ref_count != 1:
-                raise ValueError(
-                    f"block {block_id} is not a live spec reservation "
-                    f"(ref_count={block.ref_count})"
-                )
+            self._reservation(block_id)
             self._spec_outstanding.discard(block_id)
             table.block_ids.append(block_id)
             self.stats.allocated += 1
@@ -304,12 +342,7 @@ class PagedKVPool:
         blocks, which the reference run would have consumed too).
         """
         for block_id in reversed(block_ids):
-            block = self._blocks[block_id]
-            if block.ref_count != 1:
-                raise ValueError(
-                    f"block {block_id} is not a live spec reservation "
-                    f"(ref_count={block.ref_count})"
-                )
+            block = self._reservation(block_id)
             self._spec_outstanding.discard(block_id)
             block.ref_count = 0
             self._free.append(block_id)
@@ -318,10 +351,7 @@ class PagedKVPool:
     # ---- payload access & copy-on-write ----------------------------------------
 
     def read_block(self, block_id: int) -> BlockPayload | None:
-        block = self._blocks[block_id]
-        if block.ref_count < 1:
-            raise ValueError(f"read of free block {block_id}")
-        return block.payload
+        return self._live(block_id, "read").payload
 
     def gather_chain(self, block_ids: list[int]) -> BlockPayload | None:
         """Batch-gather a resident block chain into one payload per layer.
@@ -363,7 +393,7 @@ class PagedKVPool:
         physical block id written.
         """
         block_id = table.block_ids[logical_index]
-        block = self._blocks[block_id]
+        block = self._live(block_id, "write")
         if block.ref_count > 1:
             fresh = self.allocate()
             self.stats.cow_forks += 1
@@ -410,8 +440,8 @@ class PagedKVPool:
                 self._prefix_index[key] = self._prefix_index.pop(key)
                 continue
             block_id = table.block_ids[i]
-            block = self._blocks[block_id]
-            if block.payload is None:
+            block = self._record(block_id)
+            if block is None or block.payload is None:
                 raise ValueError(
                     f"block {block_id} has no payload; write_block before "
                     "publishing"
@@ -591,8 +621,9 @@ class PagedKVPool:
 
         Always checked:
 
-        - free-stack integrity: unique ids, refcount 0, no payload or
-          prefix key attached;
+        - free-stack integrity: unique recycled ids below the high-water
+          mark, refcount 0, no payload or prefix key attached (ids at or
+          above the mark were never allocated and count as free);
         - every non-free block has a positive refcount (no limbo blocks);
         - the prefix index points at live blocks whose back-pointer
           matches, and is disjoint from the free stack;
@@ -616,8 +647,19 @@ class PagedKVPool:
             if not cond:
                 raise PoolAuditError(f"pool audit: {message}")
 
+        touched = len(self._blocks)
         free_set = set(self._free)
         ensure(len(free_set) == len(self._free), "duplicate ids on free stack")
+        stray = sorted(b for b in self._free if not 0 <= b < touched)
+        ensure(
+            not stray,
+            f"recycled ids {stray} at or above the high-water mark {touched}",
+        )
+
+        def is_free(block_id: int) -> bool:
+            # Ids at or above the high-water mark were never allocated.
+            return not 0 <= block_id < touched or block_id in free_set
+
         for block in self._blocks:
             if block.block_id in free_set:
                 ensure(
@@ -635,10 +677,9 @@ class PagedKVPool:
                     f"block {block.block_id} is neither free nor referenced",
                 )
         for key, block_id in self._prefix_index.items():
-            block = self._blocks[block_id]
-            ensure(block_id not in free_set, f"cached block {block_id} is free")
+            ensure(not is_free(block_id), f"cached block {block_id} is free")
             ensure(
-                block.prefix_key == key,
+                self._blocks[block_id].prefix_key == key,
                 f"stale prefix back-pointer on block {block_id}",
             )
 
@@ -657,11 +698,11 @@ class PagedKVPool:
             f"{self.stats.allocated - self.stats.freed + len(outstanding)}",
         )
         for block_id in sorted(outstanding):
-            block = self._blocks[block_id]
             ensure(
-                block_id not in free_set,
+                not is_free(block_id),
                 f"spec reservation {block_id} sits on the free stack",
             )
+            block = self._blocks[block_id]
             ensure(
                 block.ref_count == 1 and block.prefix_key is None,
                 f"spec reservation {block_id} was shared or published",
@@ -674,11 +715,11 @@ class PagedKVPool:
             )
 
         if tables is not None:
-            expected = [0] * self.capacity
+            expected = [0] * touched
             for table in tables:
                 for block_id in table.block_ids:
                     ensure(
-                        block_id not in free_set,
+                        not is_free(block_id),
                         f"chained block {block_id} sits on the free stack",
                     )
                     expected[block_id] += 1

@@ -11,7 +11,6 @@ budgets — the paper measures it above Quest throughout Fig. 8.
 from __future__ import annotations
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 
 from repro.kvcache.cache import LayerKVCache, ModelKVCache
 from repro.models.llm import TransformerLM
@@ -38,6 +37,9 @@ class ClusterKVPolicy(BudgetedPolicy):
         self._clusters: list[list[tuple[np.ndarray, np.ndarray]]] = []
 
     def _prepare(self, cache: ModelKVCache) -> None:
+        # scipy costs ~0.5 s and ~40 MB to import; only clustering needs it.
+        from scipy.cluster.vq import kmeans2
+
         self._clusters = []
         n_clusters = max(self.prompt_len // self.tokens_per_cluster, 2)
         for layer_cache in cache.layers:

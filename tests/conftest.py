@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.kvcache.pool import PagedKVPool
 from repro.models import (
     AttentionKind,
     SyntheticTokenizer,
@@ -89,3 +90,13 @@ def make_recall_prompt(
             value_pos[i] = len(ids) - 1
     ids.extend([tokenizer.question_id, keys[query_pair]])
     return np.array(ids), vals[query_pair], value_pos[query_pair]
+
+
+def free_order(pool: PagedKVPool) -> list[int]:
+    """Every free block id in the order allocations would take them.
+
+    The pool keeps only recycled ids on its LIFO stack; never-touched ids
+    follow them, lowest first. This is the top-first reading of the
+    eager ``[n-1, ..., 0]`` stack the pool's ids are defined against.
+    """
+    return pool._free[::-1] + list(range(len(pool._blocks), pool.capacity))

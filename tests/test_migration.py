@@ -36,6 +36,7 @@ from repro.serving import SpeContextServer, poisson_trace, replay_trace
 from repro.serving.engine import InProcessExecutor, MultiprocExecutor
 from repro.serving.server import _Session
 from repro.serving.trace import solo_token_streams
+from tests.conftest import free_order
 
 ALL_NAMES = (
     "specontext", "quest", "h2o", "shadowkv", "clusterkv",
@@ -122,12 +123,12 @@ def published_chain(n_blocks: int = 8, chain_blocks: int = 3):
 class TestChainExportImport:
     def test_export_is_read_only_on_the_source(self):
         pool, table, token_ids = published_chain()
-        free_before = list(pool._free)
+        free_before = free_order(pool)
         refs_before = [pool.ref_count(b) for b in range(pool.capacity)]
         index_before = list(pool._prefix_index.items())
         export = pool.export_chain(token_ids, table, 3)
         assert export.n_blocks == 3
-        assert list(pool._free) == free_before
+        assert free_order(pool) == free_before
         assert [pool.ref_count(b) for b in range(pool.capacity)] == refs_before
         assert list(pool._prefix_index.items()) == index_before
         pool.audit(tables=[table])

@@ -16,12 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kvcache.pool import (
+    BlockChainExport,
     BlockTable,
     PagedKVPool,
     PoolAuditError,
     PoolExhausted,
+    _Block,
     hash_token_prefix,
 )
+from tests.conftest import free_order
 
 
 def payload_of(value: float, n_layers: int = 2, block: int = 4):
@@ -220,6 +223,30 @@ class TestPoolApi:
         with pytest.raises(ValueError):
             pool.release(0)
 
+    @pytest.mark.parametrize("block_id", [-1, -2, 2])
+    @pytest.mark.parametrize(
+        "method", ["retain", "release", "ref_count", "read_block"]
+    )
+    def test_ids_outside_capacity_are_rejected(self, method, block_id):
+        # A negative id must not wrap onto another block's record.
+        pool = PagedKVPool(2)
+        pool.allocate()
+        pool.allocate()
+        with pytest.raises(IndexError, match="outside pool"):
+            getattr(pool, method)(block_id)
+        assert [pool.ref_count(b) for b in range(2)] == [1, 1]
+        pool.audit()
+
+    def test_untouched_ids_are_free(self):
+        pool = PagedKVPool(4)
+        pool.allocate()
+        assert pool.ref_count(3) == 0
+        for method in ("retain", "release", "read_block"):
+            with pytest.raises(ValueError, match="free block 3"):
+                getattr(pool, method)(3)
+        with pytest.raises(ValueError, match="not a live spec reservation"):
+            pool.release_spec([3])
+
     def test_exhaustion_raises(self):
         pool = PagedKVPool(2, block_size=4)
         pool.allocate()
@@ -342,6 +369,21 @@ class TestPoolAudit:
         with pytest.raises(PoolAuditError):
             pool.audit()
 
+    def test_recycled_id_above_high_water_mark_is_caught(self):
+        pool = PagedKVPool(8, block_size=4)
+        pool.allocate()
+        # An untouched id is implicitly free; stacking it too would hand
+        # it out twice.
+        pool._free.append(len(pool._blocks))
+        with pytest.raises(PoolAuditError, match="high-water mark"):
+            pool.audit()
+
+    def test_chained_untouched_block_is_caught(self):
+        pool = PagedKVPool(8, block_size=4)
+        table = BlockTable([pool.allocate(), 5])
+        with pytest.raises(PoolAuditError, match="chained block 5 sits on"):
+            pool.audit(tables=[table])
+
     def test_spec_counter_identity_is_checked(self):
         pool = PagedKVPool(8, block_size=4)
         reserved = pool.reserve_spec(1)
@@ -353,3 +395,123 @@ class TestPoolAudit:
         pool.stats.spec_promoted += 1
         with pytest.raises(PoolAuditError, match="spec counters"):
             pool.audit(tables=[table])
+
+
+# ---- lazy records vs the eager free stack --------------------------------------
+
+
+class EagerPool(PagedKVPool):
+    """Reference: every record built up front, one ``[n-1, ..., 0]`` stack.
+
+    Only the free-stack representation differs from :class:`PagedKVPool`,
+    so identical ids under identical histories pin that materialising
+    records on first allocation never changes the allocation order.
+    """
+
+    def __init__(self, n_blocks: int, block_size: int = 16):
+        super().__init__(n_blocks, block_size)
+        self._blocks = [_Block(block_id=i) for i in range(n_blocks)]
+        self._free = list(range(n_blocks - 1, -1, -1))
+
+
+def doc_tokens(doc: int, block: int = 4) -> np.ndarray:
+    """Tokens of one of a few documents; tables over one doc share prefixes."""
+    return np.arange(16 * block, dtype=np.int64) + 1000 * doc
+
+
+def drive_pool(pool: PagedKVPool, ops) -> list:
+    """Apply a mixed op stream; record every returned id and the free order.
+
+    Tables over the same document share prefix keys, so publishes
+    deduplicate, matches hit, and allocations under pressure evict LRU
+    cache entries; imports warm keys no table ever published.
+    """
+    tables = [BlockTable()]
+    docs = [0]
+    trace: list = []
+    for name, a, b in ops:
+        t = a % len(tables)
+        table, tokens = tables[t], doc_tokens(docs[t])
+        result = None
+        try:
+            if name == "new":
+                tables.append(BlockTable())
+                docs.append(b % 3)
+            elif name == "alloc":
+                result = pool.allocate()
+                table.block_ids.append(result)
+            elif name == "release":
+                if table.block_ids:
+                    result = pool.release(table.block_ids.pop())
+            elif name == "free":
+                pool.free_table(table)
+            elif name == "spec":
+                result = pool.reserve_spec(b % 4)
+                keep = a % (len(result) + 1)
+                pool.promote_spec(table, result[:keep])
+                pool.release_spec(result[keep:])
+            elif name == "publish":
+                for slot in range(len(table)):
+                    pool.write_block(table, slot, payload_of(float(slot)))
+                result = pool.publish_prefix(tokens, table, len(table))
+            elif name == "match":
+                result = pool.match_prefix(tokens, tokens.size)
+                tables.append(BlockTable())
+                docs.append(docs[t])
+                pool.acquire_prefix(result, tables[-1])
+            elif name == "import":
+                export = BlockChainExport(
+                    block_size=pool.block_size,
+                    token_ids=doc_tokens(3 + b % 2),
+                    start_block=0,
+                    payloads=[payload_of(float(i)) for i in range(a % 4 + 1)],
+                )
+                result = pool.import_chain(export)
+        except PoolExhausted:
+            result = "exhausted"
+        trace.append((name, result, free_order(pool)))
+        pool.audit(tables=tables)
+    for table in tables:
+        pool.free_table(table)
+    pool.evict_all_unreferenced()
+    trace.append(("drain", pool.n_free, free_order(pool)))
+    return trace
+
+
+mixed_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            [
+                "new", "alloc", "alloc", "release", "free",
+                "spec", "publish", "match", "import",
+            ]
+        ),
+        st.integers(min_value=0, max_value=7),
+        st.integers(min_value=0, max_value=7),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+class TestLazyRecords:
+    @settings(max_examples=80, deadline=None)
+    @given(ops=mixed_ops, n_blocks=st.integers(min_value=1, max_value=12))
+    def test_allocation_order_equals_eager_pool(self, ops, n_blocks):
+        lazy = PagedKVPool(n_blocks, block_size=4)
+        eager = EagerPool(n_blocks, block_size=4)
+        assert drive_pool(lazy, ops) == drive_pool(eager, ops)
+        assert lazy.stats == eager.stats
+        assert lazy.n_free == eager.n_free == n_blocks
+        assert len(lazy._blocks) <= n_blocks
+
+    def test_records_grow_only_with_allocation(self):
+        pool = PagedKVPool(1_000_000, block_size=4)
+        assert pool._blocks == [] and pool.n_free == pool.capacity == 1_000_000
+        ids = [pool.allocate() for _ in range(3)]
+        assert ids == [0, 1, 2] and len(pool._blocks) == 3
+        pool.release(ids[1])
+        assert pool.allocate() == 1  # recycled first, no new record
+        assert len(pool._blocks) == 3
+        assert pool.n_used == 3
+        pool.audit()

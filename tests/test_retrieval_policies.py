@@ -3,7 +3,12 @@ ShadowKV, StreamingLLM, H2O, sliding window, full attention)."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,8 @@ from repro.retrieval.streaming import StreamingLLMPolicy
 from tests.conftest import make_recall_prompt
 
 warnings.filterwarnings("ignore", message="One of the clusters is empty")
+
+SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 BUDGETED = (QuestPolicy, ClusterKVPolicy, ShadowKVPolicy, H2OPolicy)
 
@@ -161,3 +168,42 @@ class TestOpsAccounting:
         assert len(policy.record.selection_history) >= 2
         layer0 = policy.record.layer_selections(0)
         assert layer0 and all(isinstance(s, np.ndarray) for s in layer0)
+
+
+class TestScipyIsLazy:
+    def test_serving_path_never_imports_scipy(self):
+        """Only ClusterKV's clustering needs scipy; serving must not pay for it."""
+        script = textwrap.dedent(
+            """
+            import sys
+
+            import numpy as np
+
+            import repro
+            from repro import EngineConfig, GenerationRequest, SpeContextServer
+            from repro.models import (
+                SyntheticTokenizer, TransformerLM, build_recall_model,
+                tiny_test_config,
+            )
+
+            tokenizer = SyntheticTokenizer(512)
+            model = TransformerLM(build_recall_model(
+                tiny_test_config(), tokenizer, np.random.default_rng(0)
+            ))
+            server = SpeContextServer(
+                model,
+                EngineConfig(policy="specontext", budget=32,
+                             bos_id=tokenizer.bos_id),
+            )
+            server.add_request(GenerationRequest(np.arange(1, 80)))
+            server.step()
+            assert "scipy" not in sys.modules, "the serving path imported scipy"
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -50,7 +50,7 @@ from repro.serving.engine import InProcessExecutor, MultiprocExecutor
 from repro.serving.http import AsyncEngine, HttpServer
 from repro.serving.server import SpeContextServer
 from repro.serving.trace import solo_token_streams
-from tests.conftest import make_recall_prompt
+from tests.conftest import free_order, make_recall_prompt
 from tests.test_engine_executor import run_trace
 from tests.test_http_frontend import request_json, sse_chunks
 from tests.test_serving_traces import assert_outputs_bit_identical
@@ -420,7 +420,7 @@ class TestAcceptanceRuleProperties:
         assert output.token_ids == reference
         # Single session: rejected reservations restore the free stack in
         # the exact order, so final physical state matches the reference.
-        assert server.pool._free == ref_server.pool._free
+        assert free_order(server.pool) == free_order(ref_server.pool)
         expected = simulate_acceptance(max_new, spec_k, j)
         got = (
             server.spec_stats.spec_steps,
@@ -468,7 +468,7 @@ class TestPoolSpecReservations:
         table = BlockTable()
         for _ in range(min(pre_alloc, capacity)):
             table.block_ids.append(pool.allocate())
-        before_free = list(pool._free)
+        before_free = free_order(pool)
         before_ledger = (pool.stats.allocated, pool.stats.freed)
 
         taken = pool.reserve_spec(n_reserve)
@@ -476,7 +476,7 @@ class TestPoolSpecReservations:
         assert all(pool.ref_count(b) == 1 for b in taken)
 
         pool.release_spec(taken)
-        assert pool._free == before_free  # order included
+        assert free_order(pool) == before_free  # order included
         assert (pool.stats.allocated, pool.stats.freed) == before_ledger
         assert pool.stats.spec_reserved == pool.stats.spec_released == len(taken)
         pool.audit(allow_spec_outstanding=True)
