@@ -283,7 +283,6 @@ def bench_cluster(model, tokenizer, args) -> dict:
         max_concurrency=args.concurrency,
         seed=args.seed,
         block_size=args.block_size,
-        kv_dtype=args.kv_dtype,
     )
     routers = {}
     for router in ROUTERS:
@@ -337,7 +336,6 @@ def bench_migration(model, tokenizer, args) -> dict:
         max_concurrency=args.concurrency,
         seed=args.seed,
         block_size=args.block_size,
-        kv_dtype=args.kv_dtype,
     )
     runs = {}
     for name, rebalance_every in (
@@ -394,8 +392,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--concurrency", type=int, default=8)
     parser.add_argument("--block-size", type=int, default=16)
     parser.add_argument("--stickiness-tokens", type=int, default=16)
-    parser.add_argument("--kv-dtype", default="float32",
-                        choices=("float32", "float64"))
     parser.add_argument("--layers", type=int, default=4)
     parser.add_argument("--vocab", type=int, default=512)
     parser.add_argument("--seed", type=int, default=0)
@@ -455,7 +451,6 @@ def main(argv: list[str] | None = None) -> int:
             "concurrency": args.concurrency,
             "block_size": args.block_size,
             "stickiness_tokens": args.stickiness_tokens,
-            "kv_dtype": args.kv_dtype,
             "layers": args.layers,
             "vocab": args.vocab,
             "seed": args.seed,

@@ -361,7 +361,6 @@ def bench_spec_decode(model, tokenizer, args) -> dict:
         bos_id=tokenizer.bos_id,
         max_concurrency=len(trace),
         seed=args.seed,
-        kv_dtype=args.kv_dtype,
     )
     results: dict[str, dict] = {}
     spec_stats = None
@@ -426,8 +425,7 @@ def bench_batched_decode(model, tokenizer, args) -> dict:
             max_concurrency=args.sessions,
             seed=args.seed,
             batched_decode=batched,
-            kv_dtype=args.kv_dtype,
-        )
+            )
         mode = "batched" if batched else "sequential"
         results[mode] = run_best_of(model, trace, config, args.repeats)
         results[mode]["mode"] = mode
@@ -468,7 +466,6 @@ def bench_chunked_prefill(model, tokenizer, args) -> dict:
         bos_id=tokenizer.bos_id,
         max_concurrency=args.short_sessions + 1,
         seed=args.seed,
-        kv_dtype=args.kv_dtype,
         scheduler="sjf",
     )
     monolithic = run_best_of(model, trace, EngineConfig(**base), args.repeats)
@@ -565,10 +562,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-new-tokens", type=int, default=128)
     parser.add_argument("--policy", default="streaming")
     parser.add_argument("--budget", type=int, default=64)
-    parser.add_argument("--kv-dtype", default="float32",
-                        choices=("float32", "float64"),
-                        help="KV cache storage precision (both modes; "
-                        "float32 halves the attention memory traffic)")
     parser.add_argument("--layers", type=int, default=4)
     parser.add_argument("--vocab", type=int, default=512)
     parser.add_argument("--seed", type=int, default=0)
@@ -659,7 +652,6 @@ def main(argv: list[str] | None = None) -> int:
             "max_new_tokens": args.max_new_tokens,
             "policy": args.policy,
             "budget": args.budget,
-            "kv_dtype": args.kv_dtype,
             "layers": args.layers,
             "vocab": args.vocab,
             "seed": args.seed,

@@ -141,11 +141,6 @@ class EngineConfig:
             wave; False flushes the wave after every session, i.e. waves
             of one through the same code. Token streams, selection
             histories and event order are bit-identical between the two.
-        kv_dtype: storage precision of per-session KV caches, "float64"
-            (default, double-precision attention accumulation) or
-            "float32" (half the memory traffic; projections are float32 so
-            the stored values are unchanged — what production engines do
-            with FP16 KV).
         prefill_chunk_tokens: the size of the chunks every prompt prefill
             runs in. None (default) is one chunk covering the whole
             prompt, run inline at admission. A number streams the prompt
@@ -217,7 +212,6 @@ class EngineConfig:
     preempt_mode: str = "swap"
     scheduler: str = "fcfs"
     batched_decode: bool = True
-    kv_dtype: str = "float64"
     prefill_chunk_tokens: int | None = None
     max_step_tokens: int | None = None
     sparse_from_first_token: bool = True
@@ -257,10 +251,6 @@ class EngineConfig:
             raise ConfigValidationError(
                 f"preempt_mode must be 'swap' or 'recompute', "
                 f"got {self.preempt_mode!r}"
-            )
-        if self.kv_dtype not in ("float32", "float64"):
-            raise ConfigValidationError(
-                f"kv_dtype must be 'float32' or 'float64', got {self.kv_dtype!r}"
             )
         if self.prefill_chunk_tokens is not None and self.prefill_chunk_tokens < 1:
             raise ConfigValidationError(

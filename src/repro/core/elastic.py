@@ -49,29 +49,44 @@ class ElasticTransferTracker:
     bytes_per_token: int
     elastic: bool = True  # False models naive full reload each step
     steps: list[StepTransfer] = field(default_factory=list)
-    # Previous step's sorted unique indices.
+    # Previous step's set as a boolean mask over token positions.
     _last: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def observe(self, selection: np.ndarray) -> StepTransfer:
-        """Record one step's selection (any shape; flattened to a set)."""
-        now = np.unique(np.asarray(selection))
+        """Record one step's selection (any shape; flattened to a set of
+        non-negative token positions).
+
+        The set algebra runs on boolean position masks: a selection is a
+        few hundred positions of a context at most a few thousand long,
+        so marking and counting beat ``np.unique``'s sort.
+        """
+        flat = np.asarray(selection).ravel()
+        now = np.zeros(0, dtype=bool)
+        if flat.size:
+            if flat.min() < 0:
+                raise ValueError(f"negative token position {int(flat.min())}")
+            now = np.zeros(int(flat.max()) + 1, dtype=bool)
+            now[flat] = True
+        size = int(np.count_nonzero(now))
         last = self._last
-        shared = (
-            0 if last is None
-            else np.intersect1d(now, last, assume_unique=True).size
-        )
-        if last is None or not self.elastic:
-            loaded = now.size
-            evicted = 0 if last is None else last.size
+        if last is None:
+            shared = last_size = 0
         else:
-            loaded = now.size - shared
-            evicted = last.size - shared
+            span = min(now.size, last.size)
+            shared = int(np.count_nonzero(now[:span] & last[:span]))
+            last_size = int(np.count_nonzero(last))
+        if last is None or not self.elastic:
+            loaded = size
+            evicted = last_size
+        else:
+            loaded = size - shared
+            evicted = last_size - shared
         step = StepTransfer(
             loaded_tokens=loaded,
             evicted_tokens=evicted,
             bytes_moved=loaded * self.bytes_per_token,
-            overlap_fraction=shared / max(now.size, 1),
-            selection_size=now.size,
+            overlap_fraction=shared / max(size, 1),
+            selection_size=size,
         )
         self.steps.append(step)
         self._last = now

@@ -4,11 +4,22 @@ Shapes follow the (batch, heads, seq, head_dim) convention used throughout
 the transformer substrate. ``LayerKVCache`` owns one layer's K and V arrays;
 ``ModelKVCache`` is the per-request stack of layer caches the engine threads
 through prefill and decode.
+
+Precision contract: K/V is *stored* in float32 (:data:`KV_DTYPE`), the
+dtype every projection emits, so storage never rounds a value; every
+reader that does arithmetic on cached values upcasts the rows it reads to
+float64 and runs its float64 ops on them. :meth:`LayerKVCache.gather_into`
+and :meth:`LayerKVCache.copy_kv_into` do that upcast into float64 caller
+buffers; :attr:`LayerKVCache.keys`/``values``, :meth:`LayerKVCache.gather`,
+pool payloads, swap and migration carry the stored float32 bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Storage dtype of every K/V cache; ``append`` refuses anything else.
+KV_DTYPE = np.dtype(np.float32)
 
 
 class LayerKVCache:
@@ -19,22 +30,16 @@ class LayerKVCache:
     """
 
     def __init__(
-        self,
-        batch: int,
-        n_kv_heads: int,
-        head_dim: int,
-        capacity: int = 64,
-        dtype: np.dtype = np.float64,
+        self, batch: int, n_kv_heads: int, head_dim: int, capacity: int = 64
     ):
         if batch < 1 or n_kv_heads < 1 or head_dim < 1:
             raise ValueError("batch, n_kv_heads and head_dim must be positive")
         self.batch = batch
         self.n_kv_heads = n_kv_heads
         self.head_dim = head_dim
-        self.dtype = np.dtype(dtype)
         self._len = 0
-        self._k = np.zeros((batch, n_kv_heads, capacity, head_dim), dtype=self.dtype)
-        self._v = np.zeros((batch, n_kv_heads, capacity, head_dim), dtype=self.dtype)
+        self._k = np.zeros((batch, n_kv_heads, capacity, head_dim), dtype=KV_DTYPE)
+        self._v = np.zeros((batch, n_kv_heads, capacity, head_dim), dtype=KV_DTYPE)
 
     def __len__(self) -> int:
         return self._len
@@ -50,7 +55,15 @@ class LayerKVCache:
         return self._v[:, :, : self._len, :]
 
     def append(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Append new tokens; ``k``/``v`` shaped (batch, kv_heads, new, dim)."""
+        """Append new tokens; ``k``/``v`` shaped (batch, kv_heads, new, dim).
+
+        Both must already be float32: storing a float64 input would round
+        it silently and break the value-preserving contract.
+        """
+        if k.dtype != KV_DTYPE or v.dtype != KV_DTYPE:
+            raise TypeError(
+                f"KV cache stores {KV_DTYPE}, got k {k.dtype} and v {v.dtype}"
+            )
         if k.shape != v.shape:
             raise ValueError(f"k shape {k.shape} != v shape {v.shape}")
         expected = (self.batch, self.n_kv_heads)
@@ -65,7 +78,7 @@ class LayerKVCache:
             capacity = max(needed, 2 * self._k.shape[2])
             grown_k = np.zeros(
                 (self.batch, self.n_kv_heads, capacity, self.head_dim),
-                dtype=self.dtype,
+                dtype=KV_DTYPE,
             )
             grown_v = np.zeros_like(grown_k)
             grown_k[:, :, : self._len, :] = self._k[:, :, : self._len, :]
@@ -81,26 +94,39 @@ class LayerKVCache:
 
         ``indices`` is either 1-D (same selection for every head) or shaped
         (kv_heads, k) for head-level selection (the paper's Figure 5 gather).
-        Returns (k, v) shaped (batch, kv_heads, k, dim).
+        Returns the stored float32 (k, v) shaped (batch, kv_heads, k, dim).
         """
         indices = self._checked(indices)
         shape = (self.batch, self.n_kv_heads, indices.shape[-1], self.head_dim)
-        k_out = np.empty(shape, dtype=self.dtype)
-        v_out = np.empty(shape, dtype=self.dtype)
+        k_out = np.empty(shape, dtype=KV_DTYPE)
+        v_out = np.empty(shape, dtype=KV_DTYPE)
         for b in range(self.batch):
-            self._take_rows(b, indices, k_out[b], v_out[b])
+            self._take_rows(self._k[b], indices, k_out[b])
+            self._take_rows(self._v[b], indices, v_out[b])
         return k_out, v_out
 
     def gather_into(
-        self, indices: np.ndarray, k_out: np.ndarray, v_out: np.ndarray
+        self,
+        indices: np.ndarray,
+        k_out: np.ndarray,
+        v_out: np.ndarray,
+        staging: np.ndarray,
     ) -> None:
-        """:meth:`gather` (batch 0) written straight into caller buffers.
+        """:meth:`gather` (batch 0) upcast into float64 caller buffers.
 
         Batched-decode hot path: the selection lands in the group's
         preallocated stacked ``(kv_heads, k, dim)`` K/V buffers instead of
         per-session temporaries that a later ``np.stack`` would copy again.
+        ``take`` refuses a float64 ``out`` for float32 storage, so each
+        side's rows are taken into ``staging`` (a caller-owned float32
+        buffer shaped like ``k_out``, reused across calls so it stays
+        cache-warm) and upcast into ``k_out``/``v_out`` with one copy.
         """
-        self._take_rows(0, self._checked(indices), k_out, v_out)
+        indices = self._checked(indices)
+        self._take_rows(self._k[0], indices, staging)
+        np.copyto(k_out, staging)
+        self._take_rows(self._v[0], indices, staging)
+        np.copyto(v_out, staging)
 
     def _checked(self, indices: np.ndarray) -> np.ndarray:
         """``indices`` as an array, after the shape and range checks."""
@@ -122,10 +148,11 @@ class LayerKVCache:
         return indices
 
     def _take_rows(
-        self, b: int, indices: np.ndarray, k_out: np.ndarray, v_out: np.ndarray
+        self, storage: np.ndarray, indices: np.ndarray, out: np.ndarray
     ) -> None:
         """Copy the selected rows of each head's contiguous (capacity, dim)
-        block: cost follows the selection, not the cache length.
+        block of ``storage`` into ``out``: cost follows the selection, not
+        the cache length.
 
         ``indices`` passed :meth:`_checked`, so ``mode="clip"`` never clips;
         it is there because ``mode="raise"`` stages ``out`` through a
@@ -134,20 +161,23 @@ class LayerKVCache:
         per_head = indices.ndim == 2
         for h in range(self.n_kv_heads):
             rows = indices[h] if per_head else indices
-            self._k[b, h].take(rows, axis=0, out=k_out[h], mode="clip")
-            self._v[b, h].take(rows, axis=0, out=v_out[h], mode="clip")
+            storage[h].take(rows, axis=0, out=out[h], mode="clip")
 
     def copy_kv_into(
         self, k_out: np.ndarray, v_out: np.ndarray, limit: int | None = None
     ) -> None:
-        """Copy valid K/V entries into caller buffers (full attention).
+        """Copy valid K/V entries into caller buffers (full attention),
+        upcasting to the buffers' dtype.
 
         ``limit`` caps the visible length: a speculative multi-position
         verify appends several tokens before attending, so each row must
         see only the entries at positions below its own (the causal view a
-        sequential decode at that position would have had).
+        sequential decode at that position would have had). Like a gather,
+        it may not reach past the valid entries.
         """
         end = self._len if limit is None else limit
+        if end < 0 or end > self._len:
+            raise IndexError(f"copy limit {end} outside [0, {self._len}]")
         np.copyto(k_out, self._k[0, :, :end])
         np.copyto(v_out, self._v[0, :, :end])
 
@@ -164,7 +194,6 @@ class LayerKVCache:
             self.n_kv_heads,
             self.head_dim,
             capacity=self._k.shape[2],
-            dtype=self.dtype,
         )
         copy._k = self._k.copy()
         copy._v = self._v.copy()
@@ -188,13 +217,11 @@ class ModelKVCache:
         batch: int,
         n_kv_heads: int,
         head_dim: int,
-        dtype: np.dtype = np.float64,
     ):
         if n_layers < 1:
             raise ValueError("n_layers must be positive")
         self.layers = [
-            LayerKVCache(batch, n_kv_heads, head_dim, dtype=dtype)
-            for _ in range(n_layers)
+            LayerKVCache(batch, n_kv_heads, head_dim) for _ in range(n_layers)
         ]
 
     def __getitem__(self, layer: int) -> LayerKVCache:

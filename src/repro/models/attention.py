@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kvcache.cache import LayerKVCache
+from repro.kvcache.cache import KV_DTYPE, LayerKVCache
 from repro.models.config import AttentionKind, ModelConfig
 from repro.models.weights import LayerWeights
 from repro.tensor.ops import linear, linear_rows, softmax
@@ -30,7 +30,7 @@ from repro.tensor.rope import RotaryEmbedding
 # upper triangle of its rows x rows diagonal block, so a narrow tile wastes
 # fewer flops and holds a smaller score buffer; a wide one runs larger
 # GEMMs and pays fewer numpy dispatches. Measured on the bench model (8 q
-# heads over 4 kv heads, dim 64, float64 KV, 1 BLAS thread, best of 9
+# heads over 4 kv heads, dim 64, float64 K/V, 1 BLAS thread, best of 9
 # interleaved) at tiles 32 / 64 / 128 / 256: a 160-token prompt 1.5 / 1.5 /
 # 2.6 / 2.8 ms, 448 tokens 11.3 / 12.1 / 13.3 / 16.6 ms, 1536 tokens in
 # 256-token chunks 121 / 120 / 121 / 132 ms. 64 is within 10% of the best
@@ -55,10 +55,14 @@ class AttentionModule:
         # verify wave stacks (k+1) rows per session, and allocating those
         # multi-MB K/V temporaries fresh every layer-step pushes glibc
         # past its mmap threshold — every np.take then page-faults its
-        # way through never-touched pages. One growing scratch keeps the
-        # pages warm. (See _attend_rows_kv; values are fully overwritten
-        # before every use, so reuse cannot leak state across steps.)
-        self._spec_kv_scratch: np.ndarray | None = None
+        # way through never-touched pages. One growing float64 scratch
+        # keeps the pages warm. (See _attend_rows_kv; values are fully
+        # overwritten before every use, so reuse cannot leak state across
+        # steps.)
+        self._spec_kv_scratch = np.empty(0)
+        # Float32 rows of one session's gather, staged before the upcast
+        # into the stacked buffers (see LayerKVCache.gather_into).
+        self._gather_staging = np.empty(0, dtype=KV_DTYPE)
         # RoPE masks are pure functions of the layer weights; precompute
         # them once instead of rebuilding boolean arrays on every
         # projection of every decode step.
@@ -164,19 +168,21 @@ class AttentionModule:
         """Full causal attention over the prompt; appends to ``cache``.
 
         ``x`` is (seq, d_model); returns the attention output (seq, d_model).
+        The visible K/V prefix (or MLA latents) is upcast to float64 once
+        per call, so attention runs in float64 over the stored values.
         """
         cfg = self.config
         q = self._project_q(x, positions)
         if cfg.attention is AttentionKind.MLA:
             latents = self.project_latent(x)
             cache.append(latents[None, :, :, :], latents[None, :, :, :])
-            all_latents = cache.keys[0, 0]  # (total, latent)
+            all_latents = cache.keys[0, 0].astype(np.float64)  # (total, latent)
             k, v = self._mla_expand(all_latents, np.arange(all_latents.shape[0]))
         else:
             k, v = self.project_kv(x, positions)
             cache.append(k[None], v[None])
-            k = cache.keys[0]
-            v = cache.values[0]
+            k = cache.keys[0].astype(np.float64)
+            v = cache.values[0].astype(np.float64)
 
         base = len(cache) - x.shape[0]  # cache offset of this prompt chunk
         return self._chunked_causal(q, k, v, base)
@@ -199,12 +205,9 @@ class AttentionModule:
         bit-identical-values one: ``linear``'s multi-row GEMMs already
         move the last float32 ulp with the chunk size (see
         :meth:`TransformerLM.prefill_chunked`). This kernel adds no
-        coarser drift. Float64 KV (the default): scores, softmax and the
+        coarser drift: ``k``/``v`` are float64, so scores, softmax and the
         V contraction run in float64, a masked entry is an exact zero,
         and the only rounding to float32 is the store into ``out``.
-        Float32 KV: the whole tile runs in float32 and sgemm's blocking
-        moves the last ulp with the tile's key count, the same order of
-        drift as the projections'.
         """
         cfg = self.config
         n_kv = k.shape[0]
@@ -221,8 +224,8 @@ class AttentionModule:
             limit = base + end  # keys visible to the tile's last row
             # repro: allow(row-fused-matmul): prefill exactness is a
             # token-stream contract (docstring): one GEMM per (kv head,
-            # group member) slice, float64 end to end under float64 KV
-            # and rounded to float32 once, so chunk and tile boundaries
+            # group member) slice, float64 end to end and rounded to
+            # float32 once, so chunk and tile boundaries
             # move nothing coarser than linear's own last-ulp drift.
             scores = np.matmul(q_g[:, :, start:end], k_t[..., :limit])
             scores *= self._scale
@@ -316,8 +319,8 @@ class AttentionModule:
         weights_list = []
         for kv_head in range(cfg.n_kv_heads):
             idx = token_indices[kv_head] if per_head else token_indices
-            k_sel = keys[kv_head, idx]  # (k, dim)
-            v_sel = values[kv_head, idx]
+            k_sel = keys[kv_head, idx].astype(np.float64)  # (k, dim)
+            v_sel = values[kv_head, idx].astype(np.float64)
             q_group = q[kv_head * group : (kv_head + 1) * group]  # (group, dim)
             # repro: allow(row-fused-matmul): per-kv-head score/output
             # GEMMs; (group, k) shapes depend only on config and the
@@ -344,7 +347,7 @@ class AttentionModule:
         weights_rows = []
         for head in range(cfg.n_q_heads):
             idx = token_indices[head] if per_head else token_indices
-            c_sel = latents[idx]
+            c_sel = latents[idx].astype(np.float64)
             k_all, v_all = self._mla_expand(c_sel, np.asarray(idx))
             k_sel = k_all[head]
             v_sel = v_all[head]
@@ -472,6 +475,18 @@ class AttentionModule:
         selection = np.asarray(selection)
         return selection, selection.ndim == 2
 
+    def _spec_kv(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Float64 (k, v) views of the persistent verify scratch (see
+        __init__), grown on demand."""
+        count = int(np.prod(shape))
+        if self._spec_kv_scratch.size < 2 * count:
+            self._spec_kv_scratch = np.empty(2 * count)
+        scratch = self._spec_kv_scratch
+        return (
+            scratch[:count].reshape(shape),
+            scratch[count : 2 * count].reshape(shape),
+        )
+
     def _attend_rows_kv(
         self,
         q: np.ndarray,
@@ -487,22 +502,32 @@ class AttentionModule:
         out = np.empty((n, cfg.n_kv_heads, group, cfg.head_dim), dtype=q.dtype)
         if limits is not None and all(s is None for s in selections):
             # Speculative verify over dense rows: every row attends a
-            # causal prefix of its own cache, so instead of copying each
-            # prefix into a stacked buffer we matmul straight against a
-            # view of the cache storage. The per-kv-head 2-D GEMM slices
-            # have exactly the (group, width) shapes of the sequential
-            # decode at that position, over identical values — the copy
-            # was pure memory traffic.
-            for j in range(n):
-                width = int(limits[j])
-                k = caches[j].keys[0, :, :width]
-                v = caches[j].values[0, :, :width]
-                # repro: allow(row-fused-matmul): 3-D matmul = one GEMM
-                # per kv-head slice; per-slice reduction shapes match
-                # the sequential path exactly (dense verify rows).
-                scores = np.matmul(q_g[j], k.transpose(0, 2, 1)) * self._scale
-                w = softmax(scores, axis=-1)
-                out[j] = np.matmul(w, v)  # repro: allow(row-fused-matmul)
+            # causal prefix of its own cache, and a session's rows are
+            # consecutive and share that cache. So each session's widest
+            # prefix is upcast once into the scratch, and every row
+            # matmuls straight against a view of it. The per-kv-head 2-D
+            # GEMM slices have exactly the (group, width) shapes of the
+            # sequential decode at that position, over identical values.
+            first = 0
+            while first < n:
+                end = first + 1
+                while end < n and caches[end] is caches[first]:
+                    end += 1
+                widest = int(limits[first:end].max())
+                k_all, v_all = self._spec_kv(
+                    (cfg.n_kv_heads, widest, cfg.head_dim)
+                )
+                caches[first].copy_kv_into(k_all, v_all, limit=widest)
+                for j in range(first, end):
+                    k = k_all[:, : int(limits[j])]
+                    v = v_all[:, : int(limits[j])]
+                    # repro: allow(row-fused-matmul): 3-D matmul = one
+                    # GEMM per kv-head slice; per-slice reduction shapes
+                    # match the sequential path exactly (dense verify rows).
+                    scores = np.matmul(q_g[j], k.transpose(0, 2, 1)) * self._scale
+                    w = softmax(scores, axis=-1)
+                    out[j] = np.matmul(w, v)  # repro: allow(row-fused-matmul)
+                first = end
             return out.reshape(n, cfg.n_q_heads, cfg.head_dim)
         # Rows stack when they attend the same number of entries; a row
         # with a selection (1-D or head-level alike) gathers, a full row
@@ -514,33 +539,27 @@ class AttentionModule:
             else:
                 width = np.shape(selection)[-1]
             buckets.setdefault((selection is not None, width), []).append(j)
-        kv_dtype = caches[0].keys.dtype
         for (selected, width), members in buckets.items():
             g = len(members)
-            # Gather straight into the stacked buffers — one copy, not a
-            # per-session temporary plus a stack copy. Verify waves carve
-            # the buffers out of the persistent scratch (see __init__) so
-            # their (k+1)-fold size never churns the allocator; ordinary
-            # decode keeps plain allocations.
+            # Gather straight into the stacked float64 buffers — one
+            # upcast copy, not a per-session temporary plus a stack copy.
+            # Verify waves carve the buffers out of the persistent scratch
+            # (see __init__) so their (k+1)-fold size never churns the
+            # allocator; ordinary decode keeps plain allocations.
             shape = (g, cfg.n_kv_heads, width, cfg.head_dim)
             if limits is not None:
-                count = int(np.prod(shape))
-                scratch = self._spec_kv_scratch
-                if (
-                    scratch is None
-                    or scratch.size < 2 * count
-                    or scratch.dtype != kv_dtype
-                ):
-                    scratch = np.empty(2 * count, dtype=kv_dtype)
-                    self._spec_kv_scratch = scratch
-                k = scratch[:count].reshape(shape)
-                v = scratch[count : 2 * count].reshape(shape)
+                k, v = self._spec_kv(shape)
             else:
-                k = np.empty(shape, dtype=kv_dtype)
+                k = np.empty(shape)
                 v = np.empty_like(k)
+            if selected:
+                count = int(np.prod(shape[1:]))
+                if self._gather_staging.size < count:
+                    self._gather_staging = np.empty(count, dtype=KV_DTYPE)
+                staging = self._gather_staging[:count].reshape(shape[1:])
             for gi, j in enumerate(members):
                 if selected:
-                    caches[j].gather_into(selections[j], k[gi], v[gi])
+                    caches[j].gather_into(selections[j], k[gi], v[gi], staging)
                 else:
                     caches[j].copy_kv_into(k[gi], v[gi], limit=width)
             whole_batch = g == n  # skip fancy-index copies for one bucket

@@ -77,20 +77,13 @@ class TransformerLM:
 
     # ---- cache management ----------------------------------------------------
 
-    def new_cache(self, dtype: np.dtype = np.float64) -> ModelKVCache:
-        """Empty KV cache matching this model's geometry.
-
-        ``dtype`` sets the KV storage precision: projections are float32,
-        so float32 storage is value-preserving at half the memory traffic
-        (what production engines do with FP16 KV), while the float64
-        default keeps attention accumulation in double precision.
-        """
+    def new_cache(self) -> ModelKVCache:
+        """Empty float32 KV cache matching this model's geometry (see
+        :mod:`repro.kvcache.cache` for the precision contract)."""
         cfg = self.config
         if cfg.attention is AttentionKind.MLA:
-            return ModelKVCache(cfg.n_layers, 1, 1, cfg.mla_latent_dim, dtype=dtype)
-        return ModelKVCache(
-            cfg.n_layers, 1, cfg.n_kv_heads, cfg.head_dim, dtype=dtype
-        )
+            return ModelKVCache(cfg.n_layers, 1, 1, cfg.mla_latent_dim)
+        return ModelKVCache(cfg.n_layers, 1, cfg.n_kv_heads, cfg.head_dim)
 
     # ---- forward passes --------------------------------------------------------
 

@@ -210,8 +210,10 @@ class BudgetedPolicy:
         return np.concatenate([prompt_sel, tail], axis=1)
 
     def prompt_keys(self, cache: LayerKVCache) -> np.ndarray:
-        """Prompt-region keys, shape (n_kv_heads, prompt_len, head_dim)."""
-        return cache.keys[0][:, : self.prompt_len, :]
+        """Prompt-region keys upcast to float64, shape (n_kv_heads,
+        prompt_len, head_dim): the one read of cached keys every
+        policy's scoring arithmetic goes through."""
+        return cache.keys[0][:, : self.prompt_len, :].astype(np.float64)
 
     def count_ops(self, n: int) -> None:
         """Accumulate retrieval multiply-accumulate ops (Eq. 3 bookkeeping)."""

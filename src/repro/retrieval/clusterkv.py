@@ -43,11 +43,11 @@ class ClusterKVPolicy(BudgetedPolicy):
         self._clusters = []
         n_clusters = max(self.prompt_len // self.tokens_per_cluster, 2)
         for layer_cache in cache.layers:
-            keys = layer_cache.keys[0][:, : self.prompt_len, :]
+            keys = self.prompt_keys(layer_cache)
             per_head = []
             for h in range(keys.shape[0]):
                 centroids, labels = kmeans2(
-                    keys[h].astype(np.float64),
+                    keys[h],
                     n_clusters,
                     minit="points",
                     seed=self.seed,

@@ -44,7 +44,7 @@ class QuestPolicy(BudgetedPolicy):
         self._page_max = []
         n_pages = self.prompt_len // self.page_size  # partial tail page dropped
         for layer_cache in cache.layers:
-            keys = layer_cache.keys[0][:, : n_pages * self.page_size, :]
+            keys = self.prompt_keys(layer_cache)[:, : n_pages * self.page_size]
             heads, _, dim = keys.shape
             paged = keys.reshape(heads, n_pages, self.page_size, dim)
             self._page_min.append(paged.min(axis=2))

@@ -36,7 +36,7 @@ class ShadowKVPolicy(BudgetedPolicy):
     def _prepare(self, cache: ModelKVCache) -> None:
         self._quantized_keys = []
         for layer_cache in cache.layers:
-            keys = layer_cache.keys[0][:, : self.prompt_len, :]
+            keys = self.prompt_keys(layer_cache)
             q = quantize_per_channel(keys, bits=self.bits, axis=-1)
             self._quantized_keys.append(dequantize(q))
 

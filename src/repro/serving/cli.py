@@ -88,9 +88,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sequential-decode", action="store_true",
                         help="decode in waves of one session instead of "
                         "fused server-wide waves")
-    parser.add_argument("--kv-dtype", default="float64",
-                        choices=("float32", "float64"),
-                        help="KV cache storage precision")
     parser.add_argument("--prefill-chunk-tokens", type=int, default=None,
                         help="stream each prompt's prefill in chunks of at "
                         "most this many tokens instead of one inline "
@@ -166,7 +163,6 @@ def main(argv: list[str] | None = None) -> int:
         preempt_mode=args.preempt_mode,
         scheduler=args.scheduler,
         batched_decode=not args.sequential_decode,
-        kv_dtype=args.kv_dtype,
         prefill_chunk_tokens=args.prefill_chunk_tokens,
         max_step_tokens=args.max_step_tokens,
         spec_decode_k=args.spec_decode_k,
@@ -224,8 +220,7 @@ def _run_queue(target, args, config, tokenizer, policies) -> int:
         f"concurrency {args.concurrency}  |  pool "
         f"{args.block_size}-token blocks per replica, "
         f"{args.scheduler} scheduling  |  "
-        f"{'sequential' if args.sequential_decode else 'batched'} decode, "
-        f"{args.kv_dtype} KV"
+        f"{'sequential' if args.sequential_decode else 'batched'} decode"
         + (
             f"  |  chunked prefill ({args.prefill_chunk_tokens} tokens"
             + (

@@ -438,7 +438,7 @@ class SpeContextServer:
             request=request,
             policy=policy,
             budget=budget,
-            cache=self.model.new_cache(dtype=np.dtype(self.config.kv_dtype)),
+            cache=self.model.new_cache(),
             rng=rng,
             result=DecodeResult(
                 prompt_len=request.prompt_len, token_ids=[], stopped_by_eos=False
@@ -1278,7 +1278,7 @@ class SpeContextServer:
         the prefix cache: nothing was drawn from its rng, so the restart
         is exact either way.
         """
-        session.cache = self.model.new_cache(dtype=np.dtype(self.config.kv_dtype))
+        session.cache = self.model.new_cache()
         session.block_table = BlockTable()
         session.prefill_pos = 0
         session.prefill_started = False

@@ -111,6 +111,47 @@ class TestTracker:
 
     @given(
         st.lists(
+            st.one_of(
+                st.lists(st.integers(0, 300), max_size=40),
+                st.integers(1, 4).flatmap(
+                    lambda heads: st.lists(
+                        st.lists(
+                            st.integers(0, 300), min_size=heads, max_size=heads
+                        ),
+                        max_size=12,
+                    ).map(
+                        lambda cols: np.array(cols, dtype=np.int64).reshape(
+                            len(cols), heads
+                        ).T
+                    )
+                ),
+            ),
+            max_size=10,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_set_reference_on_generated_streams(self, selections, elastic):
+        """Empty, 1-D and head-level (2-D) steps, duplicates included."""
+        tracker = ElasticTransferTracker(bytes_per_token=7, elastic=elastic)
+        for selection in selections:
+            tracker.observe(selection)
+        got = [
+            (
+                s.loaded_tokens, s.evicted_tokens, s.bytes_moved,
+                s.overlap_fraction, s.selection_size,
+            )
+            for s in tracker.steps
+        ]
+        assert got == self._set_reference(selections, 7, elastic)
+
+    def test_negative_position_rejected(self):
+        tracker = ElasticTransferTracker(bytes_per_token=1)
+        with pytest.raises(ValueError, match="negative"):
+            tracker.observe(np.array([3, -1]))
+
+    @given(
+        st.lists(
             st.sets(st.integers(0, 40), min_size=4, max_size=4),
             min_size=2,
             max_size=12,

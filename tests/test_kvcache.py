@@ -14,9 +14,14 @@ from repro.kvcache import LayerKVCache, ModelKVCache
 def _kv(n, heads=2, dim=4, seed=0):
     rng = np.random.default_rng(seed)
     return (
-        rng.standard_normal((1, heads, n, dim)),
-        rng.standard_normal((1, heads, n, dim)),
+        rng.standard_normal((1, heads, n, dim), dtype=np.float32),
+        rng.standard_normal((1, heads, n, dim), dtype=np.float32),
     )
+
+
+def _staging(out):
+    """A float32 staging buffer for ``gather_into`` into ``out``."""
+    return np.empty(out.shape, dtype=np.float32)
 
 
 class TestLayerKVCache:
@@ -36,8 +41,31 @@ class TestLayerKVCache:
 
     def test_append_shape_mismatch_rejected(self):
         cache = LayerKVCache(1, 2, 4)
+        shape = (1, 3, 2, 4)
         with pytest.raises(ValueError):
-            cache.append(np.zeros((1, 3, 2, 4)), np.zeros((1, 3, 2, 4)))
+            cache.append(np.zeros(shape, np.float32), np.zeros(shape, np.float32))
+
+    @pytest.mark.parametrize("side", ["k", "v"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16])
+    def test_append_refuses_non_float32(self, side, dtype):
+        """Storing a float64 row would round it silently: refused."""
+        cache = LayerKVCache(1, 2, 4)
+        k, v = _kv(3)
+        if side == "k":
+            k = k.astype(dtype)
+        else:
+            v = v.astype(dtype)
+        with pytest.raises(TypeError, match="float32"):
+            cache.append(k, v)
+        assert len(cache) == 0
+
+    def test_storage_is_float32_and_value_preserving(self):
+        cache = LayerKVCache(1, 2, 4, capacity=2)
+        k, v = _kv(5)
+        cache.append(k, v)
+        assert cache.keys.dtype == cache.values.dtype == np.float32
+        assert cache.clone().keys.dtype == np.float32
+        np.testing.assert_array_equal(cache.values, v)
 
     def test_gather_1d(self):
         cache = LayerKVCache(1, 2, 4)
@@ -79,19 +107,19 @@ class TestLayerKVCache:
     def _assert_head_gather_matches_reference(self, cache, rng, width):
         indices = rng.integers(0, len(cache), size=(cache.n_kv_heads, width))
         k_ref, v_ref = self._take_along_axis_reference(cache, indices)
-        k_out = np.empty(k_ref.shape[1:], dtype=cache.dtype)
+        k_out = np.empty(k_ref.shape[1:])  # float64: gather_into upcasts
         v_out = np.empty_like(k_out)
-        cache.gather_into(indices, k_out, v_out)
+        cache.gather_into(indices, k_out, v_out, _staging(k_out))
         np.testing.assert_array_equal(k_out, k_ref[0])
         np.testing.assert_array_equal(v_out, v_ref[0])
         k_sel, v_sel = cache.gather(indices)
+        assert k_sel.dtype == v_sel.dtype == np.float32
         np.testing.assert_array_equal(k_sel, k_ref)
         np.testing.assert_array_equal(v_sel, v_ref)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_head_level_gather_into_equals_take_along_axis(self, dtype):
+    def test_head_level_gather_into_equals_take_along_axis(self):
         rng = np.random.default_rng(11)
-        cache = LayerKVCache(1, 3, 4, capacity=4, dtype=dtype)
+        cache = LayerKVCache(1, 3, 4, capacity=4)
         for step in range(6):  # 4 -> 8 -> 16 -> 32: growth past capacity
             k, v = _kv(5, heads=3, seed=step)
             cache.append(k, v)
@@ -109,7 +137,7 @@ class TestLayerKVCache:
         indices = np.array([8, 0, 3, 3])
         k_out = np.empty((2, 4, 4))
         v_out = np.empty_like(k_out)
-        cache.gather_into(indices, k_out, v_out)
+        cache.gather_into(indices, k_out, v_out, _staging(k_out))
         np.testing.assert_array_equal(k_out, k[0][:, indices])
         np.testing.assert_array_equal(v_out, v[0][:, indices])
         k_sel, v_sel = cache.gather(indices)
@@ -137,8 +165,56 @@ class TestLayerKVCache:
         k_out = np.full((2, indices.shape[-1], 4), 7.0)
         v_out = k_out.copy()
         with pytest.raises(error):
-            cache.gather_into(indices, k_out, v_out)
+            cache.gather_into(indices, k_out, v_out, _staging(k_out))
         assert (k_out == 7.0).all() and (v_out == 7.0).all()  # nothing landed
+
+    def test_gather_into_reuses_one_staging_buffer(self):
+        """Views of one float32 buffer stage gathers of every width and
+        cache geometry without leaking rows between calls."""
+        wide = LayerKVCache(1, 4, 8)
+        narrow = LayerKVCache(1, 2, 4)
+        for cache in (wide, narrow):
+            k, v = _kv(40, heads=cache.n_kv_heads, dim=cache.head_dim)
+            cache.append(k, v)
+        buffer = np.empty(4 * 33 * 8, dtype=np.float32)
+        for cache, width in ((narrow, 3), (wide, 33), (narrow, 5), (wide, 2)):
+            indices = np.arange(width)[::-1]
+            k_out = np.empty((cache.n_kv_heads, width, cache.head_dim))
+            v_out = np.empty_like(k_out)
+            staging = buffer[: k_out.size].reshape(k_out.shape)
+            cache.gather_into(indices, k_out, v_out, staging)
+            np.testing.assert_array_equal(k_out, cache.keys[0][:, indices])
+            np.testing.assert_array_equal(v_out, cache.values[0][:, indices])
+
+    def test_copy_kv_into_upcasts_the_visible_prefix(self):
+        cache = LayerKVCache(1, 2, 4, capacity=2)
+        k, v = _kv(7)
+        cache.append(k, v)
+        k_out = np.empty((2, 5, 4))
+        v_out = np.empty_like(k_out)
+        cache.copy_kv_into(k_out, v_out, limit=5)
+        np.testing.assert_array_equal(k_out, k[0, :, :5])
+        np.testing.assert_array_equal(v_out, v[0, :, :5])
+
+    @pytest.mark.parametrize("limit", [4, 6])
+    def test_copy_kv_into_limit_stays_within_valid_rows(self, limit):
+        """After a rollback the stale rows are still in storage; a limit
+        past the valid length must raise as a gather of them does, not
+        copy them."""
+        cache = LayerKVCache(1, 2, 4, capacity=16)
+        k, v = _kv(6)
+        cache.append(k, v)
+        cache.truncate(3)
+        k_out = np.full((2, limit, 4), 7.0)
+        v_out = k_out.copy()
+        with pytest.raises(IndexError):
+            cache.copy_kv_into(k_out, v_out, limit=limit)
+        with pytest.raises(IndexError):
+            cache.gather_into(np.arange(limit), k_out, v_out, _staging(k_out))
+        assert (k_out == 7.0).all() and (v_out == 7.0).all()
+        empty = np.empty((2, 0, 4))
+        with pytest.raises(IndexError):
+            cache.copy_kv_into(empty, empty, limit=-1)
 
     def test_truncate(self):
         cache = LayerKVCache(1, 2, 4)
@@ -160,7 +236,7 @@ class TestLayerKVCache:
         all_k = []
         for i, n in enumerate(chunks):
             rng = np.random.default_rng(i)
-            k = rng.standard_normal((1, 1, n, 2))
+            k = rng.standard_normal((1, 1, n, 2), dtype=np.float32)
             cache.append(k, k)
             all_k.append(k)
         expected = np.concatenate(all_k, axis=2)

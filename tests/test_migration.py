@@ -34,7 +34,7 @@ from repro.api import (
 from repro.kvcache.pool import BlockTable, PagedKVPool
 from repro.serving import SpeContextServer, poisson_trace, replay_trace
 from repro.serving.engine import InProcessExecutor, MultiprocExecutor
-from repro.serving.server import _Session
+from repro.serving.server import _Session, _SessionState
 from repro.serving.trace import solo_token_streams
 from tests.conftest import free_order
 
@@ -230,6 +230,70 @@ def _same(a, b) -> bool:
     if hasattr(a, "__dict__"):
         return _same(vars(a), vars(b))
     return a == b
+
+
+# ---- KV travels as stored ----------------------------------------------------
+
+
+def _assert_float32_payload(payload):
+    assert payload
+    for k, v in payload:
+        assert k.dtype == v.dtype == np.float32
+
+
+def _assert_float32_cache(cache):
+    for layer in cache.layers:
+        assert layer.keys.dtype == layer.values.dtype == np.float32
+
+
+class TestKVTravelsAsStored:
+    """KV is stored float32, and the pool, swap and migration carry the
+    stored values: no upcast copy ever leaves the attention kernels."""
+
+    def test_published_blocks_and_gathered_chains_are_float32(
+        self, tiny_gqa_model, tiny_tokenizer
+    ):
+        server = SpeContextServer(tiny_gqa_model, engine_config(tiny_tokenizer))
+        requests = shared_prefix_requests(tiny_tokenizer, "specontext", n=3)
+        for request in requests:
+            server.add_request(clone(request))
+        outputs = server.run()
+        assert sum(o.stats.prefix_reused_tokens for o in outputs) > 0
+        prompt = requests[0].prompt_ids
+        chain = server.pool.match_prefix(prompt, prompt.size)
+        assert chain
+        for block_id in chain:
+            _assert_float32_payload(server.pool.read_block(block_id))
+        _assert_float32_payload(server.pool.gather_chain(chain))
+
+    def test_swapped_session_keeps_float32_cache(
+        self, tiny_gqa_model, tiny_tokenizer
+    ):
+        config = engine_config(tiny_tokenizer, pool_blocks=12, preempt_mode="swap")
+        server = SpeContextServer(tiny_gqa_model, config)
+        for request in shared_prefix_requests(
+            tiny_tokenizer, "quest", n=4, max_new=24
+        ):
+            server.add_request(clone(request))
+        swapped = 0
+        while server.has_unfinished:
+            server.step()
+            for session in server._waiting:
+                if session.state is _SessionState.SWAPPED:
+                    _assert_float32_cache(session.cache)
+                    swapped += 1
+        assert swapped > 0
+
+    def test_exported_session_kv_is_float32(self, tiny_gqa_model, tiny_tokenizer):
+        source = SpeContextServer(tiny_gqa_model, engine_config(tiny_tokenizer))
+        for request in shared_prefix_requests(tiny_tokenizer, "specontext", n=2):
+            source.add_request(clone(request))
+        source.step()
+        export = source.export_session(0)
+        assert export is not None and export.chain is not None
+        _assert_float32_cache(export.session.cache)
+        for payload in export.chain.payloads:
+            _assert_float32_payload(payload)
 
 
 # ---- server-level session round-trip -----------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.models.attention import PREFILL_TILE
 from repro.models.config import AttentionKind
+from repro.tensor.ops import linear, linear_rows
 
 
 MODELS = ["tiny_mha_model", "tiny_gqa_model", "tiny_mqa_model", "tiny_mla_model"]
@@ -209,11 +210,7 @@ def _naive_prefill(attn, x, base, cache):
     cfg = attn.config
     seq = x.shape[0]
     q = attn._project_q(x, np.arange(base, base + seq)).astype(np.float64)
-    if cfg.attention is AttentionKind.MLA:
-        k, v = attn._mla_expand(cache.keys[0, 0], np.arange(len(cache)))
-    else:
-        k, v = cache.keys[0], cache.values[0]
-    k, v = k.astype(np.float64), v.astype(np.float64)
+    k, v = _float64_kv(attn, cache)
     group = cfg.n_q_heads // k.shape[0]
     heads = np.empty((seq, cfg.n_q_heads, cfg.head_dim))
     for h in range(cfg.n_q_heads):
@@ -228,39 +225,86 @@ def _naive_prefill(attn, x, base, cache):
 T = PREFILL_TILE
 
 
+def _float64_kv(attn, cache):
+    """The cache's K/V (MLA: expanded latents) upcast to float64, shaped
+    (heads, len, dim): what every attention reader must compute on."""
+    if attn.config.attention is AttentionKind.MLA:
+        latents = cache.keys[0, 0].astype(np.float64)
+        return attn._mla_expand(latents, np.arange(len(cache)))
+    return cache.keys[0].astype(np.float64), cache.values[0].astype(np.float64)
+
+
+def _oracle_prefill(attn, x, base, cache):
+    """Straight-line float64 prefill over the float32-stored ``cache``:
+    one 2-D GEMM per (q head, tile) against the tile's whole visible
+    prefix, the diagonal block masked, softmax, one 2-D GEMM against V,
+    a single rounding of each head row to float32, the output
+    projection."""
+    cfg = attn.config
+    seq = x.shape[0]
+    q = attn._project_q(x, np.arange(base, base + seq))
+    k, v = _float64_kv(attn, cache)
+    group = cfg.n_q_heads // k.shape[0]
+    heads = np.empty((cfg.n_q_heads, seq, cfg.head_dim), dtype=np.float32)
+    for h in range(cfg.n_q_heads):
+        k_h, v_h = k[h // group], v[h // group]
+        for start in range(0, seq, T):
+            end = min(start + T, seq)
+            limit = base + end
+            scores = (q[h, start:end] @ k_h[:limit].T) * attn._scale
+            hidden = np.triu(np.ones((end - start, end - start), dtype=bool), 1)
+            diagonal = scores[:, base + start :]
+            diagonal[hidden] = -np.inf
+            scores = scores - scores.max(axis=-1, keepdims=True)
+            weights = np.exp(scores)
+            weights = weights / weights.sum(axis=-1, keepdims=True)
+            heads[h, start:end] = weights @ v_h[:limit]
+    return linear(heads.transpose(1, 0, 2).reshape(seq, -1), attn.layer.wo)
+
+
+PREFILL_SHAPES = [
+    (0, 1),  # a single row
+    (T // 2 + 3, 1),  # ... at an unaligned base
+    (0, T),  # exactly one tile
+    (0, T + 7),  # rows not a multiple of the tile
+    (T // 2 + 3, 2 * T + 9),  # unaligned base, three tiles
+    (T, 3 * T),  # several whole tiles behind a cached prefix
+]
+
+
 @pytest.mark.parametrize("model_name", MODELS)
 class TestPrefillKernel:
-    @pytest.mark.parametrize("kv_dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize(
-        "base,rows",
-        [
-            (0, 1),  # a single row
-            (T // 2 + 3, 1),  # ... at an unaligned base
-            (0, T),  # exactly one tile
-            (0, T + 7),  # rows not a multiple of the tile
-            (T // 2 + 3, 2 * T + 9),  # unaligned base, three tiles
-            (T, 3 * T),  # several whole tiles behind a cached prefix
-        ],
-    )
-    def test_prefill_matches_naive_reference(
-        self, model_name, kv_dtype, base, rows, request
-    ):
-        model = request.getfixturevalue(model_name)
+    @staticmethod
+    def _prefill(model, base, rows):
         attn = model.layers[0].attention
-        cache = model.new_cache(dtype=kv_dtype)[0]
+        cache = model.new_cache()[0]
         rng = np.random.default_rng([base, rows])
         x = rng.standard_normal((base + rows, model.config.d_model)).astype(np.float32)
         if base:
             attn.prefill(x[:base], np.arange(base), cache)
         out = attn.prefill(x[base:], np.arange(base, base + rows), cache)
-        expected = _naive_prefill(attn, x[base:], base, cache)
+        return attn, x[base:], cache, out
+
+    @pytest.mark.parametrize("base,rows", PREFILL_SHAPES)
+    def test_prefill_matches_naive_reference(self, model_name, base, rows, request):
+        model = request.getfixturevalue(model_name)
+        attn, x, cache, out = self._prefill(model, base, rows)
+        expected = _naive_prefill(attn, x, base, cache)
         assert out.dtype == np.float32
-        # Float64 KV: one rounding of the heads to float32, then the
-        # float32 output GEMM. Float32 KV: scores of a few hundred carry
-        # ~1e-5 of float32 rounding into the exponent (measured worst
-        # 1.4e-4; the einsum kernel this replaced read 6e-5 here).
-        tol = 1e-6 if kv_dtype is np.float64 else 5e-4
-        np.testing.assert_allclose(out, expected, rtol=tol, atol=tol)
+        # Float64 attention: one rounding of the heads to float32, then
+        # the float32 output GEMM.
+        np.testing.assert_allclose(out, expected, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("base,rows", PREFILL_SHAPES)
+    def test_prefill_equals_float64_oracle_over_float32_storage(
+        self, model_name, base, rows, request
+    ):
+        """Float32 storage, float64 arithmetic on the rows read: bit for
+        bit the straight-line float64 computation on the stored values."""
+        model = request.getfixturevalue(model_name)
+        attn, x, cache, out = self._prefill(model, base, rows)
+        assert cache.keys.dtype == np.float32
+        np.testing.assert_array_equal(out, _oracle_prefill(attn, x, base, cache))
 
     def test_prefill_never_calls_einsum(
         self, model_name, request, tiny_tokenizer, monkeypatch
@@ -283,23 +327,22 @@ class TestPrefillKernel:
 N_PROMPT = 2 * T + 22
 
 
-@pytest.mark.parametrize("kv_dtype", [np.float32, np.float64])
 @settings(max_examples=20, deadline=None)
 @given(cuts=st.frozensets(st.integers(1, N_PROMPT - 1), max_size=12))
 @example(cuts=frozenset())  # one chunk: the identical call
 @example(cuts=frozenset(range(1, N_PROMPT)))  # every chunk one token
 @example(cuts=frozenset({1, T - 1, T, T + 1, N_PROMPT - 1}))
 def test_any_chunking_of_a_prompt_prefills_the_same(
-    cuts, kv_dtype, tiny_gqa_model, tiny_tokenizer
+    cuts, tiny_gqa_model, tiny_tokenizer
 ):
     """Chunked == unchunked prefill is a token-stream contract: the
     next-token argmax is equal for every chunking, values agree within the
     tolerance ``test_prefill_chunked_matches_one_shot`` uses."""
     model = tiny_gqa_model
     prompt = _prompt(tiny_tokenizer, np.random.default_rng(57), n=N_PROMPT)
-    one_shot = model.new_cache(dtype=kv_dtype)
+    one_shot = model.new_cache()
     expected = model.prefill(prompt, one_shot)
-    chunked = model.new_cache(dtype=kv_dtype)
+    chunked = model.new_cache()
     for chunk in np.split(prompt, sorted(cuts)):
         logits = model.prefill(chunk, chunked)
     assert int(np.argmax(logits)) == int(np.argmax(expected))
@@ -309,3 +352,89 @@ def test_any_chunking_of_a_prompt_prefills_the_same(
         np.testing.assert_allclose(got.values, want.values, rtol=1e-4, atol=1e-5)
     if not cuts:
         np.testing.assert_array_equal(logits, expected)
+
+
+def _oracle_decode_rows(attn, x_rows, positions, caches, selections, limits):
+    """Straight-line float64 decode: per row and kv head, the selected
+    (or the first ``limits[j]``) float32 rows read by fancy indexing and
+    upcast, a 2-D score GEMM, softmax, a 2-D GEMM against V, one rounding
+    of the head row to float32, then the output projection."""
+    cfg = attn.config
+    group = cfg.group_size
+    q = attn.project_q_rows(x_rows, positions)
+    heads = np.empty((len(caches), cfg.n_q_heads, cfg.head_dim), dtype=np.float32)
+    for j, (cache, selection) in enumerate(zip(caches, selections)):
+        width = len(cache) if limits is None else int(limits[j])
+        for h in range(cfg.n_kv_heads):
+            if selection is None:
+                idx = np.arange(width)
+            else:
+                idx = selection[h] if selection.ndim == 2 else selection
+            k = cache.keys[0, h, idx].astype(np.float64)
+            v = cache.values[0, h, idx].astype(np.float64)
+            rows = slice(h * group, (h + 1) * group)
+            scores = (q[j, rows] @ k.T) * attn._scale
+            scores = scores - scores.max(axis=-1, keepdims=True)
+            weights = np.exp(scores)
+            weights = weights / weights.sum(axis=-1, keepdims=True)
+            heads[j, rows] = weights @ v
+    return linear_rows(heads.reshape(len(caches), -1), attn.layer.wo)
+
+
+@pytest.mark.parametrize("model_name", MODELS[:3])  # MLA expands per head
+class TestDecodeRowsFloat64Oracle:
+    """Every decode_rows path reads float32 storage and computes in
+    float64: bit for bit the straight-line oracle above."""
+
+    @staticmethod
+    def _caches(model, tokenizer, rng, lengths):
+        caches = []
+        for length in lengths:
+            cache = model.new_cache()
+            model.prefill(_prompt(tokenizer, rng, n=length), cache)
+            caches.append(cache[0])
+        return caches
+
+    @pytest.mark.parametrize("level", ["head", "batch"])
+    def test_selected_rows_equal_oracle(
+        self, model_name, level, request, tiny_tokenizer
+    ):
+        model = request.getfixturevalue(model_name)
+        cfg = model.config
+        attn = model.layers[0].attention
+        rng = np.random.default_rng(81)
+        lengths = [44, 37, 52, 40]
+        caches = self._caches(model, tiny_tokenizer, rng, lengths)
+        widths = [9, 9, 13, 9]  # two buckets, one of three rows
+        selections = [
+            rng.integers(0, length, size=(cfg.n_kv_heads, width))
+            if level == "head"
+            else rng.integers(0, length, size=width)
+            for length, width in zip(lengths, widths)
+        ]
+        positions = np.array(lengths) - 1
+        x_rows = rng.standard_normal((len(lengths), cfg.d_model)).astype(np.float32)
+        out = attn.decode_rows(x_rows, positions, caches, selections)
+        want = _oracle_decode_rows(attn, x_rows, positions, caches, selections, None)
+        np.testing.assert_array_equal(out, want)
+
+    def test_dense_rows_with_limits_equal_oracle(
+        self, model_name, request, tiny_tokenizer
+    ):
+        """Speculative verify: consecutive rows of one session attend
+        growing causal prefixes of a shared cache."""
+        model = request.getfixturevalue(model_name)
+        cfg = model.config
+        attn = model.layers[0].attention
+        rng = np.random.default_rng(82)
+        first, second = self._caches(model, tiny_tokenizer, rng, [48, 35])
+        caches = [first, first, first, second, second]
+        limits = np.array([46, 47, 48, 34, 35])
+        positions = limits - 1
+        x_rows = rng.standard_normal((len(caches), cfg.d_model)).astype(np.float32)
+        selections = [None] * len(caches)
+        out = attn.decode_rows(x_rows, positions, caches, selections, limits=limits)
+        want = _oracle_decode_rows(
+            attn, x_rows, positions, caches, selections, limits
+        )
+        np.testing.assert_array_equal(out, want)

@@ -845,16 +845,5 @@ class TestBatchedDecodeEquivalence:
             for e in sequential.preemption_log
         ]
 
-    def test_float32_kv_bit_identical_between_paths(
-        self, tiny_gqa_model, tiny_tokenizer
-    ):
-        """Reduced-precision KV storage serves faster but never splits the
-        two decode paths apart."""
-        requests = self.eight_policy_requests(tiny_tokenizer, max_new_tokens=6)
-        batched, sequential, b_out, s_out = self.run_pair(
-            tiny_gqa_model, tiny_tokenizer, requests, kv_dtype="float32"
-        )
-        assert_outputs_bit_identical(b_out, s_out)
-
     def test_batched_default_on(self, tiny_tokenizer):
         assert EngineConfig(bos_id=tiny_tokenizer.bos_id).batched_decode is True
