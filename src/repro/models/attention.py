@@ -1,9 +1,13 @@
 """Attention computation for MHA / GQA / MQA / MLA with KV cache and sparsity.
 
-Single-sequence (batch=1) functional implementation. Prefill uses chunked
-causal attention (flash-attention-style row blocks) so long contexts never
-materialize a full seq x seq weight matrix. Decode supports three selection
-modes, matching the paper's retrieval granularities:
+Functional numpy implementation over per-session caches. Prefill uses
+chunked causal attention (flash-attention-style row blocks) so long
+contexts never materialize a full seq x seq weight matrix. Decode has one
+kernel, :meth:`AttentionModule.decode_rows`, which runs a wave of rows —
+the server's decode and verify waves, and a single session's step as a
+wave of one — and whose bits for a row never depend on the wave around
+it. The tests pin it to straight-line float64 oracles. Each row picks one
+of three selection modes, matching the paper's retrieval granularities:
 
 - ``selection=None``: full attention over the cache,
 - 1-D indices: one global set of tokens shared by all heads (batch-level),
@@ -123,9 +127,9 @@ class AttentionModule:
 
     def project_latent(self, x: np.ndarray) -> np.ndarray:
         """MLA latent cache entries, shape (1, seq, latent)."""
-        # repro: allow(row-fused-matmul): MLA runs per-session in every
-        # decode mode (batched falls back per session), so this GEMM's
-        # shapes are mode-invariant and the reduction order never forks.
+        # repro: allow(row-fused-matmul): prefill only (decode projects
+        # through project_kv_rows); prefill exactness is a token-stream
+        # contract (see _chunked_causal).
         c = x @ self.layer.w_dkv.T
         return c[None, :, :]
 
@@ -135,8 +139,8 @@ class AttentionModule:
         """Up-project latents (n, latent) to per-head K and V (heads, n, dim)."""
         cfg = self.config
         n = latents.shape[0]
-        # repro: allow(row-fused-matmul): per-session MLA up-projection;
-        # n is the selected-token count, identical across decode modes.
+        # repro: allow(row-fused-matmul): per-row MLA up-projection;
+        # n is the row's selected-token count, independent of the wave.
         k = (latents @ self.layer.w_uk.T).reshape(n, cfg.n_q_heads, cfg.head_dim)
         # repro: allow(row-fused-matmul): same up-projection, value side.
         v = (latents @ self.layer.w_uv.T).reshape(n, cfg.n_q_heads, cfg.head_dim)
@@ -242,125 +246,7 @@ class AttentionModule:
         flat = out.transpose(2, 0, 1, 3).reshape(seq, cfg.n_q_heads * cfg.head_dim)
         return linear(flat, self.layer.wo)
 
-    # ---- decode ----------------------------------------------------------------
-
-    def append_token(
-        self, x_token: np.ndarray, position: int, cache: LayerKVCache
-    ) -> None:
-        """Project and append one new token's KV (or latent) to the cache."""
-        cfg = self.config
-        x = x_token[None, :]
-        if cfg.attention is AttentionKind.MLA:
-            latents = self.project_latent(x)
-            cache.append(latents[None], latents[None])
-        else:
-            k, v = self.project_kv(x, np.array([position]))
-            cache.append(k[None], v[None])
-
-    def decode(
-        self,
-        x_token: np.ndarray,
-        position: int,
-        cache: LayerKVCache,
-        selection: np.ndarray | None = None,
-        capture_weights: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """One decode step. The current token must already be appended.
-
-        Returns (attn_output (d_model,), weights or None). Captured weights
-        are (n_q_heads, kv) over the attended set; with selection they are
-        scattered back to full cache length so analyses can compare policies.
-        """
-        cfg = self.config
-        # (Hq, dim)
-        q = self._project_q(x_token[None, :], np.array([position]))[:, 0, :]
-
-        if selection is None:
-            token_indices = np.arange(len(cache))
-            per_head = False
-        else:
-            selection = np.asarray(selection)
-            per_head = selection.ndim == 2
-            token_indices = selection
-
-        if cfg.attention is AttentionKind.MLA:
-            out_heads, weights = self._attend_mla(q, cache, token_indices, per_head)
-        else:
-            out_heads, weights = self._attend_kv(q, cache, token_indices, per_head)
-        flat = out_heads.reshape(cfg.n_q_heads * cfg.head_dim)
-        out = linear(flat, self.layer.wo)
-
-        if not capture_weights:
-            return out, None
-        full = np.zeros((cfg.n_q_heads, len(cache)), dtype=q.dtype)
-        if per_head:
-            group = cfg.group_size
-            for kv_head in range(token_indices.shape[0]):
-                for g in range(group):
-                    qh = kv_head * group + g
-                    full[qh, token_indices[kv_head]] = weights[qh]
-        else:
-            full[:, token_indices] = weights
-        return out, full
-
-    def _attend_kv(
-        self,
-        q: np.ndarray,
-        cache: LayerKVCache,
-        token_indices: np.ndarray,
-        per_head: bool,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-head attention outputs (Hq, dim) before the output projection."""
-        cfg = self.config
-        group = cfg.group_size
-        keys = cache.keys[0]  # (Hkv, len, dim)
-        values = cache.values[0]
-        out_heads = np.empty((cfg.n_q_heads, cfg.head_dim), dtype=q.dtype)
-        weights_list = []
-        for kv_head in range(cfg.n_kv_heads):
-            idx = token_indices[kv_head] if per_head else token_indices
-            k_sel = keys[kv_head, idx].astype(np.float64)  # (k, dim)
-            v_sel = values[kv_head, idx].astype(np.float64)
-            q_group = q[kv_head * group : (kv_head + 1) * group]  # (group, dim)
-            # repro: allow(row-fused-matmul): per-kv-head score/output
-            # GEMMs; (group, k) shapes depend only on config and the
-            # policy's selection, both mode-invariant (PR 3 argument).
-            scores = (q_group @ k_sel.T) * self._scale
-            w = softmax(scores, axis=-1)
-            # repro: allow(row-fused-matmul): same per-kv-head slice shape.
-            out_heads[kv_head * group : (kv_head + 1) * group] = w @ v_sel
-            weights_list.append(w)
-        weights = np.concatenate(weights_list, axis=0)
-        return out_heads, weights
-
-    def _attend_mla(
-        self,
-        q: np.ndarray,
-        cache: LayerKVCache,
-        token_indices: np.ndarray,
-        per_head: bool,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-head attention outputs (Hq, dim) before the output projection."""
-        cfg = self.config
-        latents = cache.keys[0, 0]  # (len, latent)
-        out_heads = np.empty((cfg.n_q_heads, cfg.head_dim), dtype=q.dtype)
-        weights_rows = []
-        for head in range(cfg.n_q_heads):
-            idx = token_indices[head] if per_head else token_indices
-            c_sel = latents[idx].astype(np.float64)
-            k_all, v_all = self._mla_expand(c_sel, np.asarray(idx))
-            k_sel = k_all[head]
-            v_sel = v_all[head]
-            # repro: allow(row-fused-matmul): per-head MLA scores; 1-D q
-            # row against (k, dim) keys, shapes mode-invariant.
-            scores = (q[head] @ k_sel.T) * self._scale
-            w = softmax(scores, axis=-1)
-            out_heads[head] = w @ v_sel  # repro: allow(row-fused-matmul)
-            weights_rows.append(w)
-        weights = np.stack(weights_rows, axis=0)
-        return out_heads, weights
-
-    # ---- batched decode (one fused pass over many sessions) --------------------
+    # ---- decode (one fused pass over a wave of rows) ---------------------------
 
     def project_q_rows(self, x_rows: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Queries for ``n`` single-token sessions, shape (n, n_q_heads, dim).
@@ -410,18 +296,6 @@ class AttentionModule:
         else:
             cache.append(k[None, :, row : row + 1, :], v[None, :, row : row + 1, :])
 
-    def append_token_rows(
-        self,
-        x_rows: np.ndarray,
-        positions: np.ndarray,
-        caches: list[LayerKVCache],
-    ) -> None:
-        """Project and append one new token per session, K/V fused into
-        single row-batched GEMMs over the shared weights."""
-        k, v = self.project_kv_rows(x_rows, positions)
-        for j in range(x_rows.shape[0]):
-            self.append_projected_row(caches[j], k, v, j)
-
     def decode_rows(
         self,
         x_rows: np.ndarray,
@@ -429,16 +303,18 @@ class AttentionModule:
         caches: list[LayerKVCache],
         selections: list[np.ndarray | None],
         limits: np.ndarray | None = None,
+        weights: list[np.ndarray] | None = None,
     ) -> np.ndarray:
-        """One decode step for ``n`` sessions at once; returns (n, d_model).
+        """The decode kernel: one token for each of ``n`` rows; returns
+        (n, d_model). Each row's own KV entry is already in its cache.
 
-        Sessions are grouped by selection shape; each group's gathered KV
-        is scored in one batched matmul (a stack of per-slice GEMMs whose
-        2-D shapes match the sequential path exactly, keeping every row
-        bit-identical to :meth:`decode` on that session alone). The output
-        projection runs as a single row-batched GEMM over all sessions.
-        MLA sessions fall back to the per-session expansion loop — the
-        projections around them still batch.
+        Rows are grouped by selection shape; each group's gathered KV is
+        scored in one batched matmul — a stack of per-(row, kv head) 2-D
+        GEMMs, so a row's bits do not depend on the wave it rides in (a
+        session decoded alone is a wave of one). The output projection
+        runs as a single row-batched GEMM over all rows. MLA rows fall
+        back to the per-row expansion loop — the projections around them
+        still batch.
 
         ``limits`` (speculative verify) caps each row's full-attention
         view at ``limits[j]`` cache entries: rows of one session verify
@@ -447,33 +323,65 @@ class AttentionModule:
         its position would have seen. Rows with an explicit selection are
         unaffected — their indices were chosen at select time, when only
         the visible prefix existed.
+
+        ``weights``, when given, receives each row's softmax weights in
+        row order, shaped (n_q_heads, visible entries) and stored in the
+        query dtype. Only dense rows are captured: a row with a selection
+        raises ``ValueError``.
         """
         cfg = self.config
         n = x_rows.shape[0]
+        if weights is not None and any(s is not None for s in selections):
+            raise ValueError("attention weights are captured for dense rows only")
+        captured: list | None = None if weights is None else [None] * n
         q = self.project_q_rows(x_rows, positions)  # (n, Hq, dim)
         if cfg.attention is AttentionKind.MLA:
             out_heads = np.empty((n, cfg.n_q_heads, cfg.head_dim), dtype=q.dtype)
             for j in range(n):
-                limit = None if limits is None else int(limits[j])
-                idx, per_head = self._selection_indices(
-                    selections[j], caches[j], limit
+                width = len(caches[j]) if limits is None else int(limits[j])
+                out_heads[j], w = self._attend_mla(
+                    q[j], caches[j], selections[j], width
                 )
-                out_heads[j], _ = self._attend_mla(q[j], caches[j], idx, per_head)
+                if captured is not None:
+                    captured[j] = w
         else:
-            out_heads = self._attend_rows_kv(q, caches, selections, limits)
+            out_heads = self._attend_rows_kv(q, caches, selections, limits, captured)
+        if weights is not None:
+            weights.extend(
+                w.reshape(cfg.n_q_heads, -1).astype(q.dtype) for w in captured
+            )
         flat = out_heads.reshape(n, cfg.n_q_heads * cfg.head_dim)
         return linear_rows(flat, self.layer.wo)
 
-    @staticmethod
-    def _selection_indices(
-        selection: np.ndarray | None,
+    def _attend_mla(
+        self,
+        q: np.ndarray,
         cache: LayerKVCache,
-        limit: int | None = None,
-    ) -> tuple[np.ndarray, bool]:
-        if selection is None:
-            return np.arange(len(cache) if limit is None else limit), False
-        selection = np.asarray(selection)
-        return selection, selection.ndim == 2
+        selection: np.ndarray | None,
+        width: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One MLA row over its selection (dense: the first ``width``
+        entries): per-head outputs (Hq, dim) before the output projection,
+        and the float64 softmax weights (Hq, k)."""
+        cfg = self.config
+        latents = cache.keys[0, 0]  # (len, latent)
+        selection = np.arange(width) if selection is None else np.asarray(selection)
+        out_heads = np.empty((cfg.n_q_heads, cfg.head_dim), dtype=q.dtype)
+        weights_rows = []
+        for head in range(cfg.n_q_heads):
+            idx = selection[head] if selection.ndim == 2 else selection
+            c_sel = latents[idx].astype(np.float64)
+            k_all, v_all = self._mla_expand(c_sel, np.asarray(idx))
+            k_sel = k_all[head]
+            v_sel = v_all[head]
+            # repro: allow(row-fused-matmul): per-head MLA scores; 1-D q
+            # row against (k, dim) keys, shapes independent of the wave.
+            scores = (q[head] @ k_sel.T) * self._scale
+            w = softmax(scores, axis=-1)
+            out_heads[head] = w @ v_sel  # repro: allow(row-fused-matmul)
+            weights_rows.append(w)
+        weights = np.stack(weights_rows, axis=0)
+        return out_heads, weights
 
     def _spec_kv(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """Float64 (k, v) views of the persistent verify scratch (see
@@ -493,8 +401,10 @@ class AttentionModule:
         caches: list[LayerKVCache],
         selections: list[np.ndarray | None],
         limits: np.ndarray | None = None,
+        captured: list | None = None,
     ) -> np.ndarray:
-        """Grouped-by-selection-shape attention; returns (n, Hq, dim)."""
+        """Grouped-by-selection-shape attention; returns (n, Hq, dim) and,
+        given ``captured``, stores row ``j``'s softmax weights there."""
         cfg = self.config
         group = cfg.group_size
         n = q.shape[0]
@@ -506,8 +416,8 @@ class AttentionModule:
             # consecutive and share that cache. So each session's widest
             # prefix is upcast once into the scratch, and every row
             # matmuls straight against a view of it. The per-kv-head 2-D
-            # GEMM slices have exactly the (group, width) shapes of the
-            # sequential decode at that position, over identical values.
+            # GEMM slices have exactly the (group, width) shapes of a
+            # one-token decode at that position, over identical values.
             first = 0
             while first < n:
                 end = first + 1
@@ -523,9 +433,11 @@ class AttentionModule:
                     v = v_all[:, : int(limits[j])]
                     # repro: allow(row-fused-matmul): 3-D matmul = one
                     # GEMM per kv-head slice; per-slice reduction shapes
-                    # match the sequential path exactly (dense verify rows).
+                    # match a one-token decode exactly (dense verify rows).
                     scores = np.matmul(q_g[j], k.transpose(0, 2, 1)) * self._scale
                     w = softmax(scores, axis=-1)
+                    if captured is not None:
+                        captured[j] = w
                     out[j] = np.matmul(w, v)  # repro: allow(row-fused-matmul)
                 first = end
             return out.reshape(n, cfg.n_q_heads, cfg.head_dim)
@@ -565,11 +477,14 @@ class AttentionModule:
             whole_batch = g == n  # skip fancy-index copies for one bucket
             qg = q_g if whole_batch else q_g[members]  # (g, Hkv, group, dim)
             # repro: allow(row-fused-matmul): 4-D matmul dispatches one
-            # GEMM per (session, kv-head) slice — the per-slice shapes
-            # equal the sequential per-session scores, so reduction
-            # order (and therefore every bit) matches (PR 3 argument).
+            # GEMM per (row, kv-head) slice — the per-slice shapes equal
+            # those of the row decoded alone, so reduction order (and
+            # therefore every bit) does not depend on the wave.
             scores = np.matmul(qg, k.transpose(0, 1, 3, 2)) * self._scale
             w = softmax(scores, axis=-1)
+            if captured is not None:
+                for gi, j in enumerate(members):
+                    captured[j] = w[gi]
             if whole_batch:
                 out[:] = np.matmul(w, v)  # repro: allow(row-fused-matmul)
             else:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.kvcache.cache import LayerKVCache
@@ -43,67 +45,28 @@ class DecoderLayer:
         x = x + attn_out
         return x + self._ffn(x)
 
-    def decode(
-        self,
-        x: np.ndarray,
-        position: int,
-        cache: LayerKVCache,
-        selection: np.ndarray | None = None,
-        capture_weights: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Process one decode token; ``x`` is (d_model,).
-
-        The token's KV entry is appended before attention so the token can
-        attend to itself (and so selection indices cover it).
-        """
-        h = self._pre_attn(x)
-        self.attention.append_token(h, position, cache)
-        attn_out, weights = self.attention.decode(
-            h, position, cache, selection=selection, capture_weights=capture_weights
-        )
-        x = x + attn_out
-        return x + self._ffn(x), weights
-
     def decode_rows(
         self,
         x_rows: np.ndarray,
         positions: np.ndarray,
         caches: list[LayerKVCache],
-        selections: list[np.ndarray | None],
+        select_fn: Callable[[int], np.ndarray | None],
+        limits: np.ndarray | None = None,
+        weights: list[np.ndarray] | None = None,
     ) -> np.ndarray:
-        """Process one decode token for ``n`` independent sessions at once.
+        """Decode one token per row; ``x_rows`` is (n, d_model).
 
-        ``x_rows`` is (n, d_model); row ``j`` is bit-identical to
-        :meth:`decode` run on session ``j`` alone — every fused op is
-        either elementwise/row-wise or dispatches per-row GEMM slices.
-        """
-        h = self._pre_attn(x_rows)
-        self.attention.append_token_rows(h, positions, caches)
-        attn_out = self.attention.decode_rows(h, positions, caches, selections)
-        x = x_rows + attn_out
-        return x + self._ffn_rows(x)
-
-    def decode_rows_spec(
-        self,
-        x_rows: np.ndarray,
-        positions: np.ndarray,
-        caches: list[LayerKVCache],
-        limits: np.ndarray,
-        select_fn,
-    ) -> np.ndarray:
-        """Multi-position decode for speculative verify; returns (n, d_model).
-
-        Unlike :meth:`decode_rows`, consecutive rows may belong to one
-        session verifying several drafted positions: ``caches[r]`` is the
-        row's (possibly shared) layer cache and ``limits[r]`` the KV
-        length visible to it (its position + 1). ``select_fn(r)`` is the
-        policy hook for row ``r``; it is invoked in row order *before*
-        the row's own KV entry is appended — exactly the select-time cache
-        state (``len(cache) == position``) the sequential :meth:`decode`
-        path presents — so rows must arrive session-major in ascending
-        position order. Row ``r`` is bit-identical to :meth:`decode` run
-        sequentially at its position: projections and FFN are per-row GEMM
-        slices, and attention sees only the causal prefix via ``limits``.
+        ``caches[r]`` is row ``r``'s layer cache. Rows of a decode wave
+        each own one; in a speculative verify wave consecutive rows share
+        one session's cache and ``limits[r]`` (position + 1) caps what a
+        dense row may see. ``select_fn(r)`` is the policy hook for row
+        ``r``; it runs in row order *before* the row's own KV entry is
+        appended, so every ``select`` sees ``len(cache) == position`` and
+        rows of one session must arrive in ascending position order. The
+        token can then attend to itself, and selection indices cover it.
+        Projections and FFN are per-row GEMM slices, so a row's bits do
+        not depend on the wave. ``weights`` is passed to
+        :meth:`AttentionModule.decode_rows`.
         """
         h = self._pre_attn(x_rows)
         k, v = self.attention.project_kv_rows(h, positions)
@@ -112,7 +75,7 @@ class DecoderLayer:
             selections.append(select_fn(r))
             self.attention.append_projected_row(caches[r], k, v, r)
         attn_out = self.attention.decode_rows(
-            h, positions, caches, selections, limits=limits
+            h, positions, caches, selections, limits, weights
         )
         x = x_rows + attn_out
         return x + self._ffn_rows(x)

@@ -1,13 +1,15 @@
 """The decoder-only LM engine: prefill, decode, generation, selection hooks.
 
-``TransformerLM.generate`` is the greedy single-session reference that
-the serving paths are checked against (sampling lives in
-:class:`~repro.serving.server.SpeContextServer`). It accepts an optional
-*selection policy* — the object that decides which KV entries each decode
-step attends to. Policies come from :mod:`repro.retrieval` (layer-wise
+Every decode — :meth:`TransformerLM.decode_step` (a wave of one), the
+server's decode waves (``decode_step_batch``) and its verify waves
+(``decode_spec_batch``) — runs one kernel, ``DecoderLayer.decode_rows``;
+the tests' float64 oracles are its independent reference. ``generate`` is
+the greedy single-session API (sampling lives in the server). Decoding
+accepts an optional *selection policy* — the object that decides which KV
+entries each step attends to: :mod:`repro.retrieval` (layer-wise
 baselines: Quest, ClusterKV, ShadowKV, StreamingLLM, H2O) or
-:mod:`repro.core` (SpeContext's retrieval head, which selects once per step
-*before* the forward pass). A ``None`` policy is full attention.
+:mod:`repro.core` (SpeContext's retrieval head, which selects once per
+step *before* the forward pass). A ``None`` policy is full attention.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.kvcache.cache import LayerKVCache, ModelKVCache
 from repro.models.config import AttentionKind
 from repro.models.layers import DecoderLayer
 from repro.models.weights import ModelWeights
-from repro.tensor.ops import linear, linear_rows, rms_norm
+from repro.tensor.ops import linear_rows, rms_norm
 from repro.tensor.rope import RotaryEmbedding, YarnConfig
 
 
@@ -91,12 +93,6 @@ class TransformerLM:
         """Token embeddings, shape (seq, d_model)."""
         return self.weights.embedding[np.asarray(token_ids)]
 
-    def logits_from_hidden(self, hidden: np.ndarray) -> np.ndarray:
-        """Final norm + LM head."""
-        if self.config.use_norm:
-            hidden = rms_norm(hidden, self.weights.norm_final)
-        return linear(hidden, self.weights.head_matrix())
-
     def logits_from_hidden_rows(self, hidden: np.ndarray) -> np.ndarray:
         """Final norm + LM head over (n, d_model) rows, one fused call."""
         if self.config.use_norm:
@@ -113,7 +109,7 @@ class TransformerLM:
         x = self.embed(token_ids)
         for i, layer in enumerate(self.layers):
             x = layer.prefill(x, positions, cache[i])
-        return self.logits_from_hidden(x[-1])
+        return self.logits_from_hidden_rows(x[-1:])[0]
 
     def prefill_chunked(
         self, token_ids: np.ndarray, cache: ModelKVCache, chunk_tokens: int
@@ -147,30 +143,24 @@ class TransformerLM:
         policy: SelectionPolicy | None = None,
         capture_attention: bool = False,
     ) -> tuple[np.ndarray, dict[int, np.ndarray], list[np.ndarray]]:
-        """One autoregressive step.
+        """One autoregressive step: :meth:`decode_step_batch`'s kernel on a
+        wave of one.
 
         Returns (logits, selections_used, attention_weights). The current
-        token's index is always unioned into 1-D selections (the paper keeps
-        the just-generated KV pair resident).
+        token's index is always unioned into selections (the paper keeps
+        the just-generated KV pair resident). ``capture_attention`` fills
+        attention_weights with each layer's (n_q_heads, len(cache))
+        softmax rows in float32; only a full-attention step can be
+        captured, so a ``policy`` alongside it raises ``ValueError``.
         """
-        position = cache.seq_len  # index this token will occupy
-        x = self.embed(np.array([token_id]))[0]
-        selections: dict[int, np.ndarray] = {}
-        attn_weights: list[np.ndarray] = []
-        for i, layer in enumerate(self.layers):
-            selection = None
-            if policy is not None:
-                selection = policy.select(i, x, position, cache[i])
-            if selection is not None:
-                selection = self._ensure_current(selection, position)
-                selections[i] = selection
-            x, weights = layer.decode(
-                x, position, cache[i], selection=selection,
-                capture_weights=capture_attention,
-            )
-            if capture_attention:
-                attn_weights.append(weights)
-        return self.logits_from_hidden(x), selections, attn_weights
+        if capture_attention and policy is not None:
+            raise ValueError("capture_attention needs full attention (policy=None)")
+        weights: list[np.ndarray] = []
+        logits, selections = self._decode_rows(
+            [token_id], [0], [cache.seq_len], [cache], [policy],
+            weights=weights if capture_attention else None,
+        )
+        return logits[0], selections[0], weights
 
     def decode_step_batch(
         self,
@@ -188,10 +178,9 @@ class TransformerLM:
         — they own per-session state — but all tensor math is fused.
 
         Returns (logits of shape (n, vocab), per-session selections dict).
-        Row ``j`` is bit-identical to ``decode_step(token_ids[j],
-        caches[j], policies[j])`` on the same session state: the fused ops
-        are elementwise/row-wise or per-row GEMM slices, never row-fused
-        BLAS reductions (see :func:`repro.tensor.ops.linear_rows`).
+        A session's row does not depend on the rest of the wave: the fused
+        ops are elementwise/row-wise or per-row GEMM slices, never
+        row-fused BLAS reductions (see :func:`repro.tensor.ops.linear_rows`).
         """
         n = len(caches)
         if policies is None:
@@ -202,25 +191,7 @@ class TransformerLM:
                 f"{len(policies)} policies"
             )
         positions = [cache.seq_len for cache in caches]
-        position_rows = np.asarray(positions)
-        x = self.embed(np.asarray(token_ids))  # (n, d_model)
-        selections: list[dict[int, np.ndarray]] = [{} for _ in range(n)]
-        plans: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n
-        for i, layer in enumerate(self.layers):
-            layer_caches = [cache[i] for cache in caches]
-            step_selections: list[np.ndarray | None] = []
-            for j in range(n):
-                selection = None
-                if policies[j] is not None:
-                    selection = policies[j].select(
-                        i, x[j], positions[j], layer_caches[j]
-                    )
-                if selection is not None:
-                    selection = self._planned(plans, j, selection, positions[j])
-                    selections[j][i] = selection
-                step_selections.append(selection)
-            x = layer.decode_rows(x, position_rows, layer_caches, step_selections)
-        return self.logits_from_hidden_rows(x), selections
+        return self._decode_rows(token_ids, list(range(n)), positions, caches, policies)
 
     def decode_spec_batch(
         self,
@@ -235,15 +206,14 @@ class TransformerLM:
         occupy. All (session, position) rows run through each layer as one
         row-batched pass; per-session policy hooks interleave with KV
         appends in position order, so at every ``select`` call the cache
-        holds exactly the entries a sequential :meth:`decode_step` at that
-        position would have held, and attention caps each row's
-        full-attention view at its own position + 1. Position ``t`` of
-        session ``j`` is therefore bit-identical to ``decode_step`` run
-        sequentially *given the same fed tokens* — which is how greedy
-        longest-prefix acceptance makes accepted streams provably equal to
-        a never-drafted run. All fed tokens' KV entries are appended; the
-        caller truncates the rejected suffix (see
-        :meth:`repro.kvcache.cache.ModelKVCache.truncate`).
+        holds exactly the entries a one-token step at that position would
+        have held, and attention caps each row's full-attention view at
+        its own position + 1. Position ``t`` of session ``j`` is therefore
+        bit-identical to one-token steps run sequentially *given the same
+        fed tokens* — which is how greedy longest-prefix acceptance makes
+        accepted streams provably equal to a never-drafted run. All fed
+        tokens' KV entries are appended; the caller truncates the rejected
+        suffix (see :meth:`repro.kvcache.cache.ModelKVCache.truncate`).
 
         Returns ``(logits, selections)`` where ``logits[j]`` is
         ``(len(token_seqs[j]), vocab)`` and ``selections[j][t]`` is the
@@ -263,48 +233,66 @@ class TransformerLM:
         if any(length < 1 for length in lens):
             raise ValueError("every session must feed at least one token")
         row_session: list[int] = []
-        row_offset: list[int] = []
         positions: list[int] = []
-        for j, seq in enumerate(token_seqs):
+        for j, length in enumerate(lens):
             base = caches[j].seq_len
-            for t in range(len(seq)):
-                row_session.append(j)
-                row_offset.append(t)
-                positions.append(base + t)
-        position_rows = np.asarray(positions)
-        limits = position_rows + 1
-        x = self.embed(np.asarray([t for seq in token_seqs for t in seq]))
-        selections: list[list[dict[int, np.ndarray]]] = [
-            [{} for _ in seq] for seq in token_seqs
-        ]
-        plans: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(positions)
-        for i, layer in enumerate(self.layers):
-            row_caches = [caches[j][i] for j in row_session]
-            layer_input = x
-
-            def select_fn(r, i=i, layer_input=layer_input):
-                j = row_session[r]
-                if policies[j] is None:
-                    return None
-                position = int(position_rows[r])
-                selection = policies[j].select(
-                    i, layer_input[r], position, row_caches[r]
-                )
-                if selection is not None:
-                    selection = self._planned(plans, r, selection, position)
-                    selections[j][row_offset[r]][i] = selection
-                return selection
-
-            x = layer.decode_rows_spec(
-                x, position_rows, row_caches, limits, select_fn
-            )
-        logits = self.logits_from_hidden_rows(x)
+            row_session += [j] * length
+            positions += range(base, base + length)
+        logits, row_selections = self._decode_rows(
+            [t for seq in token_seqs for t in seq], row_session, positions,
+            caches, policies, limits=np.asarray(positions) + 1,
+        )
         out: list[np.ndarray] = []
+        selections: list[list[dict[int, np.ndarray]]] = []
         start = 0
         for length in lens:
             out.append(logits[start : start + length])
+            selections.append(row_selections[start : start + length])
             start += length
         return out, selections
+
+    def _decode_rows(
+        self,
+        token_rows: list[int],
+        row_session: list[int],
+        positions: list[int],
+        caches: list[ModelKVCache],
+        policies: list[SelectionPolicy | None],
+        limits: np.ndarray | None = None,
+        weights: list[np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, list[dict[int, np.ndarray]]]:
+        """Run one token per row through every layer's
+        :meth:`DecoderLayer.decode_rows`.
+
+        Row ``r`` feeds ``token_rows[r]`` for session ``row_session[r]``
+        at cache position ``positions[r]``. Returns (logits (rows, vocab),
+        the per-layer selection dict of each row); ``weights``, when given,
+        receives the captured attention of every layer, layer-major (see
+        :meth:`AttentionModule.decode_rows`).
+        """
+        position_rows = np.asarray(positions)
+        x = self.embed(np.asarray(token_rows))  # (rows, d_model)
+        selections: list[dict[int, np.ndarray]] = [{} for _ in positions]
+        plans: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(positions)
+        for i, layer in enumerate(self.layers):
+            row_caches = [caches[j][i] for j in row_session]
+
+            def select_fn(r, i=i, layer_input=x, row_caches=row_caches):
+                policy = policies[row_session[r]]
+                if policy is None:
+                    return None
+                selection = policy.select(
+                    i, layer_input[r], positions[r], row_caches[r]
+                )
+                if selection is not None:
+                    selection = self._planned(plans, r, selection, positions[r])
+                    selections[r][i] = selection
+                return selection
+
+            x = layer.decode_rows(
+                x, position_rows, row_caches, select_fn, limits, weights
+            )
+        return self.logits_from_hidden_rows(x), selections
 
     def _planned(
         self,
@@ -354,9 +342,12 @@ class TransformerLM:
     ) -> DecodeResult:
         """Greedily decode up to ``max_new_tokens`` on a fresh cache.
 
-        The single-session greedy reference the serving paths are checked
-        against; sampling lives in the server. ``stop_ids`` terminate
-        generation after being emitted.
+        The greedy single-session API: one prefill, then one
+        :meth:`decode_step` per token. It shares no serving code
+        (scheduler, pool, sampler — sampling lives in the server) but
+        decodes through the same kernel. ``stop_ids`` terminate generation
+        after being emitted. ``capture_attention`` records each step's
+        per-layer weights (full attention only, see :meth:`decode_step`).
 
         ``sparse_from_first_token``: prefill only ``prompt[:-1]`` and decode
         the final prompt token as the first (policy-governed) decode step, so

@@ -128,42 +128,64 @@ class TestCurrentTokenUnion:
         for used in selections.values():
             assert position in np.asarray(used).ravel()
 
-    def test_capture_attention_shapes(self, tiny_gqa_model, tiny_tokenizer):
+    @pytest.mark.parametrize(
+        "model_name", ["tiny_gqa_model", "tiny_mha_model", "tiny_mla_model"]
+    )
+    def test_capture_attention_shapes(
+        self, model_name, request, tiny_tokenizer, monkeypatch
+    ):
+        """Captured weights come from the served kernel: per layer, the
+        float64 oracle's softmax rows stored in float32."""
+        model = request.getfixturevalue(model_name)
+        cfg = model.config
         rng = np.random.default_rng(55)
         prompt = _prompt(tiny_tokenizer, rng)
-        cache = tiny_gqa_model.new_cache()
-        tiny_gqa_model.prefill(prompt, cache)
-        _, _, attn = tiny_gqa_model.decode_step(5, cache, capture_attention=True)
-        assert len(attn) == tiny_gqa_model.config.n_layers
-        for weights in attn:
-            assert weights.shape[0] == tiny_gqa_model.config.n_q_heads
-            np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=1e-5)
+        cache = model.new_cache()
+        model.prefill(prompt, cache)
+        with pytest.raises(ValueError, match="full attention"):
+            model.decode_step(
+                5, cache, policy=_FixedSelection(np.arange(8)),
+                capture_attention=True,
+            )
+        inputs = []
+        for layer in model.layers:
+            attn = layer.attention
+
+            def spy(x_rows, positions, caches, *args, attn=attn, run=attn.decode_rows):
+                inputs.append((attn, x_rows, positions, caches))
+                return run(x_rows, positions, caches, *args)
+
+            monkeypatch.setattr(attn, "decode_rows", spy)
+        _, _, captured = model.decode_step(5, cache, capture_attention=True)
+        assert len(captured) == len(inputs) == cfg.n_layers
+        for weights, (attn, x_rows, positions, caches) in zip(captured, inputs):
+            assert weights.dtype == np.float32
+            assert weights.shape == (cfg.n_q_heads, cache.seq_len)
+            _, want = _oracle_decode_rows(
+                attn, x_rows, positions, caches, [None], None
+            )
+            np.testing.assert_array_equal(weights, want[0].astype(np.float32))
 
 
 @pytest.mark.parametrize("model_name", MODELS)
 class TestDecodeRowsMixedWave:
-    def test_mixed_wave_equals_per_session_decode(
-        self, model_name, request, tiny_tokenizer
-    ):
+    def test_mixed_wave_equals_oracle(self, model_name, request, tiny_tokenizer):
         """Full, 1-D and head-level rows of different widths in one wave
         (two of them sharing a width, so a 1-D and a head-level row stack
-        in one bucket): every row is bit-equal to ``decode`` on its own."""
+        in one bucket): every row is bit-equal to the float64 oracle."""
         model = request.getfixturevalue(model_name)
         cfg = model.config
         attn = model.layers[0].attention
-        sel_heads = (
-            cfg.n_q_heads if cfg.attention is AttentionKind.MLA else cfg.n_kv_heads
-        )
+        sel_heads = _selection_heads(cfg)
         rng = np.random.default_rng(77)
         lengths = [40, 33, 52, 40, 47, 36]
         shapes = [None, None, (5,), (9,), (sel_heads, 9), (sel_heads, 12)]
 
-        batched, solo, selections = [], [], []
+        caches, selections = [], []
         for length, shape in zip(lengths, shapes):
             cache = model.new_cache()
             model.prefill(_prompt(tiny_tokenizer, rng, n=length), cache)
-            batched.append(cache[0])
-            solo.append(cache.clone()[0])
+            caches.append(cache[0])
             # Indices reach `length`: the decoded token is appended first.
             selections.append(
                 None if shape is None else rng.integers(0, length + 1, size=shape)
@@ -171,12 +193,16 @@ class TestDecodeRowsMixedWave:
         positions = np.array(lengths)
         x_rows = rng.standard_normal((len(lengths), cfg.d_model)).astype(np.float32)
 
-        attn.append_token_rows(x_rows, positions, batched)
-        out_rows = attn.decode_rows(x_rows, positions, batched, selections)
-        for j, length in enumerate(lengths):
-            attn.append_token(x_rows[j], length, solo[j])
-            out, _ = attn.decode(x_rows[j], length, solo[j], selection=selections[j])
-            assert (out_rows[j] == out).all(), j
+        k, v = attn.project_kv_rows(x_rows, positions)
+        for j, cache in enumerate(caches):
+            attn.append_projected_row(cache, k, v, j)
+        out = attn.decode_rows(x_rows, positions, caches, selections)
+        want, _ = _oracle_decode_rows(
+            attn, x_rows, positions, caches, selections, None
+        )
+        np.testing.assert_array_equal(out, want)
+        with pytest.raises(ValueError, match="dense rows only"):
+            attn.decode_rows(x_rows, positions, caches, selections, None, [])
 
 
 class TestRopeMaskHoisting:
@@ -354,34 +380,68 @@ def test_any_chunking_of_a_prompt_prefills_the_same(
         np.testing.assert_array_equal(logits, expected)
 
 
-def _oracle_decode_rows(attn, x_rows, positions, caches, selections, limits):
-    """Straight-line float64 decode: per row and kv head, the selected
-    (or the first ``limits[j]``) float32 rows read by fancy indexing and
-    upcast, a 2-D score GEMM, softmax, a 2-D GEMM against V, one rounding
-    of the head row to float32, then the output projection."""
+def _selection_heads(cfg):
+    """Rows of a head-level selection: KV heads, or MLA's query heads."""
+    if cfg.attention is AttentionKind.MLA:
+        return cfg.n_q_heads
+    return cfg.n_kv_heads
+
+
+def _oracle_mla_head(attn, cache, idx, head):
+    """One MLA head's float64 K/V at ``idx``: the stored latents upcast,
+    up-projected by ``w_uk``/``w_uv``, keys rotated at ``idx +
+    rope_key_offset`` when the head runs RoPE."""
     cfg = attn.config
-    group = cfg.group_size
+    latents = cache.keys[0, 0, idx].astype(np.float64)
+    shape = (len(idx), cfg.n_q_heads, cfg.head_dim)
+    k = (latents @ attn.layer.w_uk.T).reshape(shape)[:, head]
+    v = (latents @ attn.layer.w_uv.T).reshape(shape)[:, head]
+    mask = attn.layer.rope_mask
+    if mask is None or mask[head]:
+        k = attn.rope.apply(k, np.asarray(idx) + attn.layer.rope_key_offset)
+    return k, v
+
+
+def _oracle_decode_rows(attn, x_rows, positions, caches, selections, limits):
+    """Straight-line float64 decode: per row and kv head (MLA: per query
+    head over up-projected latents), the selected (or the first
+    ``limits[j]``) float32 rows read by fancy indexing and upcast, a score
+    GEMM, softmax, a GEMM against V, one rounding of the head row to
+    float32, then the output projection. Returns that output and each
+    row's float64 softmax rows, (n_q_heads, width)."""
+    cfg = attn.config
+    mla = cfg.attention is AttentionKind.MLA
+    group = 1 if mla else cfg.group_size
     q = attn.project_q_rows(x_rows, positions)
     heads = np.empty((len(caches), cfg.n_q_heads, cfg.head_dim), dtype=np.float32)
+    softmax_rows = []
     for j, (cache, selection) in enumerate(zip(caches, selections)):
         width = len(cache) if limits is None else int(limits[j])
-        for h in range(cfg.n_kv_heads):
+        row_weights = []
+        for h in range(_selection_heads(cfg)):
             if selection is None:
                 idx = np.arange(width)
             else:
                 idx = selection[h] if selection.ndim == 2 else selection
-            k = cache.keys[0, h, idx].astype(np.float64)
-            v = cache.values[0, h, idx].astype(np.float64)
-            rows = slice(h * group, (h + 1) * group)
+            if mla:
+                rows = h
+                k, v = _oracle_mla_head(attn, cache, idx, h)
+            else:
+                rows = slice(h * group, (h + 1) * group)
+                k = cache.keys[0, h, idx].astype(np.float64)
+                v = cache.values[0, h, idx].astype(np.float64)
             scores = (q[j, rows] @ k.T) * attn._scale
             scores = scores - scores.max(axis=-1, keepdims=True)
             weights = np.exp(scores)
             weights = weights / weights.sum(axis=-1, keepdims=True)
             heads[j, rows] = weights @ v
-    return linear_rows(heads.reshape(len(caches), -1), attn.layer.wo)
+            row_weights.append(weights.reshape(group, -1))
+        softmax_rows.append(np.concatenate(row_weights))
+    out = linear_rows(heads.reshape(len(caches), -1), attn.layer.wo)
+    return out, softmax_rows
 
 
-@pytest.mark.parametrize("model_name", MODELS[:3])  # MLA expands per head
+@pytest.mark.parametrize("model_name", MODELS)
 class TestDecodeRowsFloat64Oracle:
     """Every decode_rows path reads float32 storage and computes in
     float64: bit for bit the straight-line oracle above."""
@@ -407,7 +467,7 @@ class TestDecodeRowsFloat64Oracle:
         caches = self._caches(model, tiny_tokenizer, rng, lengths)
         widths = [9, 9, 13, 9]  # two buckets, one of three rows
         selections = [
-            rng.integers(0, length, size=(cfg.n_kv_heads, width))
+            rng.integers(0, length, size=(_selection_heads(cfg), width))
             if level == "head"
             else rng.integers(0, length, size=width)
             for length, width in zip(lengths, widths)
@@ -415,26 +475,38 @@ class TestDecodeRowsFloat64Oracle:
         positions = np.array(lengths) - 1
         x_rows = rng.standard_normal((len(lengths), cfg.d_model)).astype(np.float32)
         out = attn.decode_rows(x_rows, positions, caches, selections)
-        want = _oracle_decode_rows(attn, x_rows, positions, caches, selections, None)
+        want, _ = _oracle_decode_rows(
+            attn, x_rows, positions, caches, selections, None
+        )
         np.testing.assert_array_equal(out, want)
 
-    def test_dense_rows_with_limits_equal_oracle(
-        self, model_name, request, tiny_tokenizer
+    @pytest.mark.parametrize("capped", [True, False])
+    def test_dense_rows_equal_oracle(
+        self, model_name, capped, request, tiny_tokenizer
     ):
-        """Speculative verify: consecutive rows of one session attend
-        growing causal prefixes of a shared cache."""
+        """Dense rows, captured weights included. Capped: speculative
+        verify, consecutive rows of one session attend growing causal
+        prefixes of a shared cache. Uncapped: rows of one width stack in
+        one bucket."""
         model = request.getfixturevalue(model_name)
         cfg = model.config
         attn = model.layers[0].attention
         rng = np.random.default_rng(82)
         first, second = self._caches(model, tiny_tokenizer, rng, [48, 35])
         caches = [first, first, first, second, second]
-        limits = np.array([46, 47, 48, 34, 35])
-        positions = limits - 1
+        limits = np.array([46, 47, 48, 34, 35]) if capped else None
+        positions = np.array([45, 46, 47, 33, 34])
         x_rows = rng.standard_normal((len(caches), cfg.d_model)).astype(np.float32)
         selections = [None] * len(caches)
-        out = attn.decode_rows(x_rows, positions, caches, selections, limits=limits)
-        want = _oracle_decode_rows(
+        captured = []
+        out = attn.decode_rows(
+            x_rows, positions, caches, selections, limits, captured
+        )
+        want, softmax_rows = _oracle_decode_rows(
             attn, x_rows, positions, caches, selections, limits
         )
         np.testing.assert_array_equal(out, want)
+        assert len(captured) == len(caches)
+        for got, rows in zip(captured, softmax_rows):
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, rows.astype(np.float32))

@@ -172,6 +172,14 @@ class TestGeneration:
         weights = step0[0]
         assert weights.shape[0] == tiny_gqa_model.config.n_q_heads
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-4)
+        from repro.retrieval.registry import make_policy
+
+        with pytest.raises(ValueError, match="full attention"):
+            tiny_gqa_model.generate(
+                prompt, max_new_tokens=2, capture_attention=True,
+                policy=make_policy("streaming", tiny_gqa_model, 16),
+                sparse_from_first_token=True,
+            )
 
     def test_incremental_prefill_matches_single_shot(
         self, tiny_gqa_model, tiny_tokenizer, rng_factory
@@ -314,10 +322,12 @@ class TestAttentionConcentration:
 
 
 class TestBatchedDecodeStep:
-    """decode_step_batch row j == decode_step on session j, bit for bit."""
+    """A session's row is bit-identical whether it is decoded alone
+    (decode_step), in a wave (decode_step_batch) or as one-token verify
+    rows (decode_spec_batch)."""
 
-    def _make_sessions(self, model, tokenizer, policy_names, budget=48):
-        """Two identical session sets: one for each decode path."""
+    def _make_sessions(self, model, tokenizer, policy_names, budget=48, n_sets=3):
+        """Identical session sets, one for each decode path."""
         from repro.core.retrieval_head import LightweightRetrievalHead
         from repro.retrieval.registry import make_policy
 
@@ -325,7 +335,7 @@ class TestBatchedDecodeStep:
             model.weights, tokenizer.bos_id, np.random.default_rng(0)
         )
         sets = []
-        for _ in range(2):
+        for _ in range(n_sets):
             caches, pendings, policies = [], [], []
             for i, name in enumerate(policy_names):
                 rng = np.random.default_rng(500 + i)
@@ -355,62 +365,55 @@ class TestBatchedDecodeStep:
             names = [None, "streaming", "quest", "h2o", "sliding", "full"]
         # One pre-step selection object for every layer: the per-step plan.
         names += ["specontext", "specontext"]
+        sets = self._make_sessions(model, tiny_tokenizer, names)
         (seq_caches, seq_policies, seq_pending), (
             bat_caches, bat_policies, bat_pending,
-        ) = self._make_sessions(model, tiny_tokenizer, names)
+        ), (spec_caches, spec_policies, spec_pending) = sets
         for step in range(6):
+            for caches, policies, pending in sets:
+                for j in range(len(names)):
+                    if policies[j] is not None:
+                        policies[j].pre_step(step, pending[j], caches[j])
             seq_logits, seq_selections = [], []
             for j in range(len(names)):
-                if seq_policies[j] is not None:
-                    seq_policies[j].pre_step(step, seq_pending[j], seq_caches[j])
                 logits, sels, _ = model.decode_step(
                     seq_pending[j], seq_caches[j], policy=seq_policies[j]
                 )
                 seq_logits.append(logits)
                 seq_selections.append(sels)
-            for j in range(len(names)):
-                if bat_policies[j] is not None:
-                    bat_policies[j].pre_step(step, bat_pending[j], bat_caches[j])
             bat_logits, bat_selections = model.decode_step_batch(
                 bat_pending, bat_caches, bat_policies
             )
+            spec_logits, spec_selections = model.decode_spec_batch(
+                [[token] for token in spec_pending], spec_caches, spec_policies
+            )
             for j in range(len(names)):
-                assert (bat_logits[j] == seq_logits[j]).all(), (names[j], step)
-                assert bat_selections[j].keys() == seq_selections[j].keys()
-                for layer, sel in seq_selections[j].items():
-                    assert np.array_equal(bat_selections[j][layer], sel), (
-                        names[j], step, layer,
-                    )
+                assert spec_logits[j].shape == (1, bat_logits.shape[1])
+                for logits, sels in (
+                    (seq_logits[j], seq_selections[j]),
+                    (spec_logits[j][0], spec_selections[j][0]),
+                ):
+                    assert (bat_logits[j] == logits).all(), (names[j], step)
+                    assert bat_selections[j].keys() == sels.keys()
+                    for layer, sel in sels.items():
+                        assert np.array_equal(bat_selections[j][layer], sel), (
+                            names[j], step, layer,
+                        )
                 if names[j] == "specontext":
-                    planned = list(bat_selections[j].values())
-                    assert len(planned) == len(model.layers)
-                    assert planned[0].ndim == 2  # head-level
-                    assert all(sel is planned[0] for sel in planned)
-                token = int(np.argmax(seq_logits[j]))
-                assert token == int(np.argmax(bat_logits[j]))
-                seq_pending[j] = token
-                bat_pending[j] = token
+                    for sels in (bat_selections[j], spec_selections[j][0]):
+                        planned = list(sels.values())
+                        assert len(planned) == len(model.layers)
+                        assert planned[0].ndim == 2  # head-level
+                        assert all(sel is planned[0] for sel in planned)
+                token = int(np.argmax(bat_logits[j]))
+                seq_pending[j] = bat_pending[j] = spec_pending[j] = token
             # The caches themselves must agree entry for entry.
             for j in range(len(names)):
-                for layer in range(len(seq_caches[j])):
-                    assert (
-                        seq_caches[j][layer].keys == bat_caches[j][layer].keys
-                    ).all()
-                    assert (
-                        seq_caches[j][layer].values == bat_caches[j][layer].values
-                    ).all()
-
-    def test_batch_of_one_matches(self, tiny_gqa_model, tiny_tokenizer):
-        (seq_caches, seq_policies, seq_pending), (
-            bat_caches, bat_policies, bat_pending,
-        ) = self._make_sessions(tiny_gqa_model, tiny_tokenizer, ["streaming"])
-        logits, _, _ = tiny_gqa_model.decode_step(
-            seq_pending[0], seq_caches[0], policy=seq_policies[0]
-        )
-        bat_logits, _ = tiny_gqa_model.decode_step_batch(
-            bat_pending, bat_caches, bat_policies
-        )
-        assert (bat_logits[0] == logits).all()
+                for layer in range(len(bat_caches[j])):
+                    want = bat_caches[j][layer]
+                    for caches in (seq_caches, spec_caches):
+                        assert (caches[j][layer].keys == want.keys).all()
+                        assert (caches[j][layer].values == want.values).all()
 
     def test_batch_size_mismatch_rejected(self, tiny_gqa_model):
         with pytest.raises(ValueError, match="batch size mismatch"):
