@@ -29,6 +29,7 @@ from repro.api.errors import (
     DeadlineExceededError,
     EmptyPromptError,
     EngineUnavailableError,
+    InvalidPromptError,
     InvalidSamplingError,
     OverloadedError,
     PromptTooLongError,
@@ -46,6 +47,7 @@ __all__ = [
     "EngineUnavailableError",
     "GenerationOutput",
     "GenerationRequest",
+    "InvalidPromptError",
     "InvalidSamplingError",
     "OverloadedError",
     "PromptTooLongError",

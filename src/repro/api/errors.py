@@ -23,6 +23,7 @@ from __future__ import annotations
 __all__ = [
     "RequestValidationError",
     "EmptyPromptError",
+    "InvalidPromptError",
     "InvalidSamplingError",
     "PromptTooLongError",
     "UnknownPolicyError",
@@ -49,6 +50,12 @@ class EmptyPromptError(RequestValidationError):
     """Prompt missing, empty, whitespace-only, or not a 1-D token array."""
 
     code = "empty_prompt"
+
+
+class InvalidPromptError(RequestValidationError):
+    """Prompt ids are not integers, or fall outside the model's vocabulary."""
+
+    code = "invalid_prompt"
 
 
 class InvalidSamplingError(RequestValidationError):

@@ -2,7 +2,10 @@
 
 Functional numpy implementation over per-session caches. Prefill uses
 chunked causal attention (flash-attention-style row blocks) so long
-contexts never materialize a full seq x seq weight matrix. Decode has one
+contexts never materialize a full seq x seq weight matrix, and computes
+only the row tiles whose output is read: the model's last layer attends
+for the tile holding the final prompt row alone (see
+:meth:`AttentionModule._chunked_causal`). Decode has one
 kernel, :meth:`AttentionModule.decode_rows`, which runs a wave of rows —
 the server's decode and verify waves, and a single session's step as a
 wave of one — and whose bits for a row never depend on the wave around
@@ -167,13 +170,24 @@ class AttentionModule:
     # ---- prefill -------------------------------------------------------------
 
     def prefill(
-        self, x: np.ndarray, positions: np.ndarray, cache: LayerKVCache
+        self,
+        x: np.ndarray,
+        positions: np.ndarray,
+        cache: LayerKVCache,
+        first_output: int = 0,
     ) -> np.ndarray:
-        """Full causal attention over the prompt; appends to ``cache``.
+        """Causal attention over the prompt; appends to ``cache``.
 
         ``x`` is (seq, d_model); returns the attention output (seq, d_model).
         The visible K/V prefix (or MLA latents) is upcast to float64 once
         per call, so attention runs in float64 over the stored values.
+
+        ``first_output`` is the first row whose output the caller reads.
+        Attention runs from the start of that row's tile onwards; earlier
+        rows come back as exact zeros. The K/V (or latent) projection and
+        append, the q projection and the output projection still span
+        every row, so the cache and the rows computed are bit-identical to
+        ``first_output=0``.
         """
         cfg = self.config
         q = self._project_q(x, positions)
@@ -189,10 +203,15 @@ class AttentionModule:
             v = cache.values[0].astype(np.float64)
 
         base = len(cache) - x.shape[0]  # cache offset of this prompt chunk
-        return self._chunked_causal(q, k, v, base)
+        return self._chunked_causal(q, k, v, base, first_output)
 
     def _chunked_causal(
-        self, q: np.ndarray, k: np.ndarray, v: np.ndarray, base: int
+        self,
+        q: np.ndarray,
+        k: np.ndarray,
+        v: np.ndarray,
+        base: int,
+        first_output: int = 0,
     ) -> np.ndarray:
         """Causal attention of q rows (at cache positions base..) over k/v.
 
@@ -212,6 +231,17 @@ class AttentionModule:
         coarser drift: ``k``/``v`` are float64, so scores, softmax and the
         V contraction run in float64, a masked entry is an exact zero,
         and the only rounding to float32 is the store into ``out``.
+
+        Rows read. Tiles wholly before ``first_output`` are skipped and
+        their rows written as 0.0 (never left uninitialised: the FFN's
+        ``silu`` runs over every row and would overflow on garbage). The
+        tile holding ``first_output`` keeps its ``(start, end, limit)``,
+        so its GEMM shapes and softmax op sequence — and therefore its
+        bits — are those of a full pass. The output projection keeps all
+        ``seq`` rows: a GEMM row's result does not depend on the values in
+        other rows, but BLAS blocking does depend on the row count, so
+        trimming ``wo`` (or the FFN after it) to the computed tile would
+        move the last ulp of the rows that are read.
         """
         cfg = self.config
         n_kv = k.shape[0]
@@ -221,7 +251,9 @@ class AttentionModule:
         k_t = k.transpose(0, 2, 1)[:, None]  # (Hkv, 1, dim, total)
         v_b = v[:, None]  # (Hkv, 1, total, dim)
         out = np.empty((n_kv, group, seq, cfg.head_dim), dtype=q.dtype)
-        for start in range(0, seq, PREFILL_TILE):
+        skip = first_output - first_output % PREFILL_TILE  # tiles not read
+        out[:, :, :skip] = 0.0
+        for start in range(skip, seq, PREFILL_TILE):
             end = min(start + PREFILL_TILE, seq)
             rows = end - start
             first = base + start  # cache position of the tile's first row

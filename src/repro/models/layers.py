@@ -38,10 +38,23 @@ class DecoderLayer:
         return linear(gate * up, self.weights.w_down)
 
     def prefill(
-        self, x: np.ndarray, positions: np.ndarray, cache: LayerKVCache
+        self,
+        x: np.ndarray,
+        positions: np.ndarray,
+        cache: LayerKVCache,
+        first_output: int = 0,
     ) -> np.ndarray:
-        """Process a prompt chunk; ``x`` is (seq, d_model)."""
-        attn_out = self.attention.prefill(self._pre_attn(x), positions, cache)
+        """Process a prompt chunk; ``x`` is (seq, d_model).
+
+        ``first_output`` is forwarded to :meth:`AttentionModule.prefill`:
+        attention rows before its tile are zeros, so the returned rows
+        there are not this layer's output and must not be read. The FFN
+        still runs over all ``seq`` rows, which keeps the rows that are
+        read bit-identical (GEMM blocking depends on the row count).
+        """
+        attn_out = self.attention.prefill(
+            self._pre_attn(x), positions, cache, first_output
+        )
         x = x + attn_out
         return x + self._ffn(x)
 

@@ -100,15 +100,26 @@ class TransformerLM:
         return linear_rows(hidden, self.weights.head_matrix())
 
     def prefill(self, token_ids: np.ndarray, cache: ModelKVCache) -> np.ndarray:
-        """Run the prompt through all layers; returns last-token logits."""
+        """Run the prompt through all layers; returns last-token logits.
+
+        Only the final row's hidden state is read, so the last layer
+        attends for the tile holding that row alone (``first_output``,
+        see :meth:`AttentionModule._chunked_causal`); every other layer's
+        rows feed the next layer and are all computed. Each layer's K/V
+        is projected from its input before attention, so every cache
+        entry — and the logits — are bit-identical to attending for every
+        row.
+        """
         token_ids = np.asarray(token_ids)
         if token_ids.ndim != 1 or token_ids.size == 0:
             raise ValueError("prompt must be a non-empty 1-D token array")
         start = cache.seq_len
         positions = np.arange(start, start + token_ids.size)
         x = self.embed(token_ids)
+        last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            x = layer.prefill(x, positions, cache[i])
+            first_output = token_ids.size - 1 if i == last else 0
+            x = layer.prefill(x, positions, cache[i], first_output)
         return self.logits_from_hidden_rows(x[-1:])[0]
 
     def prefill_chunked(

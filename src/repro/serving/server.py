@@ -64,6 +64,7 @@ import numpy as np
 from repro.api.config import EngineConfig, SamplingParams
 from repro.api.errors import (
     DeadlineExceededError,
+    InvalidPromptError,
     OverloadedError,
     PromptTooLongError,
     RequestValidationError,
@@ -391,14 +392,30 @@ class SpeContextServer:
 
         Policy and RNG resolution happen before any state changes, so a
         rejected submission (unknown policy, MLA mismatch, missing seed,
-        prompt larger than the pool) leaves the server and the request
-        object untouched and retryable.
+        a prompt id outside the vocabulary, prompt larger than the pool)
+        leaves the server and the request object untouched and retryable.
         """
         request.validate()
         if request.request_id is not None and request.request_id < self._next_id:
             raise ValueError(
                 f"request_id {request.request_id} already used; ids must be "
                 "unique and increasing"
+            )
+        # An id the embedding cannot look up: a negative one would wrap to
+        # the table's end, one past it would raise inside step() and take
+        # every other session down with it.
+        prompt_ids = request.prompt_ids
+        if not np.issubdtype(prompt_ids.dtype, np.integer):
+            raise InvalidPromptError(
+                f"prompt_ids must be integer token ids, got dtype "
+                f"{prompt_ids.dtype}"
+            )
+        vocab = self.model.config.vocab_size
+        outside = (prompt_ids < 0) | (prompt_ids >= vocab)
+        if outside.any():
+            raise InvalidPromptError(
+                f"prompt id {int(prompt_ids[outside][0])} is outside the "
+                f"model's vocabulary [0, {vocab})"
             )
         peak_tokens = request.prompt_len + request.sampling.max_new_tokens
         if peak_tokens > self.model.config.max_position:

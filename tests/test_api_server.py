@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.api import EngineConfig, GenerationRequest, SamplingParams
-from repro.api.errors import RequestValidationError
+from repro.api.errors import InvalidPromptError, RequestValidationError
 from repro.core.engine import SpeContextEngine
 from repro.core.retrieval_head import (
     LightweightRetrievalHead,
@@ -265,6 +265,37 @@ class TestServer:
             server.add_request(GenerationRequest(
                 prompt, SamplingParams(max_new_tokens=2, temperature=0.5)
             ))
+
+    @pytest.mark.parametrize(
+        "bad_ids",
+        [
+            np.array([1, 40, -1, 41]),
+            np.array([1, 40, 512, 41]),  # == vocab_size
+            np.array([1.0, 40.0, 41.0]),
+        ],
+        ids=["negative", "vocab-size", "float"],
+    )
+    def test_invalid_prompt_ids_rejected(
+        self, bad_ids, tiny_gqa_model, tiny_tokenizer
+    ):
+        """An id the embedding cannot look up is rejected at submission
+        with the server untouched, and a valid peer still finishes."""
+        assert tiny_gqa_model.config.vocab_size == 512
+        server = SpeContextServer(tiny_gqa_model, server_config(tiny_tokenizer))
+        rng = np.random.default_rng(8)
+        prompt, _, _ = make_recall_prompt(tiny_tokenizer, rng, n_filler=100)
+        peer = server.add_request(
+            GenerationRequest(prompt, SamplingParams(max_new_tokens=2))
+        )
+        bad = GenerationRequest(bad_ids, SamplingParams(max_new_tokens=2))
+        with pytest.raises(InvalidPromptError) as err:
+            server.add_request(bad)
+        assert err.value.code == "invalid_prompt"
+        assert bad.request_id is None
+        assert server.n_waiting == 1 and server.n_active == 0
+        outputs = server.run()
+        assert [o.request_id for o in outputs] == [peer]
+        assert outputs[0].n_generated == 2
 
     def test_concurrency_cap_respected(self, tiny_gqa_model, tiny_tokenizer):
         server = SpeContextServer(

@@ -323,6 +323,33 @@ class TestValidation:
                 assert payload["error"]["code"] == "unknown_policy"
         asyncio.run(scenario())
 
+    def test_out_of_vocabulary_prompt_rejected(
+        self, tiny_gqa_model, tiny_tokenizer
+    ):
+        """An id past the vocabulary is a 400 from the worker's
+        validation, not an exception out of the step loop: the next valid
+        completion still succeeds."""
+        prompt = filler_prompt(tiny_tokenizer)
+
+        async def scenario():
+            async with running_server(
+                tiny_gqa_model, tiny_tokenizer
+            ) as (_, port):
+                for bad in ([1, 40, 999999, 41], [1, -1]):
+                    status, payload = await request_json(
+                        port, "POST", "/v1/completions", {"prompt": bad}
+                    )
+                    assert status == 400, payload
+                    assert payload["error"]["code"] == "invalid_prompt"
+                    assert payload["error"]["type"] == "invalid_request_error"
+                status, payload = await request_json(
+                    port, "POST", "/v1/completions",
+                    {"prompt": prompt, "max_tokens": 3},
+                )
+                assert status == 200
+                assert len(payload["choices"][0]["token_ids"]) == 3
+        asyncio.run(scenario())
+
     def test_oversized_and_malformed_requests(
         self, tiny_gqa_model, tiny_tokenizer
     ):

@@ -260,21 +260,22 @@ def _float64_kv(attn, cache):
     return cache.keys[0].astype(np.float64), cache.values[0].astype(np.float64)
 
 
-def _oracle_prefill(attn, x, base, cache):
+def _oracle_prefill(attn, x, base, cache, first_output=0):
     """Straight-line float64 prefill over the float32-stored ``cache``:
     one 2-D GEMM per (q head, tile) against the tile's whole visible
     prefix, the diagonal block masked, softmax, one 2-D GEMM against V,
     a single rounding of each head row to float32, the output
-    projection."""
+    projection. Tiles before the one holding ``first_output`` are zero
+    rows."""
     cfg = attn.config
     seq = x.shape[0]
     q = attn._project_q(x, np.arange(base, base + seq))
     k, v = _float64_kv(attn, cache)
     group = cfg.n_q_heads // k.shape[0]
-    heads = np.empty((cfg.n_q_heads, seq, cfg.head_dim), dtype=np.float32)
+    heads = np.zeros((cfg.n_q_heads, seq, cfg.head_dim), dtype=np.float32)
     for h in range(cfg.n_q_heads):
         k_h, v_h = k[h // group], v[h // group]
-        for start in range(0, seq, T):
+        for start in range(first_output // T * T, seq, T):
             end = min(start + T, seq)
             limit = base + end
             scores = (q[h, start:end] @ k_h[:limit].T) * attn._scale
@@ -301,14 +302,16 @@ PREFILL_SHAPES = [
 @pytest.mark.parametrize("model_name", MODELS)
 class TestPrefillKernel:
     @staticmethod
-    def _prefill(model, base, rows):
+    def _prefill(model, base, rows, first_output=0):
         attn = model.layers[0].attention
         cache = model.new_cache()[0]
         rng = np.random.default_rng([base, rows])
         x = rng.standard_normal((base + rows, model.config.d_model)).astype(np.float32)
         if base:
             attn.prefill(x[:base], np.arange(base), cache)
-        out = attn.prefill(x[base:], np.arange(base, base + rows), cache)
+        out = attn.prefill(
+            x[base:], np.arange(base, base + rows), cache, first_output
+        )
         return attn, x[base:], cache, out
 
     @pytest.mark.parametrize("base,rows", PREFILL_SHAPES)
@@ -321,16 +324,55 @@ class TestPrefillKernel:
         # the float32 output GEMM.
         np.testing.assert_allclose(out, expected, rtol=1e-6, atol=1e-6)
 
+    @pytest.mark.parametrize("read", ["all", "middle", "last"])
     @pytest.mark.parametrize("base,rows", PREFILL_SHAPES)
     def test_prefill_equals_float64_oracle_over_float32_storage(
-        self, model_name, base, rows, request
+        self, model_name, base, rows, read, request
     ):
         """Float32 storage, float64 arithmetic on the rows read: bit for
-        bit the straight-line float64 computation on the stored values."""
+        bit the straight-line float64 computation on the stored values,
+        from the start of ``first_output``'s tile onwards; the rows
+        before it are exact zeros."""
         model = request.getfixturevalue(model_name)
-        attn, x, cache, out = self._prefill(model, base, rows)
+        first_output = {"all": 0, "middle": rows // 2, "last": rows - 1}[read]
+        # Softmax of far-apart scores underflows by design; overflow or an
+        # invalid value would mean unwritten rows reached the arithmetic.
+        with np.errstate(all="raise", under="ignore"):
+            attn, x, cache, out = self._prefill(model, base, rows, first_output)
+            want = _oracle_prefill(attn, x, base, cache, first_output)
         assert cache.keys.dtype == np.float32
-        np.testing.assert_array_equal(out, _oracle_prefill(attn, x, base, cache))
+        tile = first_output // T * T
+        np.testing.assert_array_equal(out[tile:], want[tile:])
+        assert not out[:tile].any()
+
+    def test_last_layer_computes_one_tile(self, model_name, request, monkeypatch):
+        """A 448-token one-shot prefill: every layer but the last attends
+        in seven 64-row tiles, the last in the one tile holding the final
+        row. Counted at the value GEMM, which each tile stores straight
+        into the output."""
+        model = request.getfixturevalue(model_name)
+        layer_of_call = [None]
+        tiles = []
+        matmul = np.matmul
+
+        def counting_matmul(*args, **kwargs):
+            if "out" in kwargs:
+                tiles.append((layer_of_call[0], kwargs["out"].shape[-2]))
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting_matmul)
+        for i, layer in enumerate(model.layers):
+
+            def spy(*args, i=i, run=layer.attention.prefill):
+                layer_of_call[0] = i
+                return run(*args)
+
+            monkeypatch.setattr(layer.attention, "prefill", spy)
+        prompt = np.random.default_rng(58).integers(0, 512, size=7 * T)
+        model.prefill(prompt, model.new_cache())
+        last = model.config.n_layers - 1
+        expected = [(i, T) for i in range(last) for _ in range(7)] + [(last, T)]
+        assert tiles == expected
 
     def test_prefill_never_calls_einsum(
         self, model_name, request, tiny_tokenizer, monkeypatch

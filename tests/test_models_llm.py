@@ -9,6 +9,7 @@ from repro.models import (
     build_recall_model,
     tiny_test_config,
 )
+from repro.models.attention import PREFILL_TILE
 from repro.models.builder import head_roles, make_content_vectors
 from repro.models.weights import ModelWeights, random_weights
 
@@ -231,6 +232,71 @@ class TestGeneration:
             tiny_gqa_model.prefill_chunked(
                 np.array([]), tiny_gqa_model.new_cache(), 4
             )
+
+
+def _reference_prefill(model, token_ids, cache):
+    """Every layer attends for every row (``first_output=0``); the final
+    row's logits."""
+    positions = np.arange(cache.seq_len, cache.seq_len + token_ids.size)
+    x = model.embed(token_ids)
+    for i, layer in enumerate(model.layers):
+        x = layer.prefill(x, positions, cache[i])
+    return model.logits_from_hidden_rows(x[-1:])[0]
+
+
+T = PREFILL_TILE
+# (prompt tokens, chunk sizes in order; the last size repeats to the end)
+LAST_ROW_SHAPES = [
+    (1, [1]),
+    (T - 1, [T - 1]),
+    (T, [T]),
+    (T + 1, [T + 1]),
+    (448, [448]),
+    (300, [77]),
+    (200, [1]),
+    (T + 150, [37, T + 113]),  # resumed prefill at an unaligned base
+]
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    ["tiny_gqa_model", "tiny_mha_model", "tiny_mqa_model", "tiny_mla_model"],
+)
+@pytest.mark.parametrize("n,chunks", LAST_ROW_SHAPES)
+def test_prefill_last_layer_tile_is_exact(fixture, n, chunks, request, monkeypatch):
+    """The last layer attends for the final row's tile alone: that whole
+    tile, the logits and every layer's K/V are bit for bit those of
+    attending for every row, and the rows before the tile are zeros."""
+    model = request.getfixturevalue(fixture)
+    attn = model.layers[-1].attention
+    outputs = []
+
+    def spy(x, positions, cache, first_output=0, run=attn.prefill):
+        out = run(x, positions, cache, first_output)
+        outputs.append((first_output, out))
+        return out
+
+    monkeypatch.setattr(attn, "prefill", spy)
+    rng = np.random.default_rng([n, *chunks])
+    prompt = rng.integers(0, model.config.vocab_size, size=n)
+    served, reference = model.new_cache(), model.new_cache()
+    start, sizes = 0, list(chunks)
+    with np.errstate(all="raise"):
+        while start < n:
+            size = sizes.pop(0) if len(sizes) > 1 else sizes[0]
+            chunk = prompt[start : start + size]
+            logits = model.prefill(chunk, served)
+            want = _reference_prefill(model, chunk, reference)
+            (first_output, got_rows), (_, want_rows) = outputs[-2:]
+            assert first_output == chunk.size - 1
+            tile = first_output - first_output % T
+            np.testing.assert_array_equal(got_rows[tile:], want_rows[tile:])
+            assert not got_rows[:tile].any()
+            np.testing.assert_array_equal(logits, want)
+            start += size
+    for got, expected in zip(served.layers, reference.layers):
+        np.testing.assert_array_equal(got.keys, expected.keys)
+        np.testing.assert_array_equal(got.values, expected.values)
 
 
 class TestBuilderInternals:
