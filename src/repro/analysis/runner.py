@@ -5,9 +5,9 @@ The flow: discover ``*.py`` files, parse each once into a
 (determinism, resource pairing), locate the cross-file pass inputs by
 path suffix (worker/executor for the protocol pass, errors/http for
 the contract pass, http alone for the schema pass), then subtract
-inline suppressions and the committed baseline. :func:`run` returns a :class:`Report`; the CLI in
-:mod:`repro.analysis.__main__` turns it into text or JSON and an exit
-code.
+inline suppressions and the committed baseline. :func:`run` returns a
+:class:`Report`; the CLI in :mod:`repro.analysis.__main__` turns it into
+text or JSON and an exit code.
 """
 
 from __future__ import annotations

@@ -2,10 +2,11 @@
 
 Functional numpy implementation over per-session caches. Prefill uses
 chunked causal attention (flash-attention-style row blocks) so long
-contexts never materialize a full seq x seq weight matrix, and computes
-only the row tiles whose output is read: the model's last layer attends
-for the tile holding the final prompt row alone (see
-:meth:`AttentionModule._chunked_causal`). Decode has one
+contexts never materialize a full seq x seq weight matrix. It works one
+KV head at a time — that head's K/V upcast to float64, one score buffer
+reused by every tile — and computes only the row tiles whose output is
+read: the model's last layer attends for the tile holding the final
+prompt row alone (see :meth:`AttentionModule._chunked_causal`). Decode has one
 kernel, :meth:`AttentionModule.decode_rows`, which runs a wave of rows —
 the server's decode and verify waves, and a single session's step as a
 wave of one — and whose bits for a row never depend on the wave around
@@ -37,12 +38,14 @@ from repro.tensor.rope import RotaryEmbedding
 # upper triangle of its rows x rows diagonal block, so a narrow tile wastes
 # fewer flops and holds a smaller score buffer; a wide one runs larger
 # GEMMs and pays fewer numpy dispatches. Measured on the bench model (8 q
-# heads over 4 kv heads, dim 64, float64 K/V, 1 BLAS thread, best of 9
-# interleaved) at tiles 32 / 64 / 128 / 256: a 160-token prompt 1.5 / 1.5 /
-# 2.6 / 2.8 ms, 448 tokens 11.3 / 12.1 / 13.3 / 16.6 ms, 1536 tokens in
-# 256-token chunks 121 / 120 / 121 / 132 ms. 64 is within 10% of the best
-# on every shape the benchmark runs (32 is slightly ahead on short
-# prompts, behind on long ones); 256 is worst everywhere.
+# heads over 4 kv heads, dim 64, float32 storage, the KV-head-outer kernel,
+# 1 BLAS thread, attention prefill of both layers, best of 9 interleaved;
+# 2-core Xeon) at tiles 32 / 64 / 128 / 256: a 160-token prompt 6.6 / 7.0 /
+# 7.4 / 9.9 ms, 448 tokens 22.4 / 24.1 / 25.1 / 33.0 ms, 1536 tokens in
+# 256-token chunks 171 / 183 / 226 / 294 ms. 32 is 2-12% ahead of 64 on
+# every shape (in a second, slower run too) and 256 is worst everywhere.
+# 64 stays: the width sets every tile's ``limit`` and softmax length, so
+# changing it changes prefill bits.
 PREFILL_TILE = 64
 # Strictly-upper triangle of a tile's diagonal block: key j of the block
 # is hidden from row i when j > i.
@@ -179,16 +182,24 @@ class AttentionModule:
         """Causal attention over the prompt; appends to ``cache``.
 
         ``x`` is (seq, d_model); returns the attention output (seq, d_model).
-        The visible K/V prefix (or MLA latents) is upcast to float64 once
-        per call, so attention runs in float64 over the stored values.
+        The kernel reads the float32 storage itself and upcasts one KV
+        head's visible prefix at a time, so attention runs in float64 over
+        the stored values without a float64 copy of every head (MLA
+        expands its latents to float64 heads first).
 
         ``first_output`` is the first row whose output the caller reads.
         Attention runs from the start of that row's tile onwards; earlier
         rows come back as exact zeros. The K/V (or latent) projection and
         append, the q projection and the output projection still span
         every row, so the cache and the rows computed are bit-identical to
-        ``first_output=0``.
+        ``first_output=0``. It must name a row of ``x``: anything else
+        raises ``ValueError`` before the cache is touched.
         """
+        seq = x.shape[0]
+        if not 0 <= first_output < seq:
+            raise ValueError(
+                f"first_output={first_output} is not a row of the {seq}-row prompt"
+            )
         cfg = self.config
         q = self._project_q(x, positions)
         if cfg.attention is AttentionKind.MLA:
@@ -199,10 +210,9 @@ class AttentionModule:
         else:
             k, v = self.project_kv(x, positions)
             cache.append(k[None], v[None])
-            k = cache.keys[0].astype(np.float64)
-            v = cache.values[0].astype(np.float64)
+            k, v = cache.keys[0], cache.values[0]  # float32 storage views
 
-        base = len(cache) - x.shape[0]  # cache offset of this prompt chunk
+        base = len(cache) - seq  # cache offset of this prompt chunk
         return self._chunked_causal(q, k, v, base, first_output)
 
     def _chunked_causal(
@@ -215,22 +225,33 @@ class AttentionModule:
     ) -> np.ndarray:
         """Causal attention of q rows (at cache positions base..) over k/v.
 
-        One row tile at a time: scores by a batched GEMM with K broadcast
-        over the GQA group axis, the causal mask written only into the
-        tile's diagonal block (every key left of it is visible to every
-        row of the tile), :func:`repro.tensor.ops.softmax`'s op sequence
-        (max, subtract, exp, sum, divide) run in place on the score
-        buffer, and a second batched GEMM against V stored straight into
-        the output.
+        KV head outer, row tile inner. One float64 work buffer is
+        allocated per call: ``group x PREFILL_TILE x total`` scores (1.5 MB
+        at 1,536 keys on the bench model, inside L2) and one head's K and
+        V. Each KV head's K and V are copied into it in turn, an upcast
+        for float32 storage and a plain copy for MLA's float64 expanded
+        heads. Then every row tile of that head runs: scores by a GEMM per
+        GQA group member into a view of the score buffer, the causal mask
+        written only into the tile's diagonal block (every key left of it
+        is visible to every row of the tile),
+        :func:`repro.tensor.ops.softmax`'s op sequence (max, subtract, exp,
+        sum, divide) run in place on that view, and a second GEMM against V
+        stored straight into the output. The working set is one head's K/V
+        plus one tile's scores, not every head's.
 
         Exactness. Chunked == unchunked prefill is an identical
         *token-stream* contract, pinned by the serving tests — not a
         bit-identical-values one: ``linear``'s multi-row GEMMs already
         move the last float32 ulp with the chunk size (see
         :meth:`TransformerLM.prefill_chunked`). This kernel adds no
-        coarser drift: ``k``/``v`` are float64, so scores, softmax and the
-        V contraction run in float64, a masked entry is an exact zero,
-        and the only rounding to float32 is the store into ``out``.
+        coarser drift: K/V are float64 when they meet the scores, so
+        scores, softmax and the V contraction run in float64, a masked
+        entry is an exact zero, and the only rounding to float32 is the
+        store into ``out``. The loop order does not move a bit either:
+        heads never mix, each (head, group member, tile) GEMM has the
+        ``(rows, dim) x (dim, limit)`` and ``(rows, limit) x (limit,
+        dim)`` shapes and operand layouts of a whole-head pass, and the
+        softmax reductions run along a contiguous row of the same length.
 
         Rows read. Tiles wholly before ``first_output`` are skipped and
         their rows written as 0.0 (never left uninitialised: the FFN's
@@ -244,37 +265,51 @@ class AttentionModule:
         move the last ulp of the rows that are read.
         """
         cfg = self.config
-        n_kv = k.shape[0]
+        n_kv, total = k.shape[:2]
         group = cfg.n_q_heads // n_kv
         seq = q.shape[1]
         q_g = q.reshape(n_kv, group, seq, cfg.head_dim)
-        k_t = k.transpose(0, 2, 1)[:, None]  # (Hkv, 1, dim, total)
-        v_b = v[:, None]  # (Hkv, 1, total, dim)
         out = np.empty((n_kv, group, seq, cfg.head_dim), dtype=q.dtype)
         skip = first_output - first_output % PREFILL_TILE  # tiles not read
         out[:, :, :skip] = 0.0
-        for start in range(skip, seq, PREFILL_TILE):
-            end = min(start + PREFILL_TILE, seq)
-            rows = end - start
-            first = base + start  # cache position of the tile's first row
-            limit = base + end  # keys visible to the tile's last row
-            # repro: allow(row-fused-matmul): prefill exactness is a
-            # token-stream contract (docstring): one GEMM per (kv head,
-            # group member) slice, float64 end to end and rounded to
-            # float32 once, so chunk and tile boundaries
-            # move nothing coarser than linear's own last-ulp drift.
-            scores = np.matmul(q_g[:, :, start:end], k_t[..., :limit])
-            scores *= self._scale
-            np.copyto(
-                scores[..., first:], -np.inf, where=_TILE_HIDDEN[:rows, :rows]
-            )
-            scores -= scores.max(axis=-1, keepdims=True)
-            np.exp(scores, out=scores)
-            scores /= scores.sum(axis=-1, keepdims=True)
-            # repro: allow(row-fused-matmul): same slices, value side;
-            # masked weights are exact zeros, so the keys a row cannot
-            # see add nothing to its sum whatever the tile width.
-            np.matmul(scores, v_b[:, :, :limit], out=out[:, :, start:end])
+        # One allocation per call: the tile scores, then one KV head's
+        # float64 K and V, copied in head by head. Fresh per-head K/V
+        # arrays measured higher peak RSS on the decode-heavy and
+        # shared-prefix benchmarks.
+        score_size = group * min(PREFILL_TILE, seq) * total
+        work = np.empty(score_size + 2 * total * cfg.head_dim)
+        score_buffer = work[:score_size]
+        head_kv = work[score_size:].reshape(2, total, cfg.head_dim)
+        for head in range(n_kv):
+            np.copyto(head_kv[0], k[head])
+            np.copyto(head_kv[1], v[head])
+            k_head, v_head = head_kv
+            k_t = k_head.T
+            for start in range(skip, seq, PREFILL_TILE):
+                end = min(start + PREFILL_TILE, seq)
+                rows = end - start
+                first = base + start  # cache position of the tile's first row
+                limit = base + end  # keys visible to the tile's last row
+                scores = score_buffer[: group * rows * limit].reshape(
+                    group, rows, limit
+                )
+                # repro: allow(row-fused-matmul): prefill exactness is a
+                # token-stream contract (docstring): one GEMM per group
+                # member, float64 end to end and rounded to float32 once,
+                # so chunk and tile boundaries move nothing coarser than
+                # linear's own last-ulp drift.
+                np.matmul(q_g[head, :, start:end], k_t[:, :limit], out=scores)
+                scores *= self._scale
+                np.copyto(
+                    scores[..., first:], -np.inf, where=_TILE_HIDDEN[:rows, :rows]
+                )
+                scores -= scores.max(axis=-1, keepdims=True)
+                np.exp(scores, out=scores)
+                scores /= scores.sum(axis=-1, keepdims=True)
+                # repro: allow(row-fused-matmul): same slices, value side;
+                # masked weights are exact zeros, so the keys a row cannot
+                # see add nothing to its sum whatever the tile width.
+                np.matmul(scores, v_head[:limit], out=out[head, :, start:end])
         flat = out.transpose(2, 0, 1, 3).reshape(seq, cfg.n_q_heads * cfg.head_dim)
         return linear(flat, self.layer.wo)
 

@@ -7,6 +7,8 @@ attention family and for both 1-D (shared) and 2-D (per-head) selections.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -347,17 +349,21 @@ class TestPrefillKernel:
 
     def test_last_layer_computes_one_tile(self, model_name, request, monkeypatch):
         """A 448-token one-shot prefill: every layer but the last attends
-        in seven 64-row tiles, the last in the one tile holding the final
-        row. Counted at the value GEMM, which each tile stores straight
-        into the output."""
+        in seven 64-row tiles per KV head, the last in the one tile holding
+        the final row, per KV head. Counted at the two GEMMs each tile
+        stores through ``out=`` (scores, then the value contraction), in
+        call order: KV head outer, tile inner."""
         model = request.getfixturevalue(model_name)
+        cfg = model.config
+        heads = cfg.n_q_heads if cfg.attention is AttentionKind.MLA else cfg.n_kv_heads
+        group = cfg.n_q_heads // heads
         layer_of_call = [None]
-        tiles = []
+        gemms = []
         matmul = np.matmul
 
         def counting_matmul(*args, **kwargs):
             if "out" in kwargs:
-                tiles.append((layer_of_call[0], kwargs["out"].shape[-2]))
+                gemms.append((layer_of_call[0], kwargs["out"].shape))
             return matmul(*args, **kwargs)
 
         monkeypatch.setattr(np, "matmul", counting_matmul)
@@ -370,9 +376,39 @@ class TestPrefillKernel:
             monkeypatch.setattr(layer.attention, "prefill", spy)
         prompt = np.random.default_rng(58).integers(0, 512, size=7 * T)
         model.prefill(prompt, model.new_cache())
-        last = model.config.n_layers - 1
-        expected = [(i, T) for i in range(last) for _ in range(7)] + [(last, T)]
-        assert tiles == expected
+        last = cfg.n_layers - 1
+
+        def tile(t):  # the tile's score GEMM, then its value GEMM
+            return [(group, T, (t + 1) * T), (group, T, cfg.head_dim)]
+
+        expected = [
+            (i, shape)
+            for i in range(cfg.n_layers)
+            for _ in range(heads)
+            for t in (range(7) if i < last else [6])
+            for shape in tile(t)
+        ]
+        assert gemms == expected
+
+    @pytest.mark.parametrize("first_output", ["negative", "past_end"])
+    def test_bad_first_output_leaves_cache_untouched(
+        self, model_name, first_output, request
+    ):
+        """A ``first_output`` that is not a row of the chunk raises
+        ValueError before any K/V (or latent) reaches the cache."""
+        model = request.getfixturevalue(model_name)
+        attn = model.layers[0].attention
+        cache = model.new_cache()[0]
+        rows = T + 36
+        x = np.random.default_rng(59).standard_normal((2 * rows, model.config.d_model))
+        x = x.astype(np.float32)
+        attn.prefill(x[:rows], np.arange(rows), cache)
+        keys = cache.keys.copy()
+        bad = {"negative": -1, "past_end": rows}[first_output]
+        with pytest.raises(ValueError, match="first_output"):
+            attn.prefill(x[rows:], np.arange(rows, 2 * rows), cache, bad)
+        assert len(cache) == rows
+        np.testing.assert_array_equal(cache.keys, keys)
 
     def test_prefill_never_calls_einsum(
         self, model_name, request, tiny_tokenizer, monkeypatch
@@ -420,6 +456,40 @@ def test_any_chunking_of_a_prompt_prefills_the_same(
         np.testing.assert_allclose(got.values, want.values, rtol=1e-4, atol=1e-5)
     if not cuts:
         np.testing.assert_array_equal(logits, expected)
+
+
+def test_late_prefill_chunk_holds_one_head_of_float64_kv(tiny_gqa_model):
+    """The last 256-row chunk of a 1,536-token chunked prefill: the
+    attention's traced peak is one tile's float64 scores, one KV head's
+    float64 K/V and a handful of per-row arrays — not every head's upcast
+    K/V plus every head's scores, which is what a kernel that upcasts the
+    whole prefix and scores all heads per tile holds (about 20 MB here)."""
+    model = tiny_gqa_model
+    cfg = model.config
+    chunk, total = 256, 1536
+    prompt = np.random.default_rng(60).integers(0, cfg.vocab_size, size=total)
+    cache = model.new_cache()
+    for start in range(0, total - chunk, chunk):
+        model.prefill(prompt[start : start + chunk], cache)
+    base = total - chunk
+    x = model.embed(prompt[base:])
+    float64 = np.dtype(np.float64).itemsize
+    group = cfg.n_q_heads // cfg.n_kv_heads
+    scores = group * T * total * float64
+    head_kv = 2 * total * cfg.head_dim * float64
+    # q, attention output, K/V projection and output projection rows, all
+    # counted at float64 width though most are float32.
+    row_width = 2 * cfg.n_q_heads * cfg.head_dim + 2 * cfg.n_kv_heads * cfg.head_dim
+    rows = chunk * (row_width + cfg.d_model) * float64
+    slack = 1 << 20  # masks, reductions and matmul cast buffers
+    tracemalloc.start()
+    try:
+        model.layers[0].attention.prefill(x, np.arange(base, total), cache[0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cache[0]) == total
+    assert peak < scores + head_kv + rows + slack
 
 
 def _selection_heads(cfg):
