@@ -114,13 +114,13 @@ class LayerKVCache:
     ) -> None:
         """:meth:`gather` (batch 0) upcast into float64 caller buffers.
 
-        Batched-decode hot path: the selection lands in the group's
-        preallocated stacked ``(kv_heads, k, dim)`` K/V buffers instead of
-        per-session temporaries that a later ``np.stack`` would copy again.
-        ``take`` refuses a float64 ``out`` for float32 storage, so each
-        side's rows are taken into ``staging`` (a caller-owned float32
-        buffer shaped like ``k_out``, reused across calls so it stays
-        cache-warm) and upcast into ``k_out``/``v_out`` with one copy.
+        Decode hot path: the selection lands in the decode kernel's
+        row-sized ``(kv_heads, k, dim)`` float64 K/V buffers, which the
+        next row of the wave reuses while they are cache-hot. ``take``
+        refuses a float64 ``out`` for float32 storage, so each side's rows
+        are taken into ``staging`` (a caller-owned float32 buffer shaped
+        like ``k_out``, reused for every row of the wave) and upcast into
+        ``k_out``/``v_out`` with one copy.
         """
         indices = self._checked(indices)
         self._take_rows(self._k[0], indices, staging)

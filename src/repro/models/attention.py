@@ -9,9 +9,11 @@ read: the model's last layer attends for the tile holding the final
 prompt row alone (see :meth:`AttentionModule._chunked_causal`). Decode has one
 kernel, :meth:`AttentionModule.decode_rows`, which runs a wave of rows —
 the server's decode and verify waves, and a single session's step as a
-wave of one — and whose bits for a row never depend on the wave around
-it. The tests pin it to straight-line float64 oracles. Each row picks one
-of three selection modes, matching the paper's retrieval granularities:
+wave of one. It works one row at a time, gather to output, through one
+row-sized float64 K/V buffer that the next row reuses while it is still
+cache-hot, so a row's bits never depend on the wave around it. The tests
+pin it to straight-line float64 oracles. Each row picks one of three
+selection modes, matching the paper's retrieval granularities:
 
 - ``selection=None``: full attention over the cache,
 - 1-D indices: one global set of tokens shared by all heads (batch-level),
@@ -61,18 +63,6 @@ class AttentionModule:
         self.layer = layer
         self.rope = rope
         self._scale = 1.0 / np.sqrt(config.head_dim)
-        # Reused backing store for speculative-verify gather buffers: a
-        # verify wave stacks (k+1) rows per session, and allocating those
-        # multi-MB K/V temporaries fresh every layer-step pushes glibc
-        # past its mmap threshold — every np.take then page-faults its
-        # way through never-touched pages. One growing float64 scratch
-        # keeps the pages warm. (See _attend_rows_kv; values are fully
-        # overwritten before every use, so reuse cannot leak state across
-        # steps.)
-        self._spec_kv_scratch = np.empty(0)
-        # Float32 rows of one session's gather, staged before the upcast
-        # into the stacked buffers (see LayerKVCache.gather_into).
-        self._gather_staging = np.empty(0, dtype=KV_DTYPE)
         # RoPE masks are pure functions of the layer weights; precompute
         # them once instead of rebuilding boolean arrays on every
         # projection of every decode step.
@@ -313,7 +303,7 @@ class AttentionModule:
         flat = out.transpose(2, 0, 1, 3).reshape(seq, cfg.n_q_heads * cfg.head_dim)
         return linear(flat, self.layer.wo)
 
-    # ---- decode (one fused pass over a wave of rows) ---------------------------
+    # ---- decode (one pass over a wave of rows, attention row by row) ---------
 
     def project_q_rows(self, x_rows: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Queries for ``n`` single-token sessions, shape (n, n_q_heads, dim).
@@ -375,21 +365,26 @@ class AttentionModule:
         """The decode kernel: one token for each of ``n`` rows; returns
         (n, d_model). Each row's own KV entry is already in its cache.
 
-        Rows are grouped by selection shape; each group's gathered KV is
-        scored in one batched matmul — a stack of per-(row, kv head) 2-D
-        GEMMs, so a row's bits do not depend on the wave it rides in (a
-        session decoded alone is a wave of one). The output projection
-        runs as a single row-batched GEMM over all rows. MLA rows fall
-        back to the per-row expansion loop — the projections around them
-        still batch.
+        Attention runs one row at a time, from gather to output: the
+        row's K/V is gathered (or its dense prefix copied) into one
+        float64 buffer sized to the wave's widest row, scored with one
+        2-D GEMM per KV head, softmaxed and contracted with V straight
+        into the row's output. The next row reuses the buffer while it is
+        still cache-hot. Each GEMM has the shapes and operand layouts of
+        the row decoded alone, so a row's bits do not depend on the wave
+        it rides in (a session decoded alone is a wave of one). The
+        projections run as row-batched GEMMs over all rows. MLA rows run
+        the per-row expansion loop.
 
         ``limits`` (speculative verify) caps each row's full-attention
         view at ``limits[j]`` cache entries: rows of one session verify
         several consecutive positions after all their KV was appended, so
         row ``j`` must attend exactly the prefix a sequential decode at
-        its position would have seen. Rows with an explicit selection are
-        unaffected — their indices were chosen at select time, when only
-        the visible prefix existed.
+        its position would have seen. A session's consecutive dense rows
+        share one copy of their widest prefix. ``limits`` decides what a
+        row sees, not how memory is allocated. Rows with an explicit
+        selection are unaffected — their indices were chosen at select
+        time, when only the visible prefix existed.
 
         ``weights``, when given, receives each row's softmax weights in
         row order, shaped (n_q_heads, visible entries) and stored in the
@@ -450,18 +445,6 @@ class AttentionModule:
         weights = np.stack(weights_rows, axis=0)
         return out_heads, weights
 
-    def _spec_kv(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """Float64 (k, v) views of the persistent verify scratch (see
-        __init__), grown on demand."""
-        count = int(np.prod(shape))
-        if self._spec_kv_scratch.size < 2 * count:
-            self._spec_kv_scratch = np.empty(2 * count)
-        scratch = self._spec_kv_scratch
-        return (
-            scratch[:count].reshape(shape),
-            scratch[count : 2 * count].reshape(shape),
-        )
-
     def _attend_rows_kv(
         self,
         q: np.ndarray,
@@ -470,90 +453,57 @@ class AttentionModule:
         limits: np.ndarray | None = None,
         captured: list | None = None,
     ) -> np.ndarray:
-        """Grouped-by-selection-shape attention; returns (n, Hq, dim) and,
-        given ``captured``, stores row ``j``'s softmax weights there."""
+        """Row-by-row attention (see :meth:`decode_rows`); returns (n, Hq,
+        dim) and, given ``captured``, stores row ``j``'s softmax weights
+        there. A selected row gathers into a contiguous ``(2, Hkv, width,
+        dim)`` view of the row buffer. A run of consecutive dense rows over
+        one cache (a session's rows in a verify wave) copies the run's
+        widest prefix once, and each row reads its first ``width`` entries
+        of every head.
+        """
         cfg = self.config
-        group = cfg.group_size
         n = q.shape[0]
-        q_g = q.reshape(n, cfg.n_kv_heads, group, cfg.head_dim)
-        out = np.empty((n, cfg.n_kv_heads, group, cfg.head_dim), dtype=q.dtype)
-        if limits is not None and all(s is None for s in selections):
-            # Speculative verify over dense rows: every row attends a
-            # causal prefix of its own cache, and a session's rows are
-            # consecutive and share that cache. So each session's widest
-            # prefix is upcast once into the scratch, and every row
-            # matmuls straight against a view of it. The per-kv-head 2-D
-            # GEMM slices have exactly the (group, width) shapes of a
-            # one-token decode at that position, over identical values.
-            first = 0
-            while first < n:
-                end = first + 1
-                while end < n and caches[end] is caches[first]:
-                    end += 1
-                widest = int(limits[first:end].max())
-                k_all, v_all = self._spec_kv(
-                    (cfg.n_kv_heads, widest, cfg.head_dim)
-                )
-                caches[first].copy_kv_into(k_all, v_all, limit=widest)
-                for j in range(first, end):
-                    k = k_all[:, : int(limits[j])]
-                    v = v_all[:, : int(limits[j])]
-                    # repro: allow(row-fused-matmul): 3-D matmul = one
-                    # GEMM per kv-head slice; per-slice reduction shapes
-                    # match a one-token decode exactly (dense verify rows).
-                    scores = np.matmul(q_g[j], k.transpose(0, 2, 1)) * self._scale
-                    w = softmax(scores, axis=-1)
-                    if captured is not None:
-                        captured[j] = w
-                    out[j] = np.matmul(w, v)  # repro: allow(row-fused-matmul)
-                first = end
-            return out.reshape(n, cfg.n_q_heads, cfg.head_dim)
-        # Rows stack when they attend the same number of entries; a row
-        # with a selection (1-D or head-level alike) gathers, a full row
-        # copies its visible prefix.
-        buckets: dict[tuple[bool, int], list[int]] = {}
-        for j, selection in enumerate(selections):
-            if selection is None:
-                width = len(caches[j]) if limits is None else int(limits[j])
+        kv_heads, dim = cfg.n_kv_heads, cfg.head_dim
+        q_g = q.reshape(n, kv_heads, cfg.group_size, dim)
+        out = np.empty((n, kv_heads, cfg.group_size, dim), dtype=q.dtype)
+        widths = [
+            np.shape(selection)[-1]
+            if selection is not None
+            else (len(cache) if limits is None else int(limits[j]))
+            for j, (cache, selection) in enumerate(zip(caches, selections))
+        ]
+        row_size = kv_heads * max(widths, default=0) * dim
+        buffer = np.empty(2 * row_size)
+        staging = np.empty(row_size, dtype=KV_DTYPE)  # see gather_into
+
+        def row_kv(width: int) -> np.ndarray:
+            return buffer[: 2 * kv_heads * width * dim].reshape(
+                2, kv_heads, width, dim
+            )
+
+        prefix_of = None  # the cache whose dense prefix ``buffer`` holds
+        for j, (cache, selection) in enumerate(zip(caches, selections)):
+            width = widths[j]
+            if selection is not None:
+                kv = row_kv(width)
+                rows = staging[: kv_heads * width * dim].reshape(kv[0].shape)
+                cache.gather_into(selection, kv[0], kv[1], rows)
+                prefix_of = None
             else:
-                width = np.shape(selection)[-1]
-            buckets.setdefault((selection is not None, width), []).append(j)
-        for (selected, width), members in buckets.items():
-            g = len(members)
-            # Gather straight into the stacked float64 buffers — one
-            # upcast copy, not a per-session temporary plus a stack copy.
-            # Verify waves carve the buffers out of the persistent scratch
-            # (see __init__) so their (k+1)-fold size never churns the
-            # allocator; ordinary decode keeps plain allocations.
-            shape = (g, cfg.n_kv_heads, width, cfg.head_dim)
-            if limits is not None:
-                k, v = self._spec_kv(shape)
-            else:
-                k = np.empty(shape)
-                v = np.empty_like(k)
-            if selected:
-                count = int(np.prod(shape[1:]))
-                if self._gather_staging.size < count:
-                    self._gather_staging = np.empty(count, dtype=KV_DTYPE)
-                staging = self._gather_staging[:count].reshape(shape[1:])
-            for gi, j in enumerate(members):
-                if selected:
-                    caches[j].gather_into(selections[j], k[gi], v[gi], staging)
-                else:
-                    caches[j].copy_kv_into(k[gi], v[gi], limit=width)
-            whole_batch = g == n  # skip fancy-index copies for one bucket
-            qg = q_g if whole_batch else q_g[members]  # (g, Hkv, group, dim)
-            # repro: allow(row-fused-matmul): 4-D matmul dispatches one
-            # GEMM per (row, kv-head) slice — the per-slice shapes equal
-            # those of the row decoded alone, so reduction order (and
-            # therefore every bit) does not depend on the wave.
-            scores = np.matmul(qg, k.transpose(0, 1, 3, 2)) * self._scale
+                if cache is not prefix_of:
+                    end = j + 1
+                    while end < n and caches[end] is cache and selections[end] is None:
+                        end += 1
+                    prefix = row_kv(max(widths[j:end]))
+                    cache.copy_kv_into(prefix[0], prefix[1], limit=prefix.shape[2])
+                    prefix_of = cache
+                kv = prefix[:, :, :width]
+            # repro: allow(row-fused-matmul): 3-D matmul = one GEMM per kv
+            # head, with the shapes and operand layouts of the row decoded
+            # alone, so a row's bits do not depend on the wave around it.
+            scores = np.matmul(q_g[j], kv[0].transpose(0, 2, 1)) * self._scale
             w = softmax(scores, axis=-1)
             if captured is not None:
-                for gi, j in enumerate(members):
-                    captured[j] = w[gi]
-            if whole_batch:
-                out[:] = np.matmul(w, v)  # repro: allow(row-fused-matmul)
-            else:
-                out[members] = np.matmul(w, v)  # repro: allow(row-fused-matmul)
-        return out.reshape(n, cfg.n_q_heads, cfg.head_dim)
+                captured[j] = w
+            np.matmul(w, kv[1], out=out[j])  # repro: allow(row-fused-matmul)
+        return out.reshape(n, cfg.n_q_heads, dim)

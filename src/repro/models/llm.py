@@ -183,10 +183,12 @@ class TransformerLM:
 
         Instead of ``n`` full forward passes over the shared weights, the
         sessions' hidden states are stacked into (n, d_model) batches and
-        every projection/FFN runs as one row-batched GEMM; attention groups
-        sessions by selection shape and scores each group's gathered KV in
-        one batched matmul. Policy hooks (``select``) still run per session
-        — they own per-session state — but all tensor math is fused.
+        every projection/FFN runs as one row-batched GEMM; attention runs
+        one row at a time, each row's gathered KV landing in one row-sized
+        float64 buffer that the next row reuses while it is cache-hot (see
+        :meth:`AttentionModule.decode_rows`). Policy hooks (``select``)
+        still run per session — they own per-session state — but every
+        projection and FFN is fused.
 
         Returns (logits of shape (n, vocab), per-session selections dict).
         A session's row does not depend on the rest of the wave: the fused

@@ -622,3 +622,84 @@ class TestDecodeRowsFloat64Oracle:
         for got, rows in zip(captured, softmax_rows):
             assert got.dtype == np.float32
             np.testing.assert_array_equal(got, rows.astype(np.float32))
+
+    @pytest.mark.parametrize("wave", ["head", "batch", "mixed"])
+    def test_selected_verify_rows_equal_oracle(
+        self, model_name, wave, request, tiny_tokenizer
+    ):
+        """Speculative verify with selections: three consecutive rows of
+        one session and two of a second, each under its own ``limits``
+        entry. "mixed" makes the first session's first two rows and the
+        second session's last row dense, beside a head-level and a
+        batch-level row, so dense prefixes of a shared cache and gathers
+        meet in one wave."""
+        model = request.getfixturevalue(model_name)
+        cfg = model.config
+        attn = model.layers[0].attention
+        rng = np.random.default_rng(83)
+        first, second = self._caches(model, tiny_tokenizer, rng, [48, 35])
+        caches = [first, first, first, second, second]
+        limits = np.array([46, 47, 48, 34, 35])
+        positions = limits - 1
+        widths = [9, 9, 13, 9, 11]
+        levels = {
+            "head": ["head"] * 5,
+            "batch": ["batch"] * 5,
+            "mixed": [None, None, "head", "batch", None],
+        }[wave]
+        selections = []
+        for level, limit, width in zip(levels, limits, widths):
+            shape = (_selection_heads(cfg), width) if level == "head" else width
+            # A verify row selects among the entries visible at its position.
+            selections.append(
+                None if level is None else rng.integers(0, limit, size=shape)
+            )
+        x_rows = rng.standard_normal((len(caches), cfg.d_model)).astype(np.float32)
+        out = attn.decode_rows(x_rows, positions, caches, selections, limits)
+        want, _ = _oracle_decode_rows(
+            attn, x_rows, positions, caches, selections, limits
+        )
+        np.testing.assert_array_equal(out, want)
+
+
+def test_verify_wave_holds_one_row_of_float64_kv(tiny_gqa_model):
+    """A 40-row speculative verify wave (eight sessions, five rows each)
+    of head-level selections at width 129: the decode kernel's traced peak
+    is one row's float64 K/V, the float32 staging buffer and a handful of
+    per-row arrays — not the wave's stacked K/V (about 21 MB here) — and
+    the module keeps no wave-sized array once the call returns."""
+    model = tiny_gqa_model
+    cfg = model.config
+    attn = model.layers[0].attention
+    sessions, verify_rows, length, width = 8, 5, 160, 129
+    rng = np.random.default_rng(84)
+    caches, selections, limits = [], [], []
+    for _ in range(sessions):
+        cache = model.new_cache()[0]
+        x = rng.standard_normal((length, cfg.d_model)).astype(np.float32)
+        attn.prefill(x, np.arange(length), cache)
+        for limit in range(length - verify_rows + 1, length + 1):
+            caches.append(cache)
+            limits.append(limit)
+            selections.append(rng.integers(0, limit, size=(cfg.n_kv_heads, width)))
+    rows = len(caches)
+    limits = np.array(limits)
+    x_rows = rng.standard_normal((rows, cfg.d_model)).astype(np.float32)
+    float64 = np.dtype(np.float64).itemsize
+    row_kv = 2 * cfg.n_kv_heads * width * cfg.head_dim * float64
+    staging = cfg.n_kv_heads * width * cfg.head_dim * np.dtype(np.float32).itemsize
+    # q, attention output and output-projection rows, all counted at
+    # float64 width though most are float32.
+    per_row = rows * (3 * cfg.n_q_heads * cfg.head_dim + cfg.d_model) * float64
+    # One row's scores and softmax temporaries, RoPE temporaries and
+    # matmul cast buffers.
+    slack = 1 << 20
+    tracemalloc.start()
+    try:
+        attn.decode_rows(x_rows, limits - 1, caches, selections, limits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < row_kv + staging + per_row + slack
+    for name, value in vars(attn).items():
+        assert not isinstance(value, np.ndarray) or value.nbytes < row_kv, name
