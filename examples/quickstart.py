@@ -9,8 +9,7 @@ Config -> registry -> server, in three steps:
 3. run the continuous-batching ``SpeContextServer`` and read per-request
    ``GenerationStats`` (bytes over PCIe, selection overlap, offloads).
 
-The one-shot ``SpeContextEngine(model, EngineConfig(...)).generate()`` is a
-thin wrapper over the same server: one ``specontext`` request per call.
+A single generation is the same server with one request submitted.
 
 Run:  python examples/quickstart.py
 """
@@ -20,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api import EngineConfig, GenerationRequest, SamplingParams
-from repro.core.engine import SpeContextEngine
 from repro.core.retrieval_head import RetrievalHeadConfig
 from repro.hardware.spec import EDGE_RTX4060_4GB
 from repro.models.builder import build_recall_model
@@ -52,7 +50,7 @@ def main() -> None:
     model = TransformerLM(build_recall_model(config, tokenizer, rng))
     prompt, facts, asked, chain_len = build_prompt(tokenizer, rng)
 
-    # 1. One config object for the server (and the one-shot engine).
+    # 1. One config object for the server.
     engine_config = EngineConfig(
         budget=96,
         spec=EDGE_RTX4060_4GB,
@@ -93,12 +91,12 @@ def main() -> None:
         f"{meter.generated_tokens} tokens in {meter.makespan_s:.0f} server steps"
     )
 
-    # 4. The one-shot engine: the same config, one specontext request per
-    #    generate() call — and the same tokens as the batched server.
-    engine = SpeContextEngine(model, engine_config)
-    stats = engine.generate(prompt, max_new_tokens=chain_len)
-    assert stats.text_token_ids == outputs[0].token_ids
-    print(f"engine.generate(): {tokenizer.decode(stats.text_token_ids)!r}")
+    # 4. One request alone on a fresh server: the same tokens as when it
+    #    shared its decode waves with the quest session.
+    solo = SpeContextServer(model, engine_config)
+    solo.add_request(GenerationRequest(prompt, sampling, policy="specontext"))
+    [alone] = solo.run()
+    assert alone.token_ids == outputs[0].token_ids
 
 
 if __name__ == "__main__":

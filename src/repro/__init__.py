@@ -12,10 +12,11 @@ The package is organized bottom-up:
   insight, verified by actually running KD);
 - :mod:`repro.core` — SpeContext itself: the lightweight retrieval head
   (C1), elastic asynchronous prefetch (C2), the theoretical memory model
-  and adaptive memory management (C3), and the end-to-end engine;
-- :mod:`repro.hardware`, :mod:`repro.perf`, :mod:`repro.serving` — the
-  timing/memory simulators and serving layer behind the performance
-  experiments;
+  and adaptive memory management (C3);
+- :mod:`repro.hardware`, :mod:`repro.perf` — the timing/memory
+  simulators behind the performance experiments;
+- :mod:`repro.serving` — the request-level server that runs SpeContext
+  and every baseline end to end, one policy name apart;
 - :mod:`repro.workloads` — synthetic LongBench/LongWriter tasks, metrics
   and the six-dimension judge;
 - :mod:`repro.experiments` — one module per paper table/figure plus the
@@ -34,8 +35,7 @@ See ``examples/quickstart.py`` for a complete runnable walk-through and
 """
 
 from repro.api.config import EngineConfig, SamplingParams
-from repro.api.request import GenerationOutput, GenerationRequest
-from repro.core.engine import GenerationStats, SpeContextEngine
+from repro.api.request import GenerationOutput, GenerationRequest, GenerationStats
 from repro.core.retrieval_head import (
     LightweightRetrievalHead,
     RetrievalHeadConfig,
@@ -59,7 +59,6 @@ __all__ = [
     "ModelConfig",
     "RetrievalHeadConfig",
     "SamplingParams",
-    "SpeContextEngine",
     "SpeContextPolicy",
     "SpeContextServer",
     "SyntheticTokenizer",

@@ -3,15 +3,16 @@
 The canonical entry points of the system:
 
 - :class:`EngineConfig` / :class:`SamplingParams` — engine-level and
-  request-level configuration, replacing the loose kwargs of the original
-  one-shot engine API;
+  request-level configuration;
 - :class:`GenerationRequest` / :class:`GenerationOutput` — the
-  request/response pair the continuous-batching server speaks;
+  request/response pair the continuous-batching server speaks, with the
+  per-request :class:`GenerationStats` (tokens, budget, bytes over PCIe,
+  selection overlap, offload events) on every output;
 - :func:`repro.retrieval.registry.make_policy` — the single factory that
   resolves KV-selection policies by name;
 - :class:`repro.serving.server.SpeContextServer` — the continuous-batching
-  server itself (imported from :mod:`repro.serving` to keep this package
-  dependency-free).
+  server itself, also the one-request entry point (imported from
+  :mod:`repro.serving` to keep this package dependency-free).
 
 Typical flow::
 
@@ -36,7 +37,7 @@ from repro.api.errors import (
     RequestValidationError,
     UnknownPolicyError,
 )
-from repro.api.request import GenerationOutput, GenerationRequest
+from repro.api.request import GenerationOutput, GenerationRequest, GenerationStats
 
 __all__ = [
     "ClusterConfig",
@@ -47,6 +48,7 @@ __all__ = [
     "EngineUnavailableError",
     "GenerationOutput",
     "GenerationRequest",
+    "GenerationStats",
     "InvalidPromptError",
     "InvalidSamplingError",
     "OverloadedError",

@@ -132,7 +132,7 @@ class EngineConfig:
             Every policy's state is a function of the tokens it has seen,
             so both modes resume bit-identically for all of them.
         scheduler: admission/preemption ordering policy name (resolved
-            by ``repro.serving.registry.make("scheduler", ...)``): "fcfs",
+            by ``repro.serving.policies.SCHEDULERS.make(...)``): "fcfs",
             "priority" or "sjf".
         batched_decode: how many sessions share one decode forward pass
             (stacked hidden states, row-batched QKV/O/FFN GEMMs,
@@ -185,7 +185,7 @@ class EngineConfig:
             int (not a model object) so the config stays picklable for
             multiprocessing executor workers.
         admission: admission-control policy name resolved by
-            ``repro.serving.registry.make("admission", ...)`` — "accept_all"
+            ``repro.serving.policies.ADMISSIONS.make(...)`` — "accept_all"
             (default, the historical behavior), "queue_depth",
             "token_backlog" or "deadline_feasible". Anything but
             accept_all sheds doomed requests at ``add_request`` with a
@@ -293,7 +293,7 @@ class ClusterConfig:
             .SpeContextServer` replicas, each with its own paged KV pool,
             scheduler and meter.
         router: routing-policy name resolved by
-            ``repro.serving.registry.make("router", ...)`` — "round_robin",
+            ``repro.serving.policies.ROUTERS.make(...)`` — "round_robin",
             "least_loaded" or "prefix_affinity".
         stickiness_tokens: minimum cached-prefix match (in tokens) for
             the prefix-affinity router to stick a request to a replica;

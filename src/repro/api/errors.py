@@ -20,6 +20,8 @@ Attributes carried by every error:
 
 from __future__ import annotations
 
+from repro.utils.registry import UnknownNameError
+
 __all__ = [
     "RequestValidationError",
     "EmptyPromptError",
@@ -70,18 +72,16 @@ class PromptTooLongError(RequestValidationError):
     code = "prompt_too_long"
 
 
-class UnknownPolicyError(RequestValidationError, KeyError):
+class UnknownPolicyError(UnknownNameError, RequestValidationError):
     """Named KV-selection policy is not in the registry.
 
-    Also a :class:`KeyError` because the policy registry historically
-    raised that; ``str()`` is overridden back to the plain message
-    (``KeyError`` would repr-quote it).
+    Also an :class:`~repro.utils.registry.UnknownNameError` (hence a
+    :class:`KeyError`): the policy registry raises it like every other
+    registry raises its own typed error.
     """
 
     code = "unknown_policy"
-
-    def __str__(self) -> str:  # KeyError.__str__ would add quotes
-        return self.message
+    kind = "policy"
 
 
 class ConfigValidationError(RequestValidationError):

@@ -3,8 +3,7 @@
 A :class:`GenerationRequest` bundles a prompt with its sampling parameters
 and (optionally) a per-request policy choice and budget; the server answers
 with a :class:`GenerationOutput` carrying the generated tokens, the finish
-reason and the full per-request :class:`~repro.core.engine.GenerationStats`
-system accounting.
+reason and the full per-request :class:`GenerationStats` system accounting.
 """
 
 from __future__ import annotations
@@ -17,8 +16,9 @@ import numpy as np
 from repro.api.config import SamplingParams
 from repro.api.errors import EmptyPromptError, RequestValidationError
 
-if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
-    from repro.core.engine import GenerationStats
+if TYPE_CHECKING:  # pragma: no cover - type-only imports, avoid a cycle
+    from repro.core.adaptive import OffloadEvent
+    from repro.models.llm import DecodeResult
 
 
 @dataclass
@@ -79,6 +79,25 @@ class GenerationRequest:
 
 
 @dataclass
+class GenerationStats:
+    """Output of one engine run: tokens plus system accounting."""
+
+    result: "DecodeResult"
+    budget: int
+    bytes_transferred: int = 0
+    transfer_reduction: float = 0.0
+    mean_selection_overlap: float = 0.0
+    offload_events: list["OffloadEvent"] = field(default_factory=list)
+    preemptions: int = 0
+    swap_bytes: int = 0
+    prefix_reused_tokens: int = 0
+
+    @property
+    def text_token_ids(self) -> list[int]:
+        return self.result.token_ids
+
+
+@dataclass
 class GenerationOutput:
     """Server response for one finished request.
 
@@ -89,7 +108,7 @@ class GenerationOutput:
     request_id: int
     token_ids: list[int]
     finish_reason: str
-    stats: "GenerationStats"
+    stats: GenerationStats
 
     @property
     def n_generated(self) -> int:

@@ -12,13 +12,14 @@
 - :mod:`repro.core.memory_model` — C3a, the theoretical memory model
   (Eq. 6-8) and Algorithm 1 threshold computation.
 - :mod:`repro.core.adaptive` — C3b, Algorithm 2's runtime layer offloading.
-- :mod:`repro.core.engine` — the one-request SpeContext engine over the
-  serving path, and the :class:`GenerationStats` every request reports.
+
+The three contributions run end to end inside
+:class:`repro.serving.SpeContextServer`, which reports them per request
+in :class:`repro.api.request.GenerationStats`.
 """
 
 from repro.core.adaptive import AdaptiveMemoryManager, OffloadEvent
 from repro.core.elastic import ElasticTransferTracker
-from repro.core.engine import GenerationStats, SpeContextEngine
 from repro.core.memory_model import MemoryBreakdown, MemoryModel
 from repro.core.prefetch import AsyncPrefetcher, DataflowKind, StepTimings
 from repro.core.retrieval_head import (
@@ -39,6 +40,4 @@ __all__ = [
     "MemoryBreakdown",
     "AdaptiveMemoryManager",
     "OffloadEvent",
-    "SpeContextEngine",
-    "GenerationStats",
 ]

@@ -24,9 +24,9 @@ from repro.retrieval.full import FullAttentionPolicy
 from repro.retrieval.h2o import H2OPolicy
 from repro.retrieval.quest import QuestPolicy
 from repro.retrieval.registry import (
+    POLICIES,
     available_policies,
     make_policy,
-    register_policy,
     resolve_policy_name,
 )
 from repro.retrieval.shadowkv import ShadowKVPolicy
@@ -43,8 +43,8 @@ __all__ = [
     "ClusterKVPolicy",
     "ShadowKVPolicy",
     "H2OPolicy",
+    "POLICIES",
     "available_policies",
     "make_policy",
-    "register_policy",
     "resolve_policy_name",
 ]

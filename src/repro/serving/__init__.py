@@ -13,8 +13,8 @@
   by resubmission.
 - :mod:`repro.serving.policies` — the built-in scheduler policies
   (``fcfs``, ``priority``, ``sjf``: admission order and victim
-  selection), cluster routers and admission controllers, resolved by
-  name through :mod:`repro.serving.registry`.
+  selection), cluster routers and admission controllers, one name
+  registry per kind (``SCHEDULERS``, ``ROUTERS``, ``ADMISSIONS``).
 - :mod:`repro.serving.trace` — trace-driven harness: seeded Poisson,
   bursty (on/off) and heavy-tailed (Pareto) workloads replayed through
   a server or an executor with per-step invariant checks.
@@ -46,11 +46,12 @@ from repro.serving.placement import (
     PlacementEngine,
 )
 from repro.serving.policies import (
+    ADMISSIONS,
+    ROUTERS,
+    SCHEDULERS,
     AdmissionController,
     RouterPolicy,
     SchedulerPolicy,
-)
-from repro.serving.registry import (
     UnknownAdmissionError,
     UnknownRouterError,
     UnknownSchedulerError,
@@ -71,6 +72,7 @@ from repro.serving.trace import (
 )
 
 __all__ = [
+    "ADMISSIONS",
     "AdmissionController",
     "ChaosReport",
     "ClusterPreemptionEvent",
@@ -85,8 +87,10 @@ __all__ = [
     "PlacementEngine",
     "PreemptionEvent",
     "RequestFailure",
+    "ROUTERS",
     "RequestRecord",
     "RouterPolicy",
+    "SCHEDULERS",
     "SchedulerPolicy",
     "SessionExport",
     "SpeContextServer",

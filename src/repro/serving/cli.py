@@ -27,8 +27,8 @@ from repro.models.config import tiny_test_config
 from repro.models.llm import TransformerLM
 from repro.models.tokenizer import SyntheticTokenizer
 from repro.retrieval.registry import available_policies, resolve_policy_name
-from repro.serving import registry
 from repro.serving.engine import make_executor
+from repro.serving.policies import ADMISSIONS, ROUTERS, SCHEDULERS
 from repro.utils.tables import format_table
 from repro.utils.units import human_bytes
 from repro.workloads.base import weave_context
@@ -76,11 +76,11 @@ def main(argv: list[str] | None = None) -> int:
                         "preemption)")
     parser.add_argument("--scheduler", default="fcfs",
                         help="admission/preemption policy "
-                        f"(available: {', '.join(registry.available('scheduler'))})")
+                        f"(available: {', '.join(SCHEDULERS.available())})")
     parser.add_argument("--admission", default="accept_all",
                         help="overload admission controller; anything but "
                         "accept_all sheds excess load with typed 429s "
-                        f"(available: {', '.join(registry.available('admission'))})")
+                        f"(available: {', '.join(ADMISSIONS.available())})")
     parser.add_argument("--preempt-mode", default="swap",
                         choices=("swap", "recompute"))
     parser.add_argument("--no-prefix-cache", action="store_true",
@@ -106,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="server replicas behind one executor")
     parser.add_argument("--router", default="prefix_affinity",
                         help="cluster routing policy "
-                        f"(available: {', '.join(registry.available('router'))})")
+                        f"(available: {', '.join(ROUTERS.available())})")
     parser.add_argument("--stickiness-tokens", type=int, default=16,
                         help="minimum cached-prefix match for the "
                         "prefix-affinity router to stick to a replica")
@@ -138,9 +138,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         policies = [resolve_policy_name(p) for p in args.policies.split(",") if p]
-        args.scheduler = registry.resolve("scheduler", args.scheduler)
-        args.router = registry.resolve("router", args.router)
-        args.admission = registry.resolve("admission", args.admission)
+        args.scheduler = SCHEDULERS.resolve(args.scheduler)
+        args.router = ROUTERS.resolve(args.router)
+        args.admission = ADMISSIONS.resolve(args.admission)
     except KeyError as err:
         print(err.args[0], file=sys.stderr)
         return 2

@@ -56,7 +56,12 @@ from repro.serving.placement import (
     MigrationPlan,
     PlacementEngine,
 )
-from repro.serving.server import RequestFailure, SpeContextServer, StreamEvent
+from repro.serving.server import (
+    RequestFailure,
+    SpeContextServer,
+    StreamEvent,
+    resolve_config_names,
+)
 
 # Load sentinel for dead workers' router views: large enough that any
 # load-aware router avoids them, finite so key arithmetic stays exact.
@@ -360,9 +365,12 @@ class ExecutorBase:
     ):
         self.config = config or EngineConfig()
         self.cluster = cluster or ClusterConfig()
-        self._handles = self._spawn(model)
-        n = len(self._handles)
+        # Resolve every name before any replica starts: a bad name must
+        # raise its typed error here, not kill worker children at boot.
+        resolve_config_names(self.config)
+        n = self.cluster.n_replicas
         self.placement = PlacementEngine(self.cluster, n)
+        self._handles = self._spawn(model)
         self.routing = self.placement.routing
         self.migrations: list[MigrationPlan] = []  # applied, in order
         self._steps_since_rebalance = 0
@@ -521,12 +529,22 @@ class ExecutorBase:
                 handle.call("abort", lid)
             except WorkerDied:
                 self._pending_recovery.append(worker)
-        self._inflight.discard(request_id)
-        self._assignment.pop(request_id, None)
-        self._locals[worker].pop(lid, None)
-        self._templates.pop(request_id, None)
+        self._release(request_id)
         self._drain_recovery()
         return True
+
+    def _release(self, gid: int) -> None:
+        """Forget a request that finished, failed or was aborted.
+
+        The one place every per-request map drops its entry; only
+        ``outputs`` keeps finished requests.
+        """
+        self._inflight.discard(gid)
+        worker, lid = self._assignment.pop(gid)
+        self._locals[worker].pop(lid, None)
+        self._templates.pop(gid, None)
+        self._delivered.pop(gid, None)
+        self._replay_skip.pop(gid, None)
 
     @staticmethod
     def _clone(request: GenerationRequest) -> GenerationRequest:
@@ -782,27 +800,22 @@ class ExecutorBase:
                 )
             )
         for failure in result.failures:
-            gid = lids.pop(failure.request_id, None)
+            gid = lids.get(failure.request_id)
             if gid is None or gid not in self._inflight:
                 continue  # aborted or already terminal: drop silently
             # A failed request leaves the in-flight set immediately, so a
             # later death of any worker can never resubmit it — exactly
             # one typed failure reaches the client.
             self._failures.append(replace(failure, request_id=gid))
-            self._inflight.discard(gid)
-            self._assignment.pop(gid, None)
-            self._templates.pop(gid, None)
-            self._replay_skip.pop(gid, None)
+            self._release(gid)
         finished: list[GenerationOutput] = []
         for output in result.finished:
-            gid = lids.pop(output.request_id, None)
+            gid = lids.get(output.request_id)
             if gid is None or gid not in self._inflight:
                 continue
             output.request_id = gid
             self._outputs[gid] = output
-            self._inflight.discard(gid)
-            self._assignment.pop(gid, None)
-            self._replay_skip.pop(gid, None)
+            self._release(gid)
             finished.append(output)
         return finished
 

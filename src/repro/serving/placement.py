@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.api.config import ClusterConfig
 from repro.api.errors import EngineUnavailableError
-from repro.serving import registry
+from repro.serving.policies import ROUTERS
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.serving.server import PreemptionEvent
@@ -172,9 +172,9 @@ class PlacementEngine:
                 f"{len(self.roles)} roles for {self.n_targets} targets"
             )
         router_opts = {}
-        if registry.resolve("router", cluster.router) == "prefix_affinity":
+        if ROUTERS.resolve(cluster.router) == "prefix_affinity":
             router_opts["stickiness_tokens"] = cluster.stickiness_tokens
-        self.router = registry.make("router", cluster.router, **router_opts)
+        self.router = ROUTERS.make(cluster.router, **router_opts)
         self.routing = ClusterRoutingStats(
             routed=[0] * self.n_targets,
             affinity_hits=[0] * self.n_targets,

@@ -2,18 +2,24 @@
 
 Mirrors :mod:`repro.retrieval.registry`: every scheduling discipline,
 every cluster routing discipline and every admission-control discipline
-is registered under a canonical name (plus display aliases) in
-:mod:`repro.serving.registry` and resolved through its one factory::
+is registered under a canonical name (plus display aliases) in one
+:class:`~repro.utils.registry.Registry` per kind — :data:`SCHEDULERS`,
+:data:`ROUTERS` and :data:`ADMISSIONS` — and built through it::
 
-    scheduler = registry.make("scheduler", "priority")
+    scheduler = SCHEDULERS.make("priority")
     waiting.sort(key=scheduler.admission_key)
     victim = min(active, key=scheduler.victim_key)
 
-    router = registry.make("router", "prefix_affinity", stickiness_tokens=16)
+    router = ROUTERS.make("prefix_affinity", stickiness_tokens=16)
     replica = router.route(request, replica_views)
 
-    admission = registry.make("admission", "queue_depth", max_waiting=8)
+    admission = ADMISSIONS.make("queue_depth", max_waiting=8)
     reason = admission.should_admit(request, server_view)  # None = admit
+
+An unknown name raises the kind's typed error
+(:class:`UnknownSchedulerError`, :class:`UnknownRouterError`,
+:class:`UnknownAdmissionError`), a ``KeyError`` carrying ``.name`` and
+``.available``.
 
 A scheduler policy supplies two sort keys over the server's session view:
 
@@ -37,7 +43,30 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from repro.serving.registry import ADMISSIONS, ROUTERS, SCHEDULERS
+from repro.utils.registry import Registry, UnknownNameError
+
+
+class UnknownSchedulerError(UnknownNameError):
+    """No scheduler policy is registered under this name."""
+
+    kind = "scheduler"
+
+
+class UnknownRouterError(UnknownNameError):
+    """No cluster router is registered under this name."""
+
+    kind = "router"
+
+
+class UnknownAdmissionError(UnknownNameError):
+    """No admission controller is registered under this name."""
+
+    kind = "admission policy"
+
+
+SCHEDULERS = Registry(UnknownSchedulerError)
+ROUTERS = Registry(UnknownRouterError)
+ADMISSIONS = Registry(UnknownAdmissionError)
 
 
 class SchedulableSession(Protocol):

@@ -47,11 +47,12 @@ with the memory discipline of a production engine:
 - ``run`` steps until the queue drains and returns per-request
   :class:`~repro.api.request.GenerationOutput`s.
 
-System accounting matches the one-shot engine: per-session elastic
-transfer statistics, shared adaptive memory manager walking the
-Algorithm-1 thresholds against the aggregate KV footprint, completions
-feeding a :class:`~repro.serving.meter.ThroughputMeter` on a step-count
-virtual clock.
+System accounting: per-session elastic transfer statistics (reported
+per request in :class:`~repro.api.request.GenerationStats`), a shared
+adaptive memory manager walking the Algorithm-1 thresholds against the
+aggregate KV footprint, and completions feeding a
+:class:`~repro.serving.meter.ThroughputMeter` on a step-count virtual
+clock.
 """
 
 from __future__ import annotations
@@ -69,10 +70,9 @@ from repro.api.errors import (
     PromptTooLongError,
     RequestValidationError,
 )
-from repro.api.request import GenerationOutput, GenerationRequest
+from repro.api.request import GenerationOutput, GenerationRequest, GenerationStats
 from repro.core.adaptive import AdaptiveMemoryManager, OffloadEvent
 from repro.core.elastic import ElasticTransferTracker
-from repro.core.engine import GenerationStats
 from repro.core.memory_model import MemoryModel
 from repro.core.retrieval_head import LightweightRetrievalHead, SpeContextPolicy
 from repro.distill.dlm import DraftModel
@@ -85,8 +85,13 @@ from repro.kvcache.pool import (
 )
 from repro.models.llm import DecodeResult, SelectionPolicy, TransformerLM
 from repro.retrieval.registry import make_policy, resolve_policy_name
-from repro.serving import registry
 from repro.serving.meter import RequestRecord, ThroughputMeter
+from repro.serving.policies import (
+    ADMISSIONS,
+    SCHEDULERS,
+    AdmissionController,
+    SchedulerPolicy,
+)
 from repro.tensor.ops import softmax
 
 
@@ -283,6 +288,26 @@ class _Session:
         return bool(self.finish_reason)
 
 
+def resolve_config_names(
+    config: EngineConfig,
+) -> tuple[SchedulerPolicy, AdmissionController, str | None]:
+    """Build the scheduler and admission controller ``config`` names.
+
+    Also returns the canonical default policy name when ``bos_id`` is set
+    (the server sizes the DLM's memory from it), else None. Raises the
+    typed ``Unknown*Error`` for a bad name and ``TypeError``/``ValueError``
+    for bad ``admission_opts``. Every server construction goes through
+    here, and executors call it before starting any replica, so a bad
+    config fails the same way in-process and across a worker pipe.
+    """
+    policy = None
+    if config.bos_id is not None:
+        policy = resolve_policy_name(config.policy)
+    scheduler = SCHEDULERS.make(config.scheduler)
+    admission = ADMISSIONS.make(config.admission, **config.admission_opts)
+    return scheduler, admission, policy
+
+
 class SpeContextServer:
     """Request-level serving of the functional model with mixed policies."""
 
@@ -294,6 +319,9 @@ class SpeContextServer:
     ):
         self.model = model
         self.config = config or EngineConfig()
+        self.scheduler, self.admission, default_policy = resolve_config_names(
+            self.config
+        )
         # The paper's one pruned DLM beside the LLM: every specontext
         # session decodes on a view of it (shared weights, its own K cache).
         self.head: LightweightRetrievalHead | None = None
@@ -318,10 +346,7 @@ class SpeContextServer:
             # M_DLM (Eq. 6-8), charged once: Q/K projections plus the
             # embedding slice, FP16, when specontext is the default policy.
             dlm_bytes = 0
-            if (
-                self.head is not None
-                and resolve_policy_name(self.config.policy) == "specontext"
-            ):
+            if default_policy == "specontext":
                 dlm_bytes = 2 * self.head.parameter_count(
                     include_shared_embedding=True
                 )
@@ -337,10 +362,6 @@ class SpeContextServer:
         self.manager = AdaptiveMemoryManager(self.memory_model)
         self.pool = PagedKVPool(
             self._pool_blocks(), block_size=self.config.block_size
-        )
-        self.scheduler = registry.make("scheduler", self.config.scheduler)
-        self.admission = registry.make(
-            "admission", self.config.admission, **self.config.admission_opts
         )
         self.meter = ThroughputMeter()
         self._waiting: deque[_Session] = deque()
@@ -371,19 +392,6 @@ class SpeContextServer:
         derived = -(-self.manager.capacity_tokens() // block)
         floor = -(-self.model.config.max_position // block)
         return max(derived, floor, 1)
-
-    def clear_history(self) -> None:
-        """Drop accumulated outputs, meter records and stream events.
-
-        Long-lived servers (and the engine's private single-session
-        server) call this between runs so per-request bookkeeping does
-        not grow without bound; queued/active sessions are unaffected.
-        """
-        self._outputs.clear()
-        self._stream.clear()
-        self._failures.clear()
-        self._preemption_log.clear()
-        self.meter = ThroughputMeter()
 
     # ---- submission ------------------------------------------------------------
 
@@ -726,7 +734,7 @@ class SpeContextServer:
 
     @property
     def preemption_log(self) -> list[PreemptionEvent]:
-        """Every preemption since the last ``clear_history``."""
+        """Every preemption over the server's lifetime."""
         return list(self._preemption_log)
 
     def pop_stream_events(self) -> list[StreamEvent]:

@@ -1,4 +1,5 @@
-"""Shared utilities: seeded RNG, table formatting, simple serialization.
+"""Shared utilities: seeded RNG, table formatting, units, and the one
+name :mod:`~repro.utils.registry` every named policy resolves through.
 
 These helpers are deliberately dependency-free (numpy only) so every other
 subpackage can import them without cycles.

@@ -1,5 +1,5 @@
 """Tests for the request-level serving API: policy registry round-trips,
-continuous-batching server determinism, and engine back-compat."""
+continuous-batching server determinism, and one-request generation."""
 
 from __future__ import annotations
 
@@ -10,12 +10,12 @@ import pytest
 
 from repro.api import EngineConfig, GenerationRequest, SamplingParams
 from repro.api.errors import InvalidPromptError, RequestValidationError
-from repro.core.engine import SpeContextEngine
 from repro.core.retrieval_head import (
     LightweightRetrievalHead,
     RetrievalHeadConfig,
     SpeContextPolicy,
 )
+from repro.distill.dlm import full_dlm_analog
 from repro.hardware.spec import EDGE_RTX4060_4GB
 from repro.retrieval.registry import (
     available_policies,
@@ -436,47 +436,6 @@ class TestServer:
         assert server._waiting[0].policy.level == "batch"
         assert server.run()[0].n_generated == 2
 
-    def test_clear_history_bounds_bookkeeping(
-        self, tiny_gqa_model, tiny_tokenizer
-    ):
-        server = SpeContextServer(tiny_gqa_model, server_config(tiny_tokenizer))
-        rng = np.random.default_rng(23)
-        prompt, _, _ = make_recall_prompt(tiny_tokenizer, rng, n_filler=100)
-        for _ in range(2):
-            server.add_request(GenerationRequest(
-                prompt, SamplingParams(max_new_tokens=1), policy="full"
-            ))
-            server.run()
-        assert len(server.outputs) == 2
-        server.clear_history()
-        assert server.outputs == []
-        assert len(server.meter.finished) == 0
-
-    def test_clear_history_starts_a_fresh_meter(
-        self, tiny_gqa_model, tiny_tokenizer
-    ):
-        """A meter a caller kept before the reset still holds its records;
-        later completions land in the new meter only."""
-        server = SpeContextServer(tiny_gqa_model, server_config(tiny_tokenizer))
-        prompt, _, _ = make_recall_prompt(
-            tiny_tokenizer, np.random.default_rng(23), n_filler=100
-        )
-
-        def serve_one():
-            server.add_request(GenerationRequest(
-                prompt, SamplingParams(max_new_tokens=1), policy="full"
-            ))
-            server.run()
-
-        serve_one()
-        kept = server.meter
-        server.clear_history()
-        assert server.meter is not kept
-        assert len(kept.finished) == 1
-        serve_one()
-        assert len(kept.finished) == 1
-        assert len(server.meter.finished) == 1
-
 
 class TestServerMatchesModelGenerate:
     """The numeric oracle for the server's one decode path.
@@ -518,91 +477,161 @@ class TestServerMatchesModelGenerate:
         assert output.token_ids == direct.token_ids
 
 
-class TestEngine:
-    """``SpeContextEngine``: one EngineConfig, ordinary named requests."""
+def generate_one(server, prompt, max_new_tokens, **sampling):
+    """One ``specontext`` request through ``server``; returns its output."""
+    server.add_request(GenerationRequest(
+        prompt,
+        SamplingParams(max_new_tokens=max_new_tokens, **sampling),
+        policy="specontext",
+    ))
+    [output] = server.run()
+    return output
+
+
+class TestOneRequest:
+    """One ``specontext`` request at a time through a server of one slot:
+    the paper's single-generation path, tokens plus system accounting."""
 
     @pytest.fixture
-    def engine(self, tiny_gqa_model, tiny_tokenizer):
-        return SpeContextEngine(
+    def server(self, tiny_gqa_model, tiny_tokenizer):
+        return SpeContextServer(
             tiny_gqa_model, server_config(tiny_tokenizer, max_concurrency=1)
         )
 
-    def test_wrapper_matches_direct_model_generate(
-        self, engine, tiny_gqa_model, tiny_tokenizer
+    def test_solves_recall_under_sparsity(self, server, tiny_tokenizer):
+        rng = np.random.default_rng(11)
+        prompt, expected, _ = make_recall_prompt(tiny_tokenizer, rng, n_filler=300)
+        output = generate_one(server, prompt, 1)
+        assert output.token_ids[0] == expected
+
+    def test_matches_full_attention_tokens(
+        self, server, tiny_gqa_model, tiny_tokenizer
     ):
-        """Seed behaviour: engine tokens == model.generate under sparsity."""
         rng = np.random.default_rng(12)
         prompt, _, _ = make_recall_prompt(tiny_tokenizer, rng, n_filler=300)
-        stats = engine.generate(prompt, max_new_tokens=4)
-        fresh_policy = SpeContextPolicy(engine.head.view(), 96, level="head")
+        sparse = generate_one(server, prompt, 4)
+        full = tiny_gqa_model.generate(prompt, 4, sparse_from_first_token=True)
+        assert sparse.token_ids == full.token_ids
+
+    def test_matches_model_generate_with_fresh_head_view(
+        self, server, tiny_gqa_model, tiny_tokenizer
+    ):
+        """Server tokens == model.generate under the same sparsity."""
+        rng = np.random.default_rng(12)
+        prompt, _, _ = make_recall_prompt(tiny_tokenizer, rng, n_filler=300)
+        output = generate_one(server, prompt, 4)
+        fresh_policy = SpeContextPolicy(server.head.view(), 96, level="head")
         direct = tiny_gqa_model.generate(
             prompt, 4, policy=fresh_policy, sparse_from_first_token=True
         )
-        assert stats.text_token_ids == direct.token_ids
-        assert stats.budget == engine.config.budget == 96
+        assert output.token_ids == direct.token_ids
+        assert output.stats.text_token_ids == direct.token_ids
+        assert output.stats.budget == server.config.budget == 96
 
-    def test_engine_rejects_request_past_max_position(
-        self, engine, tiny_tokenizer
-    ):
-        """Regression: the one-shot engine path must also reject a
-        generation that would decode past the cached RoPE table."""
+    def test_stop_ids_terminate(self, server, tiny_tokenizer):
+        rng = np.random.default_rng(13)
+        prompt, expected, _ = make_recall_prompt(tiny_tokenizer, rng, n_filler=300)
+        output = generate_one(server, prompt, 8, stop_ids=(expected,))
+        assert output.finish_reason == "stop"
+        assert output.stats.result.stopped_by_eos
+        assert output.token_ids[-1] == expected
+
+    def test_transfer_accounting_present(self, server, tiny_tokenizer):
+        rng = np.random.default_rng(14)
+        prompt, _, _ = make_recall_prompt(tiny_tokenizer, rng, n_filler=300)
+        stats = generate_one(server, prompt, 6).stats
+        assert stats.bytes_transferred > 0
+        assert 0.0 <= stats.mean_selection_overlap <= 1.0
+        assert 0.0 <= stats.transfer_reduction < 1.0
+
+    def test_elastic_reduces_transfer(self, tiny_gqa_model, tiny_tokenizer):
+        rng = np.random.default_rng(15)
+        prompt, _, _ = make_recall_prompt(tiny_tokenizer, rng, n_filler=300)
+        elastic, naive = (
+            SpeContextServer(tiny_gqa_model, server_config(
+                tiny_tokenizer, max_concurrency=1, elastic=flag
+            ))
+            for flag in (True, False)
+        )
+        a = generate_one(elastic, prompt, 6).stats
+        b = generate_one(naive, prompt, 6).stats
+        assert a.bytes_transferred < b.bytes_transferred
+        # Same tokens either way: elastic loading is performance-only.
+        assert a.text_token_ids == b.text_token_ids
+
+    def test_head_is_under_a_tenth_of_the_full_dlm(self, server, tiny_gqa_model):
+        dlm = full_dlm_analog(tiny_gqa_model.config)
+        assert server.head.parameter_count() < 0.1 * dlm.total_params()
+
+    def test_offload_events_ordered(self, server, tiny_tokenizer):
+        rng = np.random.default_rng(16)
+        prompt, _, _ = make_recall_prompt(tiny_tokenizer, rng, n_filler=300)
+        stats = generate_one(server, prompt, 4).stats
+        lengths = [e.seq_len for e in stats.offload_events]
+        assert lengths == sorted(lengths)
+
+    def test_rejects_request_past_max_position(self, server, tiny_tokenizer):
+        """A generation that would decode past the cached RoPE table is
+        rejected at submission."""
         rng = np.random.default_rng(14)
         prompt, _, _ = make_recall_prompt(tiny_tokenizer, rng, n_filler=120)
-        max_position = engine.model.config.max_position
+        max_position = server.model.config.max_position
         with pytest.raises(ValueError, match="max_position"):
-            engine.generate(prompt, max_new_tokens=max_position)
+            generate_one(server, prompt, max_position)
 
-    def test_repeat_calls_are_identical(self, engine, tiny_tokenizer):
-        """One head serves every generate() call, and because its keys are
-        a function of the tokens alone, a repeated call repeats everything
-        — transfer bytes included."""
-        head_before = engine.head
+    def test_repeat_requests_are_identical(self, server, tiny_tokenizer):
+        """One head serves every request, and because its keys are a
+        function of the tokens alone, a repeated request repeats
+        everything — transfer bytes included."""
+        head_before = server.head
         rng = np.random.default_rng(13)
         prompt, _, _ = make_recall_prompt(tiny_tokenizer, rng, n_filler=300)
-        first = engine.generate(prompt, max_new_tokens=3)
-        second = engine.generate(prompt, max_new_tokens=3)
-        assert engine.head is head_before is engine.server.head
-        assert len(engine.head) == 0  # sessions decode on views
+        first = generate_one(server, prompt, 3).stats
+        second = generate_one(server, prompt, 3).stats
+        assert server.head is head_before
+        assert len(server.head) == 0  # sessions decode on views
         assert first.text_token_ids == second.text_token_ids
         assert first.bytes_transferred == second.bytes_transferred > 0
         assert [e.seq_len for e in first.offload_events] == [
             e.seq_len for e in second.offload_events
         ]
 
-    def test_repeat_call_matches_fresh_engine(
-        self, engine, tiny_gqa_model, tiny_tokenizer
+    def test_repeat_request_matches_fresh_server(
+        self, server, tiny_gqa_model, tiny_tokenizer
     ):
-        """Stats from a reused engine == stats from a brand-new engine."""
+        """Stats from a reused server == stats from a brand-new server."""
         rng = np.random.default_rng(14)
         prompt_a, _, _ = make_recall_prompt(tiny_tokenizer, rng, n_filler=300)
         prompt_b, _, _ = make_recall_prompt(tiny_tokenizer, rng, n_filler=300)
-        engine.generate(prompt_a, max_new_tokens=3)
-        reused = engine.generate(prompt_b, max_new_tokens=3)
-        fresh = SpeContextEngine(
-            tiny_gqa_model, server_config(tiny_tokenizer, max_concurrency=1)
-        ).generate(prompt_b, max_new_tokens=3)
+        generate_one(server, prompt_a, 3)
+        reused = generate_one(server, prompt_b, 3).stats
+        fresh = generate_one(
+            SpeContextServer(
+                tiny_gqa_model, server_config(tiny_tokenizer, max_concurrency=1)
+            ),
+            prompt_b,
+            3,
+        ).stats
         assert reused.text_token_ids == fresh.text_token_ids
         assert reused.bytes_transferred == fresh.bytes_transferred
         assert len(reused.offload_events) == len(fresh.offload_events)
 
-    def test_sampled_generation_is_seeded(self, engine, tiny_tokenizer):
+    def test_sampled_generation_is_seeded(self, server, tiny_tokenizer):
         rng = np.random.default_rng(15)
         prompt, _, _ = make_recall_prompt(tiny_tokenizer, rng, n_filler=200)
-        a = engine.generate(prompt, max_new_tokens=4, temperature=0.8, seed=3)
-        b = engine.generate(prompt, max_new_tokens=4, temperature=0.8, seed=3)
-        assert a.text_token_ids == b.text_token_ids
+        a = generate_one(server, prompt, 4, temperature=0.8, seed=3)
+        b = generate_one(server, prompt, 4, temperature=0.8, seed=3)
+        assert a.token_ids == b.token_ids
         with pytest.raises(ValueError, match="requires a seed"):
-            engine.generate(prompt, max_new_tokens=4, temperature=0.8)
+            generate_one(server, prompt, 4, temperature=0.8)
 
-    def test_engine_takes_a_config_and_needs_bos_id(
-        self, tiny_gqa_model, tiny_tokenizer
-    ):
+    def test_specontext_needs_bos_id(self, tiny_gqa_model, tiny_tokenizer):
+        server = SpeContextServer(tiny_gqa_model, EngineConfig(max_concurrency=1))
+        assert server.head is None
+        prompt = np.arange(1, 9)
         with pytest.raises(ValueError, match="bos_id"):
-            SpeContextEngine(tiny_gqa_model, EngineConfig(max_concurrency=1))
-        with pytest.raises(TypeError):
-            SpeContextEngine(tiny_gqa_model, tiny_tokenizer.bos_id, budget=96)
-        engine = SpeContextEngine(
+            generate_one(server, prompt, 2)
+        server = SpeContextServer(
             tiny_gqa_model, EngineConfig(bos_id=tiny_tokenizer.bos_id)
         )
-        assert engine.head.bos_id == tiny_tokenizer.bos_id
-
+        assert server.head.bos_id == tiny_tokenizer.bos_id

@@ -151,7 +151,7 @@ class TestChunkedEqualsMonolithic:
     def test_solo_engine_stream_unchanged(
         self, chunk, max_step, tiny_gqa_model, tiny_tokenizer
     ):
-        """The single-request path (what SpeContextEngine wraps) is
+        """The single-request path (one request on a fresh server) is
         chunk-invariant too."""
         request = GenerationRequest(
             filler_prompt(tiny_tokenizer, 77, 40),

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing as mp
+import pickle
 import threading
 
 import numpy as np
@@ -48,11 +49,17 @@ from repro.api.errors import (
     RequestValidationError,
     UnknownPolicyError,
 )
+from repro.retrieval.registry import POLICIES
 from repro.serving import (
+    ADMISSIONS,
+    ROUTERS,
+    SCHEDULERS,
     RequestRecord,
     ThroughputMeter,
+    UnknownAdmissionError,
+    UnknownRouterError,
+    UnknownSchedulerError,
     poisson_trace,
-    registry,
     replay_trace,
 )
 from repro.serving.engine import (
@@ -200,29 +207,52 @@ def stub_request(n_tokens: int = 16) -> GenerationRequest:
 
 class TestRouterRegistry:
     def test_available_and_aliases(self):
-        assert registry.available("router") == (
+        assert ROUTERS.available() == (
             "least_loaded", "prefix_affinity", "round_robin"
         )
-        assert registry.resolve("router", "RR") == "round_robin"
-        assert registry.resolve("router", "prefix-affinity") == "prefix_affinity"
-        assert registry.resolve("router", "LeastLoaded") == "least_loaded"
+        assert ROUTERS.resolve("RR") == "round_robin"
+        assert ROUTERS.resolve("prefix-affinity") == "prefix_affinity"
+        assert ROUTERS.resolve("LeastLoaded") == "least_loaded"
 
     def test_unknown_router_raises(self):
         with pytest.raises(KeyError, match="available"):
-            registry.resolve("router", "rendezvous")
+            ROUTERS.resolve("rendezvous")
 
     def test_unknown_option_rejected(self):
         with pytest.raises(TypeError):
-            registry.make("router", "round_robin", stickiness_tokens=4)
+            ROUTERS.make("round_robin", stickiness_tokens=4)
 
     def test_bad_stickiness_rejected(self):
         with pytest.raises(ValueError, match="stickiness_tokens"):
-            registry.make("router", "prefix_affinity", stickiness_tokens=0)
+            ROUTERS.make("prefix_affinity", stickiness_tokens=0)
+
+
+@pytest.mark.parametrize("error_cls,names", [
+    (UnknownSchedulerError, SCHEDULERS),
+    (UnknownRouterError, ROUTERS),
+    (UnknownAdmissionError, ADMISSIONS),
+    (UnknownPolicyError, POLICIES),
+])
+def test_unknown_name_errors_survive_pickling(error_cls, names):
+    """Each registry's typed error crosses a worker pipe intact."""
+    with pytest.raises(error_cls) as caught:
+        names.resolve("no-such-name")
+    back = pickle.loads(pickle.dumps(caught.value))
+    assert type(back) is error_cls
+    assert back.name == "no-such-name"
+    assert back.available == names.available()
+    assert str(back) == str(caught.value) == (
+        f"unknown {error_cls.kind} 'no-such-name'; "
+        f"available: {list(names.available())}"
+    )
+    if error_cls is UnknownPolicyError:
+        assert back.code == "unknown_policy"
+        assert back.http_status == 400
 
 
 class TestRoundRobinRouter:
     def test_cycles_deterministically(self):
-        router = registry.make("router", "round_robin")
+        router = ROUTERS.make("round_robin")
         replicas = [StubReplica(i) for i in range(3)]
         chosen = [router.route(stub_request(), replicas) for _ in range(7)]
         assert chosen == [0, 1, 2, 0, 1, 2, 0]
@@ -230,7 +260,7 @@ class TestRoundRobinRouter:
 
 class TestLeastLoadedRouter:
     def test_picks_smallest_reserved_plus_queue(self):
-        router = registry.make("router", "least_loaded")
+        router = ROUTERS.make("least_loaded")
         replicas = [
             StubReplica(0, reserved_tokens=100, queue_depth=0),
             StubReplica(1, reserved_tokens=40, queue_depth=2),
@@ -239,7 +269,7 @@ class TestLeastLoadedRouter:
         assert router.route(stub_request(), replicas) == 1
 
     def test_queue_depth_counts_toward_load(self):
-        router = registry.make("router", "least_loaded")
+        router = ROUTERS.make("least_loaded")
         replicas = [
             StubReplica(0, reserved_tokens=50, queue_depth=10),
             StubReplica(1, reserved_tokens=55, queue_depth=0),
@@ -247,7 +277,7 @@ class TestLeastLoadedRouter:
         assert router.route(stub_request(), replicas) == 1
 
     def test_tie_breaks_to_lowest_index(self):
-        router = registry.make("router", "least_loaded")
+        router = ROUTERS.make("least_loaded")
         replicas = [StubReplica(i, reserved_tokens=64) for i in range(4)]
         assert router.route(stub_request(), replicas) == 0
         replicas[0].reserved_tokens = 65
@@ -256,7 +286,7 @@ class TestLeastLoadedRouter:
 
 class TestPrefixAffinityRouter:
     def test_sticks_to_longest_match(self):
-        router = registry.make("router", "prefix_affinity", stickiness_tokens=8)
+        router = ROUTERS.make("prefix_affinity", stickiness_tokens=8)
         replicas = [
             StubReplica(0, reserved_tokens=0, match=8),
             StubReplica(1, reserved_tokens=500, match=24),
@@ -266,18 +296,18 @@ class TestPrefixAffinityRouter:
         assert router.route(stub_request(), replicas) == 1
 
     def test_below_stickiness_falls_back_to_least_loaded(self):
-        router = registry.make("router", "prefix_affinity", stickiness_tokens=32)
+        router = ROUTERS.make("prefix_affinity", stickiness_tokens=32)
         replicas = [
             StubReplica(0, reserved_tokens=90, match=24),
             StubReplica(1, reserved_tokens=10, match=0),
         ]
         # 24 < 32: the match is ignored; load decides.
         assert router.route(stub_request(), replicas) == 1
-        sticky = registry.make("router", "prefix_affinity", stickiness_tokens=24)
+        sticky = ROUTERS.make("prefix_affinity", stickiness_tokens=24)
         assert sticky.route(stub_request(), replicas) == 0
 
     def test_match_ties_break_by_load_then_index(self):
-        router = registry.make("router", "prefix_affinity", stickiness_tokens=8)
+        router = ROUTERS.make("prefix_affinity", stickiness_tokens=8)
         replicas = [
             StubReplica(0, reserved_tokens=64, match=16),
             StubReplica(1, reserved_tokens=32, match=16),
@@ -844,6 +874,35 @@ class TestExecutorValidation:
                 assert err.value.code == "invalid_request_error"
                 assert bad.request_id is None
             assert frontend.add_request(clone(base)) == 0
+
+    @pytest.mark.parametrize("executor", ("inproc", "multiproc"))
+    @pytest.mark.parametrize("bad,error", [
+        (dict(scheduler="round-robin"), UnknownSchedulerError),
+        (dict(admission="nope"), UnknownAdmissionError),
+        (
+            dict(admission="queue_depth", admission_opts={"max_wating": 3}),
+            TypeError,
+        ),
+        (dict(policy="not-a-policy"), UnknownPolicyError),
+    ])
+    def test_bad_config_names_raise_before_any_replica_starts(
+        self, tiny_gqa_model, tiny_tokenizer, monkeypatch, executor, bad, error
+    ):
+        """A bad name fails ``make_executor`` in the parent with the
+        server's own typed error, never as a dead worker child."""
+        config = engine_config(tiny_tokenizer, **bad)
+        with pytest.raises(error):
+            SpeContextServer(tiny_gqa_model, config)
+
+        def spawn(self, model):
+            raise AssertionError("replicas started before the config check")
+
+        for kind in EXECUTORS:
+            monkeypatch.setattr(kind, "_spawn", spawn)
+        with pytest.raises(error):
+            make_executor(
+                tiny_gqa_model, config, cluster_config(2, executor=executor)
+            )
 
     def test_make_executor_dispatch(self, tiny_gqa_model, tiny_tokenizer):
         config = engine_config(tiny_tokenizer)

@@ -42,7 +42,7 @@ from repro.api import (
     OverloadedError,
     SamplingParams,
 )
-from repro.serving import AdmissionController, registry
+from repro.serving import ADMISSIONS, AdmissionController
 from repro.serving.engine import InProcessExecutor, MultiprocExecutor
 from repro.serving.http import AsyncEngine, HttpServer
 from repro.serving.server import SpeContextServer
@@ -126,25 +126,25 @@ class TestConfigValidation:
 
 class TestAdmissionRegistry:
     def test_registry_names(self):
-        names = registry.available("admission")
+        names = ADMISSIONS.available()
         for expected in (
             "accept_all", "queue_depth", "token_backlog", "deadline_feasible",
         ):
             assert expected in names
 
     def test_aliases_resolve(self):
-        assert registry.resolve("admission", "QD") == "queue_depth"
-        assert registry.resolve("admission", "none") == "accept_all"
-        assert registry.resolve("admission", "edf-admit") == "deadline_feasible"
+        assert ADMISSIONS.resolve("QD") == "queue_depth"
+        assert ADMISSIONS.resolve("none") == "accept_all"
+        assert ADMISSIONS.resolve("edf-admit") == "deadline_feasible"
         with pytest.raises(KeyError):
-            registry.resolve("admission", "nope")
+            ADMISSIONS.resolve("nope")
 
     def test_make_admission_rejects_unknown_opts(self):
         with pytest.raises(TypeError):
-            registry.make("admission", "queue_depth", max_wating=3)
+            ADMISSIONS.make("queue_depth", max_wating=3)
 
     def test_base_controller_accepts_everything(self, tiny_tokenizer):
-        controller = registry.make("admission", "accept_all")
+        controller = ADMISSIONS.make("accept_all")
         assert isinstance(controller, AdmissionController)
         assert controller.name == "accept_all"
 
@@ -425,6 +425,38 @@ class TestExecutorFailures:
             assert sorted(f.request_id for f in failures) == rids[2:]
             assert executor.pop_failures() == []
             assert not executor.shedding()
+
+    @pytest.mark.parametrize("executor_cls", EXECUTORS)
+    def test_run_releases_every_per_request_entry(
+        self, tiny_gqa_model, tiny_tokenizer, executor_cls
+    ):
+        """Finished, failed and aborted requests leave no per-request
+        state behind; only ``outputs`` keeps the finished ones."""
+        with executor_cls(
+            tiny_gqa_model,
+            engine_config(tiny_tokenizer, max_concurrency=1),
+            ClusterConfig(n_replicas=2, router="round_robin"),
+        ) as executor:
+            gids = [
+                executor.add_request(filler_request(
+                    tiny_tokenizer, seed=30 + i, max_new=8,
+                    total_deadline_s=4.0 if i == 4 else None,
+                ))
+                for i in range(7)
+            ]
+            assert executor.abort(gids[5]) is True
+            outputs = executor.run()
+            [failure] = executor.pop_failures()
+            assert failure.request_id == gids[4]
+            finished = [g for g in gids if g not in (gids[4], gids[5])]
+            assert [o.request_id for o in outputs] == finished
+            assert [o.request_id for o in executor.outputs] == finished
+            assert not executor._inflight
+            assert executor._assignment == {}
+            assert executor._templates == {}
+            assert executor._delivered == {}
+            assert executor._replay_skip == {}
+            assert executor._locals == [{}, {}]
 
     def test_failed_request_never_resubmitted_after_kill(
         self, tiny_gqa_model, tiny_tokenizer

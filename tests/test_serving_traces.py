@@ -25,10 +25,10 @@ import pytest
 from repro.api import EngineConfig, GenerationRequest, SamplingParams
 from repro.core.retrieval_head import SpeContextPolicy
 from repro.serving import (
+    SCHEDULERS,
     SpeContextServer,
     make_executor,
     poisson_trace,
-    registry,
     replay_trace,
 )
 from repro.serving.trace import TraceEntry, solo_token_streams
@@ -507,7 +507,7 @@ class TestStreaming:
 
 class TestSchedulerRegistry:
     def test_canonical_names(self):
-        assert set(registry.available("scheduler")) == {"fcfs", "priority", "sjf"}
+        assert set(SCHEDULERS.available()) == {"fcfs", "priority", "sjf"}
 
     @pytest.mark.parametrize("alias,canonical", [
         ("FIFO", "fcfs"),
@@ -516,11 +516,11 @@ class TestSchedulerRegistry:
         ("SPF", "sjf"),
     ])
     def test_aliases_resolve(self, alias, canonical):
-        assert registry.resolve("scheduler", alias) == canonical
+        assert SCHEDULERS.resolve(alias) == canonical
 
     def test_unknown_scheduler_raises_with_available(self):
         with pytest.raises(KeyError, match="fcfs"):
-            registry.make("scheduler", "round-robin")
+            SCHEDULERS.make("round-robin")
 
     def test_server_rejects_unknown_scheduler(
         self, tiny_gqa_model, tiny_tokenizer
