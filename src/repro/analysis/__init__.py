@@ -18,18 +18,15 @@ suite otherwise only catches after the fact:
    response key sets vs the committed ``http_schema.json`` table.
 
 Findings are filtered by inline ``# repro: allow(<rule>)`` suppressions
-and the committed ``baseline.json`` (see
-:mod:`repro.analysis.findings`). The runner lives in
+(see :mod:`repro.analysis.findings`). The runner lives in
 :mod:`repro.analysis.runner`; the CLI in ``__main__``.
 """
 
-from repro.analysis.findings import Baseline, Finding, Suppressions
-from repro.analysis.runner import ALL_RULES, DEFAULT_BASELINE, Report, run
+from repro.analysis.findings import Finding, Suppressions
+from repro.analysis.runner import ALL_RULES, Report, run
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
-    "DEFAULT_BASELINE",
     "Finding",
     "Report",
     "Suppressions",

@@ -1,8 +1,7 @@
 """CLI for the invariant linter: ``python -m repro.analysis [paths...]``.
 
-Exit codes: 0 clean (after suppressions and baseline), 1 findings or
-unparseable files, 2 usage errors. ``--write-baseline`` regenerates the
-committed grandfather file from the current tree instead of reporting.
+Exit codes: 0 clean (after inline suppressions), 1 findings or
+unparseable files, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -12,8 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.findings import Baseline
-from repro.analysis.runner import ALL_RULES, DEFAULT_BASELINE, RULE_DOCS, run
+from repro.analysis.runner import ALL_RULES, RULE_DOCS, run
 
 
 def _default_paths() -> list[Path]:
@@ -36,18 +34,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=DEFAULT_BASELINE,
-        help="grandfathered-findings file (default: the committed baseline)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="report grandfathered findings too",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="regenerate the baseline from the current findings and exit 0",
     )
     parser.add_argument(
         "--rules", default=None,
@@ -84,17 +70,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    if args.write_baseline:
-        report = run(paths, rules=rules, baseline=None)
-        Baseline.from_findings(report.findings).dump(args.baseline)
-        print(
-            f"wrote {len(report.findings)} grandfathered finding(s) to "
-            f"{args.baseline}"
-        )
-        return 0
-
-    baseline = None if args.no_baseline else Baseline.load(args.baseline)
-    report = run(paths, rules=rules, baseline=baseline)
+    report = run(paths, rules=rules)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
     else:

@@ -80,12 +80,6 @@ STDLIB_RANDOM_FUNCS = frozenset(
 )
 
 
-def applies_to(segments: tuple[str, ...]) -> bool:
-    if ALLOWLISTED_SEGMENTS & set(segments):
-        return False
-    return bool(DETERMINISTIC_SEGMENTS & set(segments))
-
-
 def _is_set_expr(node: ast.AST, local_sets: set[str]) -> bool:
     """Syntactic set detection: literals, set()/frozenset(), set algebra."""
     if isinstance(node, (ast.Set, ast.SetComp)):

@@ -1,17 +1,12 @@
-"""Finding records, inline suppressions and the grandfathering baseline.
+"""Finding records and inline suppressions.
 
-Every pass reports :class:`Finding`s; the runner then subtracts two
-overlays before anything reaches the user:
-
-- **inline suppressions** — ``# repro: allow(<rule>[, <rule>...])``
-  comments, optionally followed by ``: reason``. A suppression on a code
-  line covers that line; a suppression on a standalone comment line
-  covers the next code line (for statements too long to share a line
-  with their justification). ``allow(*)`` covers every rule.
-- **the baseline** — a committed JSON file of grandfathered findings
-  keyed by ``(rule, path, stripped source line)`` with a count, so
-  line-number drift does not invalidate entries but *new* occurrences of
-  the same pattern still fail.
+Every pass reports :class:`Finding`s; the runner then drops those covered
+by an inline suppression before anything reaches the user: a
+``# repro: allow(<rule>[, <rule>...])`` comment, optionally followed by
+``: reason``. A suppression on a code line covers that line; a
+suppression on a standalone comment line covers the next code line (for
+statements too long to share a line with their justification).
+``allow(*)`` covers every rule.
 
 Comments are read with :mod:`tokenize`, not a regex over raw lines, so
 string literals that merely *contain* the marker text never suppress
@@ -21,17 +16,13 @@ anything.
 from __future__ import annotations
 
 import io
-import json
 import re
 import tokenize
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 SUPPRESS_RE = re.compile(
     r"#\s*repro:\s*allow\(\s*([*\w\-, ]+?)\s*\)(?::.*)?$"
 )
-
-BASELINE_VERSION = 1
 
 
 @dataclass(frozen=True, order=True)
@@ -43,12 +34,7 @@ class Finding:
     col: int
     rule: str
     message: str
-    snippet: str = ""  # stripped source line, the stable part of identity
-
-    @property
-    def baseline_key(self) -> str:
-        """Identity that survives line-number drift: rule + path + code."""
-        return f"{self.rule}::{self.path}::{self.snippet}"
+    snippet: str = ""  # stripped source line
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
@@ -114,56 +100,3 @@ class Suppressions:
     def covers(self, line: int, rule: str) -> bool:
         rules = self._allowed.get(line)
         return rules is not None and (rule in rules or "*" in rules)
-
-
-@dataclass
-class Baseline:
-    """Grandfathered finding counts, keyed by :attr:`Finding.baseline_key`."""
-
-    counts: dict[str, int] = field(default_factory=dict)
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        if not path.exists():
-            return cls()
-        data = json.loads(path.read_text())
-        if data.get("version") != BASELINE_VERSION:
-            raise ValueError(
-                f"unsupported baseline version {data.get('version')!r} "
-                f"in {path}"
-            )
-        counts = data.get("findings", {})
-        if not all(
-            isinstance(k, str) and isinstance(v, int) for k, v in counts.items()
-        ):
-            raise ValueError(f"malformed baseline file {path}")
-        return cls(dict(counts))
-
-    @classmethod
-    def from_findings(cls, findings: list[Finding]) -> "Baseline":
-        counts: dict[str, int] = {}
-        for finding in findings:
-            counts[finding.baseline_key] = counts.get(finding.baseline_key, 0) + 1
-        return cls(counts)
-
-    def dump(self, path: Path) -> None:
-        payload = {
-            "version": BASELINE_VERSION,
-            "findings": dict(sorted(self.counts.items())),
-        }
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-
-    def split(
-        self, findings: list[Finding]
-    ) -> tuple[list[Finding], list[Finding]]:
-        """Partition into (new, grandfathered) against the baseline budget."""
-        budget = dict(self.counts)
-        new: list[Finding] = []
-        old: list[Finding] = []
-        for finding in findings:
-            if budget.get(finding.baseline_key, 0) > 0:
-                budget[finding.baseline_key] -= 1
-                old.append(finding)
-            else:
-                new.append(finding)
-        return new, old

@@ -5,7 +5,7 @@ The flow: discover ``*.py`` files, parse each once into a
 (determinism, resource pairing), locate the cross-file pass inputs by
 path suffix (worker/executor for the protocol pass, errors/http for
 the contract pass, http alone for the schema pass), then subtract
-inline suppressions and the committed baseline. :func:`run` returns a
+inline suppressions. :func:`run` returns a
 :class:`Report`; the CLI in :mod:`repro.analysis.__main__` turns it into
 text or JSON and an exit code.
 """
@@ -17,9 +17,7 @@ from pathlib import Path
 
 from repro.analysis import contract, determinism, protocol, resources, schema
 from repro.analysis.astutil import Module
-from repro.analysis.findings import Baseline, Finding
-
-DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
+from repro.analysis.findings import Finding
 
 WORKER_SUFFIX = ("serving", "engine", "worker.py")
 ISSUER_SUFFIXES = (("serving", "engine", "executor.py"),)
@@ -59,7 +57,6 @@ RULE_DOCS: dict[str, str] = {
 class Report:
     findings: list[Finding] = field(default_factory=list)  # actionable
     suppressed: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)  # unparseable files
     n_files: int = 0
 
@@ -72,7 +69,6 @@ class Report:
             "findings": [f.to_json() for f in self.findings],
             "n_findings": len(self.findings),
             "n_suppressed": len(self.suppressed),
-            "n_baselined": len(self.baselined),
             "n_files": self.n_files,
             "errors": self.errors,
             "exit_code": self.exit_code,
@@ -84,8 +80,7 @@ class Report:
             lines.append(f"error: {err}")
         lines.append(
             f"{len(self.findings)} finding(s) in {self.n_files} file(s) "
-            f"({len(self.suppressed)} suppressed, "
-            f"{len(self.baselined)} baselined)"
+            f"({len(self.suppressed)} suppressed)"
         )
         return "\n".join(lines)
 
@@ -125,12 +120,8 @@ def _endswith(module: Module, suffix: tuple[str, ...]) -> bool:
     return module.segments[-len(suffix):] == suffix
 
 
-def run(
-    paths: list[Path],
-    rules: set[str] | None = None,
-    baseline: Baseline | None = None,
-) -> Report:
-    """Run every pass over ``paths`` and apply suppression + baseline."""
+def run(paths: list[Path], rules: set[str] | None = None) -> Report:
+    """Run every pass over ``paths`` and apply inline suppressions."""
     report = Report()
     modules: list[Module] = []
     roots = [p for p in paths if p.is_dir()]
@@ -167,16 +158,12 @@ def run(
         raw = [f for f in raw if f.rule in rules]
 
     by_path = {m.path: m for m in modules}
-    unsuppressed: list[Finding] = []
-    for finding in raw:
+    for finding in sorted(raw):
         module = by_path.get(finding.path)
         if module is not None and module.suppressions.covers(
             finding.line, finding.rule
         ):
             report.suppressed.append(finding)
         else:
-            unsuppressed.append(finding)
-
-    baseline = baseline or Baseline()
-    report.findings, report.baselined = baseline.split(sorted(unsuppressed))
+            report.findings.append(finding)
     return report

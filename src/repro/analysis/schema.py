@@ -10,9 +10,8 @@ in two directions the type system cannot see:
   read is accepted and silently ignored. Both are schema drift.
 - **response side** — the dict literals the endpoints serialize are
   the de-facto response schema. Their key sets are pinned against the
-  committed table ``http_schema.json`` (same grandfathering model as
-  the findings baseline: change the wire shape, change the table, and
-  the diff shows up in review).
+  committed table ``http_schema.json`` (change the wire shape, change
+  the table, and the diff shows up in review).
 
 Rules:
 

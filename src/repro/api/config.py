@@ -69,9 +69,9 @@ class SamplingParams:
             raise InvalidSamplingError(
                 f"max_new_tokens must be >= 1, got {self.max_new_tokens}"
             )
-        if self.temperature < 0:
+        if not math.isfinite(self.temperature) or self.temperature < 0:
             raise InvalidSamplingError(
-                f"temperature must be >= 0, got {self.temperature}"
+                f"temperature must be a finite value >= 0, got {self.temperature}"
             )
         if not 0.0 < self.top_p <= 1.0:
             raise InvalidSamplingError(
@@ -99,6 +99,12 @@ class SamplingParams:
 @dataclass
 class EngineConfig:
     """Everything the engine/server needs beyond the model itself.
+
+    Two behaviours are fixed rather than configured: the server decodes
+    the final prompt token as the first policy-governed step (SpeContext's
+    dataflow; prompts of one token are prefilled whole), and its memory
+    model charges M_DLM for the server's one retrieval head when the
+    default policy is specontext, nothing otherwise.
 
     Attributes:
         budget: default KV token budget for requests that don't set one.
@@ -162,16 +168,8 @@ class EngineConfig:
             schedules one chunk per prefilling session per step instead
             of a global budget. Requires ``prefill_chunk_tokens`` (a
             whole-prompt chunk cannot be budgeted).
-        sparse_from_first_token: decode the final prompt token as the first
-            policy-governed step (SpeContext's dataflow).
-        requests: request multiplier for the theoretical memory model.
-        dlm_bytes: DLM weight bytes charged to the memory model when the
-            server builds it; None (default) charges the server's one
-            retrieval head when the default policy is specontext, an
-            explicit value (including 0) is used as-is.
         seed: seed of the server's retrieval head (its Q/K perturbations
             and noise-role key table).
-        policy_opts: default extra kwargs forwarded to ``make_policy``.
         spec_decode_k: speculative decoding draft length. 0 (default)
             disables speculation. With k >= 1 the server builds a
             :class:`~repro.distill.dlm.DraftModel` from the target model
@@ -214,11 +212,7 @@ class EngineConfig:
     batched_decode: bool = True
     prefill_chunk_tokens: int | None = None
     max_step_tokens: int | None = None
-    sparse_from_first_token: bool = True
-    requests: int = 1
-    dlm_bytes: int | None = None
     seed: int = 0
-    policy_opts: dict = field(default_factory=dict)
     spec_decode_k: int = 0
     admission: str = "accept_all"
     admission_opts: dict = field(default_factory=dict)
@@ -234,10 +228,6 @@ class EngineConfig:
             raise ConfigValidationError(
                 f"selection_level must be 'head' or 'batch', "
                 f"got {self.selection_level!r}"
-            )
-        if self.requests < 1:
-            raise ConfigValidationError(
-                f"requests must be >= 1, got {self.requests}"
             )
         if self.block_size < 1:
             raise ConfigValidationError(

@@ -36,9 +36,9 @@ class GenerationRequest:
             :func:`repro.retrieval.registry.make_policy`) or None to use
             the engine config's default.
         budget: KV token budget; None uses the engine config's default.
-        policy_opts: extra kwargs forwarded to ``make_policy`` (merged over
-            the engine config's ``policy_opts``); ``specontext`` accepts
-            ``level`` only — its retrieval head belongs to the server.
+        policy_opts: extra kwargs forwarded to ``make_policy``;
+            ``specontext`` accepts ``level`` only — its retrieval head
+            belongs to the server.
         priority: scheduling weight — higher values admit earlier and are
             preempted later under the "priority" scheduler; other
             schedulers ignore it. Ties break by arrival order.
@@ -91,10 +91,6 @@ class GenerationStats:
     preemptions: int = 0
     swap_bytes: int = 0
     prefix_reused_tokens: int = 0
-
-    @property
-    def text_token_ids(self) -> list[int]:
-        return self.result.token_ids
 
 
 @dataclass

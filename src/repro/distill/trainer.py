@@ -102,13 +102,6 @@ class DistillationTrainer:
         k = mixed @ self.params["H"].T
         return softmax(self.sharpness * (k @ q))
 
-    def student_logits(self, example: DistillationExample) -> np.ndarray:
-        """Student output logits over the vocabulary."""
-        _, cur, _ = self._student_features(example)
-        w = self.student_attention(example)
-        mix = w @ cur
-        return self.readout_gain * (self.content @ mix)
-
     def _teacher_distribution(self, example: DistillationExample) -> np.ndarray:
         cache = self.teacher.new_cache()
         logits = self.teacher.prefill(example.token_ids, cache)

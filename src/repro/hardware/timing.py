@@ -52,12 +52,6 @@ class LatencyModel:
 
     # ---- Transformer building blocks -------------------------------------
 
-    def matmul_cost(self, m: int, k: int, n: int, batch: int = 1) -> OpCost:
-        """GEMM of (m,k) x (k,n), repeated ``batch`` times."""
-        flops = 2.0 * m * k * n * batch
-        io = (m * k + k * n + m * n) * batch * BYTES_PER_VALUE
-        return OpCost(flops=flops, gpu_bytes=io)
-
     def attention_decode_cost(
         self,
         batch: int,
@@ -74,17 +68,6 @@ class LatencyModel:
         flops = 2.0 * batch * n_q_heads * head_dim * kv_len * 2  # QK^T and PV
         kv_bytes = 2.0 * batch * n_kv_heads * kv_len * head_dim * BYTES_PER_VALUE
         return OpCost(flops=flops, gpu_bytes=kv_bytes, kernels=2)
-
-    def linear_cost(
-        self, batch_tokens: int, in_features: int, out_features: int
-    ) -> OpCost:
-        """Projection applied to ``batch_tokens`` token vectors."""
-        flops = 2.0 * batch_tokens * in_features * out_features
-        io = (
-            in_features * out_features
-            + batch_tokens * (in_features + out_features)
-        ) * BYTES_PER_VALUE
-        return OpCost(flops=flops, gpu_bytes=io)
 
     def kv_bytes(
         self, n_tokens: int, n_kv_heads: int, head_dim: int, batch: int = 1

@@ -18,7 +18,7 @@ long-context *reasoning* scenario.
   baseline beyond the paper's table, common in the OSS ecosystem).
 """
 
-from repro.retrieval.base import BudgetedPolicy, RetrievalRecord
+from repro.retrieval.base import BudgetedPolicy
 from repro.retrieval.clusterkv import ClusterKVPolicy
 from repro.retrieval.full import FullAttentionPolicy
 from repro.retrieval.h2o import H2OPolicy
@@ -35,7 +35,6 @@ from repro.retrieval.streaming import StreamingLLMPolicy
 
 __all__ = [
     "BudgetedPolicy",
-    "RetrievalRecord",
     "FullAttentionPolicy",
     "SlidingWindowPolicy",
     "StreamingLLMPolicy",

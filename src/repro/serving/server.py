@@ -341,21 +341,13 @@ class SpeContextServer:
         else:
             self._draft = None
         self.spec_stats = SpecDecodeStats()
-        dlm_bytes = self.config.dlm_bytes
-        if dlm_bytes is None:
-            # M_DLM (Eq. 6-8), charged once: Q/K projections plus the
-            # embedding slice, FP16, when specontext is the default policy.
-            dlm_bytes = 0
-            if default_policy == "specontext":
-                dlm_bytes = 2 * self.head.parameter_count(
-                    include_shared_embedding=True
-                )
+        # M_DLM (Eq. 6-8), charged once: Q/K projections plus the
+        # embedding slice, FP16, when specontext is the default policy.
+        dlm_bytes = 0
+        if default_policy == "specontext":
+            dlm_bytes = 2 * self.head.parameter_count(include_shared_embedding=True)
         self.memory_model = MemoryModel(
-            model.config,
-            dlm_bytes,
-            self.config.spec,
-            requests=self.config.requests,
-            budget=self.config.budget,
+            model.config, dlm_bytes, self.config.spec, budget=self.config.budget
         )
         # One manager for the whole server: thresholds are computed once;
         # runtime state is reset between busy periods (idle -> first admit).
@@ -478,11 +470,7 @@ class SpeContextServer:
     ) -> SelectionPolicy:
         policy = request.policy if request.policy is not None else self.config.policy
         name = resolve_policy_name(policy)
-        # Config-level opts describe the config's *default* policy; they
-        # must not leak into requests that name a different one.
         opts = dict(request.policy_opts)
-        if name == resolve_policy_name(self.config.policy):
-            opts = {**self.config.policy_opts, **opts}
         if name == "specontext":
             if set(opts) - {"level"}:
                 raise RequestValidationError(
@@ -1202,7 +1190,7 @@ class SpeContextServer:
         session. Returns the number of prompt tokens computed.
         """
         prompt = session.request.prompt_ids
-        sparse_first = self.config.sparse_from_first_token and prompt.size >= 2
+        sparse_first = prompt.size >= 2
         prefill_ids = prompt[:-1] if sparse_first else prompt
         policy = session.policy
         if not session.prefill_started:
@@ -1351,7 +1339,7 @@ class SpeContextServer:
         """
         prompt = session.request.prompt_ids
         policy = session.policy
-        sparse_first = self.config.sparse_from_first_token and prompt.size >= 2
+        sparse_first = prompt.size >= 2
         session.result.selections.clear()
         pending: int | None = int(prompt[-1]) if sparse_first else None
         for step, token in enumerate(session.result.token_ids):

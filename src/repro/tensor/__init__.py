@@ -8,7 +8,6 @@ used by the ShadowKV baseline.
 
 from repro.tensor.ops import (
     cross_entropy,
-    gelu,
     kl_divergence,
     layer_norm,
     linear,
@@ -33,7 +32,6 @@ __all__ = [
     "rms_norm",
     "layer_norm",
     "silu",
-    "gelu",
     "linear",
     "linear_rows",
     "kl_divergence",

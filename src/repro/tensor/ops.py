@@ -58,11 +58,6 @@ def silu(x: np.ndarray) -> np.ndarray:
     return x / (1.0 + z)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Tanh-approximated GELU activation."""
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
-
-
 def linear(
     x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None
 ) -> np.ndarray:

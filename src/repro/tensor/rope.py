@@ -164,11 +164,6 @@ class RotaryEmbedding:
         freqs = np.outer(positions, inv_freq)
         return np.cos(freqs).astype(dtype), np.sin(freqs).astype(dtype)
 
-    @property
-    def attention_scale(self) -> float:
-        """Multiplicative correction YaRN applies to q/k before attention."""
-        return self._scale
-
     def apply(self, x: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Rotate ``x`` of shape (..., seq, dim) at integer ``positions`` (seq,)."""
         positions = np.asarray(positions)

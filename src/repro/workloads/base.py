@@ -117,8 +117,3 @@ def weave_context(
             f"woven context is {len(ids)} tokens, expected {context_len}"
         )
     return ids, starts
-
-
-def segment_positions(start: int, length: int) -> tuple[int, ...]:
-    """Absolute positions covered by a segment starting at ``start``."""
-    return tuple(range(start, start + length))

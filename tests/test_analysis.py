@@ -1,13 +1,13 @@
 """Fixture tests for the ``repro.analysis`` static-analysis passes.
 
-Each pass is exercised four ways: a seeded true positive it must catch,
-an inline-suppressed variant it must skip (and count), a
-baseline-grandfathered variant, and a clean variant producing nothing.
+Each pass is exercised three ways: a seeded true positive it must catch,
+an inline-suppressed variant it must skip (and count), and a clean
+variant producing nothing.
 Two mutation tests then prove the linter guards the *real* tree: deleting
 one arm of a reserve_spec/release_spec pair from a copy of server.py, or
 one ``_op_`` handler from a copy of worker.py, must each produce a
-finding. Finally a self-check pins that the shipped tree is clean
-against the committed baseline — the exact gate the CI job runs.
+finding. Finally a self-check pins that the shipped tree is clean — the
+exact gate the CI job runs.
 """
 
 from __future__ import annotations
@@ -18,8 +18,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis import DEFAULT_BASELINE, Baseline, run
+import pytest
+
+from repro.analysis import run
 from repro.analysis import contract, schema
+from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.astutil import Module
 from repro.analysis.findings import Suppressions
 
@@ -66,20 +69,6 @@ class TestDeterminismPass:
         report = scan(scan_root)
         assert report.findings == []
         assert [f.rule for f in report.suppressed] == ["wall-clock"]
-
-    def test_wall_clock_grandfathered_but_new_occurrence_fails(self, tmp_path):
-        source = "import time\n\n\ndef now():\n    return time.time()\n"
-        scan_root = write_tree(tmp_path, {"pkg/serving/sched.py": source})
-        baseline = Baseline.from_findings(scan(scan_root).findings)
-        report = scan(scan_root, baseline=baseline)
-        assert report.findings == []
-        assert [f.rule for f in report.baselined] == ["wall-clock"]
-        # A second occurrence of the same pattern exceeds the budget.
-        (scan_root / "pkg/serving/sched.py").write_text(
-            source + "\n\ndef later():\n    return time.time()\n"
-        )
-        report = scan(scan_root, baseline=baseline)
-        assert rules_of(report) == ["wall-clock"]
 
     def test_allowlisted_segments_and_sleep_are_clean(self, tmp_path):
         scan_root = write_tree(tmp_path, {
@@ -484,7 +473,7 @@ class TestSchemaPass:
         )
 
 
-# ---- suppression / baseline mechanics ----------------------------------------
+# ---- suppression mechanics ---------------------------------------------------
 
 
 class TestOverlays:
@@ -506,12 +495,6 @@ class TestOverlays:
     def test_star_covers_every_rule(self):
         sup = Suppressions.parse("x = 1  # repro: allow(*)\n")
         assert sup.covers(1, "wall-clock") and sup.covers(1, "unused-op")
-
-    def test_baseline_round_trip(self, tmp_path):
-        baseline = Baseline({"wall-clock::pkg/a.py::t = time.time()": 2})
-        path = tmp_path / "baseline.json"
-        baseline.dump(path)
-        assert Baseline.load(path).counts == baseline.counts
 
 
 # ---- mutation tests against the real tree ------------------------------------
@@ -567,8 +550,8 @@ class TestMutationsAreCaught:
 
 
 class TestShippedTree:
-    def test_src_repro_clean_against_committed_baseline(self):
-        report = run([REPRO_DIR], baseline=Baseline.load(DEFAULT_BASELINE))
+    def test_src_repro_clean(self):
+        report = run([REPRO_DIR])
         assert report.errors == []
         assert report.findings == [], report.render_text()
         assert report.n_files > 50  # the whole package was actually scanned
@@ -585,3 +568,12 @@ class TestShippedTree:
         payload = json.loads(proc.stdout)
         assert payload["exit_code"] == 0
         assert payload["n_findings"] == 0
+
+    def test_cli_has_no_baseline_flags(self, capsys):
+        """There is no grandfather baseline: every finding fails the gate,
+        and the old flags are refused as unknown arguments."""
+        for flag in ("--baseline", "--no-baseline", "--write-baseline"):
+            with pytest.raises(SystemExit) as exc:
+                analysis_main([flag])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err

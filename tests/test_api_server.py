@@ -402,7 +402,6 @@ class TestServer:
 
         assert dlm_bytes(tiny_gqa_model, policy="quest") == 0
         assert dlm_bytes(tiny_gqa_model, bos_id=None) == 0
-        assert dlm_bytes(tiny_gqa_model, dlm_bytes=123) == 123
         mla = tiny_mla_model.config  # MLA: one retrieval head per q-head
         assert dlm_bytes(tiny_mla_model) == 2 * (
             2 * mla.n_kv_heads * mla.head_dim**2 + mla.vocab_size * mla.head_dim
@@ -525,7 +524,7 @@ class TestOneRequest:
             prompt, 4, policy=fresh_policy, sparse_from_first_token=True
         )
         assert output.token_ids == direct.token_ids
-        assert output.stats.text_token_ids == direct.token_ids
+        assert output.stats.result.token_ids == direct.token_ids
         assert output.stats.budget == server.config.budget == 96
 
     def test_stop_ids_terminate(self, server, tiny_tokenizer):
@@ -557,7 +556,7 @@ class TestOneRequest:
         b = generate_one(naive, prompt, 6).stats
         assert a.bytes_transferred < b.bytes_transferred
         # Same tokens either way: elastic loading is performance-only.
-        assert a.text_token_ids == b.text_token_ids
+        assert a.result.token_ids == b.result.token_ids
 
     def test_head_is_under_a_tenth_of_the_full_dlm(self, server, tiny_gqa_model):
         dlm = full_dlm_analog(tiny_gqa_model.config)
@@ -590,7 +589,7 @@ class TestOneRequest:
         second = generate_one(server, prompt, 3).stats
         assert server.head is head_before
         assert len(server.head) == 0  # sessions decode on views
-        assert first.text_token_ids == second.text_token_ids
+        assert first.result.token_ids == second.result.token_ids
         assert first.bytes_transferred == second.bytes_transferred > 0
         assert [e.seq_len for e in first.offload_events] == [
             e.seq_len for e in second.offload_events
@@ -612,7 +611,7 @@ class TestOneRequest:
             prompt_b,
             3,
         ).stats
-        assert reused.text_token_ids == fresh.text_token_ids
+        assert reused.result.token_ids == fresh.result.token_ids
         assert reused.bytes_transferred == fresh.bytes_transferred
         assert len(reused.offload_events) == len(fresh.offload_events)
 

@@ -285,6 +285,13 @@ BAD_BODIES = (
         json.dumps({"prompt": [1, 2], "temperature": -1}).encode(),
         "invalid_sampling_params",
     ),
+    # The json module parses the NaN/Infinity literals, so a non-finite
+    # temperature reaches SamplingParams and must be refused there.
+    (b'{"prompt": [5, 6, 7], "temperature": NaN}', "invalid_sampling_params"),
+    (
+        b'{"prompt": [5, 6, 7], "temperature": Infinity}',
+        "invalid_sampling_params",
+    ),
     (
         json.dumps({"prompt": [1, 2], "top_p": 0}).encode(),
         "invalid_sampling_params",
@@ -321,6 +328,12 @@ class TestValidation:
                 )
                 assert status == 400
                 assert payload["error"]["code"] == "unknown_policy"
+                # None of the rejections took the engine down.
+                status, payload = await request_json(
+                    port, "POST", "/v1/completions",
+                    {"prompt": filler_prompt(tiny_tokenizer), "max_tokens": 2},
+                )
+                assert status == 200, payload
         asyncio.run(scenario())
 
     def test_out_of_vocabulary_prompt_rejected(
@@ -363,6 +376,13 @@ class TestValidation:
                     b"Content-Length: 99999999\r\n\r\n",
                 ))
                 assert status == 413
+                status, payload = split_response(await raw_request(
+                    port,
+                    b"POST /v1/completions HTTP/1.1\r\n"
+                    b"Content-Length: -1\r\n\r\n",
+                ))
+                assert status == 400, payload
+                assert json.loads(payload)["error"]["code"] == "bad_request"
                 status, payload = split_response(
                     await raw_request(port, b"GARBAGE\r\n\r\n")
                 )

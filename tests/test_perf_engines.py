@@ -164,6 +164,20 @@ class TestThroughputShapes:
         assert timeline.tokens_per_second == 0.0
 
 
+class TestRetrievalCost:
+    def test_quest_scores_fewer_candidates_than_shadowkv(self):
+        """Eq. 3: preprocessing shrinks len_keys. Quest scores two page
+        vectors per 16 tokens, ShadowKV every (quantized) key, so Quest's
+        per-layer retrieval is cheaper; SpeContext has none per layer."""
+        sim = PerfSimulator(LLAMA_LIKE_8B, CLOUD_A800)
+        quest, shadow, ours = (
+            sim.retrieval_seconds_per_layer(engine, 32768, 32768, 1)
+            for engine in (QUEST, SHADOWKV, SPECONTEXT)
+        )
+        assert 0.0 < quest < shadow
+        assert ours == 0.0
+
+
 class TestMLA:
     def test_mla_model_simulates(self):
         sim = PerfSimulator(DEEPSEEK_MLA_LIKE_8B, CLOUD_A800, budget=2048)

@@ -145,29 +145,55 @@ class TestMLASupport:
             cls(tiny_mla_model, budget=64)
 
 
-class TestOpsAccounting:
-    def test_quest_scores_fewer_candidates_than_full(
-        self, tiny_gqa_model, tiny_tokenizer
-    ):
-        """Preprocessing exists to shrink len_keys in Eq. 3."""
-        rng = np.random.default_rng(8)
-        prompt, _, _ = make_recall_prompt(tiny_tokenizer, rng, n_filler=300)
-        quest = QuestPolicy(tiny_gqa_model, budget=64)
-        shadow = ShadowKVPolicy(tiny_gqa_model, budget=64)
-        run_generation(tiny_gqa_model, prompt, quest, n_tokens=2)
-        run_generation(tiny_gqa_model, prompt, shadow, n_tokens=2)
-        # Quest scores page vectors (seq/page_size); ShadowKV scores every
-        # (quantized) key: Quest's op count must be much smaller.
-        assert quest.record.retrieval_ops < shadow.record.retrieval_ops
+class TestSpecProtocol:
+    """``spec_begin``/``spec_commit`` is what makes a baseline speculable:
+    the server drafts only for policies that define both."""
 
-    def test_selection_history_recorded(self, tiny_gqa_model, tiny_tokenizer):
+    @pytest.mark.parametrize("cls", BUDGETED)
+    def test_commit_requires_begin_and_the_verified_row(self, cls, tiny_gqa_model):
+        policy = cls(tiny_gqa_model, budget=64)
+        with pytest.raises(RuntimeError, match="without spec_begin"):
+            policy.spec_commit(1)
+        policy.spec_begin()
+        with pytest.raises(ValueError, match="verified row 0"):
+            policy.spec_commit(0)
+
+    def test_h2o_rollback_matches_sequential(self, tiny_gqa_model, tiny_tokenizer):
+        """Committing m of a k-position draft leaves H2O's accumulated
+        attention bit-identical to decoding the m positions sequentially."""
+        model = tiny_gqa_model
         rng = np.random.default_rng(9)
         prompt, _, _ = make_recall_prompt(tiny_tokenizer, rng, n_filler=300)
-        policy = QuestPolicy(tiny_gqa_model, budget=64)
-        run_generation(tiny_gqa_model, prompt, policy, n_tokens=4)
-        assert len(policy.record.selection_history) >= 2
-        layer0 = policy.record.layer_selections(0)
-        assert layer0 and all(isinstance(s, np.ndarray) for s in layer0)
+        cache = model.new_cache()
+        model.prefill(np.asarray(prompt), cache)
+        hidden = rng.standard_normal((3, model.config.d_model))
+        base = cache.seq_len
+
+        def run(policy, n_positions):
+            policy.begin_generation(np.asarray(prompt), cache)
+            # Layer-major, ascending position: the order fused verify uses.
+            for layer, layer_cache in enumerate(cache.layers):
+                for t in range(n_positions):
+                    policy.select(layer, hidden[t], base + t, layer_cache)
+            return policy
+
+        sequential = run(H2OPolicy(model, budget=64), 2)
+        overrun = run(H2OPolicy(model, budget=64), 3)
+        speculative = H2OPolicy(model, budget=64)
+        speculative.begin_generation(np.asarray(prompt), cache)
+        speculative.spec_begin()
+        for layer, layer_cache in enumerate(cache.layers):
+            for t in range(3):
+                speculative.select(layer, hidden[t], base + t, layer_cache)
+        speculative.spec_commit(2)
+        for layer in range(model.config.n_layers):
+            assert np.array_equal(
+                speculative._accumulated[layer], sequential._accumulated[layer]
+            )
+            # The rejected third position did move the accumulator.
+            assert not np.array_equal(
+                overrun._accumulated[layer], sequential._accumulated[layer]
+            )
 
 
 class TestScipyIsLazy:

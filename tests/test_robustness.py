@@ -120,6 +120,14 @@ class TestConfigValidation:
         params = SamplingParams(ttft_deadline_s=2.0, total_deadline_s=8.0)
         assert params.ttft_deadline_s == 2.0
 
+    def test_sampling_temperature_must_be_finite(self):
+        """NaN passes a plain ``< 0`` check and would crash the first
+        decode; infinity would silently sample uniformly."""
+        for bad in (float("nan"), float("inf"), -0.5):
+            with pytest.raises(InvalidSamplingError, match="temperature"):
+                SamplingParams(temperature=bad)
+        assert SamplingParams(temperature=0.7, seed=1).temperature == 0.7
+
 
 # ---- admission registry ------------------------------------------------------
 
