@@ -6,7 +6,8 @@ cluster-level logic lives once in :class:`ExecutorBase`, operating only
 on that surface:
 
 - **routing** through :class:`~repro.serving.placement.PlacementEngine`
-  (router registry, probe-once memoization, hit/miss/cold accounting);
+  (router registry, one probe per worker per placement, hit/miss/cold
+  accounting);
 - **global/local id translation**: the server requires each replica's
   request ids to be increasing, which a failover resubmission would
   violate, so the executor assigns global ids and submits clones that
@@ -56,6 +57,7 @@ from repro.serving.placement import (
     MigrationPlan,
     PlacementEngine,
 )
+from repro.serving.policies import ReplicaView
 from repro.serving.server import (
     RequestFailure,
     SpeContextServer,
@@ -96,19 +98,6 @@ class WorkerHealth:
     alive: bool
     inflight: int
     exitcode: int | None = None
-
-
-class _WorkerView:
-    """Router-facing surface of one worker, fed by a one-shot probe."""
-
-    def __init__(self, index: int, reserved: int, depth: int, match: int):
-        self.index = index
-        self.reserved_tokens = reserved
-        self.queue_depth = depth
-        self._match = match
-
-    def prefix_match_tokens(self, prompt_ids: np.ndarray) -> int:
-        return self._match
 
 
 # ---- worker handles ----------------------------------------------------------
@@ -161,9 +150,13 @@ class _InProcessHandle:
     def end_step(self) -> StepResult:
         return self.call("step")
 
-    def inject_stall(self) -> None:
-        """Arm a stall: the next command quarantines this worker."""
+    def inject_stall(self, duration_s: float) -> None:
+        """Arm a stall: the next command quarantines this worker (there is
+        no watchdog to outwait, so ``duration_s`` does not matter)."""
         self._stalled = True
+
+    def inject_pipe_drops(self, drops: int) -> None:
+        """No-op: an in-process replica has no pipe to drop."""
 
     def kill(self) -> None:
         self._alive = False
@@ -231,6 +224,10 @@ class _MultiprocHandle:
 
     def end_step(self) -> StepResult:
         return self._recv("step")
+
+    def inject_stall(self, duration_s: float) -> None:
+        """Arm chaos: the next wave sleeps ``duration_s`` without beats."""
+        self.call("chaos", "stall", duration_s)
 
     def inject_pipe_drops(self, drops: int) -> None:
         """Arm chaos: the next ``drops`` sends fail with a transient OSError."""
@@ -524,12 +521,15 @@ class ExecutorBase:
             return False
         worker, lid = self._assignment[request_id]
         handle = self._handles[worker]
-        if handle.alive:
-            try:
+        try:
+            if handle.alive:
                 handle.call("abort", lid)
-            except WorkerDied:
-                self._pending_recovery.append(worker)
-        self._release(request_id)
+        except WorkerDied:
+            self._pending_recovery.append(worker)
+        finally:
+            # Forgotten even when the worker's abort raised: no client
+            # waits on it any more, so it must not keep the engine busy.
+            self._release(request_id)
         self._drain_recovery()
         return True
 
@@ -553,12 +553,12 @@ class ExecutorBase:
             request, policy_opts=dict(request.policy_opts), request_id=None
         )
 
-    def _probe(self, prompt_ids: np.ndarray) -> list[_WorkerView]:
+    def _probe(self, prompt_ids: np.ndarray) -> list[ReplicaView]:
         """One load/affinity probe per worker; dead workers get sentinels."""
         replies = self._fan_out("probe", prompt_ids)
         dead = (_DEAD_LOAD, _DEAD_LOAD, 0)
         return [
-            _WorkerView(index, *replies.get(index, dead))
+            ReplicaView(index, *replies.get(index, dead))
             for index in range(self.n_workers)
         ]
 
@@ -591,6 +591,10 @@ class ExecutorBase:
         that die during the wave are quarantined afterwards and their
         in-flight requests resubmitted to survivors. Returns the requests
         that finished during this step, sorted by global id.
+
+        A wave that raises inside a worker (not a death) is re-raised
+        once every other worker's reply has been read and merged, so no
+        pipe is left holding a stale step result for the next command.
         """
         self._drain_recovery()
         stepping = [h for h in self._handles if h.alive]
@@ -600,6 +604,7 @@ class ExecutorBase:
             except WorkerDied:
                 pass  # collected below: handle.alive is now False
         finished: list[GenerationOutput] = []
+        error: Exception | None = None
         for handle in stepping:
             if not handle.alive:
                 self._pending_recovery.append(handle.index)
@@ -609,9 +614,14 @@ class ExecutorBase:
             except WorkerDied:
                 self._pending_recovery.append(handle.index)
                 continue
+            except Exception as err:
+                error = error or err
+                continue
             finished.extend(self._merge_step(handle.index, result))
         self._drain_recovery()
         self._clock += 1.0
+        if error is not None:
+            raise error
         if self.placement.disaggregated:
             loads, migratable = self._migration_state()
             self._apply_plans(
@@ -686,13 +696,12 @@ class ExecutorBase:
         self,
     ) -> tuple[list[int | None], dict[int, list[tuple[int, int, bool]]]]:
         """Per-worker loads and migratable sessions, in *global* ids."""
-        probes = self._fan_out("probe", _EMPTY_PROMPT)
+        views = self._probe(_EMPTY_PROMPT)
         sessions = self._fan_out("migratable")
         loads: list[int | None] = [None] * self.n_workers
         migratable: dict[int, list[tuple[int, int, bool]]] = {}
         for index, rows in sessions.items():
-            reserved, depth, _ = probes[index]
-            loads[index] = reserved + depth
+            loads[index] = views[index].load
             lids = self._locals[index]
             migratable[index] = [
                 (gid, charge, done)
@@ -863,15 +872,11 @@ class ExecutorBase:
         if kind == "kill":
             self.kill_worker(index)
         elif kind == "stall":
-            if hasattr(handle, "inject_stall"):
-                handle.inject_stall()
-            else:
-                handle.call("chaos", "stall", duration_s)
+            handle.inject_stall(duration_s)
         elif kind == "slow_step":
             handle.call("chaos", "slow_step", duration_s)
         elif kind == "pipe_drop":
-            if hasattr(handle, "inject_pipe_drops"):
-                handle.inject_pipe_drops(drops)
+            handle.inject_pipe_drops(drops)
         else:
             raise ValueError(f"unknown fault kind {kind!r}")
 

@@ -45,6 +45,7 @@ import json
 import math
 import signal
 import time
+import traceback
 from collections import deque
 
 import numpy as np
@@ -55,6 +56,7 @@ from repro.api.request import GenerationRequest
 from repro.models.llm import TransformerLM
 from repro.models.tokenizer import SyntheticTokenizer
 from repro.serving.engine import ExecutorBase, make_executor
+from repro.serving.server import RequestFailure
 
 _MAX_HEADER_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 8 * 1024 * 1024
@@ -164,9 +166,18 @@ class AsyncEngine:
                     if not fut.cancelled():
                         fut.set_result(result)
             if executor.has_unfinished:
-                finished, events, failures = await asyncio.to_thread(
-                    self._step_sync
-                )
+                try:
+                    finished, events, failures = await asyncio.to_thread(
+                        self._step_sync
+                    )
+                except Exception as err:
+                    # The loop is the one boundary every request waits on:
+                    # report the fault, answer its requests, keep serving.
+                    traceback.print_exception(err)
+                    finished, events = [], []
+                    failures = await asyncio.to_thread(
+                        self._fail_inflight, err
+                    )
                 self._dispatch(finished, events, failures)
                 continue
             if self._stopping:
@@ -183,6 +194,33 @@ class AsyncEngine:
             self.executor.pop_stream_events(),
             self.executor.pop_failures(),
         )
+
+    def _fail_inflight(self, err: Exception) -> list[RequestFailure]:
+        """End every waiting request with a typed 500 after a failed step.
+
+        The step's results are lost (what the healthy workers merged is
+        dropped with them), so each request a client still waits on is
+        aborted on the executor and answered with ``internal_error``
+        instead of hanging; the loop keeps serving.
+        """
+        self.executor.pop_stream_events()
+        self.executor.pop_failures()
+        failures = []
+        for gid in list(self._queues):
+            try:
+                self.executor.abort(gid)
+            except Exception:
+                # The executor forgets the request either way; the
+                # client is answered below.
+                traceback.print_exc()
+            failures.append(RequestFailure(
+                request_id=gid,
+                code="internal_error",
+                message=f"internal error: {err}",
+                http_status=500,
+                clock=self.executor.clock,
+            ))
+        return failures
 
     def _dispatch(self, finished, events, failures=()) -> None:
         for event in events:

@@ -36,14 +36,12 @@ degrades to local decode rather than failing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping, Sequence
-
-import numpy as np
 
 from repro.api.config import ClusterConfig
 from repro.api.errors import EngineUnavailableError
-from repro.serving.policies import ROUTERS
+from repro.serving.policies import ROUTERS, ReplicaView
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.serving.server import PreemptionEvent
@@ -97,7 +95,7 @@ class Placement:
 
     target: int
     matches: tuple[int, ...]
-    cursor: int | None
+    cursor: int
 
 
 @dataclass(frozen=True)
@@ -124,36 +122,6 @@ class ClusterPreemptionEvent:
 
     replica: int
     event: "PreemptionEvent"
-
-
-class _ProbedView:
-    """A target view with this request's prefix probe memoized.
-
-    The engine probes every target once per submission (it needs the
-    matches for hit/miss accounting whatever the router); handing the
-    router these memoized views means ``prefix_affinity`` does not walk
-    the blake2b chains a second time. ``index`` is overridable because
-    role filtering routes over a positionally re-indexed subset: routers
-    return either ``view.index`` (load/affinity routers) or a cursor
-    position (round-robin), and the two only coincide when the view
-    list is positionally indexed.
-    """
-
-    def __init__(self, view, match: int, index: int | None = None):
-        self.index = view.index if index is None else index
-        self._view = view
-        self._match = match
-
-    @property
-    def queue_depth(self) -> int:
-        return self._view.queue_depth
-
-    @property
-    def reserved_tokens(self) -> int:
-        return self._view.reserved_tokens
-
-    def prefix_match_tokens(self, prompt_ids: np.ndarray) -> int:
-        return self._match
 
 
 class PlacementEngine:
@@ -200,7 +168,7 @@ class PlacementEngine:
     def place(
         self,
         request,
-        views: Sequence,
+        views: Sequence[ReplicaView],
         alive: Sequence[bool] | None = None,
     ) -> Placement:
         """Route one request onto a live, prefill-capable target.
@@ -216,25 +184,16 @@ class PlacementEngine:
         rolled back. Raises :class:`~repro.api.errors
         .EngineUnavailableError` when no eligible live target exists.
         """
-        matches = tuple(
-            view.prefix_match_tokens(request.prompt_ids) for view in views
-        )
-        cursor = getattr(self.router, "_next", None)
+        matches = tuple(view.prefix_match_tokens for view in views)
+        cursor = self.router.cursor
+        # Routers see the prefill-capable targets re-indexed by position
+        # (round-robin returns a cursor position, the others a view index,
+        # and the two agree only on a positional list); with every target
+        # eligible the re-index is the identity.
         eligible = [i for i in range(self.n_targets) if self.can_prefill(i)]
-        if len(eligible) == self.n_targets:
-            # The historical all-mixed path: route over every view with
-            # its real index, so cursor arithmetic is unchanged.
-            routable: Sequence = [
-                _ProbedView(view, match)
-                for view, match in zip(views, matches)
-            ]
-            translate = None
-        else:
-            routable = [
-                _ProbedView(views[i], matches[i], index=pos)
-                for pos, i in enumerate(eligible)
-            ]
-            translate = eligible
+        routable = [
+            replace(views[i], index=pos) for pos, i in enumerate(eligible)
+        ]
         for _ in range(len(eligible)):
             chosen = self.router.route(request, routable)
             if not 0 <= chosen < len(routable):
@@ -242,11 +201,10 @@ class PlacementEngine:
                     f"router {self.router.name!r} returned target {chosen}; "
                     f"{len(routable)} targets are placement-eligible"
                 )
-            target = chosen if translate is None else translate[chosen]
+            target = eligible[chosen]
             if alive is None or alive[target]:
                 return Placement(target=target, matches=matches, cursor=cursor)
-        if cursor is not None:
-            self.router._next = cursor
+        self.router.cursor = cursor
         raise EngineUnavailableError("router found no live worker")
 
     def commit(self, placement: Placement) -> None:
@@ -263,8 +221,7 @@ class PlacementEngine:
 
     def rollback(self, placement: Placement) -> None:
         """Undo a rejected placement: restore the router cursor."""
-        if placement.cursor is not None:
-            self.router._next = placement.cursor
+        self.router.cursor = placement.cursor
 
     # ---- migration planning ----------------------------------------------------
 

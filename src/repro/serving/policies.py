@@ -28,9 +28,10 @@ A scheduler policy supplies two sort keys over the server's session view:
   key is preempted first.
 
 A router policy places one request on one replica of an executor
-(:class:`~repro.serving.engine.executor.ExecutorBase`); it sees only the cheap
-:class:`ReplicaView` surface (queue depth, reserved tokens, a read-only
-prefix-cache probe), never the replicas' internals.
+(:class:`~repro.serving.engine.executor.ExecutorBase`); it sees only one
+:class:`ReplicaView` per replica — the executor's one-shot probe result
+(reserved tokens, queue depth, the request's prefix-cache match) — never
+the replicas' internals.
 
 Keys and routing decisions must be deterministic at fixed seed (ties
 broken by replica index / request id) — the trace tests replay schedules
@@ -39,6 +40,7 @@ and compare token streams bit-for-bit.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -147,28 +149,28 @@ class ShortestPromptFirstScheduler(SchedulerPolicy):
 # ---- cluster routers ---------------------------------------------------------
 
 
-class ReplicaView(Protocol):
-    """What a router may inspect about one replica (duck-typed).
+@dataclass(frozen=True)
+class ReplicaView:
+    """What a router may inspect about one replica for one request.
 
     ``reserved_tokens`` is the replica's outstanding admission charge —
     the sum of ``prompt + max_new_tokens`` over every unfinished session,
     i.e. the KV the replica is committed to if everything runs to length.
-    ``prefix_match_tokens`` is the read-only probe of the replica's
-    prefix cache (:meth:`repro.kvcache.pool.PagedKVPool
-    .longest_prefix_match`); it never mutates cache state, so routers may
-    probe every replica for every request.
+    ``prefix_match_tokens`` is the result of the read-only probe of the
+    replica's prefix cache for this request's prompt
+    (:meth:`repro.kvcache.pool.PagedKVPool.longest_prefix_match`), taken
+    once per placement so every router reads the same match.
     """
 
-    @property
-    def index(self) -> int: ...
+    index: int
+    reserved_tokens: int
+    queue_depth: int
+    prefix_match_tokens: int
 
     @property
-    def queue_depth(self) -> int: ...
-
-    @property
-    def reserved_tokens(self) -> int: ...
-
-    def prefix_match_tokens(self, prompt_ids: np.ndarray) -> int: ...
+    def load(self) -> int:
+        """Least-loaded's quantity: reserved tokens + queue depth."""
+        return self.reserved_tokens + self.queue_depth
 
 
 class RoutableRequest(Protocol):
@@ -182,24 +184,28 @@ class RoutableRequest(Protocol):
 
 
 def _load_key(replica: ReplicaView) -> tuple[int, int]:
-    """Least-loaded total order: reserved tokens + queue depth, then index."""
-    return (replica.reserved_tokens + replica.queue_depth, replica.index)
+    """Least-loaded total order: load, then index."""
+    return (replica.load, replica.index)
 
 
 class RouterPolicy:
-    """Base router: round-robin placement (stateful cursor, one per executor)."""
+    """Base router: round-robin placement (stateful cursor, one per executor).
+
+    ``cursor`` counts round-robin placements; the placement engine saves
+    and restores it so a rejected submission leaves routing unchanged.
+    """
 
     name = "round_robin"
 
     def __init__(self):
-        self._next = 0
+        self.cursor = 0
 
     def route(
         self, request: RoutableRequest, replicas: Sequence[ReplicaView]
     ) -> int:
         """Replica index to place ``request`` on (must be deterministic)."""
-        chosen = self._next % len(replicas)
-        self._next += 1
+        chosen = self.cursor % len(replicas)
+        self.cursor += 1
         return chosen
 
 
@@ -252,14 +258,10 @@ class PrefixAffinityRouter(RouterPolicy):
     def route(
         self, request: RoutableRequest, replicas: Sequence[ReplicaView]
     ) -> int:
-        matches = {
-            replica.index: replica.prefix_match_tokens(request.prompt_ids)
-            for replica in replicas
-        }
-        best = max(matches.values())
+        best = max(replica.prefix_match_tokens for replica in replicas)
         if best < self.stickiness_tokens:
             return min(replicas, key=_load_key).index
-        contenders = [r for r in replicas if matches[r.index] == best]
+        contenders = [r for r in replicas if r.prefix_match_tokens == best]
         return min(contenders, key=_load_key).index
 
 

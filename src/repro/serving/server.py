@@ -1363,10 +1363,9 @@ class SpeContextServer:
         Speculation is restricted to greedy sessions: acceptance is a
         longest-prefix match against argmax, which is only provably
         stream-preserving at temperature 0 (and sampled sessions' RNG
-        streams must not be touched out of step order). A registered policy
-        without the spec_begin/spec_commit rollback protocol is never
-        speculated; at least two tokens must remain so a draft plus its
-        verifier row fit under ``max_new_tokens``.
+        streams must not be touched out of step order). At least two
+        tokens must remain so a draft plus its verifier row fit under
+        ``max_new_tokens``.
         """
         if self._draft is None:
             return False
@@ -1374,9 +1373,6 @@ class SpeContextServer:
             return False
         if session.steps_taken == 0 and session.prefill_token is not None:
             return False  # step-0 shortcut commits without a forward pass
-        policy = session.policy
-        if not (hasattr(policy, "spec_begin") and hasattr(policy, "spec_commit")):
-            return False
         return session.sampling.max_new_tokens - session.steps_taken >= 2
 
     def _spec_budget(self, session: _Session) -> int:
@@ -1411,16 +1407,9 @@ class SpeContextServer:
         if not todo:
             return {}
         budgets = [self._spec_budget(s) for s in todo]
-        batch = getattr(self._draft, "draft_batch", None)
-        if batch is not None:
-            drafted = batch(
-                [self._spec_stream(s) for s in todo], max(budgets)
-            )
-        else:  # duck-typed draft models (tests, oracles) need only .draft
-            drafted = [
-                self._draft.draft(self._spec_stream(s), b)
-                for s, b in zip(todo, budgets)
-            ]
+        drafted = self._draft.draft_batch(
+            [self._spec_stream(s) for s in todo], max(budgets)
+        )
         specs: dict[int, tuple[list[int], list[int]]] = {}
         for session, budget, drafts in zip(todo, budgets, drafted):
             drafts, reserved = self._spec_reserve(session, drafts[:budget])

@@ -1,4 +1,5 @@
-"""Shared fixtures: tiny constructed models, tokenizers, hardware specs."""
+"""Shared fixtures: tiny constructed models, tokenizers, hardware specs,
+and an injectable worker-side fault."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from repro.models import (
     build_recall_model,
     tiny_test_config,
 )
+from repro.serving.engine import WorkerCore
 from repro.utils import RngFactory
 
 
@@ -60,6 +62,28 @@ def tiny_mla_model(tiny_tokenizer, rng_factory) -> TransformerLM:
         config, tiny_tokenizer, rng_factory.stream("mla-weights")
     )
     return TransformerLM(weights)
+
+
+@pytest.fixture
+def worker_faults(monkeypatch):
+    """Adds a ``fail_next`` worker op: after ``handle.call("fail_next",
+    op)`` that worker's next ``op`` raises ``RuntimeError("injected
+    <op> failure")`` — an error shipped back by a live worker, not a
+    death. Patched before any executor is built, so forked worker
+    processes inherit it."""
+    real_handle = WorkerCore.handle
+
+    def handle(self, op, args):
+        failing = self.__dict__.setdefault("failing_ops", set())
+        if op == "fail_next":
+            failing.add(args[0])
+            return "armed"
+        if op in failing:
+            failing.discard(op)
+            raise RuntimeError(f"injected {op} failure")
+        return real_handle(self, op, args)
+
+    monkeypatch.setattr(WorkerCore, "handle", handle)
 
 
 def make_recall_prompt(

@@ -34,6 +34,7 @@ import contextlib
 import multiprocessing as mp
 import pickle
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,6 +55,7 @@ from repro.serving import (
     ADMISSIONS,
     ROUTERS,
     SCHEDULERS,
+    PlacementEngine,
     RequestRecord,
     ThroughputMeter,
     UnknownAdmissionError,
@@ -71,6 +73,8 @@ from repro.serving.engine import (
     make_executor,
     serve_connection,
 )
+from repro.serving.engine.executor import _DEAD_LOAD
+from repro.serving.policies import ReplicaView
 from repro.serving.server import SpeContextServer
 from repro.serving.trace import solo_token_streams
 
@@ -188,19 +192,6 @@ def run_trace(executor, requests, kill=None):
 # ---- router units (no model needed) -----------------------------------------
 
 
-class StubReplica:
-    """Minimal ReplicaView: fixed load and a canned prefix-match answer."""
-
-    def __init__(self, index, reserved_tokens=0, queue_depth=0, match=0):
-        self.index = index
-        self.reserved_tokens = reserved_tokens
-        self.queue_depth = queue_depth
-        self._match = match
-
-    def prefix_match_tokens(self, prompt_ids) -> int:
-        return self._match
-
-
 def stub_request(n_tokens: int = 16) -> GenerationRequest:
     return GenerationRequest(np.arange(1, n_tokens + 1))
 
@@ -253,7 +244,7 @@ def test_unknown_name_errors_survive_pickling(error_cls, names):
 class TestRoundRobinRouter:
     def test_cycles_deterministically(self):
         router = ROUTERS.make("round_robin")
-        replicas = [StubReplica(i) for i in range(3)]
+        replicas = [ReplicaView(i, 0, 0, 0) for i in range(3)]
         chosen = [router.route(stub_request(), replicas) for _ in range(7)]
         assert chosen == [0, 1, 2, 0, 1, 2, 0]
 
@@ -262,25 +253,30 @@ class TestLeastLoadedRouter:
     def test_picks_smallest_reserved_plus_queue(self):
         router = ROUTERS.make("least_loaded")
         replicas = [
-            StubReplica(0, reserved_tokens=100, queue_depth=0),
-            StubReplica(1, reserved_tokens=40, queue_depth=2),
-            StubReplica(2, reserved_tokens=60, queue_depth=0),
+            ReplicaView(0, reserved_tokens=100, queue_depth=0,
+                        prefix_match_tokens=0),
+            ReplicaView(1, reserved_tokens=40, queue_depth=2,
+                        prefix_match_tokens=0),
+            ReplicaView(2, reserved_tokens=60, queue_depth=0,
+                        prefix_match_tokens=0),
         ]
         assert router.route(stub_request(), replicas) == 1
 
     def test_queue_depth_counts_toward_load(self):
         router = ROUTERS.make("least_loaded")
         replicas = [
-            StubReplica(0, reserved_tokens=50, queue_depth=10),
-            StubReplica(1, reserved_tokens=55, queue_depth=0),
+            ReplicaView(0, reserved_tokens=50, queue_depth=10,
+                        prefix_match_tokens=0),
+            ReplicaView(1, reserved_tokens=55, queue_depth=0,
+                        prefix_match_tokens=0),
         ]
         assert router.route(stub_request(), replicas) == 1
 
     def test_tie_breaks_to_lowest_index(self):
         router = ROUTERS.make("least_loaded")
-        replicas = [StubReplica(i, reserved_tokens=64) for i in range(4)]
+        replicas = [ReplicaView(i, 64, 0, 0) for i in range(4)]
         assert router.route(stub_request(), replicas) == 0
-        replicas[0].reserved_tokens = 65
+        replicas[0] = replace(replicas[0], reserved_tokens=65)
         assert router.route(stub_request(), replicas) == 1
 
 
@@ -288,9 +284,12 @@ class TestPrefixAffinityRouter:
     def test_sticks_to_longest_match(self):
         router = ROUTERS.make("prefix_affinity", stickiness_tokens=8)
         replicas = [
-            StubReplica(0, reserved_tokens=0, match=8),
-            StubReplica(1, reserved_tokens=500, match=24),
-            StubReplica(2, reserved_tokens=0, match=0),
+            ReplicaView(0, reserved_tokens=0, queue_depth=0,
+                        prefix_match_tokens=8),
+            ReplicaView(1, reserved_tokens=500, queue_depth=0,
+                        prefix_match_tokens=24),
+            ReplicaView(2, reserved_tokens=0, queue_depth=0,
+                        prefix_match_tokens=0),
         ]
         # Replica 1 is the most loaded but holds the longest match.
         assert router.route(stub_request(), replicas) == 1
@@ -298,8 +297,10 @@ class TestPrefixAffinityRouter:
     def test_below_stickiness_falls_back_to_least_loaded(self):
         router = ROUTERS.make("prefix_affinity", stickiness_tokens=32)
         replicas = [
-            StubReplica(0, reserved_tokens=90, match=24),
-            StubReplica(1, reserved_tokens=10, match=0),
+            ReplicaView(0, reserved_tokens=90, queue_depth=0,
+                        prefix_match_tokens=24),
+            ReplicaView(1, reserved_tokens=10, queue_depth=0,
+                        prefix_match_tokens=0),
         ]
         # 24 < 32: the match is ignored; load decides.
         assert router.route(stub_request(), replicas) == 1
@@ -309,11 +310,113 @@ class TestPrefixAffinityRouter:
     def test_match_ties_break_by_load_then_index(self):
         router = ROUTERS.make("prefix_affinity", stickiness_tokens=8)
         replicas = [
-            StubReplica(0, reserved_tokens=64, match=16),
-            StubReplica(1, reserved_tokens=32, match=16),
-            StubReplica(2, reserved_tokens=32, match=16),
+            ReplicaView(0, reserved_tokens=64, queue_depth=0,
+                        prefix_match_tokens=16),
+            ReplicaView(1, reserved_tokens=32, queue_depth=0,
+                        prefix_match_tokens=16),
+            ReplicaView(2, reserved_tokens=32, queue_depth=0,
+                        prefix_match_tokens=16),
         ]
         assert router.route(stub_request(), replicas) == 1
+
+
+# ---- placement over role-filtered targets ------------------------------------
+
+# Target 0 is decode-only, so it is never placed on although it is the
+# least loaded; targets 1 and 2 are routed as positions 0 and 1.
+PLACEMENT_ROLES = ("decode", "prefill", "mixed")
+PLACEMENT_LOADS = (0, 40, 20)
+ALL_ROUTERS = ("round_robin", "least_loaded", "prefix_affinity")
+
+
+def placement_engine(router: str) -> PlacementEngine:
+    cluster = ClusterConfig(
+        n_replicas=3, router=router, stickiness_tokens=16,
+        roles=PLACEMENT_ROLES,
+    )
+    return PlacementEngine(cluster, 3)
+
+
+def placement_views(matches=(0, 0, 0), dead=()) -> list[ReplicaView]:
+    """One probe result per target; dead targets get the executor's
+    sentinel load."""
+    return [
+        ReplicaView(i, _DEAD_LOAD, _DEAD_LOAD, 0) if i in dead
+        else ReplicaView(i, PLACEMENT_LOADS[i], 0, matches[i])
+        for i in range(3)
+    ]
+
+
+class TestPlacementEngine:
+    # Three placements: cold; target 2 (and the ineligible target 0)
+    # holding a match; target 1 holding a match. Expected targets and the
+    # (hits, misses, cold) books, indexed by real target.
+    @pytest.mark.parametrize("router,targets,booked", [
+        ("round_robin", [1, 2, 1],
+         ([0, 1, 1], [0, 0, 0], [0, 1, 0])),
+        ("least_loaded", [2, 2, 2],
+         ([0, 0, 1], [0, 0, 1], [0, 0, 1])),
+        ("prefix_affinity", [2, 2, 1],
+         ([0, 1, 1], [0, 0, 0], [0, 0, 1])),
+    ])
+    def test_roles_route_over_reindexed_targets(self, router, targets, booked):
+        engine = placement_engine(router)
+        request = stub_request()
+        chosen = []
+        for matches in ((0, 0, 0), (32, 0, 24), (0, 24, 0)):
+            placement = engine.place(
+                request, placement_views(matches), [True] * 3
+            )
+            assert placement.matches == matches
+            chosen.append(placement.target)
+            engine.commit(placement)
+        assert chosen == targets
+        routing = engine.routing
+        assert routing.routed == [0, targets.count(1), targets.count(2)]
+        assert (
+            routing.affinity_hits, routing.affinity_misses, routing.cold
+        ) == booked
+
+    @pytest.mark.parametrize("router", ALL_ROUTERS)
+    def test_dead_target_is_skipped(self, router):
+        engine = placement_engine(router)
+        request = stub_request()
+        alive = [True, True, False]
+        for _ in range(3):
+            placement = engine.place(
+                request, placement_views(dead=(2,)), alive
+            )
+            assert placement.target == 1
+            engine.commit(placement)
+        if router == "round_robin":
+            # Positions 0; 1 (dead), 0; 1 (dead), 0: the cursor walks past
+            # the dead target.
+            assert engine.router.cursor == 5
+        cursor = engine.router.cursor
+        with pytest.raises(EngineUnavailableError):
+            engine.place(
+                request, placement_views(dead=(1, 2)), [True, False, False]
+            )
+        assert engine.router.cursor == cursor
+        assert engine.routing.routed == [0, 3, 0]
+
+    @pytest.mark.parametrize("router", ALL_ROUTERS)
+    def test_rollback_restores_the_cursor(self, router):
+        engine = placement_engine(router)
+        request = stub_request()
+        views = placement_views()
+        first = engine.place(request, views, [True] * 3)
+        engine.rollback(first)
+        assert engine.router.cursor == first.cursor == 0
+        again = engine.place(request, views, [True] * 3)
+        assert again == first
+        engine.commit(again)
+        cursor = engine.router.cursor
+        second = engine.place(request, views, [True] * 3)
+        assert second.cursor == cursor
+        engine.rollback(second)
+        assert engine.router.cursor == cursor
+        assert engine.routing.total_routed == 1
 
 
 class TestClusterConfig:
@@ -759,6 +862,66 @@ class TestExecutorFailover:
         # complete client streams despite the mid-run collection start.
         assert streams == baseline[0]
         assert reasons == baseline[1]
+
+    @pytest.mark.parametrize("kind", EXECUTORS)
+    def test_worker_step_error_keeps_every_pipe_in_sync(
+        self, tiny_gqa_model, tiny_tokenizer, worker_faults, kind
+    ):
+        """Worker 0's wave raises: the error surfaces only after worker
+        1's reply is read and merged, so later commands get their own
+        replies, streams bit-match the fault-free run and a later
+        request is served its own tokens."""
+        requests = mixed_policy_requests(tiny_tokenizer, n=4)
+        config = engine_config(tiny_tokenizer)
+        with kind(tiny_gqa_model, config, cluster_config(2)) as executor:
+            baseline = run_trace(executor, requests)
+        with kind(tiny_gqa_model, config, cluster_config(2)) as executor:
+            for request in requests:
+                executor.add_request(clone(request))
+            executor._handles[0].call("fail_next", "step")
+            with pytest.raises(RuntimeError, match="injected step failure"):
+                executor.step()
+            streams: dict[int, list] = {}
+            reasons = {}
+            while executor.has_unfinished:
+                finished = executor.step()
+                for event in executor.pop_stream_events():
+                    streams.setdefault(event.request_id, []).append(
+                        (event.step, event.token_id)
+                    )
+                for output in finished:
+                    reasons[output.request_id] = output.finish_reason
+            snapshots = executor.snapshots()
+            assert sorted(snapshots) == [0, 1]
+            assert all(
+                isinstance(s, WorkerSnapshot) for s in snapshots.values()
+            )
+            later = executor.add_request(clone(requests[1]))
+            (output,) = executor.run()
+            assert not executor.degraded
+        assert streams == baseline[0]
+        assert reasons == baseline[1]
+        assert output.request_id == later
+        assert list(output.token_ids) == [t for _, t in baseline[0][1]]
+
+    @pytest.mark.parametrize("kind", EXECUTORS)
+    def test_failed_abort_still_releases_the_request(
+        self, tiny_gqa_model, tiny_tokenizer, worker_faults, kind
+    ):
+        requests = mixed_policy_requests(tiny_tokenizer, n=2)
+        with kind(
+            tiny_gqa_model, engine_config(tiny_tokenizer), cluster_config(2)
+        ) as executor:
+            gids = [executor.add_request(clone(r)) for r in requests]
+            executor._handles[executor.worker_of(gids[0])].call(
+                "fail_next", "abort"
+            )
+            with pytest.raises(RuntimeError, match="injected abort failure"):
+                executor.abort(gids[0])
+            assert executor.abort(gids[0]) is False  # already released
+            outputs = executor.run()
+            assert [o.request_id for o in outputs] == [gids[1]]
+            assert not executor.has_unfinished
 
     def test_submission_routes_around_dead_workers(
         self, tiny_gqa_model, tiny_tokenizer

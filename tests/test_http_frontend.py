@@ -21,6 +21,7 @@ import contextlib
 import json
 
 import numpy as np
+import pytest
 
 from repro.api import (
     ClusterConfig,
@@ -28,7 +29,7 @@ from repro.api import (
     GenerationRequest,
     SamplingParams,
 )
-from repro.serving.engine import InProcessExecutor
+from repro.serving.engine import InProcessExecutor, MultiprocExecutor
 from repro.serving.http import (
     AsyncEngine,
     HttpServer,
@@ -129,6 +130,30 @@ def solo_tokens(model, tokenizer, prompt: list[int], max_new: int) -> list[int]:
     ))
     [output] = server.run()
     return list(output.token_ids)
+
+
+def step_fails_once(kind, abort_fails: bool = False):
+    """``kind`` whose worker 0 raises out of one wave, taken once two
+    requests are in flight (one per worker under round-robin); until
+    then it steps nothing, so both are caught by the failure. With
+    ``abort_fails`` each worker's next abort raises as well. Needs the
+    ``worker_faults`` fixture."""
+
+    class StepFailsOnce(kind):
+        armed = True
+
+        def step(self):
+            if self.armed:
+                if len(self._inflight) < 2:
+                    return []
+                self.armed = False
+                self._handles[0].call("fail_next", "step")
+                if abort_fails:
+                    for handle in self._handles:
+                        handle.call("fail_next", "abort")
+            return super().step()
+
+    return StepFailsOnce
 
 
 # ---- endpoints ---------------------------------------------------------------
@@ -452,6 +477,65 @@ class TestLifecycle:
                         break
                     await asyncio.sleep(0.05)
                 assert inflight == 0  # aborted well before 512 tokens
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("abort_fails", (False, True))
+    @pytest.mark.parametrize("kind", (InProcessExecutor, MultiprocExecutor))
+    def test_step_failure_answers_500_and_keeps_serving(
+        self, tiny_gqa_model, tiny_tokenizer, worker_faults, kind, abort_fails
+    ):
+        prompt = filler_prompt(tiny_tokenizer, seed=23)
+        expected = solo_tokens(tiny_gqa_model, tiny_tokenizer, prompt, 4)
+        stream_body = json.dumps({
+            "prompt": prompt, "max_tokens": 4, "stream": True,
+        }).encode()
+
+        async def scenario():
+            executor = step_fails_once(kind, abort_fails)(
+                tiny_gqa_model,
+                engine_config(tiny_tokenizer),
+                ClusterConfig(n_replicas=2, router="round_robin"),
+            )
+            server = HttpServer(AsyncEngine(executor), tiny_tokenizer)
+            await server.start("127.0.0.1", 0)
+            port = server.addresses[0][1]
+            try:
+                (status, body), streamed = await asyncio.wait_for(
+                    asyncio.gather(
+                        request_json(port, "POST", "/v1/completions", {
+                            "prompt": prompt, "max_tokens": 4,
+                        }),
+                        raw_request(port, http_payload(
+                            "POST", "/v1/completions", stream_body
+                        )),
+                    ),
+                    timeout=30,
+                )
+                assert status == 500
+                assert body["error"]["code"] == "internal_error"
+                assert body["error"]["type"] == "server_error"
+                status, raw = split_response(streamed)
+                assert status == 200  # headers went out before the failure
+                *_, error_chunk, done = sse_chunks(raw)
+                assert error_chunk["error"]["code"] == "internal_error"
+                assert done is None
+                assert not executor.has_unfinished  # both were aborted
+                # The loop survived: the next request is served normally.
+                status, body = await asyncio.wait_for(
+                    request_json(port, "POST", "/v1/completions", {
+                        "prompt": prompt, "max_tokens": 4,
+                    }),
+                    timeout=30,
+                )
+                assert status == 200
+                assert body["choices"][0]["token_ids"] == expected
+            finally:
+                # A dead engine loop leaves handlers blocked; do not let
+                # cleanup wait on them.
+                with contextlib.suppress(asyncio.TimeoutError):
+                    await asyncio.wait_for(server.stop(), timeout=5)
+                with contextlib.suppress(RuntimeError):
+                    await server.engine.close()
         asyncio.run(scenario())
 
     def test_graceful_drain_finishes_inflight_work(

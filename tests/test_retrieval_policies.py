@@ -13,13 +13,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api import EngineConfig, GenerationRequest
 from repro.retrieval.clusterkv import ClusterKVPolicy
 from repro.retrieval.full import FullAttentionPolicy
 from repro.retrieval.h2o import H2OPolicy
 from repro.retrieval.quest import QuestPolicy
+from repro.retrieval.registry import POLICIES
 from repro.retrieval.shadowkv import ShadowKVPolicy
 from repro.retrieval.sliding import SlidingWindowPolicy
 from repro.retrieval.streaming import StreamingLLMPolicy
+from repro.serving.server import SpeContextServer
 from tests.conftest import make_recall_prompt
 
 warnings.filterwarnings("ignore", message="One of the clusters is empty")
@@ -146,8 +149,23 @@ class TestMLASupport:
 
 
 class TestSpecProtocol:
-    """``spec_begin``/``spec_commit`` is what makes a baseline speculable:
-    the server drafts only for policies that define both."""
+    """``spec_begin``/``spec_commit`` is what makes a policy speculable:
+    the server drafts for every greedy session, so every registered
+    policy defines both."""
+
+    def test_every_registered_policy_speaks_the_protocol(
+        self, tiny_gqa_model, tiny_tokenizer
+    ):
+        server = SpeContextServer(
+            tiny_gqa_model, EngineConfig(bos_id=tiny_tokenizer.bos_id)
+        )
+        prompt = np.array([tiny_tokenizer.bos_id, 5, 6, 7])
+        for name in POLICIES.available():
+            policy = server._resolve_policy(
+                GenerationRequest(prompt, policy=name), budget=64
+            )
+            assert callable(getattr(policy, "spec_begin", None)), name
+            assert callable(getattr(policy, "spec_commit", None)), name
 
     @pytest.mark.parametrize("cls", BUDGETED)
     def test_commit_requires_begin_and_the_verified_row(self, cls, tiny_gqa_model):

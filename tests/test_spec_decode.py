@@ -351,6 +351,9 @@ class OracleDraft:
             out.append(true if t < self.j else (true + 1) % self.vocab)
         return out
 
+    def draft_batch(self, contexts, k: int) -> list[list[int]]:
+        return [self.draft(context, k) for context in contexts]
+
 
 def simulate_acceptance(n_tokens: int, spec_k: int, j: int):
     """Independent model of the commit rule for an OracleDraft run.
