@@ -308,11 +308,6 @@ class ClusterConfig:
             pacing; the engine benchmark sets it so each worker behaves
             like one device whose step time scales with its share of the
             batch — the parallelism the worker/executor split buys.
-        pipe_retries: transient pipe-send failures (``OSError`` short of
-            a closed pipe) tolerated per command before the executor
-            declares the worker dead and fails over. Each retry backs
-            off ``pipe_retry_backoff_s * attempt`` seconds.
-        pipe_retry_backoff_s: base backoff between pipe-send retries.
         roles: per-replica serving role for disaggregated prefill/decode
             — a tuple of ``"prefill"``, ``"decode"`` and ``"mixed"``
             entries, one per replica. New requests are only *placed* on
@@ -349,8 +344,6 @@ class ClusterConfig:
     executor: str = "inproc"
     heartbeat_s: float = 30.0
     pace_s_per_token: float = 0.0
-    pipe_retries: int = 2
-    pipe_retry_backoff_s: float = 0.05
     roles: tuple[str, ...] | None = None
     rebalance_every: int = 0
     rebalance_ratio: float = 1.5
@@ -378,18 +371,6 @@ class ClusterConfig:
             raise ConfigValidationError(
                 f"pace_s_per_token must be finite and >= 0, "
                 f"got {self.pace_s_per_token}"
-            )
-        if self.pipe_retries < 0:
-            raise ConfigValidationError(
-                f"pipe_retries must be >= 0, got {self.pipe_retries}"
-            )
-        if (
-            not math.isfinite(self.pipe_retry_backoff_s)
-            or self.pipe_retry_backoff_s < 0
-        ):
-            raise ConfigValidationError(
-                f"pipe_retry_backoff_s must be finite and >= 0, "
-                f"got {self.pipe_retry_backoff_s}"
             )
         if self.roles is not None:
             roles = tuple(self.roles)

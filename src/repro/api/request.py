@@ -77,6 +77,12 @@ class GenerationRequest:
     def prompt_len(self) -> int:
         return int(self.prompt_ids.size)
 
+    @property
+    def peak_tokens(self) -> int:
+        """KV footprint if the request runs to length: the charge that
+        admission, load balancing and migration account it at."""
+        return self.prompt_len + self.sampling.max_new_tokens
+
 
 @dataclass
 class GenerationStats:

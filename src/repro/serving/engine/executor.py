@@ -11,15 +11,18 @@ on that surface:
 - **global/local id translation**: the server requires each replica's
   request ids to be increasing, which a failover resubmission would
   violate, so the executor assigns global ids and submits clones that
-  let each worker assign its own local id — stream events, outputs and
-  preemption events are translated back at the merge point;
+  let each worker assign its own local id. Each in-flight request has
+  one record (where it runs, its pristine template, what the client
+  holds) plus a per-worker local-to-global index; stream events, outputs
+  and preemption events are translated back at the merge point;
 - **lockstep stepping with overlap**: ``begin_step`` fans the step
   command out to every live worker, ``end_step`` collects the results in
   worker-index order. Multiprocess workers therefore run their waves
   (compute *and* modeled dwell) concurrently, while the in-process
   executor degenerates to the sequential reference;
-- **fault handling**: a worker that exits, breaks its pipe, or misses
-  the ``heartbeat_s`` reply deadline is quarantined, and its in-flight
+- **fault handling**: a worker that exits, breaks its pipe, fails a
+  send past ``_PIPE_RETRIES`` retries, or misses the ``heartbeat_s``
+  reply deadline is quarantined, and its in-flight
   requests are resubmitted to survivors through the router. Replayed
   requests are deterministic (portable requests carry seeds, never
   generator state), so the replayed stream's already-delivered prefix is
@@ -74,6 +77,12 @@ _DEAD_LOAD = 1 << 40
 # no hash-chain walk.
 _EMPTY_PROMPT = np.zeros(0, dtype=np.int64)
 
+# Transient pipe-send failures (``OSError`` short of a closed pipe)
+# tolerated per command before the worker is declared dead; retry n
+# sleeps ``_PIPE_RETRY_BACKOFF_S * n`` seconds first.
+_PIPE_RETRIES = 2
+_PIPE_RETRY_BACKOFF_S = 0.05
+
 # A freshly spawned worker is silent while it forks and builds its
 # server replica, so the no-progress watchdog would misread boot as a
 # stall under a tight heartbeat. Until the first progress beat is
@@ -88,6 +97,23 @@ class WorkerDied(RuntimeError):
         super().__init__(f"worker {index} died: {reason}")
         self.index = index
         self.reason = reason
+
+
+@dataclass
+class _Inflight:
+    """One in-flight request, keyed by its global id.
+
+    ``worker``/``lid`` say where it runs now (migration and failover
+    rewrite both); ``template`` is the pristine request a failover
+    replays; ``delivered`` counts tokens the client holds and
+    ``replay_skip`` how many of a replay's leading tokens to suppress.
+    """
+
+    worker: int
+    lid: int
+    template: GenerationRequest
+    delivered: int = 0
+    replay_skip: int = 0
 
 
 @dataclass(frozen=True)
@@ -176,13 +202,9 @@ class _MultiprocHandle:
         pace_s_per_token: float,
         heartbeat_s: float,
         ctx,
-        pipe_retries: int = 2,
-        pipe_retry_backoff_s: float = 0.05,
     ):
         self.index = index
         self.heartbeat_s = float(heartbeat_s)
-        self.pipe_retries = int(pipe_retries)
-        self.pipe_retry_backoff_s = float(pipe_retry_backoff_s)
         self._drop_pending = 0  # chaos-injected transient send failures
         parent, child = ctx.Pipe()
         self._conn = parent
@@ -250,7 +272,7 @@ class _MultiprocHandle:
                 self._fail(f"pipe broke sending {op!r}: {err}")
             except OSError as err:
                 attempt += 1
-                if attempt > self.pipe_retries:
+                if attempt > _PIPE_RETRIES:
                     self._fail(
                         f"pipe error sending {op!r} persisted through "
                         f"{attempt} attempts: {err}"
@@ -258,7 +280,7 @@ class _MultiprocHandle:
                 # Transient error (EINTR, spurious EAGAIN, injected chaos
                 # drop): back off linearly and retry before declaring the
                 # worker dead.
-                time.sleep(self.pipe_retry_backoff_s * attempt)
+                time.sleep(_PIPE_RETRY_BACKOFF_S * attempt)
 
     def _recv(self, op: str) -> object:
         last_progress = self._progress.value
@@ -371,12 +393,9 @@ class ExecutorBase:
         self.routing = self.placement.routing
         self.migrations: list[MigrationPlan] = []  # applied, in order
         self._steps_since_rebalance = 0
-        self._templates: dict[int, GenerationRequest] = {}
-        self._assignment: dict[int, tuple[int, int]] = {}  # gid -> (worker, lid)
+        self._inflight: dict[int, _Inflight] = {}
+        # Reverse index per worker: local id -> global id.
         self._locals: list[dict[int, int]] = [{} for _ in range(n)]
-        self._inflight: set[int] = set()
-        self._delivered: dict[int, int] = {}
-        self._replay_skip: dict[int, int] = {}
         self._stream: list[StreamEvent] = []
         self._failures: list[RequestFailure] = []
         self._outputs: dict[int, GenerationOutput] = {}
@@ -438,18 +457,14 @@ class ExecutorBase:
 
     def worker_of(self, request_id: int) -> int:
         """Worker index a submitted request currently lives on."""
-        return self._assignment[request_id][0]
+        return self._inflight[request_id].worker
 
     def health(self) -> list[WorkerHealth]:
-        counts: dict[int, int] = {}
-        for gid, (worker, _) in self._assignment.items():
-            if gid in self._inflight:
-                counts[worker] = counts.get(worker, 0) + 1
         return [
             WorkerHealth(
                 index=h.index,
                 alive=h.alive,
-                inflight=counts.get(h.index, 0),
+                inflight=len(self._locals[h.index]),
                 exitcode=h.exitcode,
             )
             for h in self._handles
@@ -503,11 +518,8 @@ class ExecutorBase:
         self.placement.commit(placement)
         request.request_id = gid
         self._next_id = gid + 1
-        self._templates[gid] = template
-        self._assignment[gid] = (chosen, lid)
+        self._inflight[gid] = _Inflight(chosen, lid, template)
         self._locals[chosen][lid] = gid
-        self._inflight.add(gid)
-        self._delivered[gid] = 0
         self._drain_recovery()
         return gid
 
@@ -517,15 +529,15 @@ class ExecutorBase:
         Returns False when the id is unknown or already finished (abort
         races against completion; that is not an error).
         """
-        if request_id not in self._inflight:
+        record = self._inflight.get(request_id)
+        if record is None:
             return False
-        worker, lid = self._assignment[request_id]
-        handle = self._handles[worker]
+        handle = self._handles[record.worker]
         try:
             if handle.alive:
-                handle.call("abort", lid)
+                handle.call("abort", record.lid)
         except WorkerDied:
-            self._pending_recovery.append(worker)
+            self._pending_recovery.append(record.worker)
         finally:
             # Forgotten even when the worker's abort raised: no client
             # waits on it any more, so it must not keep the engine busy.
@@ -536,15 +548,11 @@ class ExecutorBase:
     def _release(self, gid: int) -> None:
         """Forget a request that finished, failed or was aborted.
 
-        The one place every per-request map drops its entry; only
-        ``outputs`` keeps finished requests.
+        Drops its record and its reverse-index entry; only ``outputs``
+        keeps finished requests.
         """
-        self._inflight.discard(gid)
-        worker, lid = self._assignment.pop(gid)
-        self._locals[worker].pop(lid, None)
-        self._templates.pop(gid, None)
-        self._delivered.pop(gid, None)
-        self._replay_skip.pop(gid, None)
+        record = self._inflight.pop(gid)
+        self._locals[record.worker].pop(record.lid, None)
 
     @staticmethod
     def _clone(request: GenerationRequest) -> GenerationRequest:
@@ -675,19 +683,18 @@ class ExecutorBase:
                 f"target worker {target} out of range "
                 f"(executor has {self.n_workers})"
             )
-        assignment = self._assignment.get(request_id)
+        record = self._inflight.get(request_id)
         if (
-            assignment is None
-            or assignment[0] == target
+            record is None
+            or record.worker == target
             or not self._handles[target].alive
         ):
             return False
-        template = self._templates[request_id]
         plan = MigrationPlan(
             request_id=request_id,
-            source=assignment[0],
+            source=record.worker,
             target=target,
-            charge=template.prompt_len + template.sampling.max_new_tokens,
+            charge=record.template.peak_tokens,
             reason="manual",
         )
         return bool(self._apply_plans([plan]))
@@ -707,7 +714,6 @@ class ExecutorBase:
                 (gid, charge, done)
                 for lid, charge, done in rows
                 if (gid := lids.get(lid)) is not None
-                and gid in self._inflight
             ]
         self._drain_recovery()
         return loads, migratable
@@ -726,13 +732,12 @@ class ExecutorBase:
         applied: list[MigrationPlan] = []
         for plan in plans:
             gid = plan.request_id
-            assignment = self._assignment.get(gid)
-            if assignment is None or assignment[0] != plan.source:
+            record = self._inflight.get(gid)
+            if record is None or record.worker != plan.source:
                 continue  # finished, aborted or already moved
-            old_lid = assignment[1]
             try:
                 export = self._handles[plan.source].call(
-                    "export_kv", old_lid
+                    "export_kv", record.lid
                 )
             except WorkerDied:
                 # Chaos kill mid-migration: ordinary failover recovers
@@ -743,8 +748,7 @@ class ExecutorBase:
                 continue
             if export is None:
                 continue  # finished between planning and export
-            self._locals[plan.source].pop(old_lid, None)
-            placed = False
+            self._locals[plan.source].pop(record.lid, None)
             candidates = [plan.target] + [
                 i
                 for i in range(self.n_workers)
@@ -758,18 +762,13 @@ class ExecutorBase:
                 except WorkerDied:
                     self._pending_recovery.append(target)
                     continue
-                self._assignment[gid] = (target, new_lid)
+                record.worker, record.lid = target, new_lid
                 self._locals[target][new_lid] = gid
-                done = (
-                    plan
-                    if target == plan.target
-                    else replace(plan, target=target)
-                )
+                done = replace(plan, target=target)
                 self.migrations.append(done)
                 applied.append(done)
-                placed = True
                 break
-            if not placed:
+            else:
                 # Every adoption attempt failed: fall back to a fresh
                 # deterministic replay on whatever is still alive.
                 self._resubmit(gid)
@@ -783,21 +782,20 @@ class ExecutorBase:
         lids = self._locals[index]
         for event in result.stream_events:
             gid = lids.get(event.request_id)
-            if gid is None or gid not in self._inflight:
+            if gid is None:
                 continue  # aborted or unknown: drop silently
-            if event.error is not None:
-                # Terminal error event: not a token — never counts toward
-                # delivered/replay accounting (a resubmitted request that
-                # expires again must still surface exactly one of these).
-                self._stream.append(replace(event, request_id=gid))
-                continue
-            if self._replay_skip.get(gid, 0) > 0:
-                # Replayed prefix of a resubmitted request: the client
-                # already holds these tokens (deterministic replay), so
-                # suppress them by count for exactly-once delivery.
-                self._replay_skip[gid] -= 1
-                continue
-            self._delivered[gid] = self._delivered.get(gid, 0) + 1
+            # A terminal error event is not a token: it never counts
+            # toward delivered/replay accounting (a resubmitted request
+            # that expires again must still surface exactly one of these).
+            if event.error is None:
+                record = self._inflight[gid]
+                if record.replay_skip > 0:
+                    # Replayed prefix of a resubmitted request: the client
+                    # already holds these tokens (deterministic replay),
+                    # so suppress them by count for exactly-once delivery.
+                    record.replay_skip -= 1
+                    continue
+                record.delivered += 1
             self._stream.append(replace(event, request_id=gid))
         for event in result.preemption_events:
             gid = lids.get(event.request_id)
@@ -810,7 +808,7 @@ class ExecutorBase:
             )
         for failure in result.failures:
             gid = lids.get(failure.request_id)
-            if gid is None or gid not in self._inflight:
+            if gid is None:
                 continue  # aborted or already terminal: drop silently
             # A failed request leaves the in-flight set immediately, so a
             # later death of any worker can never resubmit it — exactly
@@ -820,7 +818,7 @@ class ExecutorBase:
         finished: list[GenerationOutput] = []
         for output in result.finished:
             gid = lids.get(output.request_id)
-            if gid is None or gid not in self._inflight:
+            if gid is None:
                 continue
             output.request_id = gid
             self._outputs[gid] = output
@@ -865,7 +863,7 @@ class ExecutorBase:
           longer but beats throughout — it must *survive* the watchdog;
         - ``"pipe_drop"``: the next ``drops`` sends to a multiprocess
           worker fail transiently (retry-with-backoff must absorb drops
-          up to ``pipe_retries``); a no-op for in-process workers, which
+          up to ``_PIPE_RETRIES``); a no-op for in-process workers, which
           have no pipe.
         """
         handle = self._handles[index]
@@ -887,11 +885,7 @@ class ExecutorBase:
     def _on_worker_death(self, index: int) -> list[int]:
         """Quarantine a worker and resubmit its in-flight requests."""
         self._handles[index].kill()
-        orphans = sorted(
-            gid
-            for gid, (worker, _) in self._assignment.items()
-            if worker == index and gid in self._inflight
-        )
+        orphans = sorted(self._locals[index].values())
         self._locals[index].clear()
         for gid in orphans:
             self._resubmit(gid)
@@ -899,7 +893,8 @@ class ExecutorBase:
 
     def _resubmit(self, gid: int) -> None:
         """Re-place one orphaned request on a survivor (fresh replay)."""
-        template = self._templates[gid]
+        record = self._inflight[gid]
+        template = record.template
         while True:
             if self.n_alive == 0:
                 raise EngineUnavailableError(
@@ -916,9 +911,9 @@ class ExecutorBase:
                 break
             except WorkerDied:
                 self._pending_recovery.append(chosen)
-        self._assignment[gid] = (chosen, lid)
+        record.worker, record.lid = chosen, lid
         self._locals[chosen][lid] = gid
-        self._replay_skip[gid] = self._delivered.get(gid, 0)
+        record.replay_skip = record.delivered
         self.resubmissions.append((gid, chosen))
 
     # ---- merged views ----------------------------------------------------------
@@ -1020,8 +1015,6 @@ class MultiprocExecutor(ExecutorBase):
                 self.cluster.pace_s_per_token,
                 self.cluster.heartbeat_s,
                 ctx,
-                pipe_retries=self.cluster.pipe_retries,
-                pipe_retry_backoff_s=self.cluster.pipe_retry_backoff_s,
             )
             for i in range(self.cluster.n_replicas)
         ]

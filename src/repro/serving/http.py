@@ -414,6 +414,10 @@ class HttpServer:
         self.tokenizer = tokenizer
         self.model_name = model_name
         self._server: asyncio.AbstractServer | None = None
+        # Handlers still reading their request: stop() cancels these, so
+        # an idle client cannot hold a drain open (from Python 3.12 on,
+        # ``wait_closed`` waits for every connection).
+        self._reading: set[asyncio.Task] = set()
 
     async def start(self, host: str, port: int) -> asyncio.AbstractServer:
         await self.engine.start()
@@ -428,16 +432,24 @@ class HttpServer:
         return [s.getsockname()[:2] for s in self._server.sockets]
 
     async def stop(self) -> None:
+        """Stop accepting; requests already read still run to the end."""
         if self._server is not None:
             self._server.close()
+            for task in self._reading:
+                task.cancel()
             await self._server.wait_closed()
             self._server = None
 
     # ---- connection handling -------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
+        reading = asyncio.current_task()
+        self._reading.add(reading)
         try:
+            if self._server is not None and not self._server.is_serving():
+                return  # accepted just before stop(): never read
             parsed = await self._read_request(reader)
+            self._reading.discard(reading)
             if parsed is None:
                 return
             method, path, headers, body = parsed
@@ -447,14 +459,22 @@ class HttpServer:
                                   headers=err.headers)
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             pass
+        except asyncio.CancelledError:
+            # stop() before a full request arrived: nothing to answer.
+            # Not re-raised: asyncio's connection callback reads
+            # task.exception(), which raises (and logs) on a cancelled task.
+            pass
         except Exception as err:  # last-ditch 500; never kill the acceptor
+            internal = _HttpError(
+                500, f"internal error: {err}", "internal_error",
+                error_type="server_error",
+            )
             try:
-                await self._send_json(
-                    writer, 500, _HttpError.from_exception(err).body()
-                )
+                await self._send_json(writer, 500, internal.body())
             except (ConnectionResetError, BrokenPipeError):
                 pass
         finally:
+            self._reading.discard(reading)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -462,7 +482,7 @@ class HttpServer:
                 pass
 
     async def _read_request(self, reader):
-        request_line = await reader.readline()
+        request_line = await _read_line(reader)
         if not request_line:
             return None
         parts = request_line.decode("latin-1").strip().split()
@@ -472,7 +492,7 @@ class HttpServer:
         headers: dict[str, str] = {}
         total = len(request_line)
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
             total += len(line)
             if total > _MAX_HEADER_BYTES:
                 raise _HttpError(431, "headers too large", "headers_too_large")
@@ -734,6 +754,14 @@ class HttpServer:
             "\r\n".encode("latin-1") + payload
         )
         await writer.drain()
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line; past the stream limit it is a 431."""
+    try:
+        return await reader.readline()
+    except ValueError:  # asyncio's limit overrun: the line exceeds 64 KiB
+        raise _HttpError(431, "headers too large", "headers_too_large")
 
 
 def _sse(obj: dict) -> bytes:

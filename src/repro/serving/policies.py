@@ -295,7 +295,7 @@ class AdmissibleRequest(Protocol):
     """What an admission controller may inspect about the candidate request."""
 
     @property
-    def prompt_len(self) -> int: ...
+    def peak_tokens(self) -> int: ...  # prompt + max_new_tokens
 
     @property
     def sampling(self): ...  # SamplingParams: max_new_tokens, deadlines
@@ -386,17 +386,14 @@ class TokenBacklogAdmission(AdmissionController):
             )
         self.max_backlog_tokens = max_backlog_tokens
 
-    def _cost(self, request: AdmissibleRequest) -> int:
-        return request.prompt_len + request.sampling.max_new_tokens
-
     def should_admit(
         self, request: AdmissibleRequest, view: AdmissionView
     ) -> str | None:
-        total = view.reserved_tokens + self._cost(request)
+        total = view.reserved_tokens + request.peak_tokens
         if total > self.max_backlog_tokens:
             return (
                 f"token backlog full ({view.reserved_tokens} reserved + "
-                f"{self._cost(request)} requested > "
+                f"{request.peak_tokens} requested > "
                 f"max_backlog_tokens={self.max_backlog_tokens})"
             )
         return None

@@ -19,8 +19,9 @@ with the memory discipline of a production engine:
   from the prompt on resume (``preempt_mode="recompute"``). Both modes
   resume bit-identically for every policy: each policy's state is a
   function of the tokens it has seen;
-- prompt prefill is **chunked**: an admitted session enters a
-  ``PREFILLING`` state and its prompt lands chunk by chunk, each chunk
+- prompt prefill is **chunked**: an admitted session joins the active
+  set before its prompt is in (``prefill_done`` is False until the last
+  chunk lands) and its prompt lands chunk by chunk, each chunk
   claiming and prefix-publishing the pool blocks it fills (a later
   request can hit blocks of a still-prefilling peer). A token's KV
   depends only on its predecessors — the same argument behind the prefix
@@ -33,6 +34,11 @@ with the memory discipline of a production engine:
   and mid-prefill preemption resumes at the correct chunk in both
   preempt modes. A recompute-resume rebuilds its cache through the same
   chunk path and then replays its generated tokens as forced decodes;
+- every session leaves its queue through one exit (``_detach``: abort,
+  export, deadline expiry, preemption, finish) that frees its blocks,
+  and every request is charged the same KV footprint,
+  :attr:`~repro.api.request.GenerationRequest.peak_tokens`, by
+  admission, load reporting and migration;
 - ``step`` admits, ensures capacity, then runs **one decode step for every
   ready session** — continuous batching at step granularity — and emits
   per-token :class:`StreamEvent`s drainable via :meth:`pop_stream_events`.
@@ -200,11 +206,10 @@ class SessionExport:
 
 
 class _SessionState:
-    FRESH = "fresh"  # never prefilled
-    PREFILLING = "prefilling"  # active, prompt streaming in chunk by chunk
-    READY = "ready"  # active (or finished)
-    SWAPPED = "swapped"  # preempted, cache stashed host-side
-    RECOMPUTE = "recompute"  # preempted, cache dropped; replay on resume
+    FRESH = "fresh"  # waiting, never prefilled
+    ACTIVE = "active"  # in the active set; prefill_done says if it decodes
+    SWAPPED = "swapped"  # waiting, cache stashed host-side
+    RECOMPUTE = "recompute"  # waiting, cache dropped; replay on resume
 
 
 @dataclass(eq=False)  # identity semantics: sessions live in queues/lists
@@ -222,7 +227,6 @@ class _Session:
     first_token_s: float | None = None
     pending: int | None = None  # next token to decode
     prefill_token: int | None = None  # step-0 token from full-prompt prefill
-    steps_taken: int = 0
     finish_reason: str = ""
     offload_events: list[OffloadEvent] = field(default_factory=list)
     state: str = _SessionState.FRESH
@@ -232,12 +236,10 @@ class _Session:
     prefix_reused_tokens: int = 0
     # ---- chunked-prefill cursor ----
     # prefill_pos counts prefill-input tokens whose KV is in the cache
-    # (prefix-cache reuse included); prefill_started flips at the first
-    # chunk (policy reset + prefix acquisition happen there); replaying
-    # marks a recompute-resume that must not touch the sampler, the
-    # prefix cache or the prefill-block stats.
+    # (prefix-cache reuse included; every chunk computes at least one);
+    # replaying marks a recompute-resume that must not touch the sampler,
+    # the prefix cache or the prefill-block stats.
     prefill_pos: int = 0
-    prefill_started: bool = False
     prefill_done: bool = False
     published_blocks: int = 0  # full prompt blocks already prefix-published
     replaying: bool = False
@@ -258,6 +260,16 @@ class _Session:
     @property
     def prompt_len(self) -> int:
         return self.request.prompt_len
+
+    @property
+    def steps_taken(self) -> int:
+        """Tokens generated so far (replays keep them)."""
+        return len(self.result.token_ids)
+
+    @property
+    def prefill_started(self) -> bool:
+        """Whether the first chunk ran (policy reset, prefix acquired)."""
+        return self.prefill_pos > 0
 
     @property
     def current_len(self) -> int:
@@ -417,24 +429,17 @@ class SpeContextServer:
                 f"prompt id {int(prompt_ids[outside][0])} is outside the "
                 f"model's vocabulary [0, {vocab})"
             )
-        peak_tokens = request.prompt_len + request.sampling.max_new_tokens
-        if peak_tokens > self.model.config.max_position:
+        if request.peak_tokens > self.model.config.max_position:
             # Without this check the request is admitted and decodes past
             # the cached RoPE table instead of failing at submission.
             raise PromptTooLongError(
-                f"request needs up to {peak_tokens} positions (prompt "
-                f"{request.prompt_len} + max_new_tokens "
+                f"request needs up to {request.peak_tokens} positions "
+                f"(prompt {request.prompt_len} + max_new_tokens "
                 f"{request.sampling.max_new_tokens}) but the model's "
                 f"max_position is {self.model.config.max_position}; shrink "
                 "the prompt or max_new_tokens"
             )
-        peak_blocks = self.pool.blocks_for_tokens(peak_tokens)
-        if peak_blocks > self.pool.capacity:
-            raise PromptTooLongError(
-                f"request needs up to {peak_blocks} KV blocks but the pool "
-                f"holds {self.pool.capacity}; raise pool_blocks or shrink "
-                "the request"
-            )
+        self._check_fits_pool(request)
         reason = self.admission.should_admit(request, self)
         if reason is not None:
             # Shed before policy/RNG resolution: the request object stays
@@ -464,6 +469,16 @@ class SpeContextServer:
         )
         self._waiting.append(session)
         return request.request_id
+
+    def _check_fits_pool(self, request: GenerationRequest) -> None:
+        """Reject a request this pool could never hold at its peak."""
+        peak_blocks = self.pool.blocks_for_tokens(request.peak_tokens)
+        if peak_blocks > self.pool.capacity:
+            raise PromptTooLongError(
+                f"request needs up to {peak_blocks} KV blocks but the pool "
+                f"holds {self.pool.capacity}; raise pool_blocks or shrink "
+                "the request"
+            )
 
     def _resolve_policy(
         self, request: GenerationRequest, budget: int
@@ -516,13 +531,40 @@ class SpeContextServer:
         Returns False when the id is unknown or already finished — abort
         races against completion, so that is not an error.
         """
-        for queue in (self._waiting, self._active):
-            for session in list(queue):
-                if session.request_id == request_id:
-                    queue.remove(session)
-                    self.pool.free_table(session.block_table)
-                    return True
-        return False
+        session = self._find(request_id)
+        if session is None:
+            return False
+        self._detach(session)
+        return True
+
+    def _find(self, request_id: int) -> _Session | None:
+        """The unfinished session answering to ``request_id``, if any."""
+        for session in (*self._waiting, *self._active):
+            if session.request_id == request_id:
+                return session
+        return None
+
+    def _detach(self, session: _Session) -> None:
+        """Take a session out of its queue and free its pool blocks.
+
+        Abort, export, deadline expiry, preemption and finish all leave
+        through here (admission only moves a session between queues).
+        """
+        if session.state == _SessionState.ACTIVE:
+            self._active.remove(session)
+        else:
+            self._waiting.remove(session)
+        self.pool.free_table(session.block_table)
+
+    def _stash(self, session: _Session) -> None:
+        """Keep a detached active session's cache host-side for resume.
+
+        The :class:`~repro.kvcache.cache.ModelKVCache` object *is* the
+        stash, so the resumed stream cannot diverge for any policy; the
+        d2h leg is charged now, the h2d leg at resume.
+        """
+        session.state = _SessionState.SWAPPED
+        session.swap_bytes += session.cache.nbytes()
 
     # ---- live migration --------------------------------------------------------
 
@@ -543,36 +585,27 @@ class SpeContextServer:
         rebalance pass races against completion, so that is not an error.
         Must be called between steps, never mid-wave.
         """
-        for queue in (self._waiting, self._active):
-            for session in list(queue):
-                if session.request_id != request_id:
-                    continue
-                chain: BlockChainExport | None = None
-                if (
-                    self.config.enable_prefix_cache
-                    and session.published_blocks > 0
-                    and len(session.block_table) > 0
-                ):
-                    chain = self.pool.export_chain(
-                        session.request.prompt_ids,
-                        session.block_table,
-                        session.published_blocks,
-                    )
-                    if chain.n_blocks == 0:
-                        chain = None
-                queue.remove(session)
-                self.pool.free_table(session.block_table)
-                if session.state in (
-                    _SessionState.READY, _SessionState.PREFILLING
-                ):
-                    # Same exactness argument as swap preemption: the
-                    # ModelKVCache object *is* the stash, so the resumed
-                    # stream cannot diverge for any policy.
-                    session.state = _SessionState.SWAPPED
-                    session.swap_bytes += session.cache.nbytes()
-                self.migrated_out += 1
-                return SessionExport(session=session, chain=chain)
-        return None
+        session = self._find(request_id)
+        if session is None:
+            return None
+        chain: BlockChainExport | None = None
+        if (
+            self.config.enable_prefix_cache
+            and session.published_blocks > 0
+            and len(session.block_table) > 0
+        ):
+            chain = self.pool.export_chain(
+                session.request.prompt_ids,
+                session.block_table,
+                session.published_blocks,
+            )
+            if chain.n_blocks == 0:
+                chain = None
+        self._detach(session)
+        if session.state == _SessionState.ACTIVE:
+            self._stash(session)
+        self.migrated_out += 1
+        return SessionExport(session=session, chain=chain)
 
     def import_session(
         self, export: SessionExport, *, new_request_id: int | None = None
@@ -602,19 +635,11 @@ class SpeContextServer:
         if request.request_id is None:
             raise ValueError("exported session lacks a request_id")
         rid = request.request_id
-        for peer in (*self._waiting, *self._active):
-            if peer.request_id == rid:
-                raise ValueError(
-                    f"request_id {rid} is already in flight on this replica"
-                )
-        peak_blocks = self.pool.blocks_for_tokens(
-            request.prompt_len + request.sampling.max_new_tokens
-        )
-        if peak_blocks > self.pool.capacity:
-            raise PromptTooLongError(
-                f"migrated request needs up to {peak_blocks} KV blocks but "
-                f"this pool holds {self.pool.capacity}"
+        if self._find(rid) is not None:
+            raise ValueError(
+                f"request_id {rid} is already in flight on this replica"
             )
+        self._check_fits_pool(request)
         if export.chain is not None:
             self.pool.import_chain(export.chain)
         self._next_id = max(self._next_id, rid + 1)
@@ -627,16 +652,12 @@ class SpeContextServer:
 
         Returns ``(request_id, reserved_charge, prefill_done)`` per
         unfinished session, in queue order (waiting first) — the charge is
-        the same ``prompt + max_new_tokens`` commitment
-        :attr:`reserved_tokens` sums, so a planner can predict exactly how
-        much load an export would move.
+        the same ``peak_tokens`` commitment :attr:`reserved_tokens` sums,
+        so a planner can predict exactly how much load an export would
+        move.
         """
         return [
-            (
-                s.request_id,
-                s.prompt_len + s.sampling.max_new_tokens,
-                s.prefill_done,
-            )
+            (s.request_id, s.request.peak_tokens, s.prefill_done)
             for s in (*self._waiting, *self._active)
         ]
 
@@ -690,14 +711,13 @@ class SpeContextServer:
     def reserved_tokens(self) -> int:
         """Outstanding admission charge: peak KV tokens of unfinished work.
 
-        Every unfinished session (waiting or active) is charged its full
-        ``prompt + max_new_tokens`` — the commitment :meth:`_can_admit`
+        Every unfinished session (waiting or active) is charged its
+        request's ``peak_tokens`` — the commitment :meth:`_can_admit`
         holds capacity against, not the current partial footprint. The
         executor's least-loaded router reads this as the replica's load.
         """
         return sum(
-            s.prompt_len + s.sampling.max_new_tokens
-            for s in (*self._waiting, *self._active)
+            s.request.peak_tokens for s in (*self._waiting, *self._active)
         )
 
     def audit_pool(self) -> None:
@@ -762,7 +782,7 @@ class SpeContextServer:
 
         With ``prefill_chunk_tokens`` unset (the default), each admitted
         prompt prefills as one chunk, inline at admission. With it set,
-        admitted sessions stay ``PREFILLING`` and the step spends a token
+        admitted sessions stay mid-prefill and the step spends a token
         budget on prefill chunks *alongside* the decode wave, so long
         prompts stream in over several steps while decodes keep ticking
         (no head-of-line blocking). The chunk size never changes tokens:
@@ -804,7 +824,7 @@ class SpeContextServer:
         for session in list(self._active):
             if session not in self._active:
                 continue  # preempted this step to make room for a peer
-            if session.state != _SessionState.READY:
+            if not session.prefill_done:
                 continue  # still prefilling; no token to decode yet
             needed = self.pool.blocks_for_tokens(session.current_len + 1) - len(
                 session.block_table
@@ -814,7 +834,8 @@ class SpeContextServer:
             ):
                 finished.extend(self._flush_wave(wave))
                 wave = []
-            self._ensure_decode_capacity(session)
+            # Reserve the block the about-to-be-generated token occupies.
+            self._extend_blocks(session, session.current_len + 1)
             wave.append(session)
         finished.extend(self._flush_wave(wave))
         return finished
@@ -836,73 +857,62 @@ class SpeContextServer:
             if not (s.steps_taken == 0 and s.prefill_token is not None)
         ]
         committed: dict[int, list[int]] = {}
-        specs: dict[int, tuple[list[int], list[int]]] = {}
-        if forward and self._draft is not None:
-            # Draft + reserve after the whole wave has its decode blocks,
-            # so speculation never changes which sessions the wave rule
-            # admitted or the eviction/preemption decisions made above.
-            specs = self._spec_propose_batch(
-                [s for s in forward if self._spec_eligible(s)]
-            )
-        if forward and not specs:
-            for session in forward:
-                session.policy.pre_step(
-                    session.steps_taken, int(session.pending), session.cache
+        if forward:
+            specs: dict[int, tuple[list[int], list[int]]] = {}
+            if self._draft is not None:
+                # Draft + reserve after the whole wave has its decode
+                # blocks, so speculation never changes which sessions the
+                # wave rule admitted or the eviction/preemption decisions
+                # made above.
+                specs = self._spec_propose_batch(
+                    [s for s in forward if self._spec_eligible(s)]
                 )
-            logits, selections = self.model.decode_step_batch(
-                [int(s.pending) for s in forward],
-                [s.cache for s in forward],
-                [s.policy for s in forward],
-            )
-            for row, session in enumerate(forward):
-                session.result.selections.append(selections[row])
-                committed[id(session)] = [self._sample(session, logits[row])]
-        elif forward:
             seqs: list[list[int]] = []
             for session in forward:
-                drafts = specs.get(id(session), ([], []))[0]
-                seq = [int(session.pending)] + drafts
-                seqs.append(seq)
-                policy = session.policy
+                seq = [int(session.pending)]
                 if id(session) in specs:
-                    policy.spec_begin()
-                    for t, token in enumerate(seq):
-                        policy.pre_step(
-                            session.steps_taken + t, int(token), session.cache
-                        )
-                else:
-                    policy.pre_step(
-                        session.steps_taken, int(session.pending), session.cache
+                    seq += specs[id(session)][0]
+                    session.policy.spec_begin()
+                for t, token in enumerate(seq):
+                    session.policy.pre_step(
+                        session.steps_taken + t, int(token), session.cache
                     )
-            logits_list, selections_list = self.model.decode_spec_batch(
-                seqs, [s.cache for s in forward], [s.policy for s in forward]
-            )
+                seqs.append(seq)
+            caches = [s.cache for s in forward]
+            policies = [s.policy for s in forward]
+            if specs:
+                logits, selections = self.model.decode_spec_batch(
+                    seqs, caches, policies
+                )
+            else:
+                # No session speculates: the one-row-per-session kernel.
+                flat_logits, flat_selections = self.model.decode_step_batch(
+                    [seq[0] for seq in seqs], caches, policies
+                )
+                logits = flat_logits[:, None]
+                selections = [[selection] for selection in flat_selections]
             for row, session in enumerate(forward):
                 if id(session) in specs:
-                    reserved = specs[id(session)][1]
                     committed[id(session)] = self._spec_finalize(
                         session,
                         seqs[row],
-                        logits_list[row],
-                        selections_list[row],
-                        reserved,
+                        logits[row],
+                        selections[row],
+                        specs[id(session)][1],
                     )
                 else:
-                    session.result.selections.append(selections_list[row][0])
+                    session.result.selections.append(selections[row][0])
                     committed[id(session)] = [
-                        self._sample(session, logits_list[row][0])
+                        self._sample(session, logits[row][0])
                     ]
 
         finished: list[GenerationOutput] = []
         for session in wave:
-            tokens = committed.get(id(session))
-            if tokens is None:
-                tokens = [int(session.prefill_token)]
+            tokens = committed.get(id(session), [session.prefill_token])
             for token in tokens:
                 self._commit_token(session, int(token))
             if session.done:
-                self._active.remove(session)
-                self.pool.free_table(session.block_table)
+                self._detach(session)
                 finished.append(self._finish(session))
         return finished
 
@@ -915,8 +925,10 @@ class SpeContextServer:
 
     # ---- deadlines -------------------------------------------------------------
 
-    def _deadline_blown(self, session: _Session) -> str | None:
-        """Which deadline (if any) the session can no longer meet.
+    def _deadline_blown(
+        self, session: _Session
+    ) -> tuple[str, float] | None:
+        """Which deadline (kind, seconds) the session can no longer meet.
 
         Checked against the *earliest* clock any token produced this step
         can land at (``clock + 1``): a session is expired only once even
@@ -926,17 +938,13 @@ class SpeContextServer:
         same steps.
         """
         sampling = session.sampling
-        earliest = self._clock + 1.0
+        waited = self._clock + 1.0 - session.arrival_s
         ttft = sampling.ttft_deadline_s
-        if (
-            ttft is not None
-            and session.first_token_s is None
-            and earliest - session.arrival_s > ttft
-        ):
-            return "ttft"
+        if ttft is not None and session.first_token_s is None and waited > ttft:
+            return "ttft", ttft
         total = sampling.total_deadline_s
-        if total is not None and earliest - session.arrival_s > total:
-            return "total"
+        if total is not None and waited > total:
+            return "total", total
         return None
 
     def _expire_deadlines(self) -> None:
@@ -949,28 +957,22 @@ class SpeContextServer:
         :class:`RequestFailure` (408 for a blown TTFT deadline, 504 for a
         blown total deadline).
         """
-        for queue in (self._waiting, self._active):
-            for session in list(queue):
-                kind = self._deadline_blown(session)
-                if kind is None:
-                    continue
-                queue.remove(session)
-                self.pool.free_table(session.block_table)
-                deadline = (
-                    session.sampling.ttft_deadline_s
-                    if kind == "ttft"
-                    else session.sampling.total_deadline_s
-                )
-                self._fail_session(
-                    session,
-                    DeadlineExceededError(
-                        f"request {session.request_id} missed its {kind} "
-                        f"deadline ({deadline:g} on the step clock; arrived "
-                        f"at {session.arrival_s:g}, cancelled at "
-                        f"{self._clock:g})",
-                        kind=kind,
-                    ),
-                )
+        for session in (*self._waiting, *self._active):
+            blown = self._deadline_blown(session)
+            if blown is None:
+                continue
+            kind, deadline = blown
+            self._detach(session)
+            self._fail_session(
+                session,
+                DeadlineExceededError(
+                    f"request {session.request_id} missed its {kind} "
+                    f"deadline ({deadline:g} on the step clock; arrived "
+                    f"at {session.arrival_s:g}, cancelled at "
+                    f"{self._clock:g})",
+                    kind=kind,
+                ),
+            )
 
     def _fail_session(
         self, session: _Session, error: DeadlineExceededError
@@ -1018,8 +1020,8 @@ class SpeContextServer:
         """Memory-pressure admission: manager thresholds + pool headroom.
 
         The projected aggregate charges the candidate's full generation
-        budget (its KV grows to ``prompt + max_new_tokens`` if it runs to
-        length), and the pool must be able to produce the candidate's
+        budget (its KV grows to ``peak_tokens`` if it runs to length),
+        and the pool must be able to produce the candidate's
         prompt blocks from free or cache-evictable blocks without
         preempting an active session. Still-prefilling sessions are
         charged their whole prompt — including the blocks their remaining
@@ -1028,8 +1030,7 @@ class SpeContextServer:
         """
         projected = (
             sum(s.projected_len for s in self._active)
-            + session.prompt_len
-            + session.sampling.max_new_tokens
+            + session.request.peak_tokens
         )
         if not self.manager.admits(projected):
             return False
@@ -1046,35 +1047,29 @@ class SpeContextServer:
         return self.pool.can_allocate(needed + reserved)
 
     def _activate(self, session: _Session) -> None:
-        if session.state == _SessionState.SWAPPED:
-            # Cache restored from the host stash as-is; charge the h2d
-            # leg and re-claim blocks for the KV it holds. A session
-            # preempted mid-prefill holds prefill_pos tokens and keeps
-            # chunking from there.
+        swapped = session.state == _SessionState.SWAPPED
+        if swapped:
+            # Cache restored from the host stash as-is: charge the h2d leg.
             session.swap_bytes += session.cache.nbytes()
-            session.state = (
-                _SessionState.READY
-                if session.prefill_done
-                else _SessionState.PREFILLING
-            )
-            self._active.append(session)
-            self._extend_blocks(session, session.current_len)
-            self._advance_memory(session)
-            return
-        if session.state == _SessionState.FRESH:
+        elif session.state == _SessionState.FRESH:
             session.start_s = self._clock
         else:
             # A recompute-resume rebuilds through the same chunk path as
             # a fresh prompt — it is the same head-of-line hazard.
             self._begin_rebuild(session)
-        # The session joins the active set with an empty cache and a
-        # chunk cursor at zero; the budgeted prefill phase streams its
-        # prompt in. Unchunked, the one chunk covering the whole prompt
-        # runs right here, so the next admission decision already sees
-        # its blocks and published prefix.
-        session.state = _SessionState.PREFILLING
+        session.state = _SessionState.ACTIVE
         self._active.append(session)
-        if self.config.prefill_chunk_tokens is None:
+        if swapped:
+            # Re-claim blocks for the KV the stash holds. A session
+            # preempted mid-prefill holds prefill_pos tokens and keeps
+            # chunking from there.
+            self._extend_blocks(session, session.current_len)
+            self._advance_memory(session)
+        elif self.config.prefill_chunk_tokens is None:
+            # Empty cache, chunk cursor at zero: the budgeted prefill
+            # phase streams the prompt in. Unchunked, the one chunk
+            # covering the whole prompt runs right here, so the next
+            # admission decision already sees its blocks and prefix.
             self._prefill_chunk(session, session.prompt_len)
 
     # ---- pool bookkeeping ------------------------------------------------------
@@ -1100,10 +1095,6 @@ class SpeContextServer:
             except PoolExhausted:
                 self._preempt_for(session)
 
-    def _ensure_decode_capacity(self, session: _Session) -> None:
-        """Reserve the block the about-to-be-generated token will occupy."""
-        self._extend_blocks(session, session.current_len + 1)
-
     def _preempt_for(self, session: _Session) -> None:
         candidates = [s for s in self._active if s is not session]
         if not candidates:
@@ -1117,15 +1108,10 @@ class SpeContextServer:
 
     def _preempt(self, victim: _Session) -> None:
         """Evict one active session: free its blocks, requeue it."""
-        self._active.remove(victim)
         blocks_freed = len(victim.block_table)
-        self.pool.free_table(victim.block_table)
-        kv_bytes = victim.cache.nbytes()
+        self._detach(victim)
         if self.config.preempt_mode == "swap":
-            # The ModelKVCache object *is* the host stash; the d2h leg is
-            # charged now, the h2d leg at resume.
-            victim.state = _SessionState.SWAPPED
-            victim.swap_bytes += kv_bytes
+            self._stash(victim)
         else:
             victim.state = _SessionState.RECOMPUTE
         victim.preemptions += 1
@@ -1136,7 +1122,7 @@ class SpeContextServer:
                 clock=self._clock,
                 mode=self.config.preempt_mode,
                 blocks_freed=blocks_freed,
-                kv_bytes=kv_bytes,
+                kv_bytes=victim.cache.nbytes(),
             )
         )
 
@@ -1159,18 +1145,13 @@ class SpeContextServer:
         chunk = self.config.prefill_chunk_tokens
         budget = self.config.max_step_tokens
         if budget is not None:
-            budget -= sum(
-                1 for s in self._active if s.state == _SessionState.READY
-            )
+            budget -= sum(1 for s in self._active if s.prefill_done)
         prefilling = sorted(
-            (s for s in self._active if s.state == _SessionState.PREFILLING),
+            (s for s in self._active if not s.prefill_done),
             key=self.scheduler.admission_key,
         )
         for session in prefilling:
-            while (
-                session in self._active
-                and session.state == _SessionState.PREFILLING
-            ):
+            while session in self._active and not session.prefill_done:
                 take = chunk if budget is None else min(chunk, budget)
                 if take <= 0:
                     return  # budget exhausted; decoders run, prefill waits
@@ -1194,7 +1175,6 @@ class SpeContextServer:
         prefill_ids = prompt[:-1] if sparse_first else prompt
         policy = session.policy
         if not session.prefill_started:
-            session.prefill_started = True
             if hasattr(policy, "reset"):
                 policy.reset()
             if not session.replaying:
@@ -1219,27 +1199,19 @@ class SpeContextServer:
     def _publish_chunk_blocks(
         self, session: _Session, prompt: np.ndarray, prefill_len: int
     ) -> None:
-        """Publish prompt blocks completed by the latest chunk."""
-        if not self.config.enable_prefix_cache or session.replaying:
-            return
-        n_full = min(session.prefill_pos, prefill_len) // self.pool.block_size
-        self._write_and_publish_blocks(
-            session, prompt, session.published_blocks, n_full
-        )
-        session.published_blocks = n_full
-
-    def _write_and_publish_blocks(
-        self, session: _Session, prompt: np.ndarray, start: int, n_full: int
-    ) -> None:
-        """Attach payloads for table blocks [start, n_full) and publish.
+        """Attach and publish the prompt blocks the latest chunk completed.
 
         The one place prompt KV is sliced out of the dense cache into
-        pool blocks — one call per chunk, with the publication cursor as
-        ``start``.
+        pool blocks: table blocks from the publication cursor up to the
+        last full prompt block.
         """
-        if n_full <= start:
+        if not self.config.enable_prefix_cache or session.replaying:
             return
         block = self.pool.block_size
+        start = session.published_blocks
+        n_full = min(session.prefill_pos, prefill_len) // block
+        if n_full <= start:
+            return
         for i in range(start, n_full):
             payload = [
                 (
@@ -1252,6 +1224,7 @@ class SpeContextServer:
         self.pool.publish_prefix(
             prompt, session.block_table, n_full, start_block=start
         )
+        session.published_blocks = n_full
 
     def _finish_prefill(
         self,
@@ -1270,7 +1243,6 @@ class SpeContextServer:
             # the request rng stream) must not be consulted twice.
             session.prefill_token = self._sample(session, logits)
         session.prefill_done = True
-        session.state = _SessionState.READY
         if was_replaying:
             self._replay_decodes(session)
             session.replaying = False
@@ -1294,7 +1266,6 @@ class SpeContextServer:
         session.cache = self.model.new_cache()
         session.block_table = BlockTable()
         session.prefill_pos = 0
-        session.prefill_started = False
         session.prefill_done = False
         session.replaying = (
             session.prefill_token is not None or session.steps_taken > 0
@@ -1358,7 +1329,7 @@ class SpeContextServer:
     # ---- speculative decoding --------------------------------------------------
 
     def _spec_eligible(self, session: _Session) -> bool:
-        """Whether a ready session may run a draft-verify step.
+        """Whether a session in the forward pass may draft-verify.
 
         Speculation is restricted to greedy sessions: acceptance is a
         longest-prefix match against argmax, which is only provably
@@ -1367,19 +1338,9 @@ class SpeContextServer:
         tokens must remain so a draft plus its verifier row fit under
         ``max_new_tokens``.
         """
-        if self._draft is None:
-            return False
-        if session.sampling.temperature > 0:
-            return False
-        if session.steps_taken == 0 and session.prefill_token is not None:
-            return False  # step-0 shortcut commits without a forward pass
-        return session.sampling.max_new_tokens - session.steps_taken >= 2
-
-    def _spec_budget(self, session: _Session) -> int:
-        """Draft length cap for one session this step."""
-        return min(
-            self.config.spec_decode_k,
-            session.sampling.max_new_tokens - session.steps_taken - 1,
+        return (
+            session.sampling.temperature <= 0
+            and session.sampling.max_new_tokens - session.steps_taken >= 2
         )
 
     def _spec_stream(self, session: _Session) -> np.ndarray:
@@ -1403,15 +1364,22 @@ class SpeContextServer:
         wave order, so the free stack is consumed exactly as the
         session-at-a-time path would.
         """
-        todo = [s for s in sessions if self._spec_budget(s) >= 1]
-        if not todo:
+        if not sessions:
             return {}
-        budgets = [self._spec_budget(s) for s in todo]
+        # Each draft is capped so it and its verifier row fit under
+        # max_new_tokens (eligibility leaves room for at least one).
+        budgets = [
+            min(
+                self.config.spec_decode_k,
+                s.sampling.max_new_tokens - s.steps_taken - 1,
+            )
+            for s in sessions
+        ]
         drafted = self._draft.draft_batch(
-            [self._spec_stream(s) for s in todo], max(budgets)
+            [self._spec_stream(s) for s in sessions], max(budgets)
         )
         specs: dict[int, tuple[list[int], list[int]]] = {}
-        for session, budget, drafts in zip(todo, budgets, drafted):
+        for session, budget, drafts in zip(sessions, budgets, drafted):
             drafts, reserved = self._spec_reserve(session, drafts[:budget])
             if drafts:
                 specs[id(session)] = (drafts, reserved)
@@ -1496,7 +1464,6 @@ class SpeContextServer:
 
     def _commit_token(self, session: _Session, token: int) -> None:
         """Record one generated token: stats, stop conditions, streaming."""
-        session.steps_taken += 1
         session.result.token_ids.append(token)
         if session.first_token_s is None:
             session.first_token_s = self._clock + 1.0  # emitted at step's end
@@ -1547,18 +1514,18 @@ class SpeContextServer:
         session.offload_events.extend(self.manager.advance(aggregate))
 
     def _finish(self, session: _Session) -> GenerationOutput:
+        bytes_moved, reduction, overlap = self._transfer_stats(session)
         stats = GenerationStats(
             result=session.result,
             budget=session.budget,
+            bytes_transferred=bytes_moved,
+            transfer_reduction=reduction,
+            mean_selection_overlap=overlap,
             offload_events=session.offload_events,
+            preemptions=session.preemptions,
+            swap_bytes=session.swap_bytes,
+            prefix_reused_tokens=session.prefix_reused_tokens,
         )
-        bytes_moved, reduction, overlap = self._transfer_stats(session)
-        stats.bytes_transferred = bytes_moved
-        stats.transfer_reduction = reduction
-        stats.mean_selection_overlap = overlap
-        stats.preemptions = session.preemptions
-        stats.swap_bytes = session.swap_bytes
-        stats.prefix_reused_tokens = session.prefix_reused_tokens
         output = GenerationOutput(
             request_id=session.request_id,
             token_ids=list(session.result.token_ids),

@@ -412,6 +412,39 @@ class TestValidation:
                     await raw_request(port, b"GARBAGE\r\n\r\n")
                 )
                 assert status == 400
+                # One line past asyncio's 64 KiB stream limit, as the
+                # request line and as a header line.
+                long = b"x" * (64 * 1024 + 1)
+                for raw in (
+                    b"GET /" + long + b" HTTP/1.1\r\n\r\n",
+                    b"GET /healthz HTTP/1.1\r\nX-Pad: " + long + b"\r\n\r\n",
+                ):
+                    status, payload = split_response(
+                        await raw_request(port, raw)
+                    )
+                    assert status == 431, payload
+                    error = json.loads(payload)["error"]
+                    assert error["code"] == "headers_too_large"
+        asyncio.run(scenario())
+
+    def test_last_ditch_error_is_a_typed_500(
+        self, tiny_gqa_model, tiny_tokenizer, monkeypatch
+    ):
+        """An exception no handler maps answers 500 with a matching
+        ``server_error`` body, whatever its Python type."""
+        async def broken_route(self, writer, method, path, body):
+            raise ValueError("route bug")
+
+        monkeypatch.setattr(HttpServer, "_route", broken_route)
+
+        async def scenario():
+            async with running_server(
+                tiny_gqa_model, tiny_tokenizer
+            ) as (_, port):
+                status, payload = await request_json(port, "GET", "/healthz")
+                assert status == 500
+                assert payload["error"]["type"] == "server_error"
+                assert payload["error"]["code"] == "internal_error"
         asyncio.run(scenario())
 
 
@@ -570,4 +603,33 @@ class TestLifecycle:
             assert body["choices"][0]["token_ids"] == expected
             await asyncio.wait_for(task, timeout=30)
             assert server.engine.accepting is False
+        asyncio.run(scenario())
+
+    def test_drain_does_not_wait_for_an_idle_connection(
+        self, tiny_gqa_model, tiny_tokenizer
+    ):
+        """A client that connects and never sends must not hold the
+        drain open (``wait_closed`` waits for every connection from
+        Python 3.12 on)."""
+        async def scenario():
+            executor = InProcessExecutor(
+                tiny_gqa_model,
+                engine_config(tiny_tokenizer),
+                ClusterConfig(n_replicas=1, router="round_robin"),
+            )
+            server = HttpServer(AsyncEngine(executor), tiny_tokenizer)
+            stop, ready = asyncio.Event(), asyncio.Event()
+            task = asyncio.create_task(serve_async(
+                server, "127.0.0.1", 0, stop=stop, ready=ready,
+                install_signal_handlers=False,
+            ))
+            await ready.wait()
+            port = server.addresses[0][1]
+            _, idle = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                await asyncio.sleep(0.05)  # the handler is now reading
+                stop.set()
+                await asyncio.wait_for(task, timeout=5)
+            finally:
+                idle.close()
         asyncio.run(scenario())

@@ -355,7 +355,8 @@ class TestSessionRoundTrip:
             gids = [executor.add_request(clone(r)) for r in requests]
             for _ in range(3):
                 executor.step()  # prefilled in two chunks, then decoding
-            source, old_lid = executor._assignment[gids[0]]
+            record = executor._inflight[gids[0]]
+            source, old_lid = record.worker, record.lid
             target = 1 - source
             export = executor._handles[source].call("export_kv", old_lid)
             sent = copy.deepcopy(export.session)

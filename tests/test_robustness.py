@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import dataclasses
 import json
 
 import numpy as np
@@ -44,6 +45,7 @@ from repro.api import (
 )
 from repro.serving import ADMISSIONS, AdmissionController
 from repro.serving.engine import InProcessExecutor, MultiprocExecutor
+from repro.serving.engine.executor import _PIPE_RETRIES
 from repro.serving.http import AsyncEngine, HttpServer
 from repro.serving.server import SpeContextServer
 
@@ -100,15 +102,13 @@ class TestConfigValidation:
             dict(heartbeat_s=0.0),
             dict(heartbeat_s=float("inf")),
             dict(pace_s_per_token=-1.0),
-            dict(pipe_retries=-1),
-            dict(pipe_retry_backoff_s=-0.1),
         ):
             with pytest.raises(ConfigValidationError):
                 ClusterConfig(**bad)
 
     def test_config_validation_error_is_value_error(self):
         with pytest.raises(ValueError):
-            ClusterConfig(pipe_retries=-1)
+            ClusterConfig(n_replicas=0)
 
     def test_sampling_deadline_validation(self):
         with pytest.raises(InvalidSamplingError):
@@ -459,11 +459,7 @@ class TestExecutorFailures:
             finished = [g for g in gids if g not in (gids[4], gids[5])]
             assert [o.request_id for o in outputs] == finished
             assert [o.request_id for o in executor.outputs] == finished
-            assert not executor._inflight
-            assert executor._assignment == {}
-            assert executor._templates == {}
-            assert executor._delivered == {}
-            assert executor._replay_skip == {}
+            assert executor._inflight == {}
             assert executor._locals == [{}, {}]
 
     def test_failed_request_never_resubmitted_after_kill(
@@ -550,14 +546,11 @@ class TestWatchdogAndPipe:
         executor = MultiprocExecutor(
             tiny_gqa_model,
             engine_config(tiny_tokenizer),
-            ClusterConfig(
-                n_replicas=1, router="round_robin", pipe_retries=2,
-                pipe_retry_backoff_s=0.01,
-            ),
+            ClusterConfig(n_replicas=1, router="round_robin"),
         )
         try:
             executor.add_request(filler_request(tiny_tokenizer, seed=1))
-            executor.inject_fault(0, "pipe_drop", drops=2)
+            executor.inject_fault(0, "pipe_drop", drops=_PIPE_RETRIES)
             outputs = executor.run()
             assert len(outputs) == 1
             assert executor.n_alive == 1
@@ -570,15 +563,12 @@ class TestWatchdogAndPipe:
         executor = MultiprocExecutor(
             tiny_gqa_model,
             engine_config(tiny_tokenizer),
-            ClusterConfig(
-                n_replicas=2, router="round_robin", pipe_retries=1,
-                pipe_retry_backoff_s=0.01,
-            ),
+            ClusterConfig(n_replicas=2, router="round_robin"),
         )
         try:
             gid = executor.add_request(filler_request(tiny_tokenizer, seed=1))
             executor.inject_fault(
-                executor.worker_of(gid), "pipe_drop", drops=5
+                executor.worker_of(gid), "pipe_drop", drops=_PIPE_RETRIES + 1
             )
             outputs = executor.run()
             assert [o.request_id for o in outputs] == [gid]
@@ -651,6 +641,124 @@ class TestAbortRelease:
             assert [o.request_id for o in outputs] == [keep]
         finally:
             executor.shutdown()
+
+
+# ---- session exits from every queue position ---------------------------------
+
+POSITIONS = ("fresh", "mid_prefill", "ready", "swapped", "recompute")
+EXITS = ("abort", "expire", "export")
+
+
+def positioned_server(model, tokenizer, position):
+    """A server whose target session sits at ``position``, beside a
+    long-running companion that keeps the pool shared throughout."""
+    config = engine_config(
+        tokenizer, prefill_chunk_tokens=4, block_size=4,
+        preempt_mode="recompute" if position == "recompute" else "swap",
+    )
+    server = SpeContextServer(model, config)
+    server.add_request(filler_request(tokenizer, seed=40, max_new=40))
+    server.step()
+    target = filler_request(tokenizer, seed=41, n=30, max_new=12)
+    rid = server.add_request(target)
+    if position != "fresh":
+        server.step()  # admitted; the first chunk lands
+    if position in ("ready", "swapped", "recompute"):
+        session = server._find(rid)
+        while not session.steps_taken:
+            server.step()
+    session = server._find(rid)
+    if position in ("swapped", "recompute"):
+        # The transition pool pressure takes: free, requeue as a victim.
+        server._preempt(session)
+    expected_state = {
+        "fresh": "fresh",
+        "mid_prefill": "active",
+        "ready": "active",
+        "swapped": "swapped",
+        "recompute": "recompute",
+    }[position]
+    assert session.state == expected_state
+    assert session.prefill_done == (position not in ("fresh", "mid_prefill"))
+    if position == "mid_prefill":
+        assert 0 < session.prefill_pos < session.prompt_len - 1
+    server.pop_stream_events()
+    return server, rid, session
+
+
+def solo_tokens(model, tokenizer, request) -> list[int]:
+    server = SpeContextServer(model, engine_config(tokenizer))
+    server.add_request(request)
+    [output] = server.run()
+    return list(output.token_ids)
+
+
+class TestSessionExitMatrix:
+    @pytest.mark.parametrize("exit_kind", EXITS)
+    @pytest.mark.parametrize("position", POSITIONS)
+    def test_exit_leaves_no_trace(
+        self, tiny_gqa_model, tiny_tokenizer, position, exit_kind
+    ):
+        """Every way out of every queue position frees the session's
+        blocks, lifts exactly its ``peak_tokens`` charge and emits at
+        most one terminal event; an exported session resumes elsewhere
+        to the stream it would have produced alone."""
+        server, rid, session = positioned_server(
+            tiny_gqa_model, tiny_tokenizer, position
+        )
+        peak = session.request.peak_tokens
+        reserved = server.reserved_tokens
+        state = session.state
+        if exit_kind == "abort":
+            assert server.abort(rid)
+        elif exit_kind == "expire":
+            # Already late for the next step's earliest token.
+            session.request.sampling = dataclasses.replace(
+                session.sampling, total_deadline_s=0.5
+            )
+            server.step()  # the companion decodes on; it cannot finish
+        else:
+            export = server.export_session(rid)
+            # An active session travels stashed, like a swap victim; a
+            # waiting one keeps its resume state.
+            assert export.session.state == (
+                "swapped" if state == "active" else state
+            )
+        assert session not in server._waiting
+        assert session not in server._active
+        assert server._find(rid) is None
+        assert server.reserved_tokens == reserved - peak
+        server.audit_pool()
+        events = [e for e in server.pop_stream_events() if e.request_id == rid]
+        failures = [f for f in server.pop_failures() if f.request_id == rid]
+        if exit_kind == "expire":
+            [event] = events
+            assert event.finished and event.error == "deadline_exceeded"
+            assert [f.code for f in failures] == ["deadline_exceeded"]
+        else:
+            assert events == [] and failures == []
+        if exit_kind == "export":
+            dest = SpeContextServer(tiny_gqa_model, server.config)
+            assert dest.import_session(export) == rid
+            assert dest.reserved_tokens == peak
+            outputs = dest.run()
+            terminal = [
+                e for e in dest.pop_stream_events()
+                if e.request_id == rid and e.finished
+            ]
+            assert len(terminal) == 1
+            [output] = outputs
+            target = filler_request(
+                tiny_tokenizer, seed=41, n=30, max_new=12
+            )
+            assert output.token_ids == solo_tokens(
+                tiny_gqa_model, tiny_tokenizer, target
+            )
+            dest.audit_pool()
+            assert pool_fully_released(dest)
+        server.run()
+        server.audit_pool()
+        assert pool_fully_released(server)
 
 
 # ---- HTTP robustness surfaces ------------------------------------------------
