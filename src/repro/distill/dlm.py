@@ -7,6 +7,13 @@ The retrieval head keeps only the embedding (shared with the target model,
 so zero marginal memory) and the QK projections; everything else is pruned
 (Sec. 4.3). ``pruning_report`` reproduces the >90% reduction claim for any
 teacher configuration.
+
+``DraftModel`` runs the student as a speculative drafter. Like any LM it
+keeps a K cache: one ``DraftContext`` per session holds the content rows
+and induction keys of the tokens drafted from so far. The cache is a pure
+function of the token history, so a context is extended by new tokens,
+rolled back after drafting, and refilled from its tokens after it is
+unpickled (a migrated session ships no rows).
 """
 
 from __future__ import annotations
@@ -106,6 +113,65 @@ class PruningReport:
         return self.retained_params * 2
 
 
+class DraftContext:
+    """One session's draft K cache: its tokens and the rows read from them.
+
+    ``tokens[:len(self)]`` is the context; ``cur`` (content rows) and
+    ``keys`` (induction keys, ``(prev + shift_mix * cur) @ H.T``) hold the
+    first ``filled`` of them. Row ``j`` depends on tokens ``j - 1`` and
+    ``j`` alone, so the rows are a pure function of the token history:
+    :meth:`DraftModel.draft_batch` computes only the rows of tokens added
+    since the last draft, and rolling ``len`` back (as
+    :meth:`~repro.core.retrieval_head.LightweightRetrievalHead.restore`
+    does) needs no recompute. The pickled form drops the rows — they
+    refill on the next draft, so an exported session does not carry them.
+
+    ``capacity`` sizes the buffers once; a context that outgrows it
+    doubles them.
+    """
+
+    def __init__(self, tokens=(), capacity: int = 0):
+        tokens = np.asarray(tokens, dtype=np.int64).ravel()
+        self.tokens = np.empty(max(capacity, tokens.size), dtype=np.int64)
+        self.tokens[: tokens.size] = tokens
+        self._n = tokens.size
+        self.cur: np.ndarray | None = None
+        self.keys: np.ndarray | None = None
+        self.filled = 0
+        self.owner: DraftModel | None = None  # the draft that read the rows
+
+    def __len__(self) -> int:
+        return self._n
+
+    def extend(self, token_ids) -> None:
+        """Append tokens; their rows are computed on the next draft."""
+        token_ids = np.asarray(token_ids, dtype=np.int64).ravel()
+        end = self._n + token_ids.size
+        if end > self.tokens.size:
+            capacity = max(end, 2 * self.tokens.size)
+            for name in ("tokens", "cur", "keys"):
+                old = getattr(self, name)
+                if old is not None:
+                    grown = np.empty((capacity, *old.shape[1:]), old.dtype)
+                    grown[: self._n] = old[: self._n]
+                    setattr(self, name, grown)
+        self.tokens[self._n : end] = token_ids
+        self._n = end
+
+    def truncate(self, length: int) -> None:
+        """Roll back to the first ``length`` tokens (rows past it are dead)."""
+        if length > self._n:
+            raise ValueError("length is newer than the current context")
+        self._n = length
+        self.filled = min(self.filled, length)
+
+    def __getstate__(self):
+        return {"tokens": self.tokens[: self._n], "capacity": self.tokens.size}
+
+    def __setstate__(self, state) -> None:
+        self.__init__(state["tokens"], state["capacity"])
+
+
 class DraftModel:
     """Greedy draft head over the distilled student math.
 
@@ -118,6 +184,12 @@ class DraftModel:
     (the query embedding is unknown to the student): :meth:`draft` returns an
     empty proposal there, which the verifier treats as an ordinary
     zero-accepted step — never a ``KeyError``.
+
+    Like any LM, the draft keeps a K cache (:class:`DraftContext`, one per
+    session), so a draft computes keys only for the tokens added since the
+    last one. The cache is a pure function of the token history: a context
+    that arrives without rows (unpickled, or filled by another draft)
+    refills them on its next draft.
     """
 
     def __init__(
@@ -150,6 +222,12 @@ class DraftModel:
         self._inverse = np.full(vocab, -1, dtype=np.int64)
         self._inverse[self.token_map] = np.arange(self.token_map.size)
         self.content_draft = self.content[self.token_map]
+        # Context rows: the truncated-vocab student has no representation
+        # for out-of-map tokens, so they read as zeros (null evidence).
+        self._context_rows = self.content
+        if self.token_map.size < vocab:
+            self._context_rows = self.content.copy()
+            self._context_rows[self._inverse < 0] = 0.0
         self.G = np.eye(dc) if G is None else np.asarray(G, dtype=np.float64)
         self.H = np.eye(dc) if H is None else np.asarray(H, dtype=np.float64)
         self.shift_mix = shift_mix
@@ -200,19 +278,6 @@ class DraftModel:
         """True if the target token is inside the draft vocabulary."""
         return 0 <= token_id < self.vocab_size and self._inverse[token_id] >= 0
 
-    def _context_rows(self, ids: np.ndarray) -> np.ndarray:
-        """Content rows for context tokens; unmapped tokens contribute zeros.
-
-        The truncated-vocab student has no representation for out-of-map
-        context tokens, so they act as null evidence rather than faulting.
-        """
-        rows = self.content[ids]
-        unmapped = self._inverse[ids] < 0
-        if np.any(unmapped):
-            rows = rows.copy()
-            rows[unmapped] = 0.0
-        return rows
-
     def greedy_next(self, context_ids) -> int | None:
         """Greedy next-token proposal in *target* id space, or None.
 
@@ -220,11 +285,8 @@ class DraftModel:
         tokens (the token-shift mixer needs a previous token) or a query
         token outside the draft vocabulary.
         """
-        vec = self._pooled(np.asarray(context_ids, dtype=np.int64))
-        if vec is None:
-            return None
-        logits = self.readout_gain * (self.content_draft @ vec)
-        return int(self.token_map[int(np.argmax(logits))])
+        proposal = self.draft(context_ids, 1)
+        return proposal[0] if proposal else None
 
     def draft(self, context_ids, k: int) -> list[int]:
         """Propose up to ``k`` greedy tokens autoregressively.
@@ -232,19 +294,32 @@ class DraftModel:
         Returns fewer than ``k`` (possibly zero) tokens when drafting is
         impossible; proposed tokens are always in-map by construction.
         """
-        if k < 0:
-            raise ValueError(f"k must be non-negative, got {k}")
-        ids = list(int(t) for t in context_ids)
-        out: list[int] = []
-        for _ in range(k):
-            token = self.greedy_next(ids)
-            if token is None:
-                break
-            out.append(token)
-            ids.append(token)
-        return out
+        [proposal] = self.draft_batch([DraftContext(context_ids)], k)
+        return proposal
 
-    def _pooled(self, ids: np.ndarray) -> np.ndarray | None:
+    def _fill(self, context: DraftContext) -> None:
+        """Compute the rows of the tokens ``context`` has no rows for yet.
+
+        A key row's previous-token row is the cached content row before
+        it, so no token is looked up twice; the first token is its own
+        previous token.
+        """
+        if context.owner is not self:
+            shape = (context.tokens.size, self.content.shape[1])
+            context.cur, context.keys = np.empty(shape), np.empty(shape)
+            context.filled, context.owner = 0, self
+        start, end = context.filled, len(context)
+        if start == end:
+            return
+        cur = context.cur[start:end]
+        np.take(self._context_rows, context.tokens[start:end], axis=0, out=cur)
+        prev = context.cur[max(start - 1, 0) : end - 1]
+        if not start:
+            prev = np.concatenate([cur[:1], prev])
+        context.keys[start:end] = (prev + self.shift_mix * cur) @ self.H.T
+        context.filled = end
+
+    def _pooled(self, context: DraftContext) -> np.ndarray | None:
         """The attention-pooled content vector behind one greedy step.
 
         ``greedy_next`` factors as readout(pooled(context)); batching
@@ -252,41 +327,39 @@ class DraftModel:
         exposed separately. None under the same conditions ``greedy_next``
         returns None.
         """
-        if ids.ndim != 1 or ids.size < 2:
+        n = len(context)
+        if n < 2 or not self.knows(int(context.tokens[n - 1])):
             return None
-        last = int(ids[-1])
-        if not self.knows(last):
-            return None
-        cur = self._context_rows(ids[:-1])
-        prev = self._context_rows(np.concatenate([ids[:1], ids[:-2]]))
-        mixed = prev + self.shift_mix * cur
-        q = self.G @ self.content[last]
-        keys = mixed @ self.H.T
-        w = softmax(self.sharpness * (keys @ q))
-        return w @ cur
+        self._fill(context)
+        q = self.G @ self.content[context.tokens[n - 1]]
+        w = softmax(self.sharpness * (context.keys[: n - 1] @ q))
+        return w @ context.cur[: n - 1]
 
     def draft_batch(self, contexts, k: int) -> list[list[int]]:
         """Propose up to ``k`` greedy tokens for every context at once.
 
-        Equivalent to ``[self.draft(ctx, k) for ctx in contexts]`` but the
-        truncated-vocab readout — the dominant cost, one
-        ``(draft_vocab, dc)`` matvec per context per step in :meth:`draft`
-        — is fused into a single ``(batch, dc) x (dc, draft_vocab)``
-        matmul over all still-drafting contexts per step. The attention
-        pooling stays per-context (contexts are ragged). A context that
-        cannot draft contributes an empty (or truncated) proposal without
-        stalling its batch peers.
+        ``contexts`` are :class:`DraftContext` s; each is extended by its
+        drafted tokens while drafting and rolled back to its entry length
+        before returning, so only the rows of tokens it gained since its
+        last draft are computed, once. Equivalent to
+        ``[self.draft(ctx, k) for ctx in contexts]`` but the
+        truncated-vocab readout — one ``(draft_vocab, dc)`` matvec per
+        context per step — is fused into a single
+        ``(batch, dc) x (dc, draft_vocab)`` matmul over all still-drafting
+        contexts per step. The attention pooling stays per-context
+        (contexts are ragged). A context that cannot draft contributes an
+        empty (or truncated) proposal without stalling its batch peers.
         """
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
-        ids_list = [[int(t) for t in ctx] for ctx in contexts]
-        outs: list[list[int]] = [[] for _ in ids_list]
-        active = list(range(len(ids_list)))
+        entry = [len(context) for context in contexts]
+        outs: list[list[int]] = [[] for _ in contexts]
+        active = list(range(len(contexts)))
         for _ in range(k):
             pooled: list[np.ndarray] = []
             keep: list[int] = []
             for i in active:
-                vec = self._pooled(np.asarray(ids_list[i], dtype=np.int64))
+                vec = self._pooled(contexts[i])
                 if vec is None:
                     continue
                 pooled.append(vec)
@@ -296,11 +369,13 @@ class DraftModel:
             logits = self.readout_gain * (
                 np.stack(pooled) @ self.content_draft.T
             )
-            for row, i in enumerate(keep):
-                token = int(self.token_map[int(np.argmax(logits[row]))])
+            tokens = self.token_map[logits.argmax(axis=1)].tolist()
+            for i, token in zip(keep, tokens):
                 outs[i].append(token)
-                ids_list[i].append(token)
+                contexts[i].extend((token,))
             active = keep
+        for context, length in zip(contexts, entry):
+            context.truncate(length)
         return outs
 
 

@@ -60,6 +60,9 @@ from repro.serving.server import RequestFailure
 
 _MAX_HEADER_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 8 * 1024 * 1024
+# How long a request rejected before it was fully read keeps draining the
+# client's input after the answer, so closing does not reset the answer away.
+_LINGER_S = 2.0
 
 
 # ---- async engine ------------------------------------------------------------
@@ -445,6 +448,7 @@ class HttpServer:
     async def _handle_connection(self, reader, writer) -> None:
         reading = asyncio.current_task()
         self._reading.add(reading)
+        parsed = None
         try:
             if self._server is not None and not self._server.is_serving():
                 return  # accepted just before stop(): never read
@@ -457,6 +461,8 @@ class HttpServer:
         except _HttpError as err:
             await self._send_json(writer, err.status, err.body(),
                                   headers=err.headers)
+            if parsed is None:  # rejected mid-read: input may be left
+                await _linger(reader, writer)
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             pass
         except asyncio.CancelledError:
@@ -762,6 +768,23 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
         return await reader.readline()
     except ValueError:  # asyncio's limit overrun: the line exceeds 64 KiB
         raise _HttpError(431, "headers too large", "headers_too_large")
+
+
+async def _linger(reader: asyncio.StreamReader, writer) -> None:
+    """Half-close, then drain the client's input for at most ``_LINGER_S``.
+
+    Closing a socket with unread input sends a reset, and a reset can
+    discard the answer before the client reads it.
+    """
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + _LINGER_S
+    try:
+        writer.write_eof()
+        while (left := deadline - loop.time()) > 0:
+            if not await asyncio.wait_for(reader.read(64 * 1024), left):
+                return  # the client closed too
+    except (TimeoutError, OSError, asyncio.CancelledError):
+        pass
 
 
 def _sse(obj: dict) -> bytes:

@@ -81,7 +81,7 @@ from repro.core.adaptive import AdaptiveMemoryManager, OffloadEvent
 from repro.core.elastic import ElasticTransferTracker
 from repro.core.memory_model import MemoryModel
 from repro.core.retrieval_head import LightweightRetrievalHead, SpeContextPolicy
-from repro.distill.dlm import DraftModel
+from repro.distill.dlm import DraftContext, DraftModel
 from repro.kvcache.cache import ModelKVCache
 from repro.kvcache.pool import (
     BlockChainExport,
@@ -243,6 +243,9 @@ class _Session:
     prefill_done: bool = False
     published_blocks: int = 0  # full prompt blocks already prefix-published
     replaying: bool = False
+    # The draft's K cache over prompt + committed tokens (speculating
+    # sessions only); a function of the tokens, so preemption keeps it.
+    draft_context: DraftContext | None = None
 
     @property
     def request_id(self) -> int:
@@ -1343,14 +1346,16 @@ class SpeContextServer:
             and session.sampling.max_new_tokens - session.steps_taken >= 2
         )
 
-    def _spec_stream(self, session: _Session) -> np.ndarray:
-        """The committed token stream the draft model conditions on."""
-        return np.concatenate(
-            [
-                np.asarray(session.request.prompt_ids, dtype=np.int64),
-                np.asarray(session.result.token_ids, dtype=np.int64),
-            ]
-        )
+    def _draft_context(self, session: _Session) -> DraftContext:
+        """The session's draft context, caught up with its committed tokens."""
+        context = session.draft_context
+        if context is None:
+            context = session.draft_context = DraftContext(
+                session.request.prompt_ids,
+                capacity=session.request.peak_tokens + self.config.spec_decode_k,
+            )
+        context.extend(session.result.token_ids[len(context) - session.prompt_len :])
+        return context
 
     def _spec_propose_batch(
         self, sessions: list[_Session]
@@ -1376,7 +1381,7 @@ class SpeContextServer:
             for s in sessions
         ]
         drafted = self._draft.draft_batch(
-            [self._spec_stream(s) for s in sessions], max(budgets)
+            [self._draft_context(s) for s in sessions], max(budgets)
         )
         specs: dict[int, tuple[list[int], list[int]]] = {}
         for session, budget, drafts in zip(sessions, budgets, drafted):

@@ -12,9 +12,9 @@ import numpy as np
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along ``axis``."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+    shifted = x - x.max(axis=axis, keepdims=True)
     exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+    return exp / exp.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

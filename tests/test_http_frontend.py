@@ -425,6 +425,13 @@ class TestValidation:
                     assert status == 431, payload
                     error = json.loads(payload)["error"]
                     assert error["code"] == "headers_too_large"
+                # Far past the limit the client is still sending when the
+                # answer goes out; it must still read the 431, not a reset.
+                for size in (300 * 1024, 2 * 1024 * 1024):
+                    response = await raw_request(
+                        port, b"GET /" + b"x" * size + b" HTTP/1.1\r\n\r\n"
+                    )
+                    assert response.startswith(b"HTTP/1.1 431"), size
         asyncio.run(scenario())
 
     def test_last_ditch_error_is_a_typed_500(

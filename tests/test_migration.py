@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -31,12 +32,13 @@ from repro.api import (
     GenerationRequest,
     SamplingParams,
 )
+from repro.distill.dlm import DraftContext
 from repro.kvcache.pool import BlockTable, PagedKVPool
 from repro.serving import SpeContextServer, poisson_trace, replay_trace
 from repro.serving.engine import InProcessExecutor, MultiprocExecutor
 from repro.serving.server import _Session, _SessionState
 from repro.serving.trace import solo_token_streams
-from tests.conftest import free_order
+from tests.conftest import free_order, make_recall_prompt
 
 ALL_NAMES = (
     "specontext", "quest", "h2o", "shadowkv", "clusterkv",
@@ -372,6 +374,64 @@ class TestSessionRoundTrip:
                 assert _same(
                     getattr(sent, spec.name), getattr(adopted, spec.name)
                 ), spec.name
+
+    def test_speculating_session_migrates_with_its_draft_context(
+        self, tiny_gqa_model, tiny_tokenizer
+    ):
+        """A draft context travels as its tokens and refills at the
+        destination. Streams cannot show a stale or dropped context
+        (speculation is exact); the drafted and accepted counts can, so
+        both must match a never-migrated run."""
+        config = engine_config(tiny_tokenizer, spec_decode_k=4)
+        requests = [
+            GenerationRequest(
+                make_recall_prompt(
+                    tiny_tokenizer, np.random.default_rng(300 + i), n_filler=100
+                )[0],
+                sampling=SamplingParams(max_new_tokens=24),
+                policy="specontext",
+            )
+            for i in range(3)
+        ]
+        reference = SpeContextServer(tiny_gqa_model, config)
+        for request in requests:
+            reference.add_request(clone(request))
+        expected = [o.token_ids for o in reference.run()]
+        assert reference.spec_stats.accepted > 0
+        source = SpeContextServer(tiny_gqa_model, config)
+        dest = SpeContextServer(tiny_gqa_model, config)
+        for request in requests:
+            source.add_request(clone(request))
+        for _ in range(2):
+            source.step()
+        export = source.export_session(1)
+        assert export is not None
+        context = export.session.draft_context
+        assert 0 < export.session.steps_taken < 24 and context.filled > 0
+        # The rows (2 x dc floats per token) stay behind: the export
+        # pickles to the same bytes as one whose context never drafted.
+        unfilled = dataclasses.replace(
+            export,
+            session=dataclasses.replace(
+                export.session,
+                draft_context=DraftContext(
+                    context.tokens[: len(context)], context.tokens.size
+                ),
+            ),
+        )
+        sent = pickle.dumps(export)
+        assert len(sent) == len(pickle.dumps(unfilled))
+        dest.import_session(pickle.loads(sent))
+        source.run()
+        dest.run()
+        merged = sorted(
+            source.outputs + dest.outputs, key=lambda o: o.request_id
+        )
+        assert [o.token_ids for o in merged] == expected
+        for counter in ("drafted", "accepted"):
+            assert getattr(source.spec_stats, counter) + getattr(
+                dest.spec_stats, counter
+            ) == getattr(reference.spec_stats, counter), counter
 
     def test_export_of_unknown_or_finished_session_is_none(
         self, tiny_gqa_model, tiny_tokenizer

@@ -29,6 +29,7 @@ Structure:
 from __future__ import annotations
 
 import asyncio
+import pickle
 import warnings
 
 import numpy as np
@@ -43,13 +44,14 @@ from repro.api import (
     SamplingParams,
 )
 from repro.distill.dataset import DistillationDataset
-from repro.distill.dlm import DraftModel
+from repro.distill.dlm import DraftContext, DraftModel
 from repro.distill.trainer import DistillationTrainer
 from repro.kvcache.pool import BlockTable, PagedKVPool
 from repro.serving.engine import InProcessExecutor, MultiprocExecutor
 from repro.serving.http import AsyncEngine, HttpServer
 from repro.serving.server import SpeContextServer
 from repro.serving.trace import solo_token_streams
+from repro.tensor.ops import softmax
 from tests.conftest import free_order, make_recall_prompt
 from tests.test_engine_executor import run_trace
 from tests.test_http_frontend import request_json, sse_chunks
@@ -682,6 +684,38 @@ class TestHttpSpec:
 # ---- draft model token_map units ---------------------------------------------
 
 
+def whole_context_pooled(draft: DraftModel, ids) -> np.ndarray | None:
+    """The draft's pooling step recomputed from scratch over every token:
+    content rows (zero where unmapped), token-shift keys, softmax scores."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size < 2 or not draft.knows(int(ids[-1])):
+        return None
+
+    def rows(x):
+        out = draft.content[x].copy()
+        out[draft._inverse[x] < 0] = 0.0
+        return out
+
+    cur = rows(ids[:-1])
+    prev = rows(np.concatenate([ids[:1], ids[:-2]]))
+    keys = (prev + draft.shift_mix * cur) @ draft.H.T
+    q = draft.G @ draft.content[ids[-1]]
+    return softmax(draft.sharpness * (keys @ q)) @ cur
+
+
+def whole_context_draft(draft: DraftModel, ids, k: int) -> list[int]:
+    ids = [int(t) for t in ids]
+    out: list[int] = []
+    for _ in range(k):
+        vec = whole_context_pooled(draft, ids)
+        if vec is None:
+            break
+        logits = draft.readout_gain * (np.stack([vec]) @ draft.content_draft.T)
+        out.append(int(draft.token_map[int(np.argmax(logits[0]))]))
+        ids.append(out[-1])
+    return out
+
+
 class TestDraftModelTokenMap:
     @pytest.fixture(scope="class")
     def content_map(self, tiny_tokenizer):
@@ -738,6 +772,53 @@ class TestDraftModelTokenMap:
         assert draft.draft(np.array([tiny_tokenizer.bos_id]), 4) == []
         with pytest.raises(ValueError, match="non-negative"):
             draft.draft(context, -1)
+
+    @given(
+        stream=st.lists(
+            st.integers(0, 40) | st.integers(0, 511), min_size=2, max_size=60
+        ),
+        start=st.integers(0, 60),
+        cuts=st.lists(st.integers(1, 60), max_size=6),
+        capacity=st.integers(0, 64),
+        k=st.integers(0, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cached_context_drafts_like_the_whole_context(
+        self, tiny_gqa_model, content_map, stream, start, cuts, capacity, k
+    ):
+        """Extended in any chunking, a context drafts and pools exactly as
+        the from-scratch formula over its whole token history; drafting
+        leaves it as it was; a pickled copy refills to the same rows."""
+        draft = DraftModel.from_teacher(tiny_gqa_model, token_map=content_map)
+        start = min(start, len(stream))
+        context = DraftContext(stream[:start], capacity=capacity)
+        ends = sorted({min(start + c, len(stream)) for c in cuts} | {len(stream)})
+        for begin, end in zip([start] + ends, ends):
+            context.extend(stream[begin:end])
+            pooled = draft._pooled(context)
+            expected = whole_context_pooled(draft, stream[:end])
+            assert (pooled is None) == (expected is None)
+            if pooled is not None:
+                assert np.array_equal(pooled, expected)
+                assert context.filled == end
+            filled = context.filled
+            cur = context.cur[:filled].copy() if filled else None
+            keys = context.keys[:filled].copy() if filled else None
+            proposal = draft.draft_batch([context], k)
+            assert proposal == [whole_context_draft(draft, stream[:end], k)]
+            assert len(context) == end
+            assert np.array_equal(context.tokens[:end], stream[:end])
+            if filled:
+                assert np.array_equal(context.cur[:filled], cur)
+                assert np.array_equal(context.keys[:filled], keys)
+        unpickled = pickle.loads(pickle.dumps(context))
+        assert len(unpickled) == len(stream)
+        assert unpickled.filled == 0 and unpickled.cur is None
+        for refilled in (context, unpickled):
+            draft._fill(refilled)
+        n = len(stream)
+        assert np.array_equal(unpickled.cur[:n], context.cur[:n])
+        assert np.array_equal(unpickled.keys[:n], context.keys[:n])
 
     def test_from_trainer_uses_learned_mixers(
         self, tiny_gqa_model, tiny_tokenizer
