@@ -8,15 +8,18 @@ differences have equal size, so loads == evictions every step.
 
 :class:`ElasticTransferTracker` is set algebra over a stream of selections:
 it computes per-step transfer volumes and overlap statistics without
-touching payloads. The serving path reads it for every finished request
+touching payloads, and keeps running totals rather than a per-step log.
+The serving path feeds one account per session at every committed decode
+step and reads it when the request finishes
 (``GenerationStats.bytes_transferred`` / ``transfer_reduction`` /
-``mean_selection_overlap``) while attention itself gathers the full budget
-each step; :mod:`repro.perf.simulate` times elastic loading from an
-overlap parameter instead.
+``mean_selection_overlap``), while attention itself gathers the full
+budget each step; :mod:`repro.perf.simulate` times elastic loading from
+an overlap parameter instead.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +51,11 @@ class ElasticTransferTracker:
 
     bytes_per_token: int
     elastic: bool = True  # False models naive full reload each step
-    steps: list[StepTransfer] = field(default_factory=list)
+    total_bytes: int = 0
+    selected_tokens: int = 0  # sum of |S_now|: what full reloads would move
+    # Each step's overlap fraction, 8 bytes a step: ``mean_overlap`` is an
+    # ``np.mean`` over exactly these float64 values.
+    _overlaps: array = field(default_factory=lambda: array("d"), repr=False)
     # Previous step's set as a boolean mask over token positions.
     _last: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -88,25 +95,22 @@ class ElasticTransferTracker:
             overlap_fraction=shared / max(size, 1),
             selection_size=size,
         )
-        self.steps.append(step)
+        self.total_bytes += step.bytes_moved
+        self.selected_tokens += size
+        self._overlaps.append(step.overlap_fraction)
         self._last = now
         return step
 
     @property
-    def total_bytes(self) -> int:
-        return sum(s.bytes_moved for s in self.steps)
-
-    @property
     def mean_overlap(self) -> float:
         """Mean adjacent-step overlap, excluding the cold first step."""
-        tail = self.steps[1:]
-        if not tail:
+        if len(self._overlaps) < 2:
             return 0.0
-        return float(np.mean([s.overlap_fraction for s in tail]))
+        return float(np.mean(self._overlaps[1:]))
 
     def transfer_reduction_vs_full_reload(self) -> float:
         """Fraction of bytes saved relative to reloading |S_now| every step."""
-        full = sum(s.selection_size for s in self.steps) * self.bytes_per_token
+        full = self.selected_tokens * self.bytes_per_token
         if full == 0:
             return 0.0
         return 1.0 - self.total_bytes / full

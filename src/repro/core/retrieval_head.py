@@ -413,8 +413,11 @@ class SpeContextPolicy:
     def reset(self) -> None:
         """Clear per-request state so the policy can serve a new request.
 
-        A fresh list (not ``clear()``) leaves previously returned histories
-        intact for callers that kept a reference for transfer analysis.
+        ``selection_history`` then collects the raw selection of every
+        later pre_step. A caller may take it (swap in an empty list) after
+        any committed step, as the server's transfer accounting does, so
+        it spans at most one open spec window; a fresh list here leaves a
+        taken one intact.
         """
         self.head.reset()
         self.selection_history = []

@@ -33,7 +33,7 @@ from repro.perf.engines import (
     OffloadPolicy,
 )
 from repro.perf.simulate import PerfSimulator, Workload
-from repro.workloads.harness import decode_with_policy, prepare_prompt, sweep_qa
+from repro.workloads.harness import prepare_prompt, sweep_qa
 from repro.workloads.judge import judge_generation, mean_scores
 from repro.workloads.longbench import generate_examples
 from repro.workloads.longwriter import generate_writing_examples
@@ -123,9 +123,9 @@ def _reasoning_accuracy(setup, quick: bool, seed: int) -> dict[tuple[str, int], 
                 policy = (
                     None if engine == "Full" else setup.bench.policy(engine, budget)
                 )
-                out = decode_with_policy(
-                    setup.model, prepared, policy,
-                    example.max_new_tokens, example.stop_ids,
+                out = setup.model.generate(
+                    prepared.prompt_ids, example.max_new_tokens, policy,
+                    example.stop_ids, prefilled=prepared.cache.clone(),
                 )
                 scores.append(judge_generation(out.token_ids, example))
             cells[(engine, budget)] = mean_scores(scores).average

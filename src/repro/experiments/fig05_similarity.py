@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.experiments.common import ExperimentResult, make_functional_setup, register
 from repro.models.config import AttentionKind
-from repro.workloads.harness import decode_with_policy, prepare_prompt
+from repro.workloads.harness import prepare_prompt
 from repro.workloads.longbench import make_trivia
 
 BUDGETS = (32, 64, 128, 256, 512)
@@ -29,9 +29,9 @@ BUDGETS = (32, 64, 128, 256, 512)
 def _accumulation(setup, prepared, example, budget: int, level: str) -> float:
     """Mean teacher attention mass covered by the head's selection."""
     # Capture the teacher's full attention on a full-attention decode.
-    full = decode_with_policy(
-        setup.model, prepared, None, example.max_new_tokens, example.stop_ids,
-        capture_attention=True,
+    full = setup.model.generate(
+        prepared.prompt_ids, example.max_new_tokens, None, example.stop_ids,
+        capture_attention=True, prefilled=prepared.cache.clone(),
     )
     head = setup.bench.head
     cfg = setup.config
@@ -65,15 +65,17 @@ def _accumulation(setup, prepared, example, budget: int, level: str) -> float:
 
 def _hit_rate(setup, prepared, example, budget: int, level: str) -> float:
     """Token agreement between sparse and full decoding."""
-    full = decode_with_policy(
-        setup.model, prepared, None, example.max_new_tokens, example.stop_ids
+    full = setup.model.generate(
+        prepared.prompt_ids, example.max_new_tokens, None, example.stop_ids,
+        prefilled=prepared.cache.clone(),
     )
     if level == "head":
         policy = setup.bench.policy("Ours", budget)
     else:
         policy = setup.bench.policy("Ours(batch)", budget)
-    sparse = decode_with_policy(
-        setup.model, prepared, policy, example.max_new_tokens, example.stop_ids
+    sparse = setup.model.generate(
+        prepared.prompt_ids, example.max_new_tokens, policy, example.stop_ids,
+        prefilled=prepared.cache.clone(),
     )
     n = max(len(full.token_ids), 1)
     hits = sum(1 for a, b in zip(full.token_ids, sparse.token_ids) if a == b)

@@ -18,7 +18,7 @@ from repro.hardware.spec import CLOUD_A800
 from repro.models.config import LLAMA_LIKE_8B
 from repro.perf.engines import SPECONTEXT
 from repro.perf.simulate import PerfSimulator
-from repro.workloads.harness import decode_with_policy, prepare_prompt
+from repro.workloads.harness import prepare_prompt
 from repro.workloads.longwriter import make_writing_example
 
 ANALYTIC_BUDGETS = (32, 64, 128, 256, 512, 1024, 2048)
@@ -64,8 +64,9 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     budgets_b = FUNCTIONAL_BUDGETS[:3] if quick else FUNCTIONAL_BUDGETS
     for budget in budgets_b:
         policy = setup.bench.policy("Ours", budget)
-        decode_with_policy(
-            setup.model, prepared, policy, example.max_new_tokens, example.stop_ids
+        setup.model.generate(
+            prepared.prompt_ids, example.max_new_tokens, policy, example.stop_ids,
+            prefilled=prepared.cache.clone(),
         )
         if len(policy.selection_history) < 2:
             # The budget covers the whole cache: no sparse steps occur.

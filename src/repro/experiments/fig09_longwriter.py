@@ -21,7 +21,7 @@ from repro.experiments.common import (
     register,
 )
 from repro.models.config import AttentionKind
-from repro.workloads.harness import decode_with_policy, prepare_prompt
+from repro.workloads.harness import prepare_prompt
 from repro.workloads.judge import DIMENSIONS, judge_generation, mean_scores
 from repro.workloads.longwriter import generate_writing_examples
 
@@ -48,8 +48,9 @@ def _evaluate(
     for example in examples:
         prepared = prepare_prompt(setup.model, example.prompt_ids)
         policy = None if engine == "Full" else setup.bench.policy(engine, budget)
-        out = decode_with_policy(
-            setup.model, prepared, policy, example.max_new_tokens, example.stop_ids
+        out = setup.model.generate(
+            prepared.prompt_ids, example.max_new_tokens, policy, example.stop_ids,
+            prefilled=prepared.cache.clone(),
         )
         scores.append(judge_generation(out.token_ids, example))
     return mean_scores(scores)

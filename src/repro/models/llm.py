@@ -14,6 +14,7 @@ step *before* the forward pass). A ``None`` policy is full attention.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -47,13 +48,34 @@ class SelectionPolicy(Protocol):
 
 @dataclass
 class DecodeResult:
-    """Output of one generation run."""
+    """Output of one generation run.
+
+    ``generate`` keeps every decode step's selections; the server keeps
+    only ``selection_digest``. Both fold each step in through
+    :meth:`fold_selections`.
+    """
 
     prompt_len: int
     token_ids: list[int]
     stopped_by_eos: bool
     selections: list[dict[int, np.ndarray]] = field(default_factory=list)
     attention_trace: list[list[np.ndarray]] = field(default_factory=list)
+    selection_digest: str = ""
+
+    def fold_selections(self, selections: dict[int, np.ndarray]) -> None:
+        """Fold one decode step's ``{layer: selection}`` into the digest.
+
+        Each layer's id, shape, dtype and index bytes are hashed, in layer
+        order, onto the previous digest, so two runs end on the same digest
+        exactly when every step used the same selections (a step without
+        any, under full attention, still counts).
+        """
+        h = hashlib.sha256(self.selection_digest.encode())
+        for layer in sorted(selections):
+            selection = np.ascontiguousarray(selections[layer])
+            h.update(f"{layer}:{selection.shape}:{selection.dtype.str};".encode())
+            h.update(selection)
+        self.selection_digest = h.hexdigest()
 
     @property
     def n_generated(self) -> int:
@@ -352,6 +374,7 @@ class TransformerLM:
         stop_ids: tuple[int, ...] = (),
         capture_attention: bool = False,
         sparse_from_first_token: bool = False,
+        prefilled: ModelKVCache | None = None,
     ) -> DecodeResult:
         """Greedily decode up to ``max_new_tokens`` on a fresh cache.
 
@@ -368,18 +391,28 @@ class TransformerLM:
         flow, where retrieval happens before the LLM forward pass; the
         default (False) matches HuggingFace semantics where the first
         generated token comes from full-attention prefill logits.
+
+        ``prefilled``: a cache that already holds ``prompt[:-1]`` (say, a
+        clone of one prefill shared by many decodes). Generation skips the
+        prefill, decodes into that cache and implies
+        ``sparse_from_first_token``.
         """
         prompt_ids = np.asarray(prompt_ids)
         if prompt_ids.ndim != 1 or prompt_ids.size == 0:
             raise ValueError("prompt must be a non-empty 1-D token array")
-        cache = self.new_cache()
+        if prefilled is not None and prefilled.seq_len != prompt_ids.size - 1:
+            raise ValueError("a prefilled cache must hold exactly prompt[:-1]")
+        cache = self.new_cache() if prefilled is None else prefilled
 
         result = DecodeResult(
             prompt_len=int(prompt_ids.size), token_ids=[], stopped_by_eos=False
         )
-        use_sparse_first = sparse_from_first_token and prompt_ids.size >= 2
+        use_sparse_first = prefilled is not None or (
+            sparse_from_first_token and prompt_ids.size >= 2
+        )
         if use_sparse_first:
-            self.prefill(prompt_ids[:-1], cache)
+            if prefilled is None:
+                self.prefill(prompt_ids[:-1], cache)
             if policy is not None:
                 policy.begin_generation(prompt_ids[:-1], cache)
             pending: int | None = int(prompt_ids[-1])
@@ -402,6 +435,7 @@ class TransformerLM:
                     capture_attention=capture_attention,
                 )
                 result.selections.append(selections)
+                result.fold_selections(selections)
                 if capture_attention:
                     result.attention_trace.append(attn)
                 token = int(np.argmax(logits))

@@ -53,8 +53,11 @@ with the memory discipline of a production engine:
 - ``run`` steps until the queue drains and returns per-request
   :class:`~repro.api.request.GenerationOutput`s.
 
-System accounting: per-session elastic transfer statistics (reported
-per request in :class:`~repro.api.request.GenerationStats`), a shared
+System accounting: per-session elastic transfer statistics, fed once
+per committed decode step (``_account``) into running totals and
+reported per request in :class:`~repro.api.request.GenerationStats` —
+a session keeps no per-step selections, only a running selection digest
+(:meth:`~repro.models.llm.DecodeResult.fold_selections`) — a shared
 adaptive memory manager walking the Algorithm-1 thresholds against the
 aggregate KV footprint, and completions feeding a
 :class:`~repro.serving.meter.ThroughputMeter` on a step-count virtual
@@ -246,6 +249,9 @@ class _Session:
     # The draft's K cache over prompt + committed tokens (speculating
     # sessions only); a function of the tokens, so preemption keeps it.
     draft_context: DraftContext | None = None
+    # Elastic-loading account, fed at every committed step (_account):
+    # one tracker per layer, or one under key -1 (all layers) for specontext.
+    transfer: dict[int, ElasticTransferTracker] = field(default_factory=dict)
 
     @property
     def request_id(self) -> int:
@@ -904,10 +910,10 @@ class SpeContextServer:
                         specs[id(session)][1],
                     )
                 else:
-                    session.result.selections.append(selections[row][0])
                     committed[id(session)] = [
                         self._sample(session, logits[row][0])
                     ]
+                    self._account(session, selections[row][0])
 
         finished: list[GenerationOutput] = []
         for session in wave:
@@ -1314,7 +1320,8 @@ class SpeContextServer:
         prompt = session.request.prompt_ids
         policy = session.policy
         sparse_first = prompt.size >= 2
-        session.result.selections.clear()
+        session.transfer = {}
+        session.result.selection_digest = ""
         pending: int | None = int(prompt[-1]) if sparse_first else None
         for step, token in enumerate(session.result.token_ids):
             if step == 0 and session.prefill_token is not None:
@@ -1324,7 +1331,7 @@ class SpeContextServer:
             _, selections, _ = self.model.decode_step(
                 int(pending), session.cache, policy=policy
             )
-            session.result.selections.append(selections)
+            self._account(session, selections)
             pending = int(token)
         if pending is not None:
             session.pending = pending
@@ -1459,7 +1466,7 @@ class SpeContextServer:
         self.pool.promote_spec(session.block_table, reserved[:need])
         self.pool.release_spec(reserved[need:])
         for t in range(m):
-            session.result.selections.append(selections[t])
+            self._account(session, selections[t])
         self.spec_stats.spec_steps += 1
         self.spec_stats.drafted += d
         self.spec_stats.accepted += m - 1
@@ -1518,14 +1525,47 @@ class SpeContextServer:
         aggregate = sum(s.current_len for s in self._active)
         session.offload_events.extend(self.manager.advance(aggregate))
 
+    def _account(
+        self, session: _Session, selections: dict[int, np.ndarray]
+    ) -> None:
+        """Feed one committed step to the session's elastic-loading account
+        and selection digest.
+
+        SpeContext selects once per step for all layers: one tracker over
+        the raw retrieval-head selections, taken out of the policy's
+        history as they commit (so it only ever spans an open spec window).
+        Layer-wise baselines get one tracker per layer.
+        """
+        session.result.fold_selections(selections)
+        policy = session.policy
+        per_layer = self.model.config.kv_bytes_per_token_layer()
+        if isinstance(policy, SpeContextPolicy):
+            taken, policy.selection_history = policy.selection_history, []
+            stream = [(-1, selection) for selection in taken]
+            per_token = per_layer * self.model.config.n_layers
+        else:
+            stream = selections.items()
+            per_token = per_layer
+        for layer, selection in stream:
+            tracker = session.transfer.get(layer)
+            if tracker is None:
+                tracker = session.transfer[layer] = ElasticTransferTracker(
+                    bytes_per_token=per_token, elastic=self.config.elastic
+                )
+            tracker.observe(selection)
+
     def _finish(self, session: _Session) -> GenerationOutput:
-        bytes_moved, reduction, overlap = self._transfer_stats(session)
+        trackers = list(session.transfer.values())
+        total = sum(t.total_bytes for t in trackers)
+        full = sum(t.selected_tokens * t.bytes_per_token for t in trackers)
         stats = GenerationStats(
             result=session.result,
             budget=session.budget,
-            bytes_transferred=bytes_moved,
-            transfer_reduction=reduction,
-            mean_selection_overlap=overlap,
+            bytes_transferred=total,
+            transfer_reduction=0.0 if full == 0 else 1.0 - total / full,
+            mean_selection_overlap=float(
+                np.mean([t.mean_overlap for t in trackers] or [0.0])
+            ),
             offload_events=session.offload_events,
             preemptions=session.preemptions,
             swap_bytes=session.swap_bytes,
@@ -1540,48 +1580,6 @@ class SpeContextServer:
         self._outputs.append(output)
         self._record_meter(session)
         return output
-
-    def _transfer_stats(self, session: _Session) -> tuple[int, float, float]:
-        """Elastic-loading accounting for one finished session.
-
-        SpeContext selects once per step for all layers (its history is the
-        global selection stream); layer-wise baselines are tracked per
-        layer from the selections the decode steps actually used.
-        """
-        bytes_per_layer = self.model.config.kv_bytes_per_token_layer()
-        policy = session.policy
-        if isinstance(policy, SpeContextPolicy):
-            tracker = ElasticTransferTracker(
-                bytes_per_token=bytes_per_layer * self.model.config.n_layers,
-                elastic=self.config.elastic,
-            )
-            for selection in policy.selection_history:
-                tracker.observe(selection)
-            return (
-                tracker.total_bytes,
-                tracker.transfer_reduction_vs_full_reload(),
-                tracker.mean_overlap,
-            )
-        trackers: dict[int, ElasticTransferTracker] = {}
-        for step_selections in session.result.selections:
-            for layer, selection in step_selections.items():
-                tracker = trackers.get(layer)
-                if tracker is None:
-                    tracker = trackers[layer] = ElasticTransferTracker(
-                        bytes_per_token=bytes_per_layer,
-                        elastic=self.config.elastic,
-                    )
-                tracker.observe(selection)
-        if not trackers:
-            return 0, 0.0, 0.0
-        total = sum(t.total_bytes for t in trackers.values())
-        full = sum(
-            sum(s.selection_size for s in t.steps) * t.bytes_per_token
-            for t in trackers.values()
-        )
-        reduction = 0.0 if full == 0 else 1.0 - total / full
-        overlap = float(np.mean([t.mean_overlap for t in trackers.values()]))
-        return total, reduction, overlap
 
     def _record_meter(self, session: _Session) -> None:
         self.meter.record_finished(RequestRecord(

@@ -11,11 +11,8 @@
 
 from repro.workloads.base import EntityPool, QAExample, weave_context
 from repro.workloads.harness import (
-    DecodeOutput,
     PolicyBench,
     PreparedPrompt,
-    decode_with_policy,
-    evaluate_qa,
     prepare_prompt,
     score_qa,
     sweep_qa,
@@ -50,7 +47,6 @@ from repro.workloads.metrics import (
 
 __all__ = [
     "DIMENSIONS",
-    "DecodeOutput",
     "EntityPool",
     "JudgeScore",
     "PolicyBench",
@@ -60,9 +56,7 @@ __all__ = [
     "WritingExample",
     "bigram_validity",
     "count_score",
-    "decode_with_policy",
     "distinct_ratio",
-    "evaluate_qa",
     "exact_match",
     "generate_examples",
     "generate_writing_examples",

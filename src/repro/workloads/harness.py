@@ -4,15 +4,16 @@ Selection only affects the *decode* phase, so the harness prefills each
 prompt once and decodes on cloned caches under every (policy, budget)
 combination — a large saving when sweeping engines x budgets (Fig. 8/9).
 
-The decode loop mirrors the greedy reference ``TransformerLM.generate(...,
-sparse_from_first_token=True)``: the final prompt token is decoded as the
-first policy-governed step, so selection affects every generated token —
-SpeContext's dataflow, applied uniformly to all engines for fairness.
+Each decode is the greedy reference itself, ``TransformerLM.generate``
+entered from a clone of the shared prefill (``prefilled``): the final
+prompt token is decoded as the first policy-governed step, so selection
+affects every generated token — SpeContext's dataflow, applied uniformly
+to all engines for fairness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,16 +42,6 @@ class PreparedPrompt:
         return int(self.prompt_ids[-1])
 
 
-@dataclass
-class DecodeOutput:
-    """Result of one policy-governed decode."""
-
-    token_ids: list[int]
-    stopped: bool
-    selections: list[dict[int, np.ndarray]] = field(default_factory=list)
-    attention_trace: list[list[np.ndarray]] = field(default_factory=list)
-
-
 def prepare_prompt(model: TransformerLM, prompt_ids: np.ndarray) -> PreparedPrompt:
     """Prefill everything but the last prompt token."""
     prompt_ids = np.asarray(prompt_ids)
@@ -59,38 +50,6 @@ def prepare_prompt(model: TransformerLM, prompt_ids: np.ndarray) -> PreparedProm
     cache = model.new_cache()
     model.prefill(prompt_ids[:-1], cache)
     return PreparedPrompt(prompt_ids=prompt_ids, cache=cache)
-
-
-def decode_with_policy(
-    model: TransformerLM,
-    prepared: PreparedPrompt,
-    policy: SelectionPolicy | None,
-    max_new_tokens: int,
-    stop_ids: tuple[int, ...] = (),
-    capture_attention: bool = False,
-) -> DecodeOutput:
-    """Decode from a cloned cache under ``policy`` (None = full attention)."""
-    cache = prepared.cache.clone()
-    if policy is not None:
-        policy.begin_generation(prepared.prompt_ids[:-1], cache)
-    out = DecodeOutput(token_ids=[], stopped=False)
-    pending = prepared.pending_token
-    for step in range(max_new_tokens):
-        if policy is not None:
-            policy.pre_step(step, pending, cache)
-        logits, selections, attn = model.decode_step(
-            pending, cache, policy=policy, capture_attention=capture_attention
-        )
-        out.selections.append(selections)
-        if capture_attention:
-            out.attention_trace.append(attn)
-        token = int(np.argmax(logits))
-        out.token_ids.append(token)
-        if token in stop_ids:
-            out.stopped = True
-            break
-        pending = token
-    return out
 
 
 # ---- engine -> policy registry --------------------------------------------------
@@ -173,25 +132,6 @@ def score_qa(example: QAExample, generated: list[int]) -> float:
     return token_f1(pred, gold)
 
 
-def evaluate_qa(
-    model: TransformerLM,
-    bench: PolicyBench,
-    examples: list[QAExample],
-    engine: str,
-    budget: int,
-) -> float:
-    """Mean score of one engine at one budget over ``examples``."""
-    scores = []
-    for example in examples:
-        prepared = prepare_prompt(model, example.prompt_ids)
-        policy = bench.policy(engine, budget)
-        out = decode_with_policy(
-            model, prepared, policy, example.max_new_tokens, example.stop_ids
-        )
-        scores.append(score_qa(example, out.token_ids))
-    return float(np.mean(scores))
-
-
 def sweep_qa(
     model: TransformerLM,
     bench: PolicyBench,
@@ -212,8 +152,9 @@ def sweep_qa(
         for engine in engines:
             for budget in budgets:
                 policy = bench.policy(engine, budget)
-                out = decode_with_policy(
-                    model, prepared, policy, example.max_new_tokens, example.stop_ids
+                out = model.generate(
+                    prepared.prompt_ids, example.max_new_tokens, policy,
+                    example.stop_ids, prefilled=prepared.cache.clone(),
                 )
                 per_cell[(engine, budget)].append(score_qa(example, out.token_ids))
     return {cell: float(np.mean(scores)) for cell, scores in per_cell.items()}

@@ -437,7 +437,8 @@ class TestServer:
 
 
 class TestServerMatchesModelGenerate:
-    """The numeric oracle for the server's one decode path.
+    """The numeric oracle for the server's one decode path: tokens and
+    every step's selections (through the selection digest).
 
     ``batched_decode=False`` runs the same ``_flush_wave`` as the fused
     mode (in waves of one), so comparing the two modes no longer checks
@@ -474,6 +475,9 @@ class TestServerMatchesModelGenerate:
             prompt, 5, policy=policy, sparse_from_first_token=True
         )
         assert output.token_ids == direct.token_ids
+        served = output.stats.result
+        assert served.selection_digest == direct.selection_digest
+        assert not served.selections and len(direct.selections) == 5
 
 
 def generate_one(server, prompt, max_new_tokens, **sampling):

@@ -28,6 +28,7 @@ from repro.serving.trace import solo_token_streams
 from tests.test_serving_traces import (
     ALL_NAMES,
     assert_outputs_bit_identical,
+    assert_same_selections,
     clone,
     filler_prompt,
     pool_config,
@@ -71,8 +72,8 @@ def run_trace(model, tokenizer, requests, trace_seed=11, **overrides):
 
 def assert_generation_identical(chunked_outputs, mono_outputs):
     """Schedule-independent equality: everything a client can observe
-    about *what was generated* — tokens, stop reasons, selection
-    histories and the transfer accounting derived from them. Timing-
+    about *what was generated* — tokens, stop reasons, the selection
+    digest and the transfer accounting. Timing-
     dependent stats (preemptions, offload events, prefix reuse) may
     legitimately differ when chunking stretches prefill across steps."""
     assert len(chunked_outputs) == len(mono_outputs)
@@ -84,15 +85,7 @@ def assert_generation_identical(chunked_outputs, mono_outputs):
         assert c.stats.bytes_transferred == m.stats.bytes_transferred
         assert c.stats.transfer_reduction == m.stats.transfer_reduction
         assert c.stats.mean_selection_overlap == m.stats.mean_selection_overlap
-        assert len(c.stats.result.selections) == len(m.stats.result.selections)
-        for step_c, step_m in zip(
-            c.stats.result.selections, m.stats.result.selections
-        ):
-            assert step_c.keys() == step_m.keys()
-            for layer, selection in step_m.items():
-                assert np.array_equal(step_c[layer], selection), (
-                    c.request_id, layer,
-                )
+        assert_same_selections(c.stats.result, m.stats.result)
 
 
 class TestChunkedEqualsMonolithic:

@@ -90,14 +90,13 @@ class TestTracker:
             rng.integers(3 * t, 3 * t + 60, size=shape) for t in range(40)
         ]
         tracker = ElasticTransferTracker(bytes_per_token=56, elastic=elastic)
-        for selection in selections:
-            tracker.observe(selection)
+        steps = [tracker.observe(selection) for selection in selections]
         got = [
             (
                 s.loaded_tokens, s.evicted_tokens, s.bytes_moved,
                 s.overlap_fraction, s.selection_size,
             )
-            for s in tracker.steps
+            for s in steps
         ]
         want = self._set_reference(selections, 56, elastic)
         assert got == want
@@ -134,14 +133,13 @@ class TestTracker:
     def test_equals_set_reference_on_generated_streams(self, selections, elastic):
         """Empty, 1-D and head-level (2-D) steps, duplicates included."""
         tracker = ElasticTransferTracker(bytes_per_token=7, elastic=elastic)
-        for selection in selections:
-            tracker.observe(selection)
+        steps = [tracker.observe(selection) for selection in selections]
         got = [
             (
                 s.loaded_tokens, s.evicted_tokens, s.bytes_moved,
                 s.overlap_fraction, s.selection_size,
             )
-            for s in tracker.steps
+            for s in steps
         ]
         assert got == self._set_reference(selections, 7, elastic)
 
@@ -161,9 +159,8 @@ class TestTracker:
     def test_fixed_budget_loads_equal_evictions(self, selections):
         """|S_last − S_now| == |S_now − S_last| under a fixed budget."""
         tracker = ElasticTransferTracker(bytes_per_token=1)
-        for sel in selections:
-            tracker.observe(np.array(sorted(sel)))
-        for step in tracker.steps[1:]:
+        steps = [tracker.observe(np.array(sorted(sel))) for sel in selections]
+        for step in steps[1:]:
             assert step.loaded_tokens == step.evicted_tokens
 
     @given(
@@ -177,15 +174,14 @@ class TestTracker:
     def test_bytes_conservation(self, selections):
         """Total bytes equal the sum of per-step loads times token size."""
         tracker = ElasticTransferTracker(bytes_per_token=7)
-        for sel in selections:
-            tracker.observe(np.array(sorted(sel)))
-        assert tracker.total_bytes == 7 * sum(s.loaded_tokens for s in tracker.steps)
+        steps = [tracker.observe(np.array(sorted(sel))) for sel in selections]
+        assert tracker.total_bytes == 7 * sum(s.loaded_tokens for s in steps)
 
 
 class TestTrackerAccounting:
     def test_empty_tracker_reports_zero(self):
         tracker = ElasticTransferTracker(bytes_per_token=8)
-        assert tracker.steps == []
+        assert tracker.selected_tokens == 0
         assert tracker.total_bytes == 0
         assert tracker.mean_overlap == 0.0
         assert tracker.transfer_reduction_vs_full_reload() == 0.0
@@ -236,11 +232,14 @@ class TestTrackerAccounting:
         assert step.overlap_fraction == 0.0
         assert (step.loaded_tokens, step.evicted_tokens) == (0, 2)
 
-    def test_every_observe_appends_its_step(self):
-        tracker = ElasticTransferTracker(bytes_per_token=1)
+    def test_every_observe_adds_its_step_to_the_totals(self):
+        tracker = ElasticTransferTracker(bytes_per_token=3)
         returned = [tracker.observe(np.arange(i, i + 4)) for i in range(5)]
-        assert tracker.steps == returned
-        assert tracker.steps[-1] is returned[-1]
+        assert tracker.total_bytes == sum(s.bytes_moved for s in returned)
+        assert tracker.selected_tokens == sum(s.selection_size for s in returned)
+        assert tracker.mean_overlap == float(
+            np.mean([s.overlap_fraction for s in returned[1:]])
+        )
 
     def test_accepts_python_lists(self):
         tracker = ElasticTransferTracker(bytes_per_token=3)
@@ -294,9 +293,10 @@ class TestTrackerAccounting:
     def test_resident_count_equals_current_selection(self, selections):
         """Loads minus evictions so far leave exactly |S_now| resident."""
         tracker = ElasticTransferTracker(bytes_per_token=1)
+        resident = 0
         for sel in selections:
-            tracker.observe(np.array(sorted(sel), dtype=np.int64))
-            resident = sum(s.loaded_tokens - s.evicted_tokens for s in tracker.steps)
+            step = tracker.observe(np.array(sorted(sel), dtype=np.int64))
+            resident += step.loaded_tokens - step.evicted_tokens
             assert resident == len(sel)
 
     @given(
@@ -307,10 +307,11 @@ class TestTrackerAccounting:
         """With nothing evicted, total loads count unique first touches."""
         tracker = ElasticTransferTracker(bytes_per_token=5)
         seen: set[int] = set()
+        steps = []
         for inc in increments:
             seen |= inc
-            tracker.observe(np.array(sorted(seen), dtype=np.int64))
-        assert all(s.evicted_tokens == 0 for s in tracker.steps)
+            steps.append(tracker.observe(np.array(sorted(seen), dtype=np.int64)))
+        assert all(s.evicted_tokens == 0 for s in steps)
         assert tracker.total_bytes == 5 * len(seen)
 
     @given(

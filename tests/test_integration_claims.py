@@ -12,7 +12,7 @@ import pytest
 from repro.core.elastic import ElasticTransferTracker
 from repro.experiments.common import make_functional_setup
 from repro.retrieval.quest import QuestPolicy
-from repro.workloads.harness import decode_with_policy, prepare_prompt, sweep_qa
+from repro.workloads.harness import prepare_prompt, sweep_qa
 from repro.workloads.judge import judge_generation
 from repro.workloads.longbench import generate_examples
 from repro.workloads.longwriter import make_writing_example
@@ -42,12 +42,16 @@ class TestChallenge1GlobalSelection:
         prepared = prepare_prompt(setup.model, example.prompt_ids)
 
         ours = setup.bench.policy("Ours", 64)
-        decode_with_policy(setup.model, prepared, ours, 4)
+        setup.model.generate(
+            prepared.prompt_ids, 4, ours, prefilled=prepared.cache.clone()
+        )
         # One retrieval per decode step.
         assert len(ours.selection_history) <= 4
 
         quest = QuestPolicy(setup.model, 64)
-        out = decode_with_policy(setup.model, prepared, quest, 4)
+        out = setup.model.generate(
+            prepared.prompt_ids, 4, quest, prefilled=prepared.cache.clone()
+        )
         # Quest selected in every layer of every step.
         n_layers = setup.config.n_layers
         assert all(len(sels) == n_layers for sels in out.selections)
@@ -66,14 +70,16 @@ class TestChallenge2RetainedGeneration:
         budget = 128  # larger than the 96-token prompt
 
         quest = setup.bench.policy("Quest", budget)
-        q_out = decode_with_policy(
-            setup.model, prepared, quest, example.max_new_tokens, example.stop_ids
+        q_out = setup.model.generate(
+            prepared.prompt_ids, example.max_new_tokens, quest, example.stop_ids,
+            prefilled=prepared.cache.clone(),
         )
         assert all(not sels for sels in q_out.selections)  # full attention
 
         ours = setup.bench.policy("Ours", budget)
-        decode_with_policy(
-            setup.model, prepared, ours, example.max_new_tokens, example.stop_ids
+        setup.model.generate(
+            prepared.prompt_ids, example.max_new_tokens, ours, example.stop_ids,
+            prefilled=prepared.cache.clone(),
         )
         assert ours.selection_history  # selection over prompt + generated
 
@@ -86,9 +92,9 @@ class TestChallenge2RetainedGeneration:
         outputs = []
         for budget in (128, 256, 512):
             policy = setup.bench.policy("ShadowKV", budget)
-            out = decode_with_policy(
-                setup.model, prepared, policy,
-                example.max_new_tokens, example.stop_ids,
+            out = setup.model.generate(
+                prepared.prompt_ids, example.max_new_tokens, policy,
+                example.stop_ids, prefilled=prepared.cache.clone(),
             )
             outputs.append(tuple(out.token_ids))
         assert len(set(outputs)) == 1  # the Sec. 7.2.2 observation
@@ -125,8 +131,9 @@ class TestElasticEquivalence:
         )
         prepared = prepare_prompt(setup.model, example.prompt_ids)
         policy = setup.bench.policy("Ours", 96)
-        out = decode_with_policy(
-            setup.model, prepared, policy, example.max_new_tokens, example.stop_ids
+        out = setup.model.generate(
+            prepared.prompt_ids, example.max_new_tokens, policy, example.stop_ids,
+            prefilled=prepared.cache.clone(),
         )
         elastic = ElasticTransferTracker(bytes_per_token=1)
         naive = ElasticTransferTracker(bytes_per_token=1, elastic=False)

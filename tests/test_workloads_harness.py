@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.common import make_functional_setup
-from repro.workloads.harness import (
-    decode_with_policy,
-    prepare_prompt,
-    score_qa,
-    sweep_qa,
-)
+from repro.workloads.harness import prepare_prompt, score_qa, sweep_qa
 from repro.workloads.longbench import make_passage_count, make_trivia
 
 
@@ -39,22 +34,40 @@ class TestPreparedPrompt:
     def test_decode_does_not_mutate_prepared_cache(self, setup, example):
         prepared = prepare_prompt(setup.model, example.prompt_ids)
         before = prepared.cache.seq_len
-        decode_with_policy(setup.model, prepared, None, 4)
+        clone = prepared.cache.clone()
+        setup.model.generate(prepared.prompt_ids, 4, prefilled=clone)
         assert prepared.cache.seq_len == before
+        assert clone.seq_len == before + 4
 
     def test_decode_matches_generate(self, setup, example):
-        """The harness decode loop reproduces TransformerLM.generate."""
+        """Entering generate from the shared prefill is generate itself."""
         prepared = prepare_prompt(setup.model, example.prompt_ids)
-        harness = decode_with_policy(setup.model, prepared, None, 3)
+        policies = [setup.bench.policy("Ours", 32) for _ in range(2)]
+        harness = setup.model.generate(
+            prepared.prompt_ids, 3, policies[0], prefilled=prepared.cache.clone()
+        )
         reference = setup.model.generate(
-            example.prompt_ids, 3, sparse_from_first_token=True
+            example.prompt_ids, 3, policies[1], sparse_from_first_token=True
         )
         assert harness.token_ids == reference.token_ids
+        assert harness.selection_digest == reference.selection_digest != ""
+
+    def test_prefilled_cache_must_hold_all_but_the_last_token(
+        self, setup, example
+    ):
+        cache = setup.model.new_cache()
+        setup.model.prefill(example.prompt_ids[:-2], cache)
+        with pytest.raises(ValueError, match="prompt"):
+            setup.model.generate(example.prompt_ids, 2, prefilled=cache)
 
     def test_repeated_decodes_are_deterministic(self, setup, example):
         prepared = prepare_prompt(setup.model, example.prompt_ids)
-        a = decode_with_policy(setup.model, prepared, None, 4)
-        b = decode_with_policy(setup.model, prepared, None, 4)
+        a, b = (
+            setup.model.generate(
+                prepared.prompt_ids, 4, prefilled=prepared.cache.clone()
+            )
+            for _ in range(2)
+        )
         assert a.token_ids == b.token_ids
 
 
@@ -82,9 +95,10 @@ class TestPolicyBench:
         def run(order):
             cells = {}
             for engine, i in order:
-                out = decode_with_policy(
-                    setup.model, prepared[i], setup.bench.policy(engine, 32),
-                    examples[i].max_new_tokens, examples[i].stop_ids,
+                out = setup.model.generate(
+                    prepared[i].prompt_ids, examples[i].max_new_tokens,
+                    setup.bench.policy(engine, 32), examples[i].stop_ids,
+                    prefilled=prepared[i].cache.clone(),
                 )
                 cells[engine, i] = (score_qa(examples[i], out.token_ids), out)
             return cells

@@ -133,11 +133,12 @@ class TestSolvability:
     @pytest.mark.parametrize("task", sorted(TASKS))
     def test_full_attention_solves_task(self, task, tokenizer, rng):
         from repro.experiments.common import make_functional_setup
-        from repro.workloads.harness import evaluate_qa
+        from repro.workloads.harness import sweep_qa
 
         setup = make_functional_setup(seed=3)
         examples = generate_examples(
             task, setup.tokenizer, rng, 2, context_len=384
         )
-        score = evaluate_qa(setup.model, setup.bench, examples, "Full", 10**6)
+        cells = sweep_qa(setup.model, setup.bench, examples, ["Full"], [10**6])
+        score = cells["Full", 10**6]
         assert score >= 0.75
