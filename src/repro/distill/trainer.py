@@ -150,7 +150,7 @@ class DistillationTrainer:
         """
         cache = self.teacher.new_cache()
         ids = example.token_ids
-        self.teacher.prefill(ids[:-1], cache)
+        self.teacher.prefill(ids[:-1], cache, logits=False)
         _, _, attn = self.teacher.decode_step(
             int(ids[-1]), cache, capture_attention=True
         )

@@ -200,6 +200,27 @@ class LayerKVCache:
         copy._len = self._len
         return copy
 
+    def __getstate__(self) -> dict:
+        """Pickle the valid entries only, not the doubled capacity behind
+        them (a session export ships what the cache holds)."""
+        state = self.__dict__.copy()
+        state["_k"] = self.keys.copy()
+        state["_v"] = self.values.copy()
+        state["_capacity"] = self._k.shape[2]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        """Restore the sender's capacity, so the unpickled cache grows as
+        the sender's would have."""
+        capacity = state.pop("_capacity")
+        k, v = state["_k"], state["_v"]
+        shape = k.shape[:2] + (capacity,) + k.shape[3:]
+        state["_k"] = np.zeros(shape, dtype=KV_DTYPE)
+        state["_v"] = np.zeros(shape, dtype=KV_DTYPE)
+        state["_k"][:, :, : k.shape[2]] = k
+        state["_v"][:, :, : v.shape[2]] = v
+        self.__dict__.update(state)
+
     def nbytes(self, bytes_per_value: int = 2) -> int:
         """Logical footprint of the valid entries at the given precision."""
         return (

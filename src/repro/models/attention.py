@@ -4,12 +4,18 @@ Functional numpy implementation over per-session caches. Prefill uses
 chunked causal attention (flash-attention-style row blocks) so long
 contexts never materialize a full seq x seq weight matrix. It works one
 KV head at a time — that head's K/V upcast to float64, one score buffer
-reused by every tile — and computes only the row tiles whose output is
-read: the model's last layer attends for the tile holding the final
-prompt row alone (see :meth:`AttentionModule._chunked_causal`). Decode has one
-kernel, :meth:`AttentionModule.decode_rows`, which runs a wave of rows —
-the server's decode and verify waves, and a single session's step as a
-wave of one. It works one row at a time, gather to output, through one
+reused by every tile — and computes only the rows whose output is read.
+When nobody reads the prefill's logits (the server's sparse-first
+prefill of ``prompt[:-1]``, ``generate``'s sparse path, prepared prompts,
+the distillation teacher), the model's last layer runs only its K/V (or
+latent) projection and cache append: no q projection, attention, ``wo``,
+FFN, final norm or LM head (``first_output=None``). A caller that does
+read logits (a 1-token prompt, ``generate``'s HF-semantics path) gets a
+last layer that attends for the tile holding the final prompt row alone
+(see :meth:`AttentionModule._chunked_causal`). Decode has one kernel,
+:meth:`AttentionModule.decode_rows`, which runs a wave of rows — the
+server's decode and verify waves, and a single session's step as a wave of
+one. It works one row at a time, gather to output, through one
 row-sized float64 K/V buffer that the next row reuses while it is still
 cache-hot, so a row's bits never depend on the wave around it. The tests
 pin it to straight-line float64 oracles. Each row picks one of three
@@ -167,8 +173,8 @@ class AttentionModule:
         x: np.ndarray,
         positions: np.ndarray,
         cache: LayerKVCache,
-        first_output: int = 0,
-    ) -> np.ndarray:
+        first_output: int | None = 0,
+    ) -> np.ndarray | None:
         """Causal attention over the prompt; appends to ``cache``.
 
         ``x`` is (seq, d_model); returns the attention output (seq, d_model).
@@ -182,28 +188,42 @@ class AttentionModule:
         rows come back as exact zeros. The K/V (or latent) projection and
         append, the q projection and the output projection still span
         every row, so the cache and the rows computed are bit-identical to
-        ``first_output=0``. It must name a row of ``x``: anything else
+        ``first_output=0``. ``None`` means no row is read (the last layer
+        of a prefill whose logits nobody reads): the K/V (or latent) rows
+        are projected and appended and nothing else runs — no q
+        projection, no attention tile, no ``wo`` — and ``None`` is
+        returned. Any other value must name a row of ``x``: anything else
         raises ``ValueError`` before the cache is touched.
         """
         seq = x.shape[0]
-        if not 0 <= first_output < seq:
+        if first_output is not None and not 0 <= first_output < seq:
             raise ValueError(
                 f"first_output={first_output} is not a row of the {seq}-row prompt"
             )
-        cfg = self.config
+        self._append_prompt_kv(x, positions, cache)
+        if first_output is None:
+            return None
         q = self._project_q(x, positions)
-        if cfg.attention is AttentionKind.MLA:
-            latents = self.project_latent(x)
-            cache.append(latents[None, :, :, :], latents[None, :, :, :])
+        if self.config.attention is AttentionKind.MLA:
             all_latents = cache.keys[0, 0].astype(np.float64)  # (total, latent)
             k, v = self._mla_expand(all_latents, np.arange(all_latents.shape[0]))
         else:
-            k, v = self.project_kv(x, positions)
-            cache.append(k[None], v[None])
             k, v = cache.keys[0], cache.values[0]  # float32 storage views
-
         base = len(cache) - seq  # cache offset of this prompt chunk
         return self._chunked_causal(q, k, v, base, first_output)
+
+    def _append_prompt_kv(
+        self, x: np.ndarray, positions: np.ndarray, cache: LayerKVCache
+    ) -> None:
+        """Project a prompt chunk's K/V (MLA: latents) and append them:
+        the one place prefill writes the cache, whether or not the layer
+        then attends."""
+        if self.config.attention is AttentionKind.MLA:
+            latents = self.project_latent(x)
+            cache.append(latents[None, :, :, :], latents[None, :, :, :])
+        else:
+            k, v = self.project_kv(x, positions)
+            cache.append(k[None], v[None])
 
     def _chunked_causal(
         self,

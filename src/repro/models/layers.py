@@ -42,8 +42,8 @@ class DecoderLayer:
         x: np.ndarray,
         positions: np.ndarray,
         cache: LayerKVCache,
-        first_output: int = 0,
-    ) -> np.ndarray:
+        first_output: int | None = 0,
+    ) -> np.ndarray | None:
         """Process a prompt chunk; ``x`` is (seq, d_model).
 
         ``first_output`` is forwarded to :meth:`AttentionModule.prefill`:
@@ -51,10 +51,15 @@ class DecoderLayer:
         there are not this layer's output and must not be read. The FFN
         still runs over all ``seq`` rows, which keeps the rows that are
         read bit-identical (GEMM blocking depends on the row count).
+        ``None`` (the last layer of a prefill whose logits nobody reads)
+        runs the pre-attention norm and the K/V append only — no
+        attention, residual or FFN — and returns ``None``.
         """
         attn_out = self.attention.prefill(
             self._pre_attn(x), positions, cache, first_output
         )
+        if attn_out is None:
+            return None
         x = x + attn_out
         return x + self._ffn(x)
 

@@ -121,7 +121,9 @@ class TransformerLM:
             hidden = rms_norm(hidden, self.weights.norm_final)
         return linear_rows(hidden, self.weights.head_matrix())
 
-    def prefill(self, token_ids: np.ndarray, cache: ModelKVCache) -> np.ndarray:
+    def prefill(
+        self, token_ids: np.ndarray, cache: ModelKVCache, logits: bool = True
+    ) -> np.ndarray | None:
         """Run the prompt through all layers; returns last-token logits.
 
         Only the final row's hidden state is read, so the last layer
@@ -131,6 +133,15 @@ class TransformerLM:
         is projected from its input before attention, so every cache
         entry — and the logits — are bit-identical to attending for every
         row.
+
+        ``logits=False`` is for callers that only need the cache filled
+        (SpeContext's flow decodes the last prompt token as its first
+        policy step, so nobody samples from prefill logits). The last
+        layer then runs its pre-attention norm and K/V (or latent)
+        projection and append, nothing else — no q projection, attention
+        tile, ``wo``, FFN, final norm or LM head — and ``None`` is
+        returned. The cache is bit-identical to a logits prefill's, since
+        the last layer's K/V depend only on its input.
         """
         token_ids = np.asarray(token_ids)
         if token_ids.ndim != 1 or token_ids.size == 0:
@@ -140,9 +151,12 @@ class TransformerLM:
         x = self.embed(token_ids)
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            first_output = token_ids.size - 1 if i == last else 0
+            if i < last:
+                first_output = 0
+            else:
+                first_output = token_ids.size - 1 if logits else None
             x = layer.prefill(x, positions, cache[i], first_output)
-        return self.logits_from_hidden_rows(x[-1:])[0]
+        return self.logits_from_hidden_rows(x[-1:])[0] if logits else None
 
     def prefill_chunked(
         self, token_ids: np.ndarray, cache: ModelKVCache, chunk_tokens: int
@@ -158,16 +172,18 @@ class TransformerLM:
         bit-identical — the serving suite pins this for every policy.
         This is the model-level primitive behind the server's chunked
         prefill, which interleaves chunks with other sessions' decodes.
+        Only the final chunk computes logits; the others fill the cache
+        (``logits=False``).
         """
         token_ids = np.asarray(token_ids)
         if token_ids.ndim != 1 or token_ids.size == 0:
             raise ValueError("prompt must be a non-empty 1-D token array")
         if chunk_tokens < 1:
             raise ValueError(f"chunk_tokens must be >= 1, got {chunk_tokens}")
-        logits = None
-        for start in range(0, token_ids.size, chunk_tokens):
-            logits = self.prefill(token_ids[start : start + chunk_tokens], cache)
-        return logits
+        last = (token_ids.size - 1) // chunk_tokens * chunk_tokens
+        for start in range(0, last, chunk_tokens):
+            self.prefill(token_ids[start : start + chunk_tokens], cache, logits=False)
+        return self.prefill(token_ids[last:], cache)
 
     def decode_step(
         self,
@@ -412,7 +428,7 @@ class TransformerLM:
         )
         if use_sparse_first:
             if prefilled is None:
-                self.prefill(prompt_ids[:-1], cache)
+                self.prefill(prompt_ids[:-1], cache, logits=False)
             if policy is not None:
                 policy.begin_generation(prompt_ids[:-1], cache)
             pending: int | None = int(prompt_ids[-1])

@@ -1178,6 +1178,11 @@ class SpeContextServer:
         lands in and publishes newly completed full prompt blocks, so a
         later request can reuse blocks of this *still-prefilling*
         session. Returns the number of prompt tokens computed.
+
+        A prompt of 2+ tokens prefills ``prompt[:-1]`` and decodes its
+        last token as the first policy step, so no chunk's logits are
+        read: every such chunk (fresh, prefix-hit resume or recompute
+        rebuild) only fills the cache (``logits=False``).
         """
         prompt = session.request.prompt_ids
         sparse_first = prompt.size >= 2
@@ -1192,7 +1197,7 @@ class SpeContextServer:
                 session.published_blocks = reused // self.pool.block_size
         take = min(max_tokens, int(prefill_ids.size) - session.prefill_pos)
         segment = prefill_ids[session.prefill_pos : session.prefill_pos + take]
-        logits = self.model.prefill(segment, session.cache)
+        logits = self.model.prefill(segment, session.cache, logits=not sparse_first)
         session.prefill_pos += take
         self._step_prefill_tokens += take
         self._extend_blocks(
@@ -1238,7 +1243,7 @@ class SpeContextServer:
     def _finish_prefill(
         self,
         session: _Session,
-        logits: np.ndarray,
+        logits: np.ndarray | None,
         sparse_first: bool,
         prefill_ids: np.ndarray,
     ) -> None:

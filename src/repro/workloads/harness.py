@@ -48,7 +48,7 @@ def prepare_prompt(model: TransformerLM, prompt_ids: np.ndarray) -> PreparedProm
     if prompt_ids.ndim != 1 or prompt_ids.size < 2:
         raise ValueError("prompt must be 1-D with at least 2 tokens")
     cache = model.new_cache()
-    model.prefill(prompt_ids[:-1], cache)
+    model.prefill(prompt_ids[:-1], cache, logits=False)
     return PreparedPrompt(prompt_ids=prompt_ids, cache=cache)
 
 

@@ -23,6 +23,8 @@ import numpy as np
 import pytest
 
 from repro.api import EngineConfig, GenerationRequest, SamplingParams
+from repro.models import TransformerLM
+from repro.models.attention import AttentionModule
 from repro.serving import SpeContextServer, poisson_trace, replay_trace
 from repro.serving.trace import solo_token_streams
 from tests.test_serving_traces import (
@@ -427,3 +429,167 @@ class TestPrefixCacheDuringPrefill:
             output = server.run()[0]
             assert output.stats.prefix_reused_tokens > 0, name
             assert output.token_ids == solo, name
+
+
+class _PrefillSpy:
+    """What the model ran for each server prefill chunk.
+
+    ``chunks`` holds the tokens of each ``_prefill_chunk`` and ``calls``
+    those of each ``TransformerLM.prefill`` (the traced seam: one call per
+    chunk); ``last_layer`` the ``first_output`` of each last-layer
+    ``AttentionModule.prefill`` (``None``: K/V append only); ``head``
+    the logits of each LM-head call made from inside a prefill.
+    """
+
+    def __init__(self, monkeypatch, model):
+        self.chunks: list[int] = []
+        self.calls: list[int] = []
+        self.last_layer: list[int | None] = []
+        self.head: list[np.ndarray] = []
+        last = model.layers[-1].attention
+        inside = []
+        run_chunk = SpeContextServer._prefill_chunk
+        run_prefill = TransformerLM.prefill
+        run_attention = AttentionModule.prefill
+        run_head = TransformerLM.logits_from_hidden_rows
+
+        def chunk(server, session, max_tokens):
+            taken = run_chunk(server, session, max_tokens)
+            self.chunks.append(taken)
+            return taken
+
+        def prefill(lm, token_ids, cache, *args, **kwargs):
+            self.calls.append(len(token_ids))
+            inside.append(True)
+            try:
+                return run_prefill(lm, token_ids, cache, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        def attention(attn, x, positions, cache, first_output=0):
+            if attn is last:
+                self.last_layer.append(first_output)
+            return run_attention(attn, x, positions, cache, first_output)
+
+        def head(lm, hidden):
+            logits = run_head(lm, hidden)
+            if inside:
+                self.head.append(logits)
+            return logits
+
+        monkeypatch.setattr(SpeContextServer, "_prefill_chunk", chunk)
+        monkeypatch.setattr(TransformerLM, "prefill", prefill)
+        monkeypatch.setattr(AttentionModule, "prefill", attention)
+        monkeypatch.setattr(TransformerLM, "logits_from_hidden_rows", head)
+
+    def assert_logit_free(self):
+        """Every chunk filled the cache and stopped: one model prefill
+        per chunk, no last-layer attention, no LM head."""
+        assert self.chunks and self.calls == self.chunks
+        assert self.last_layer == [None] * len(self.chunks)
+        assert self.head == []
+
+
+class TestLogitFreePrefill:
+    """Prompts of 2+ tokens prefill ``prompt[:-1]`` and decode the last
+    token as the first policy step, so no prefill chunk's logits are read
+    and none are computed: the last layer only appends its K/V."""
+
+    def test_chunked(self, tiny_gqa_model, tiny_tokenizer, monkeypatch):
+        spy = _PrefillSpy(monkeypatch, tiny_gqa_model)
+        server = SpeContextServer(
+            tiny_gqa_model, pool_config(tiny_tokenizer, prefill_chunk_tokens=8)
+        )
+        requests = eight_policy_requests(tiny_tokenizer, max_new_tokens=3)[:3]
+        for request in requests:
+            server.add_request(clone(request))
+        outputs = server.run()
+        assert len(spy.chunks) > len(requests)  # every prompt took chunks
+        spy.assert_logit_free()
+        assert all(o.n_generated == 3 for o in outputs)
+
+    def test_prefix_hit(self, tiny_gqa_model, tiny_tokenizer, monkeypatch):
+        prefix = [
+            int(t)
+            for t in tiny_tokenizer.random_filler_ids(np.random.default_rng(7), 32)
+        ]
+        server = SpeContextServer(
+            tiny_gqa_model, pool_config(tiny_tokenizer, prefill_chunk_tokens=7)
+        )
+        donor, follower = (
+            GenerationRequest(
+                filler_prompt(tiny_tokenizer, seed, n, prefix=prefix),
+                sampling=SamplingParams(max_new_tokens=3),
+            )
+            for seed, n in ((301, 16), (300, 20))
+        )
+        server.add_request(donor)
+        server.run()  # the donor publishes its prefix blocks
+        spy = _PrefillSpy(monkeypatch, tiny_gqa_model)
+        server.add_request(follower)
+        (follower,) = server.run()
+        assert follower.stats.prefix_reused_tokens > 0
+        spy.assert_logit_free()
+
+    def test_recompute_preemption(self, tiny_gqa_model, tiny_tokenizer, monkeypatch):
+        spy = _PrefillSpy(monkeypatch, tiny_gqa_model)
+        server = SpeContextServer(
+            tiny_gqa_model,
+            pool_config(
+                tiny_tokenizer,
+                pool_blocks=14,
+                preempt_mode="recompute",
+                prefill_chunk_tokens=4,
+                max_step_tokens=8,
+            ),
+        )
+        for i in range(2):
+            server.add_request(
+                GenerationRequest(
+                    filler_prompt(tiny_tokenizer, 40 + i, 12),
+                    sampling=SamplingParams(max_new_tokens=24),
+                    policy="streaming",
+                )
+            )
+        server.step()
+        server.step()
+        server.add_request(
+            GenerationRequest(
+                filler_prompt(tiny_tokenizer, 50, 64),
+                sampling=SamplingParams(max_new_tokens=4),
+                policy="quest",
+            )
+        )
+        server.run()
+        assert {e.mode for e in server.preemption_log} == {"recompute"}
+        assert sum(spy.chunks) > 12 + 12 + 64  # a victim re-prefilled
+        spy.assert_logit_free()
+
+    def test_one_token_prompt_samples_from_prefill_logits(
+        self, tiny_gqa_model, tiny_tokenizer, monkeypatch
+    ):
+        """A 1-token prompt has no earlier token to decode from: its
+        first token is the argmax of the prefill's logits, and only its
+        chunk attends in the last layer (for the final row's tile)."""
+        spy = _PrefillSpy(monkeypatch, tiny_gqa_model)
+        server = SpeContextServer(
+            tiny_gqa_model, pool_config(tiny_tokenizer, prefill_chunk_tokens=8)
+        )
+        one = server.add_request(
+            GenerationRequest(
+                np.array([tiny_tokenizer.bos_id]),
+                sampling=SamplingParams(max_new_tokens=2),
+            )
+        )
+        server.add_request(
+            GenerationRequest(
+                filler_prompt(tiny_tokenizer, 5, 20),
+                sampling=SamplingParams(max_new_tokens=2),
+            )
+        )
+        outputs = {o.request_id: o for o in server.run()}
+        assert spy.calls == spy.chunks
+        assert spy.last_layer.count(0) == 1
+        assert spy.last_layer.count(None) == len(spy.chunks) - 1
+        (logits,) = spy.head
+        assert outputs[one].token_ids[0] == int(np.argmax(logits))

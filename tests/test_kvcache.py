@@ -3,6 +3,8 @@
 The paged pool has its own suite in ``test_paged_pool.py``.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,6 +230,32 @@ class TestLayerKVCache:
         k, v = _kv(10)
         cache.append(k, v)
         assert cache.nbytes() == 2 * 1 * 2 * 10 * 4 * 2
+
+    def test_pickle_ships_the_valid_entries_not_the_capacity(self):
+        """A pickled cache's size follows ``len``, not the doubled
+        capacity, and the unpickled cache appends, gathers and truncates
+        exactly as the original does."""
+        cache = LayerKVCache(1, 4, 64)
+        cache.append(*_kv(300, heads=4, dim=64))  # capacity 300
+        cache.append(*_kv(10, heads=4, dim=64, seed=1))  # capacity 600
+        sizes = {}
+        for length in (310, 200, 20):
+            cache.truncate(length)
+            sizes[length] = len(pickle.dumps(cache))
+            valid = cache.keys.nbytes + cache.values.nbytes
+            assert valid < sizes[length] < valid + 2048
+        assert sizes[20] * 10 < cache._k.nbytes + cache._v.nbytes  # capacity 600
+        copy = pickle.loads(pickle.dumps(cache))
+        assert len(copy) == 20 and copy._k.shape == cache._k.shape
+        indices = np.array([[0, 5, 19], [1, 2, 3], [19, 0, 7], [4, 4, 4]])
+        for side in (cache, copy):
+            side.append(*_kv(700, heads=4, dim=64, seed=2))  # grows again
+            side.truncate(650)
+        np.testing.assert_array_equal(copy.keys, cache.keys)
+        np.testing.assert_array_equal(copy.values, cache.values)
+        for got, want in zip(copy.gather(indices), cache.gather(indices)):
+            np.testing.assert_array_equal(got, want)
+        assert copy._k.shape == cache._k.shape
 
     @given(st.lists(st.integers(1, 8), min_size=1, max_size=10))
     @settings(max_examples=30, deadline=None)

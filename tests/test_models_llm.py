@@ -1,8 +1,11 @@
 """End-to-end tests of the transformer substrate: circuits, generation, cache."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from repro.experiments.common import make_functional_setup
 from repro.models import (
     AttentionKind,
     TransformerLM,
@@ -297,6 +300,47 @@ def test_prefill_last_layer_tile_is_exact(fixture, n, chunks, request, monkeypat
     for got, expected in zip(served.layers, reference.layers):
         np.testing.assert_array_equal(got.keys, expected.keys)
         np.testing.assert_array_equal(got.values, expected.values)
+
+
+
+@functools.cache
+def _functional_model(attention, n_layers):
+    return make_functional_setup(attention=attention, n_layers=n_layers).model
+
+
+@pytest.mark.parametrize(
+    "attention", [AttentionKind.GQA, AttentionKind.MLA], ids=["gqa", "mla"]
+)
+@pytest.mark.parametrize("n_layers", [2, 8])
+@pytest.mark.parametrize("chunk", [None, 37, 256], ids=["whole", "c37", "c256"])
+def test_logit_free_prefill_leaves_the_same_cache(attention, n_layers, chunk):
+    """``prefill(logits=False)`` returns no logits and leaves every
+    layer's cache bit for bit as a logits prefill leaves it, one-shot and
+    in chunks off the tile width; ``prefill_chunked`` (logit-free but for
+    its final chunk) ends on the same cache and the same logits."""
+    model = _functional_model(attention, n_layers)
+    prompt = np.random.default_rng(n_layers).integers(
+        0, model.config.vocab_size, size=300
+    )
+    size = prompt.size if chunk is None else chunk
+    with_logits, logit_free = model.new_cache(), model.new_cache()
+    for start in range(0, prompt.size, size):
+        segment = prompt[start : start + size]
+        logits = model.prefill(segment, with_logits)
+        assert logits.shape == (model.config.vocab_size,)
+        assert model.prefill(segment, logit_free, logits=False) is None
+    caches = [logit_free]
+    if chunk is not None:
+        chunked = model.new_cache()
+        np.testing.assert_array_equal(
+            model.prefill_chunked(prompt, chunked, chunk), logits
+        )
+        caches.append(chunked)
+    for cache in caches:
+        assert cache.seq_len == prompt.size
+        for got, want in zip(cache.layers, with_logits.layers):
+            np.testing.assert_array_equal(got.keys, want.keys)
+            np.testing.assert_array_equal(got.values, want.values)
 
 
 class TestBuilderInternals:
