@@ -1,16 +1,10 @@
-"""Serving benchmarks: batched decode, chunked prefill, speculative decode.
+"""Serving benchmarks: chunked prefill, speculative decode.
 
-Three sub-benchmarks share one timed trace-replay harness and emit a
+Two sub-benchmarks share one timed trace-replay harness and emit a
 single ``BENCH_serving.json`` so each PR leaves a recorded perf
 trajectory:
 
-1. **Batched decode** — replays a seeded Poisson-arrival trace of
-   identical-shape sessions through two :class:`SpeContextServer`s that
-   differ only in ``EngineConfig.batched_decode``; reports tokens/s,
-   decode-phase tokens/s, step-latency percentiles and the
-   batched-over-sequential ``speedup`` (CI gates on ``--min-speedup``).
-
-2. **Chunked prefill** — replays a mixed trace (steady short-prompt
+1. **Chunked prefill** — replays a mixed trace (steady short-prompt
    decode traffic plus one long-prompt arrival) through a monolithic
    server and a chunked one (``prefill_chunk_tokens``/``max_step_tokens``
    set); reports wall-clock TTFT p50/p95, queueing delay, decode-step
@@ -22,7 +16,7 @@ trajectory:
    this trace TTFT p95 is the long prompt's *own* TTFT, which chunking
    stretches over several steps by design.
 
-3. **Speculative decode** — replays a mixed trace (periodic prompts the
+2. **Speculative decode** — replays a mixed trace (periodic prompts the
    distilled draft model predicts nearly perfectly, plus unpredictable
    fillers) with ``spec_decode_k`` off and on; reports the acceptance
    rate, tokens per verify pass, decode-phase tokens/s and the
@@ -42,8 +36,8 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_serving.py            # full
     PYTHONPATH=src python benchmarks/bench_serving.py --smoke \
-        --min-speedup 1.0 --min-step-gain 1.0                    # CI gate
-    PYTHONPATH=src python benchmarks/bench_serving.py --sessions 16 \
+        --min-step-gain 1.0                                      # CI gate
+    PYTHONPATH=src python benchmarks/bench_serving.py \
         --policy quest --long-prompt-len 1024 --out BENCH_serving.json
     PYTHONPATH=src python benchmarks/bench_serving.py --spec-smoke \
         --min-accept-rate 0.5 --min-spec-speedup 1.0    # spec gate lane
@@ -66,7 +60,7 @@ from repro.models.llm import TransformerLM
 from repro.models.tokenizer import SyntheticTokenizer
 from repro.retrieval.registry import resolve_policy_name
 from repro.serving.server import SpeContextServer
-from repro.serving.trace import TraceEntry, poisson_trace
+from repro.serving.trace import TraceEntry
 
 
 def build_model(args) -> tuple[TransformerLM, SyntheticTokenizer]:
@@ -86,27 +80,6 @@ def filler_request(
         sampling=SamplingParams(max_new_tokens=max_new),
         policy=args.policy,
         budget=args.budget,
-    )
-
-
-def build_poisson_workload(
-    model: TransformerLM, tokenizer: SyntheticTokenizer, args
-) -> list[TraceEntry]:
-    """Seeded Poisson trace of identical-shape sessions.
-
-    Uniform prompt length / budget / policy keeps every decode step's
-    selection shapes aligned, so the batched server fuses all sessions
-    into single attention groups — the configuration the paper's
-    throughput tables (Table 3) are built around.
-    """
-    requests = [
-        filler_request(
-            tokenizer, args.seed + 100 + i, args.prompt_len, args.max_new_tokens, args
-        )
-        for i in range(args.sessions)
-    ]
-    return poisson_trace(
-        np.random.default_rng(args.seed), requests, args.mean_interarrival
     )
 
 
@@ -161,8 +134,7 @@ def build_spec_workload(tokenizer: SyntheticTokenizer, args) -> list[TraceEntry]
     draft model (an induction head) predicts their continuations almost
     perfectly; filler prompts are unpredictable and keep the acceptance
     rate honest. All prompts share one length and the dense ``full``
-    policy so the verify fast path sees aligned rows, mirroring the
-    uniform-shape convention of the Poisson workload.
+    policy so the verify fast path sees aligned rows.
     """
     entries: list[TraceEntry] = []
     for i in range(args.spec_periodic_sessions):
@@ -280,7 +252,7 @@ def mode_metrics(run: dict, config: EngineConfig) -> dict:
     decode_tokens = np.array([s["decode_tokens"] for s in steps])
     scheduled = prefill_tokens + decode_tokens
     # Two views of "decode steps": the throughput ratio compares *pure*
-    # decode waves (prefill work is identical in both batched modes and
+    # decode waves (prefill work is identical in both compared modes and
     # would dilute the speedup toward 1.0), while the latency
     # percentiles cover every step that emitted a token — in monolithic
     # mode an admitting step carries a whole prompt prefill and lands in
@@ -348,7 +320,7 @@ def run_best_of(model, trace, config: EngineConfig, repeats: int) -> dict:
 
 
 def bench_spec_decode(model, tokenizer, args) -> dict:
-    """Sub-benchmark 3: speculative vs plain decode on the mixed spec trace.
+    """Sub-benchmark 2: speculative vs plain decode on the mixed spec trace.
 
     Both modes replay the identical trace; the speculative run drafts
     with the distilled model and must stream bit-identical tokens — the
@@ -414,47 +386,8 @@ def bench_spec_decode(model, tokenizer, args) -> dict:
     }
 
 
-def bench_batched_decode(model, tokenizer, args) -> dict:
-    """Sub-benchmark 1: batched vs sequential decode on a Poisson trace."""
-    trace = build_poisson_workload(model, tokenizer, args)
-    results = {}
-    for batched in (False, True):
-        config = EngineConfig(
-            budget=args.budget,
-            bos_id=tokenizer.bos_id,
-            max_concurrency=args.sessions,
-            seed=args.seed,
-            batched_decode=batched,
-            )
-        mode = "batched" if batched else "sequential"
-        results[mode] = run_best_of(model, trace, config, args.repeats)
-        results[mode]["mode"] = mode
-    streams_identical = (
-        results["batched"].pop("token_streams")
-        == results["sequential"].pop("token_streams")
-    )
-    speedup = (
-        results["batched"]["decode_tokens_per_s"]
-        / results["sequential"]["decode_tokens_per_s"]
-        if results["sequential"]["decode_tokens_per_s"] > 0
-        else 0.0
-    )
-    speedup_end_to_end = (
-        results["batched"]["tokens_per_s"] / results["sequential"]["tokens_per_s"]
-        if results["sequential"]["tokens_per_s"] > 0
-        else 0.0
-    )
-    return {
-        "sequential": results["sequential"],
-        "batched": results["batched"],
-        "speedup": speedup,
-        "speedup_end_to_end": speedup_end_to_end,
-        "streams_identical": streams_identical,
-    }
-
-
 def bench_chunked_prefill(model, tokenizer, args) -> dict:
-    """Sub-benchmark 2: chunked vs monolithic prefill on the mixed trace.
+    """Sub-benchmark 1: chunked vs monolithic prefill on the mixed trace.
 
     Both servers run the ``sjf`` scheduler so short prompts order ahead
     of the long one at admission *and* (chunked) in the prefill phase —
@@ -554,26 +487,18 @@ def spec_gate(spec_report: dict, args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="bench_serving",
-        description="Serving benchmarks: batched decode, chunked prefill, "
-        "speculative decode.",
+        description="Serving benchmarks: chunked prefill, speculative "
+        "decode.",
     )
-    parser.add_argument("--sessions", type=int, default=8)
-    parser.add_argument("--prompt-len", type=int, default=64)
-    parser.add_argument("--max-new-tokens", type=int, default=128)
     parser.add_argument("--policy", default="streaming")
     parser.add_argument("--budget", type=int, default=64)
     parser.add_argument("--layers", type=int, default=4)
     parser.add_argument("--vocab", type=int, default=512)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--mean-interarrival", type=float, default=0.5,
-                        help="Poisson mean inter-arrival in server steps")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timed replays per mode; best run is reported")
     parser.add_argument("--smoke", action="store_true",
                         help="small fast configuration for CI")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="exit non-zero if the batched/sequential "
-                        "decode-phase tokens/s ratio falls below this")
     # ---- chunked-prefill sub-benchmark ----
     parser.add_argument("--short-sessions", type=int, default=8,
                         help="steady short-prompt requests in the mixed trace")
@@ -613,8 +538,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default="BENCH_serving.json")
     args = parser.parse_args(argv)
     if args.smoke:
-        args.prompt_len = min(args.prompt_len, 48)
-        args.max_new_tokens = min(args.max_new_tokens, 96)
         args.long_prompt_len = min(args.long_prompt_len, 288)
         args.short_sessions = min(args.short_sessions, 8)
 
@@ -639,26 +562,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {args.out}")
         return spec_gate(spec_report, args)
 
-    batched_report = bench_batched_decode(model, tokenizer, args)
     chunked_report = bench_chunked_prefill(model, tokenizer, args)
     spec_report = bench_spec_decode(model, tokenizer, args)
 
     report = {
-        "benchmark": "serving_batched_decode",
+        "benchmark": "serving",
         "smoke": args.smoke,
         "workload": {
-            "sessions": args.sessions,
-            "prompt_len": args.prompt_len,
-            "max_new_tokens": args.max_new_tokens,
             "policy": args.policy,
             "budget": args.budget,
             "layers": args.layers,
             "vocab": args.vocab,
             "seed": args.seed,
-            "mean_interarrival": args.mean_interarrival,
             "repeats": args.repeats,
         },
-        **batched_report,
         "chunked_prefill": chunked_report,
         "spec_decode": spec_report,
     }
@@ -666,19 +583,6 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(report, fh, indent=2)
         fh.write("\n")
 
-    for mode in ("sequential", "batched"):
-        r = report[mode]
-        print(
-            f"{mode:>10}: {r['decode_tokens_per_s']:7.0f} decode tok/s | "
-            f"{r['tokens_per_s']:7.0f} end-to-end tok/s | "
-            f"p50 step {r['step_latency_ms']['p50']:.2f} ms | "
-            f"ttft p95 {r['ttft_ms']['p95']:.2f} ms"
-        )
-    print(
-        f"speedup:    {report['speedup']:.2f}x decode "
-        f"({report['speedup_end_to_end']:.2f}x end-to-end)  |  "
-        f"streams identical: {report['streams_identical']}"
-    )
     for mode in ("monolithic", "chunked"):
         r = chunked_report[mode]
         print(
@@ -694,19 +598,9 @@ def main(argv: list[str] | None = None) -> int:
     print_spec_report(spec_report)
     print(f"wrote {args.out}")
 
-    if not report["streams_identical"]:
-        print("FAIL: batched and sequential token streams differ", file=sys.stderr)
-        return 1
     if not chunked_report["streams_identical"]:
         print(
             "FAIL: chunked and monolithic prefill token streams differ",
-            file=sys.stderr,
-        )
-        return 1
-    if args.min_speedup is not None and report["speedup"] < args.min_speedup:
-        print(
-            f"FAIL: speedup {report['speedup']:.2f}x below required "
-            f"{args.min_speedup:.2f}x",
             file=sys.stderr,
         )
         return 1

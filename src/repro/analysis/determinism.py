@@ -1,7 +1,7 @@
 """Pass 1 — determinism: wall clocks, unseeded RNGs, set iteration, matmuls.
 
 The reproduction's north star is bit-identical token streams across
-batched/sequential/speculative/cluster modes. Four source patterns are
+batching, chunking, speculation and cluster placement. Four source patterns are
 the recurring ways that property quietly dies:
 
 - ``wall-clock``: ``time.time()``/``monotonic()``/``datetime.now()``

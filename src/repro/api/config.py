@@ -100,9 +100,11 @@ class SamplingParams:
 class EngineConfig:
     """Everything the engine/server needs beyond the model itself.
 
-    Two behaviours are fixed rather than configured: the server decodes
+    Three behaviours are fixed rather than configured: the server decodes
     the final prompt token as the first policy-governed step (SpeContext's
-    dataflow; prompts of one token are prefilled whole), and its memory
+    dataflow; prompts of one token are prefilled whole), it decodes the
+    ready sessions in fused server-wide waves (one wave per step unless a
+    block reservation needs eviction or preemption), and its memory
     model charges M_DLM for the server's one retrieval head when the
     default policy is specontext, nothing otherwise.
 
@@ -140,13 +142,6 @@ class EngineConfig:
         scheduler: admission/preemption ordering policy name (resolved
             by ``repro.serving.policies.SCHEDULERS.make(...)``): "fcfs",
             "priority" or "sjf".
-        batched_decode: how many sessions share one decode forward pass
-            (stacked hidden states, row-batched QKV/O/FFN GEMMs,
-            selection-shape-grouped attention). True (default) fuses every
-            ready session whose next block is free into one server-wide
-            wave; False flushes the wave after every session, i.e. waves
-            of one through the same code. Token streams, selection
-            histories and event order are bit-identical between the two.
         prefill_chunk_tokens: the size of the chunks every prompt prefill
             runs in. None (default) is one chunk covering the whole
             prompt, run inline at admission. A number streams the prompt
@@ -209,7 +204,6 @@ class EngineConfig:
     enable_prefix_cache: bool = True
     preempt_mode: str = "swap"
     scheduler: str = "fcfs"
-    batched_decode: bool = True
     prefill_chunk_tokens: int | None = None
     max_step_tokens: int | None = None
     seed: int = 0

@@ -15,7 +15,8 @@ callers catching the untyped exceptions keep working unchanged.
 Attributes carried by every error:
 
 - ``code``: stable machine-readable slug (OpenAI-style ``error.code``);
-- ``http_status``: the status the HTTP frontend answers with.
+- ``http_status``: the status the HTTP frontend answers with;
+- ``message``: the human-readable reason (OpenAI-style ``error.message``).
 """
 
 from __future__ import annotations
@@ -36,16 +37,20 @@ __all__ = [
 ]
 
 
-class RequestValidationError(ValueError):
+class _MessageMixin:
+    """Shared by every error here: ``message`` is the client-facing text."""
+
+    @property
+    def message(self) -> str:
+        """The human-readable reason (first positional arg)."""
+        return str(self.args[0]) if self.args else self.__class__.__name__
+
+
+class RequestValidationError(_MessageMixin, ValueError):
     """A request was rejected at validation; the engine state is untouched."""
 
     code = "invalid_request_error"
     http_status = 400
-
-    @property
-    def message(self) -> str:
-        """The human-readable rejection reason (first positional arg)."""
-        return str(self.args[0]) if self.args else self.__class__.__name__
 
 
 class EmptyPromptError(RequestValidationError):
@@ -96,7 +101,7 @@ class ConfigValidationError(RequestValidationError):
     code = "invalid_config"
 
 
-class OverloadedError(RuntimeError):
+class OverloadedError(_MessageMixin, RuntimeError):
     """Admission control shed the request; retry after backoff.
 
     Raised by :meth:`repro.serving.server.SpeContextServer.add_request`
@@ -114,12 +119,8 @@ class OverloadedError(RuntimeError):
         super().__init__(message)
         self.retry_after_s = float(retry_after_s)
 
-    @property
-    def message(self) -> str:
-        return str(self.args[0]) if self.args else self.__class__.__name__
 
-
-class DeadlineExceededError(RuntimeError):
+class DeadlineExceededError(_MessageMixin, RuntimeError):
     """A request blew its TTFT or total deadline and was cancelled.
 
     ``kind`` is ``"ttft"`` (the first token never arrived in time; the
@@ -138,18 +139,10 @@ class DeadlineExceededError(RuntimeError):
         self.kind = kind
         self.http_status = 408 if kind == "ttft" else 504
 
-    @property
-    def message(self) -> str:
-        return str(self.args[0]) if self.args else self.__class__.__name__
 
-
-class EngineUnavailableError(RuntimeError):
+class EngineUnavailableError(_MessageMixin, RuntimeError):
     """No healthy worker can take the request (all replicas dead/draining)."""
 
     code = "engine_unavailable"
     http_status = 503
     retry_after_s = 1.0
-
-    @property
-    def message(self) -> str:
-        return str(self.args[0]) if self.args else self.__class__.__name__

@@ -85,9 +85,6 @@ def main(argv: list[str] | None = None) -> int:
                         choices=("swap", "recompute"))
     parser.add_argument("--no-prefix-cache", action="store_true",
                         help="disable prompt prefix-block reuse")
-    parser.add_argument("--sequential-decode", action="store_true",
-                        help="decode in waves of one session instead of "
-                        "fused server-wide waves")
     parser.add_argument("--prefill-chunk-tokens", type=int, default=None,
                         help="stream each prompt's prefill in chunks of at "
                         "most this many tokens instead of one inline "
@@ -162,7 +159,6 @@ def main(argv: list[str] | None = None) -> int:
         enable_prefix_cache=not args.no_prefix_cache,
         preempt_mode=args.preempt_mode,
         scheduler=args.scheduler,
-        batched_decode=not args.sequential_decode,
         prefill_chunk_tokens=args.prefill_chunk_tokens,
         max_step_tokens=args.max_step_tokens,
         spec_decode_k=args.spec_decode_k,
@@ -219,8 +215,7 @@ def _run_queue(target, args, config, tokenizer, policies) -> int:
         f"vocab {config.vocab_size}  |  budget {args.budget}, "
         f"concurrency {args.concurrency}  |  pool "
         f"{args.block_size}-token blocks per replica, "
-        f"{args.scheduler} scheduling  |  "
-        f"{'sequential' if args.sequential_decode else 'batched'} decode"
+        f"{args.scheduler} scheduling"
         + (
             f"  |  chunked prefill ({args.prefill_chunk_tokens} tokens"
             + (

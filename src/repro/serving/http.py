@@ -284,16 +284,15 @@ def _error_type_for(status: int) -> str:
 
 
 class _HttpError(Exception):
-    """Maps straight to one structured error response."""
+    """Maps straight to one structured error response; the body's
+    ``type`` follows from the status (``_error_type_for``)."""
 
     def __init__(self, status: int, message: str, code: str,
-                 error_type: str = "invalid_request_error",
                  headers: dict[str, str] | None = None):
         super().__init__(message)
         self.status = status
         self.message = message
         self.code = code
-        self.error_type = error_type
         self.headers = dict(headers or {})
 
     @classmethod
@@ -309,18 +308,15 @@ class _HttpError(Exception):
             if isinstance(err, (ValueError, KeyError, TypeError)):
                 status, code = 400, code or "invalid_request_error"
             else:
-                return cls(
-                    500, f"internal error: {err}", "internal_error",
-                    error_type="server_error",
-                )
+                return cls(500, f"internal error: {err}", "internal_error")
         return cls(status, message, code or "invalid_request_error",
-                   error_type=_error_type_for(status), headers=headers)
+                   headers=headers)
 
     def body(self) -> dict:
         return {
             "error": {
                 "message": self.message,
-                "type": self.error_type,
+                "type": _error_type_for(self.status),
                 "code": self.code,
             }
         }
@@ -458,11 +454,6 @@ class HttpServer:
                 return
             method, path, headers, body = parsed
             await self._route(writer, method, path, body)
-        except _HttpError as err:
-            await self._send_json(writer, err.status, err.body(),
-                                  headers=err.headers)
-            if parsed is None:  # rejected mid-read: input may be left
-                await _linger(reader, writer)
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             pass
         except asyncio.CancelledError:
@@ -470,13 +461,15 @@ class HttpServer:
             # Not re-raised: asyncio's connection callback reads
             # task.exception(), which raises (and logs) on a cancelled task.
             pass
-        except Exception as err:  # last-ditch 500; never kill the acceptor
-            internal = _HttpError(
-                500, f"internal error: {err}", "internal_error",
-                error_type="server_error",
-            )
+        except Exception as err:
+            if not isinstance(err, _HttpError):
+                # Last-ditch 500; never kill the acceptor.
+                err = _HttpError(500, f"internal error: {err}", "internal_error")
             try:
-                await self._send_json(writer, 500, internal.body())
+                await self._send_json(writer, err.status, err.body(),
+                                      headers=err.headers)
+                if parsed is None:  # rejected mid-read: input may be left
+                    await _linger(reader, writer)
             except (ConnectionResetError, BrokenPipeError):
                 pass
         finally:
@@ -573,8 +566,7 @@ class HttpServer:
                 tokens.append(payload.token_id)
             elif kind == "error":
                 raise _HttpError(
-                    payload.http_status, payload.message, payload.code,
-                    error_type=_error_type_for(payload.http_status),
+                    payload.http_status, payload.message, payload.code
                 )
             else:
                 output = payload
@@ -616,15 +608,14 @@ class HttpServer:
                     # Headers already went out as 200; the error rides the
                     # stream as a final structured chunk, then the
                     # terminator — clients always see exactly one ending.
+                    error = _HttpError(
+                        payload.http_status, payload.message, payload.code
+                    )
                     chunk = {
                         "id": f"cmpl-{gid}",
                         "object": "text_completion",
                         "model": model_name,
-                        "error": {
-                            "message": payload.message,
-                            "type": _error_type_for(payload.http_status),
-                            "code": payload.code,
-                        },
+                        "error": error.body()["error"],
                         "choices": [{
                             "index": 0,
                             "text": "",

@@ -44,11 +44,9 @@ with the memory discipline of a production engine:
   per-token :class:`StreamEvent`s drainable via :meth:`pop_stream_events`.
   Sessions decode in fused *waves* (stacked hidden states, row-batched
   GEMMs, selection-shape-grouped attention; see
-  :meth:`repro.models.llm.TransformerLM.decode_step_batch`).
-  ``batched_decode`` is the wave size: True (default) grows a wave until
-  a block reservation would need eviction or preemption — a whole step
-  under no pressure; False decodes waves of one. Both produce the same
-  events in the same order; the numeric reference for either is
+  :meth:`repro.models.llm.TransformerLM.decode_step_batch`). A wave
+  grows until a block reservation would need eviction or preemption — a
+  whole step under no pressure. The numeric reference is
   :meth:`repro.models.llm.TransformerLM.generate`;
 - ``run`` steps until the queue drains and returns per-request
   :class:`~repro.api.request.GenerationOutput`s.
@@ -797,10 +795,8 @@ class SpeContextServer:
         (no head-of-line blocking). The chunk size never changes tokens:
         a token's KV depends only on its predecessors.
 
-        ``batched_decode`` (the default) fuses the ready sessions'
-        forward passes into server-wide waves; unset, every wave holds
-        one session. Token streams and selection histories are
-        bit-identical either way. Returns the requests that finished
+        The ready sessions' forward passes fuse into server-wide waves
+        (see ``_step_batched``). Returns the requests that finished
         during this step.
         """
         self._step_prefill_tokens = 0
@@ -815,10 +811,8 @@ class SpeContextServer:
         """Decode phase: reserve capacity per session, decode in fused waves.
 
         The contract is the one-session-at-a-time interleave (ensure A,
-        decode A, ensure B, ...), which ``batched_decode=False`` runs
-        literally: every wave is flushed before the next reservation.
-        With batching on, a session joins the current *wave* as long as
-        its decode block comes straight off the free stack; when a
+        decode A, ensure B, ...). A session joins the current *wave* as
+        long as its decode block comes straight off the free stack; when a
         reservation would need eviction or preemption, the wave decodes
         first — its completions free their blocks exactly as the
         interleave would have — and only then does the reservation
@@ -838,9 +832,7 @@ class SpeContextServer:
             needed = self.pool.blocks_for_tokens(session.current_len + 1) - len(
                 session.block_table
             )
-            if wave and (
-                needed > self.pool.n_free or not self.config.batched_decode
-            ):
+            if wave and needed > self.pool.n_free:
                 finished.extend(self._flush_wave(wave))
                 wave = []
             # Reserve the block the about-to-be-generated token occupies.
@@ -1116,13 +1108,19 @@ class SpeContextServer:
         self._preempt(victim)
 
     def _preempt(self, victim: _Session) -> None:
-        """Evict one active session: free its blocks, requeue it."""
+        """Evict one active session: free its blocks, requeue it.
+
+        A recompute victim's cache is dropped here, so a waiting victim
+        holds no KV (and an export of it ships none).
+        """
         blocks_freed = len(victim.block_table)
+        kv_bytes = victim.cache.nbytes()
         self._detach(victim)
         if self.config.preempt_mode == "swap":
             self._stash(victim)
         else:
             victim.state = _SessionState.RECOMPUTE
+            victim.cache = self.model.new_cache()
         victim.preemptions += 1
         self._waiting.append(victim)
         self._preemption_log.append(
@@ -1131,7 +1129,7 @@ class SpeContextServer:
                 clock=self._clock,
                 mode=self.config.preempt_mode,
                 blocks_freed=blocks_freed,
-                kv_bytes=victim.cache.nbytes(),
+                kv_bytes=kv_bytes,
             )
         )
 
@@ -1268,16 +1266,15 @@ class SpeContextServer:
     def _begin_rebuild(self, session: _Session) -> None:
         """Route a recompute-preempted session back through the chunk path.
 
-        Fresh cache and table, no prefix acquisition or publication, no
-        prefill-block stats, and — when the session had sampled progress
-        — a forced decode replay at completion that never consults the
-        sampler. A victim with no sampled progress (preempted
-        mid-prefill, or a sparse-first session before its first step)
-        restarts as a fresh prefill instead, which *is* allowed to hit
-        the prefix cache: nothing was drawn from its rng, so the restart
-        is exact either way.
+        Empty cache (dropped at preemption) and table, no prefix
+        acquisition or publication, no prefill-block stats, and — when
+        the session had sampled progress — a forced decode replay at
+        completion that never consults the sampler. A victim with no
+        sampled progress (preempted mid-prefill, or a sparse-first
+        session before its first step) restarts as a fresh prefill
+        instead, which *is* allowed to hit the prefix cache: nothing was
+        drawn from its rng, so the restart is exact either way.
         """
-        session.cache = self.model.new_cache()
         session.block_table = BlockTable()
         session.prefill_pos = 0
         session.prefill_done = False

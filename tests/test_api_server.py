@@ -438,31 +438,37 @@ class TestServer:
 
 class TestServerMatchesModelGenerate:
     """The numeric oracle for the server's one decode path: tokens and
-    every step's selections (through the selection digest).
+    every step's selections (through the selection digest). The
+    reference is the model layer's closed loop — one monolithic prefill
+    plus batch=1 ``decode_step`` per token — which shares no serving
+    code. ``crowded`` serves the request alongside two longer-running
+    neighbours of other policies, so every one of its decode steps runs
+    inside a multi-session fused wave."""
 
-    ``batched_decode=False`` runs the same ``_flush_wave`` as the fused
-    mode (in waves of one), so comparing the two modes no longer checks
-    anything numeric. The independent reference is the model layer's
-    closed loop — one monolithic prefill plus batch=1 ``decode_step`` per
-    token — which shares no serving code."""
-
+    @pytest.mark.parametrize("crowded", [False, True], ids=["alone", "crowded"])
     @pytest.mark.parametrize("chunk", [None, 32])
-    @pytest.mark.parametrize("batched", [True, False])
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_stream_equals_generate(
-        self, name, batched, chunk, tiny_gqa_model, tiny_tokenizer
+        self, name, chunk, crowded, tiny_gqa_model, tiny_tokenizer
     ):
-        config = server_config(
-            tiny_tokenizer, batched_decode=batched, prefill_chunk_tokens=chunk
-        )
+        config = server_config(tiny_tokenizer, prefill_chunk_tokens=chunk)
         prompt, _, _ = make_recall_prompt(
             tiny_tokenizer, np.random.default_rng(21), n_filler=120
         )
         server = SpeContextServer(tiny_gqa_model, config)
-        server.add_request(GenerationRequest(
+        rid = server.add_request(GenerationRequest(
             prompt, sampling=SamplingParams(max_new_tokens=5), policy=name
         ))
-        [output] = server.run()
+        if crowded:
+            for seed, neighbour in ((22, "specontext"), (23, "quest")):
+                other, _, _ = make_recall_prompt(
+                    tiny_tokenizer, np.random.default_rng(seed), n_filler=100
+                )
+                server.add_request(GenerationRequest(
+                    other, sampling=SamplingParams(max_new_tokens=7),
+                    policy=neighbour,
+                ))
+        [output] = [o for o in server.run() if o.request_id == rid]
         # The server's policy, from a head built without the server.
         opts = {}
         if name == "specontext":

@@ -20,7 +20,6 @@ class TestBenchServing:
     def run_bench(self, tmp_path, extra=()):
         out = tmp_path / "BENCH_serving.json"
         rc = bench_serving.main([
-            "--sessions", "3", "--prompt-len", "24", "--max-new-tokens", "6",
             "--layers", "2", "--repeats", "1",
             "--short-sessions", "4", "--short-max-new", "6",
             "--long-prompt-len", "96", "--prefill-chunk-tokens", "16",
@@ -31,25 +30,25 @@ class TestBenchServing:
         ])
         return rc, out
 
-    def test_report_schema_and_identical_streams(self, tmp_path, capsys):
+    def test_report_schema(self, tmp_path):
         rc, out = self.run_bench(tmp_path)
         assert rc == 0
         report = json.loads(out.read_text())
-        assert report["benchmark"] == "serving_batched_decode"
-        assert report["streams_identical"] is True
-        assert report["speedup"] > 0
-        for mode in ("sequential", "batched"):
-            entry = report[mode]
-            assert entry["generated_tokens"] > 0
+        assert report["benchmark"] == "serving"
+        assert set(report) == {
+            "benchmark", "smoke", "workload", "chunked_prefill", "spec_decode"
+        }
+        chunked, spec = report["chunked_prefill"], report["spec_decode"]
+        for entry in (
+            chunked["monolithic"], chunked["chunked"],
+            spec["baseline"], spec["speculative"],
+        ):
             assert entry["tokens_per_s"] > 0
-            assert entry["decode_tokens_per_s"] > 0
             assert set(entry["step_latency_ms"]) == {"mean", "p50", "p95"}
             assert set(entry["ttft_ms"]) == {"mean", "p50", "p95"}
             assert entry["ttft_ms"]["p95"] >= entry["ttft_ms"]["p50"] > 0
             assert set(entry["queueing_delay_steps"]) == {"mean", "p50", "p95"}
             assert entry["busy_tokens_per_step"] >= entry["tokens_per_step"] > 0
-            assert "token_streams" not in entry  # raw streams stay out
-        assert "speedup" in capsys.readouterr().out
 
     def test_chunked_prefill_section_schema(self, tmp_path, capsys):
         rc, out = self.run_bench(tmp_path)
@@ -121,11 +120,6 @@ class TestBenchServing:
         )
         assert rc == 1
         assert "speculative speedup" in capsys.readouterr().err
-
-    def test_min_speedup_gate_fails_when_unmet(self, tmp_path, capsys):
-        rc, _ = self.run_bench(tmp_path, extra=("--min-speedup", "1e9"))
-        assert rc == 1
-        assert "below required" in capsys.readouterr().err
 
     def test_min_step_gain_gate_fails_when_unmet(self, tmp_path, capsys):
         rc, _ = self.run_bench(tmp_path, extra=("--min-step-gain", "1e9"))

@@ -6,8 +6,8 @@ token's KV depends only on the tokens before it (the same argument behind
 the prefix cache), so for every policy, chunk size and step budget the
 chunked server's tokens, selection histories and transfer stats must
 equal the monolithic reference exactly — including with prefix-cache hits
-landing mid-chunk, preemption striking mid-prefill (swap and recompute),
-and the fused batched decode path on top.
+landing mid-chunk and preemption striking mid-prefill (swap and
+recompute), with the preemption decisions under chunked pressure pinned.
 
 With ``prefill_chunk_tokens >= prompt`` and no step budget the chunked
 scheduler degenerates to the monolithic one step for step, so there the
@@ -30,10 +30,11 @@ from repro.serving.trace import solo_token_streams
 from tests.test_serving_traces import (
     ALL_NAMES,
     assert_outputs_bit_identical,
-    assert_same_selections,
+    assert_same_generation,
     clone,
     filler_prompt,
     pool_config,
+    solo_outputs,
 )
 
 warnings.filterwarnings("ignore", message="One of the clusters is empty")
@@ -72,24 +73,6 @@ def run_trace(model, tokenizer, requests, trace_seed=11, **overrides):
     return server, outputs
 
 
-def assert_generation_identical(chunked_outputs, mono_outputs):
-    """Schedule-independent equality: everything a client can observe
-    about *what was generated* — tokens, stop reasons, the selection
-    digest and the transfer accounting. Timing-
-    dependent stats (preemptions, offload events, prefix reuse) may
-    legitimately differ when chunking stretches prefill across steps."""
-    assert len(chunked_outputs) == len(mono_outputs)
-    for c, m in zip(chunked_outputs, mono_outputs):
-        assert c.request_id == m.request_id
-        assert c.token_ids == m.token_ids, c.request_id
-        assert c.finish_reason == m.finish_reason
-        assert c.stats.budget == m.stats.budget
-        assert c.stats.bytes_transferred == m.stats.bytes_transferred
-        assert c.stats.transfer_reduction == m.stats.transfer_reduction
-        assert c.stats.mean_selection_overlap == m.stats.mean_selection_overlap
-        assert_same_selections(c.stats.result, m.stats.result)
-
-
 class TestChunkedEqualsMonolithic:
     @pytest.mark.parametrize("chunk,max_step", CHUNK_GRID)
     def test_all_policies_bit_identical(
@@ -104,7 +87,7 @@ class TestChunkedEqualsMonolithic:
             prefill_chunk_tokens=chunk,
             max_step_tokens=max_step,
         )
-        assert_generation_identical(chunked, mono)
+        assert_same_generation(chunked, mono)
 
     def test_ge_prompt_chunk_degenerates_to_monolithic(
         self, tiny_gqa_model, tiny_tokenizer
@@ -250,6 +233,15 @@ class TestTokenBudget:
             EngineConfig(max_step_tokens=32)
 
 
+# (request_id, clock, blocks_freed, kv_bytes) of every preemption in the
+# chunked-pressure trace, per scheduler.
+CHUNKED_PRESSURE_PREEMPTIONS = {
+    "fcfs": [(3, 20.0, 6, 163840), (3, 26.0, 6, 180224)],
+    "priority": [(5, 20.0, 6, 188416), (5, 25.0, 7, 196608)],
+    "sjf": [(3, 20.0, 6, 163840), (3, 26.0, 6, 180224)],
+}
+
+
 class TestMidPrefillPreemption:
     @pytest.mark.parametrize("mode", ["swap", "recompute"])
     def test_preempted_mid_prefill_resumes_exactly(
@@ -307,37 +299,34 @@ class TestMidPrefillPreemption:
         assert [o.token_ids for o in outputs] == solo
 
     @pytest.mark.parametrize("scheduler", ["fcfs", "priority", "sjf"])
-    def test_batched_equals_sequential_under_chunked_pressure(
+    def test_chunked_pressure_matches_solo_with_pinned_preemptions(
         self, scheduler, tiny_gqa_model, tiny_tokenizer
     ):
-        """The PR-3 guarantee survives chunking: fused decode and the
-        sequential reference loop stay bit-identical — outputs, stats and
-        the preemption log event for event — while prompts stream in
-        chunk by chunk under pool pressure."""
+        """The wave rule survives chunking: while prompts stream in chunk
+        by chunk under pool pressure, outputs match solo runs and the
+        preemption log is the one-session interleave's, event for event
+        (the literals were recorded while a waves-of-one decode mode
+        still existed and matched it)."""
         requests = eight_policy_requests(tiny_tokenizer, max_new_tokens=10)[:6]
-        servers, outputs = [], []
-        for batched in (True, False):
-            server, outs = run_trace(
-                tiny_gqa_model,
-                tiny_tokenizer,
-                requests,
-                pool_blocks=11,
-                scheduler=scheduler,
-                batched_decode=batched,
-                prefill_chunk_tokens=6,
-                max_step_tokens=16,
-            )
-            servers.append(server)
-            outputs.append(outs)
-        assert len(servers[0].preemption_log) > 0
-        assert_outputs_bit_identical(outputs[0], outputs[1])
+        overrides = dict(
+            pool_blocks=11,
+            scheduler=scheduler,
+            prefill_chunk_tokens=6,
+            max_step_tokens=16,
+        )
+        server, outputs = run_trace(
+            tiny_gqa_model, tiny_tokenizer, requests, **overrides
+        )
+        assert_same_generation(
+            outputs,
+            solo_outputs(
+                tiny_gqa_model, pool_config(tiny_tokenizer, **overrides), requests
+            ),
+        )
         assert [
             (e.request_id, e.clock, e.blocks_freed, e.kv_bytes)
-            for e in servers[0].preemption_log
-        ] == [
-            (e.request_id, e.clock, e.blocks_freed, e.kv_bytes)
-            for e in servers[1].preemption_log
-        ]
+            for e in server.preemption_log
+        ] == CHUNKED_PRESSURE_PREEMPTIONS[scheduler]
 
 
 class TestPrefixCacheDuringPrefill:

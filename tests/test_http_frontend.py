@@ -361,6 +361,73 @@ class TestValidation:
                 assert status == 200, payload
         asyncio.run(scenario())
 
+    def test_error_wire_bytes(self, tiny_gqa_model, tiny_tokenizer):
+        """One 4xx response and one SSE error chunk, byte for byte."""
+        stream_body = json.dumps({
+            "prompt": filler_prompt(tiny_tokenizer), "max_tokens": 4,
+            "stream": True, "total_deadline_s": 1.5,
+        }).encode()
+
+        async def scenario():
+            async with running_server(
+                tiny_gqa_model, tiny_tokenizer
+            ) as (_, port):
+                rejected = await raw_request(port, http_payload(
+                    "POST", "/v1/completions", b'{"prompt": ""}'
+                ))
+                streamed = await raw_request(port, http_payload(
+                    "POST", "/v1/completions", stream_body
+                ))
+            return rejected, streamed
+
+        rejected, streamed = asyncio.run(scenario())
+        assert rejected == (
+            b"HTTP/1.1 400 Bad Request\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: 129\r\n"
+            b"Connection: close\r\n\r\n"
+            b'{"error": {"message": "prompt_ids must be a non-empty 1-D '
+            b'token array", "type": "invalid_request_error", '
+            b'"code": "empty_prompt"}}'
+        )
+        *_, error_block, done, tail = streamed.split(b"\n\n")
+        assert (done, tail) == (b"data: [DONE]", b"")
+        assert error_block == (
+            b'data: {"id": "cmpl-0", "object": "text_completion", '
+            b'"model": "specontext-repro", "error": {"message": "request 0 '
+            b"missed its total deadline (1.5 on the step clock; arrived at "
+            b'0, cancelled at 1)", "type": "timeout_error", '
+            b'"code": "deadline_exceeded"}, "choices": [{"index": 0, '
+            b'"text": "", "token_ids": [], '
+            b'"finish_reason": "deadline_exceeded"}]}'
+        )
+
+    def test_collected_error_wire_bytes(self, tiny_gqa_model, tiny_tokenizer):
+        """A non-streamed request that fails after admission answers with
+        the same error object an SSE chunk carries, byte for byte."""
+        body = json.dumps({
+            "prompt": filler_prompt(tiny_tokenizer), "max_tokens": 4,
+            "total_deadline_s": 1.5,
+        }).encode()
+
+        async def scenario():
+            async with running_server(
+                tiny_gqa_model, tiny_tokenizer
+            ) as (_, port):
+                return await raw_request(port, http_payload(
+                    "POST", "/v1/completions", body
+                ))
+
+        assert asyncio.run(scenario()) == (
+            b"HTTP/1.1 504 Gateway Timeout\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: 169\r\n"
+            b"Connection: close\r\n\r\n"
+            b'{"error": {"message": "request 0 missed its total deadline '
+            b"(1.5 on the step clock; arrived at 0, cancelled at 1)\", "
+            b'"type": "timeout_error", "code": "deadline_exceeded"}}'
+        )
+
     def test_out_of_vocabulary_prompt_rejected(
         self, tiny_gqa_model, tiny_tokenizer
     ):
@@ -453,6 +520,31 @@ class TestValidation:
                 assert payload["error"]["type"] == "server_error"
                 assert payload["error"]["code"] == "internal_error"
         asyncio.run(scenario())
+
+    def test_last_ditch_error_wire_bytes(
+        self, tiny_gqa_model, tiny_tokenizer, monkeypatch
+    ):
+        """The last-ditch 500 goes out through the same writer as every
+        mapped error: same headers, same body layout."""
+        async def broken_route(self, writer, method, path, body):
+            raise RuntimeError("route bug")
+
+        monkeypatch.setattr(HttpServer, "_route", broken_route)
+
+        async def scenario():
+            async with running_server(
+                tiny_gqa_model, tiny_tokenizer
+            ) as (_, port):
+                return await raw_request(port, http_payload("GET", "/healthz"))
+
+        assert asyncio.run(scenario()) == (
+            b"HTTP/1.1 500 Internal Server Error\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: 101\r\n"
+            b"Connection: close\r\n\r\n"
+            b'{"error": {"message": "internal error: route bug", '
+            b'"type": "server_error", "code": "internal_error"}}'
+        )
 
 
 # ---- health + lifecycle ------------------------------------------------------

@@ -8,7 +8,7 @@ The migration contract under test:
   deduplicated on re-import);
 - ``export_session``/``import_session`` moves a session wholesale, so
   every migrated request's token stream is bit-identical to a solo run
-  — across all 8 KV policies, batched and sequential decode, on both
+  — across all 8 KV policies, monolithic and chunked prefill, on both
   executors (the ``export_kv``/``import_kv`` worker ops, including the
   multiprocess pickle path);
 - pool refcounts and the free stack stay exact while migrations
@@ -559,20 +559,28 @@ class TestChaosKillSource:
             assert executor.audit_pools() == 2  # both survivors exact
 
 
-# ---- bit-identity matrix: policies x decode mode x surface -------------------
+# ---- bit-identity matrix: policies x surface x prefill mode -------------------
+
+
+# A 16-token chunk splits every matrix prompt (33-40 tokens) into 3 chunks.
+PREFILL_CHUNKS = (None, 16)
+PREFILL_IDS = ("monolithic", "chunked")
+# Chunked, sessions 2 and 3 finish prefill in the first step: their first
+# chunk reuses the 24-token shared prefix that sessions 0 and 1 published
+# earlier in that same step, leaving at most 11 tokens to compute.
+HANDOFF_ORDER = {None: (0, 1, 2, 3), 16: (2, 3, 0, 1)}
 
 
 class TestMigrationBitIdentityMatrix:
-    """Every policy, batched and sequential decode, both executors."""
+    """Every policy, both executors, monolithic and chunked prefill on
+    the prefill-role worker."""
 
-    @pytest.mark.parametrize(
-        "batched", (True, False), ids=("batched", "sequential")
-    )
+    @pytest.mark.parametrize("chunk", PREFILL_CHUNKS, ids=PREFILL_IDS)
     @pytest.mark.parametrize("policy", ALL_NAMES)
     def test_disaggregated_handoff_streams_identical(
-        self, tiny_gqa_model, tiny_tokenizer, policy, batched
+        self, tiny_gqa_model, tiny_tokenizer, policy, chunk
     ):
-        config = engine_config(tiny_tokenizer, batched_decode=batched)
+        config = engine_config(tiny_tokenizer, prefill_chunk_tokens=chunk)
         requests = shared_prefix_requests(tiny_tokenizer, policy, n=4)
         solo = solo_token_streams(tiny_gqa_model, config, requests, clone)
         cluster = ClusterConfig(n_replicas=2, roles=("prefill", "decode"))
@@ -580,24 +588,23 @@ class TestMigrationBitIdentityMatrix:
             for request in requests:
                 executor.add_request(clone(request))
             outputs = executor.run()
-            # Every session prefilled on worker 0 and finished on worker 1.
+            # Every session prefilled on worker 0 and finished on worker 1,
+            # handed off in the order its prefill completed.
             assert [
                 (m.request_id, m.source, m.target, m.reason)
                 for m in executor.migrations
-            ] == [(i, 0, 1, "prefill_handoff") for i in range(len(requests))]
+            ] == [(i, 0, 1, "prefill_handoff") for i in HANDOFF_ORDER[chunk]]
             assert [o.token_ids for o in outputs] == solo
             assert executor.audit_pools() == 2
 
-    @pytest.mark.parametrize(
-        "batched", (True, False), ids=("batched", "sequential")
-    )
+    @pytest.mark.parametrize("chunk", PREFILL_CHUNKS, ids=PREFILL_IDS)
     @pytest.mark.parametrize("executor_cls", EXECUTORS)
     def test_executor_handoff_all_policies(
-        self, tiny_gqa_model, tiny_tokenizer, executor_cls, batched
+        self, tiny_gqa_model, tiny_tokenizer, executor_cls, chunk
     ):
         """The export_kv/import_kv ops (and, multiprocess, the pickled
         chain riding the worker pipe) preserve every policy's stream."""
-        config = engine_config(tiny_tokenizer, batched_decode=batched)
+        config = engine_config(tiny_tokenizer, prefill_chunk_tokens=chunk)
         requests = policy_spread_requests(tiny_tokenizer)
         solo = solo_token_streams(tiny_gqa_model, config, requests, clone)
         cluster = ClusterConfig(n_replicas=2, roles=("prefill", "decode"))

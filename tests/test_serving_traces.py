@@ -17,6 +17,7 @@ make the shared pool trustworthy:
 
 from __future__ import annotations
 
+import pickle
 import warnings
 
 import numpy as np
@@ -259,9 +260,8 @@ class TestPoolPressureServing:
                 )
         assert victims == set(ALL_NAMES)
 
-    @pytest.mark.parametrize("batched", [True, False])
     def test_recompute_victim_preempted_before_first_decode_restarts_fresh(
-        self, batched, tiny_gqa_model, tiny_tokenizer
+        self, tiny_gqa_model, tiny_tokenizer
     ):
         """The one recompute-resume with nothing to replay: a
         sparse-from-first-token session prefilled and preempted in the
@@ -282,7 +282,6 @@ class TestPoolPressureServing:
             tiny_tokenizer,
             pool_blocks=8,
             preempt_mode="recompute",
-            batched_decode=batched,
         )
         solo = solo_token_streams(tiny_gqa_model, config, [early, late], clone)
         server = SpeContextServer(tiny_gqa_model, config)
@@ -308,6 +307,37 @@ class TestPoolPressureServing:
         assert [o.token_ids for o in outputs] == solo
         assert outputs[1].stats.preemptions == 1
         assert server.pool.n_used == server.pool.n_evictable()
+
+    def test_recompute_victim_waits_without_kv(
+        self, tiny_gqa_model, tiny_tokenizer
+    ):
+        """A recompute victim drops its KV at preemption: while it waits
+        it holds no cache rows (the log still reports what it freed), its
+        export ships none, and the export still resumes exactly."""
+        requests = [
+            preemption_request(tiny_tokenizer, name) for name in ALL_NAMES[:4]
+        ]
+        config = pool_config(
+            tiny_tokenizer, pool_blocks=9, preempt_mode="recompute"
+        )
+        server = SpeContextServer(tiny_gqa_model, config)
+        for request in requests:
+            server.add_request(clone(request))
+        while not server.preemption_log:
+            server.step()
+        [event] = server.preemption_log
+        [victim] = [s for s in server._waiting if s.preemptions]
+        assert victim.request_id == event.request_id
+        assert event.kv_bytes > 0
+        assert victim.cache.seq_len == 0
+        export = pickle.loads(pickle.dumps(server.export_session(event.request_id)))
+        assert all(len(layer) == 0 for layer in export.session.cache.layers)
+        target = SpeContextServer(tiny_gqa_model, config)
+        target.import_session(export)
+        [output] = target.run()
+        assert output.token_ids == solo_token_streams(
+            tiny_gqa_model, config, [requests[event.request_id]], clone
+        )[0]
 
     def test_no_starvation_under_priority_flood(
         self, tiny_gqa_model, tiny_tokenizer
@@ -659,30 +689,62 @@ class TestPr1RegressionUnderPool:
         assert server.meter.generated_tokens == sum(len(s) for s in solo)
 
 
-def assert_outputs_bit_identical(batched_outputs, sequential_outputs):
+def assert_outputs_bit_identical(outputs, reference):
     """Full GenerationOutput equality: tokens, stats and selection digest."""
-    assert len(batched_outputs) == len(sequential_outputs)
-    for b, s in zip(batched_outputs, sequential_outputs):
-        assert b.request_id == s.request_id
-        assert b.token_ids == s.token_ids, b.request_id
-        assert b.finish_reason == s.finish_reason
-        sb, ss = b.stats, s.stats
-        assert sb.budget == ss.budget
-        assert sb.bytes_transferred == ss.bytes_transferred
-        assert sb.transfer_reduction == ss.transfer_reduction
-        assert sb.mean_selection_overlap == ss.mean_selection_overlap
-        assert sb.preemptions == ss.preemptions
-        assert sb.swap_bytes == ss.swap_bytes
-        assert sb.prefix_reused_tokens == ss.prefix_reused_tokens
-        assert len(sb.offload_events) == len(ss.offload_events)
-        assert_same_selections(sb.result, ss.result)
+    assert_same_generation(outputs, reference)
+    for o, r in zip(outputs, reference):
+        assert o.request_id == r.request_id
+        assert o.stats.preemptions == r.stats.preemptions
+        assert o.stats.swap_bytes == r.stats.swap_bytes
+        assert o.stats.prefix_reused_tokens == r.stats.prefix_reused_tokens
+        assert len(o.stats.offload_events) == len(r.stats.offload_events)
+
+
+def assert_same_generation(outputs, reference):
+    """Schedule-independent equality: everything a client can observe
+    about *what was generated* — tokens, stop reasons, the selection
+    digest and the transfer accounting. Schedule-dependent stats
+    (preemptions, swap bytes, offload events, prefix reuse) may
+    legitimately differ between two schedules of the same requests."""
+    assert len(outputs) == len(reference)
+    for o, r in zip(outputs, reference):
+        assert o.token_ids == r.token_ids, o.request_id
+        assert o.finish_reason == r.finish_reason
+        assert o.stats.budget == r.stats.budget
+        assert o.stats.bytes_transferred == r.stats.bytes_transferred
+        assert o.stats.transfer_reduction == r.stats.transfer_reduction
+        assert o.stats.mean_selection_overlap == r.stats.mean_selection_overlap
+        assert_same_selections(o.stats.result, r.stats.result)
+
+
+def solo_outputs(model, config, requests):
+    """Each request run alone on a fresh identical server (the solo oracle
+    of :func:`~repro.serving.trace.solo_token_streams`), whole outputs."""
+    outputs = []
+    for request in requests:
+        solo = SpeContextServer(model, config)
+        solo.add_request(clone(request))
+        outputs.extend(solo.run())
+    return outputs
+
+
+# (request_id, clock, blocks_freed, kv_bytes) of every preemption in the
+# same-step-completion trace below, per scheduler. Recorded while the
+# server still had a waves-of-one decode mode, whose log (the literal
+# one-session interleave) these equalled event for event.
+SAME_STEP_PREEMPTIONS = {
+    "fcfs": [(2, 14.0, 5, 151552), (4, 30.0, 4, 114688), (4, 36.0, 5, 139264)],
+    "priority": [
+        (2, 14.0, 5, 151552), (4, 40.0, 4, 114688), (4, 46.0, 5, 139264)
+    ],
+    "sjf": [(2, 14.0, 5, 151552), (4, 30.0, 4, 114688), (4, 36.0, 5, 139264)],
+}
 
 
 class TestBatchedDecodeEquivalence:
-    """The tentpole guarantee: the fused server-wide decode path is
-    bit-identical to the sequential reference for every policy — tokens,
-    selection histories, GenerationStats and prefix-cache reuse — also
-    under forced preemption."""
+    """The fused server-wide decode path against the solo oracle for every
+    policy — tokens, selection digests and transfer accounting — also
+    under forced preemption, with the preemption decisions pinned."""
 
     def eight_policy_requests(self, tokenizer, max_new_tokens=8):
         requests = []
@@ -699,38 +761,40 @@ class TestBatchedDecodeEquivalence:
             ))
         return requests
 
-    def run_pair(self, model, tokenizer, requests, trace_seed=11, **overrides):
-        """Replay one seeded trace through a batched and a sequential
-        server; returns (batched_server, sequential_server, outputs)."""
-        servers, outputs = [], []
-        for batched in (True, False):
-            config = pool_config(tokenizer, batched_decode=batched, **overrides)
-            server = SpeContextServer(model, config)
-            trace = poisson_trace(
-                np.random.default_rng(trace_seed),
-                [clone(r) for r in requests],
-                1.5,
-            )
-            outputs.append(replay_trace(server, trace))
-            servers.append(server)
-        return servers[0], servers[1], outputs[0], outputs[1]
+    def run_against_solo(
+        self, model, tokenizer, requests, trace_seed=11, **overrides
+    ):
+        """Replay one seeded trace through a server; check every output
+        against the same request run alone. Returns (server, outputs)."""
+        config = pool_config(tokenizer, **overrides)
+        server = SpeContextServer(model, config)
+        trace = poisson_trace(
+            np.random.default_rng(trace_seed),
+            [clone(r) for r in requests],
+            1.5,
+        )
+        outputs = replay_trace(server, trace)
+        assert_same_generation(outputs, solo_outputs(model, config, requests))
+        return server, outputs
 
     def test_all_policies_bit_identical(self, tiny_gqa_model, tiny_tokenizer):
         requests = self.eight_policy_requests(tiny_tokenizer)
-        batched, sequential, b_out, s_out = self.run_pair(
+        server, outputs = self.run_against_solo(
             tiny_gqa_model, tiny_tokenizer, requests
         )
-        assert_outputs_bit_identical(b_out, s_out)
-        assert batched.meter.generated_tokens == sequential.meter.generated_tokens
-        assert [e.token_id for e in batched.pop_stream_events()] == [
-            e.token_id for e in sequential.pop_stream_events()
-        ]
+        assert server.meter.generated_tokens == sum(
+            len(o.token_ids) for o in outputs
+        )
+        streamed: dict[int, list[int]] = {}
+        for event in server.pop_stream_events():
+            streamed.setdefault(event.request_id, []).append(event.token_id)
+        assert streamed == {o.request_id: o.token_ids for o in outputs}
 
     def test_all_policies_bit_identical_under_forced_preemption(
         self, tiny_gqa_model, tiny_tokenizer
     ):
         """Pool sized for two prompts plus one spare block: completion
-        requires preemption in both modes; everything still matches."""
+        requires preemption; everything still matches."""
         requests = self.eight_policy_requests(tiny_tokenizer, max_new_tokens=24)
         pool = SpeContextServer(
             tiny_gqa_model, pool_config(tiny_tokenizer)
@@ -738,15 +802,13 @@ class TestBatchedDecodeEquivalence:
         prompt_blocks = max(
             pool.blocks_for_tokens(r.prompt_len) for r in requests
         )
-        batched, sequential, b_out, s_out = self.run_pair(
+        server, _ = self.run_against_solo(
             tiny_gqa_model,
             tiny_tokenizer,
             requests,
             pool_blocks=2 * prompt_blocks + 1,
         )
-        assert len(batched.preemption_log) > 0
-        assert len(sequential.preemption_log) > 0
-        assert_outputs_bit_identical(b_out, s_out)
+        assert len(server.preemption_log) > 0
 
     @pytest.mark.parametrize("mode", ["swap", "recompute"])
     def test_preempt_modes_bit_identical(
@@ -761,15 +823,14 @@ class TestBatchedDecodeEquivalence:
             )
             for i, name in enumerate(ALL_NAMES)
         ]
-        batched, sequential, b_out, s_out = self.run_pair(
+        server, _ = self.run_against_solo(
             tiny_gqa_model,
             tiny_tokenizer,
             requests,
             pool_blocks=9,
             preempt_mode=mode,
         )
-        assert len(batched.preemption_log) > 0
-        assert_outputs_bit_identical(b_out, s_out)
+        assert len(server.preemption_log) > 0
 
     def test_prefix_cache_reuse_identical(self, tiny_gqa_model, tiny_tokenizer):
         prefix = [
@@ -786,19 +847,13 @@ class TestBatchedDecodeEquivalence:
             )
             for i in range(6)
         ]
-        batched, sequential, b_out, s_out = self.run_pair(
+        server, outputs = self.run_against_solo(
             tiny_gqa_model, tiny_tokenizer, requests
         )
-        assert_outputs_bit_identical(b_out, s_out)
-        for server in (batched, sequential):
-            assert server.pool.stats.prefix_hits > 0
-        assert (
-            batched.pool.stats.prefix_blocks_reused
-            == sequential.pool.stats.prefix_blocks_reused
-        )
-        assert (
-            batched.pool.stats.prefill_blocks_allocated
-            == sequential.pool.stats.prefill_blocks_allocated
+        stats = server.pool.stats
+        assert stats.prefix_hits > 0
+        assert stats.prefix_blocks_reused * server.pool.block_size == sum(
+            o.stats.prefix_reused_tokens for o in outputs
         )
 
     @pytest.mark.parametrize("scheduler", ["fcfs", "priority", "sjf"])
@@ -806,11 +861,11 @@ class TestBatchedDecodeEquivalence:
         self, scheduler, tiny_gqa_model, tiny_tokenizer
     ):
         """Sessions finishing in the very step a peer needs their blocks:
-        the sequential loop frees a finished session's blocks *before* the
-        next session's reservation, so the batched planner must flush its
-        wave rather than preempt a session the reference path would have
-        let finish. Varied generation lengths make completions land on
-        many different pressure steps."""
+        the one-session interleave frees a finished session's blocks
+        *before* the next session's reservation, so the wave must flush
+        rather than preempt a session the interleave would have let
+        finish. Varied generation lengths make completions land on many
+        different pressure steps."""
         requests = [
             GenerationRequest(
                 filler_prompt(tiny_tokenizer, 60 + i, 26),
@@ -826,21 +881,14 @@ class TestBatchedDecodeEquivalence:
         prompt_blocks = max(
             pool.blocks_for_tokens(r.prompt_len) for r in requests
         )
-        batched, sequential, b_out, s_out = self.run_pair(
+        server, _ = self.run_against_solo(
             tiny_gqa_model,
             tiny_tokenizer,
             requests,
             pool_blocks=2 * prompt_blocks + 1,
             scheduler=scheduler,
         )
-        assert_outputs_bit_identical(b_out, s_out)
         assert [
             (e.request_id, e.clock, e.blocks_freed, e.kv_bytes)
-            for e in batched.preemption_log
-        ] == [
-            (e.request_id, e.clock, e.blocks_freed, e.kv_bytes)
-            for e in sequential.preemption_log
-        ]
-
-    def test_batched_default_on(self, tiny_tokenizer):
-        assert EngineConfig(bos_id=tiny_tokenizer.bos_id).batched_decode is True
+            for e in server.preemption_log
+        ] == SAME_STEP_PREEMPTIONS[scheduler]

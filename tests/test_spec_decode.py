@@ -3,14 +3,14 @@
 The tentpole guarantee under test: a server with ``spec_decode_k > 0``
 produces byte-for-byte the streams, GenerationStats, selection histories
 and pool counters of a never-drafted run — for every policy, draft
-length, decode mode (sequential/batched) and prefill mode
-(chunked/monolithic), including under forced preemption of a speculating
-session and across executors and the HTTP frontend.
+length and prefill mode (chunked/monolithic), including under forced
+preemption of a speculating session and across executors and the HTTP
+frontend.
 
 Structure:
 
-- the full 8 policies x k in {1,2,4} x {sequential,batched} x
-  {chunked,monolithic} matrix is ``@pytest.mark.slow`` (run with
+- the full 8 policies x k in {1,2,4} x {chunked,monolithic} matrix is
+  ``@pytest.mark.slow`` (run with
   ``-m slow``); a smoke diagonal stays in tier-1;
 - a Hypothesis oracle test drives the server with a scripted draft model
   of known accuracy and pins acceptance to an independent simulation of
@@ -146,19 +146,11 @@ def assert_spec_matches_reference(spec, ref):
 # ---- the cross-mode matrix ---------------------------------------------------
 
 
-MODES = (
-    ("sequential", "monolithic"),
-    ("sequential", "chunked"),
-    ("batched", "monolithic"),
-    ("batched", "chunked"),
-)
+MODES = ("monolithic", "chunked")
 
 
-def mode_overrides(decode: str, prefill: str) -> dict:
-    overrides = {"batched_decode": decode == "batched"}
-    if prefill == "chunked":
-        overrides["prefill_chunk_tokens"] = 32
-    return overrides
+def mode_overrides(prefill: str) -> dict:
+    return {"prefill_chunk_tokens": 32} if prefill == "chunked" else {}
 
 
 class TestBitIdentityMatrix:
@@ -166,15 +158,13 @@ class TestBitIdentityMatrix:
 
     @pytest.fixture(scope="class")
     def reference(self, tiny_gqa_model, tiny_tokenizer):
-        """Memoized k=0 runs, one per (policy, decode, prefill) cell."""
+        """Memoized k=0 runs, one per (policy, prefill) cell."""
         cache = {}
 
-        def get(policy: str, decode: str, prefill: str):
-            key = (policy, decode, prefill)
+        def get(policy: str, prefill: str):
+            key = (policy, prefill)
             if key not in cache:
-                config = spec_config(
-                    tiny_tokenizer, 0, **mode_overrides(decode, prefill)
-                )
+                config = spec_config(tiny_tokenizer, 0, **mode_overrides(prefill))
                 cache[key] = run_server(
                     tiny_gqa_model, config, recall_requests(tiny_tokenizer, policy)
                 )
@@ -182,41 +172,39 @@ class TestBitIdentityMatrix:
 
         return get
 
-    def check_cell(self, model, tokenizer, reference, policy, k, decode, prefill):
-        config = spec_config(tokenizer, k, **mode_overrides(decode, prefill))
+    def check_cell(self, model, tokenizer, reference, policy, k, prefill):
+        config = spec_config(tokenizer, k, **mode_overrides(prefill))
         spec = run_server(model, config, recall_requests(tokenizer, policy))
         assert spec[1].spec_stats.spec_steps > 0  # speculation engaged
-        assert_spec_matches_reference(spec, reference(policy, decode, prefill))
+        assert_spec_matches_reference(spec, reference(policy, prefill))
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("decode,prefill", MODES)
+    @pytest.mark.parametrize("prefill", MODES)
     @pytest.mark.parametrize("k", ALL_K)
     @pytest.mark.parametrize("policy", ALL_NAMES)
     def test_full_matrix(
-        self, tiny_gqa_model, tiny_tokenizer, reference, policy, k, decode, prefill
+        self, tiny_gqa_model, tiny_tokenizer, reference, policy, k, prefill
     ):
         self.check_cell(
-            tiny_gqa_model, tiny_tokenizer, reference, policy, k, decode, prefill
+            tiny_gqa_model, tiny_tokenizer, reference, policy, k, prefill
         )
 
     @pytest.mark.parametrize("policy", ALL_NAMES)
     def test_smoke_all_policies_batched(
         self, tiny_gqa_model, tiny_tokenizer, reference, policy
     ):
-        """Tier-1 diagonal: every policy at k=2, batched + monolithic."""
+        """Tier-1 diagonal: every policy at k=2, monolithic prefill."""
         self.check_cell(
-            tiny_gqa_model, tiny_tokenizer, reference,
-            policy, 2, "batched", "monolithic",
+            tiny_gqa_model, tiny_tokenizer, reference, policy, 2, "monolithic"
         )
 
-    @pytest.mark.parametrize("decode,prefill", MODES[:2] + MODES[3:])
+    @pytest.mark.parametrize("prefill", MODES)
     def test_smoke_cross_modes(
-        self, tiny_gqa_model, tiny_tokenizer, reference, decode, prefill
+        self, tiny_gqa_model, tiny_tokenizer, reference, prefill
     ):
-        """Tier-1 cross-mode spot checks at k=4 on a stateful policy."""
+        """Tier-1 prefill-mode spot checks at k=4 on a stateful policy."""
         self.check_cell(
-            tiny_gqa_model, tiny_tokenizer, reference,
-            "specontext", 4, decode, prefill,
+            tiny_gqa_model, tiny_tokenizer, reference, "specontext", 4, prefill
         )
 
     def test_smoke_chunked_with_token_budget(
