@@ -463,7 +463,9 @@ class HttpServer:
             pass
         except Exception as err:
             if not isinstance(err, _HttpError):
-                # Last-ditch 500; never kill the acceptor.
+                # Last-ditch 500; never kill the acceptor, but keep the
+                # fault's traceback: the typed body carries only its text.
+                traceback.print_exception(err)
                 err = _HttpError(500, f"internal error: {err}", "internal_error")
             try:
                 await self._send_json(writer, err.status, err.body(),

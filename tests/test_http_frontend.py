@@ -502,10 +502,11 @@ class TestValidation:
         asyncio.run(scenario())
 
     def test_last_ditch_error_is_a_typed_500(
-        self, tiny_gqa_model, tiny_tokenizer, monkeypatch
+        self, tiny_gqa_model, tiny_tokenizer, monkeypatch, capsys
     ):
         """An exception no handler maps answers 500 with a matching
-        ``server_error`` body, whatever its Python type."""
+        ``server_error`` body, whatever its Python type, and its
+        traceback goes to stderr."""
         async def broken_route(self, writer, method, path, body):
             raise ValueError("route bug")
 
@@ -520,6 +521,9 @@ class TestValidation:
                 assert payload["error"]["type"] == "server_error"
                 assert payload["error"]["code"] == "internal_error"
         asyncio.run(scenario())
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "route bug" in err
 
     def test_last_ditch_error_wire_bytes(
         self, tiny_gqa_model, tiny_tokenizer, monkeypatch

@@ -619,76 +619,6 @@ class TestCli:
         assert "available" in capsys.readouterr().err
 
 
-class TestPr1RegressionUnderPool:
-    """The PR-1 guarantee, re-pinned on the pool-backed server."""
-
-    def eight_policy_requests(self, tokenizer, max_new_tokens=6):
-        requests = []
-        for i, name in enumerate(ALL_NAMES):
-            prompt, _, _ = make_recall_prompt(
-                tokenizer, np.random.default_rng(100 + i), n_filler=120
-            )
-            requests.append(GenerationRequest(
-                prompt,
-                sampling=SamplingParams(max_new_tokens=max_new_tokens),
-                policy=name,
-                budget=48 if i % 2 else 64,
-            ))
-        return requests
-
-    def config(self, tokenizer, **overrides):
-        overrides.setdefault("max_concurrency", 4)
-        return pool_config(tokenizer, **overrides)
-
-    def test_batched_equals_solo_all_policies(
-        self, tiny_gqa_model, tiny_tokenizer
-    ):
-        requests = self.eight_policy_requests(tiny_tokenizer)
-        solo = solo_token_streams(
-            tiny_gqa_model, self.config(tiny_tokenizer), requests, clone
-        )
-        solo_generated = sum(len(s) for s in solo)
-        batched = SpeContextServer(tiny_gqa_model, self.config(tiny_tokenizer))
-        for request in requests:
-            batched.add_request(clone(request))
-        outputs = batched.run()
-        assert [o.token_ids for o in outputs] == solo
-        assert batched.meter.generated_tokens == solo_generated
-
-    def test_batched_equals_solo_under_forced_preemption(
-        self, tiny_gqa_model, tiny_tokenizer
-    ):
-        """All 8 policies at fixed seed with a pool too small for the
-        batch: completion requires preemption, streams stay identical."""
-        # Generations cross >= 3 block boundaries each; the pool holds two
-        # prompts plus one spare block, so two co-resident sessions must
-        # fight over growth blocks and the loser is preempted.
-        requests = self.eight_policy_requests(tiny_tokenizer, max_new_tokens=24)
-        solo = solo_token_streams(
-            tiny_gqa_model, self.config(tiny_tokenizer), requests, clone
-        )
-        pool = SpeContextServer(
-            tiny_gqa_model, self.config(tiny_tokenizer)
-        ).pool
-        prompt_blocks = max(
-            pool.blocks_for_tokens(r.prompt_len) for r in requests
-        )
-        server = SpeContextServer(
-            tiny_gqa_model,
-            self.config(
-                tiny_tokenizer,
-                pool_blocks=2 * prompt_blocks + 1,
-                max_concurrency=8,
-            ),
-        )
-        for request in requests:
-            server.add_request(clone(request))
-        outputs = server.run()
-        assert len(server.preemption_log) > 0
-        assert [o.token_ids for o in outputs] == solo
-        assert server.meter.generated_tokens == sum(len(s) for s in solo)
-
-
 def assert_outputs_bit_identical(outputs, reference):
     """Full GenerationOutput equality: tokens, stats and selection digest."""
     assert_same_generation(outputs, reference)
@@ -762,39 +692,50 @@ class TestBatchedDecodeEquivalence:
         return requests
 
     def run_against_solo(
-        self, model, tokenizer, requests, trace_seed=11, **overrides
+        self, model, tokenizer, requests, interarrival=1.5, **overrides
     ):
-        """Replay one seeded trace through a server; check every output
-        against the same request run alone. Returns (server, outputs)."""
+        """Replay one seeded trace through a server (``interarrival=0``:
+        every request arrives at step 0); check every output against the
+        same request run alone. Returns (server, outputs)."""
         config = pool_config(tokenizer, **overrides)
         server = SpeContextServer(model, config)
         trace = poisson_trace(
-            np.random.default_rng(trace_seed),
-            [clone(r) for r in requests],
-            1.5,
+            np.random.default_rng(11), [clone(r) for r in requests], interarrival
         )
         outputs = replay_trace(server, trace)
         assert_same_generation(outputs, solo_outputs(model, config, requests))
-        return server, outputs
-
-    def test_all_policies_bit_identical(self, tiny_gqa_model, tiny_tokenizer):
-        requests = self.eight_policy_requests(tiny_tokenizer)
-        server, outputs = self.run_against_solo(
-            tiny_gqa_model, tiny_tokenizer, requests
-        )
         assert server.meter.generated_tokens == sum(
             len(o.token_ids) for o in outputs
+        )
+        return server, outputs
+
+    @pytest.mark.parametrize("interarrival,max_concurrency", [
+        (1.5, 8),
+        (0, 4),  # all at once: half the batch queues behind the rest
+    ])
+    def test_all_policies_bit_identical(
+        self, interarrival, max_concurrency, tiny_gqa_model, tiny_tokenizer
+    ):
+        requests = self.eight_policy_requests(tiny_tokenizer)
+        server, outputs = self.run_against_solo(
+            tiny_gqa_model,
+            tiny_tokenizer,
+            requests,
+            interarrival=interarrival,
+            max_concurrency=max_concurrency,
         )
         streamed: dict[int, list[int]] = {}
         for event in server.pop_stream_events():
             streamed.setdefault(event.request_id, []).append(event.token_id)
         assert streamed == {o.request_id: o.token_ids for o in outputs}
 
+    @pytest.mark.parametrize("interarrival", [1.5, 0])
     def test_all_policies_bit_identical_under_forced_preemption(
-        self, tiny_gqa_model, tiny_tokenizer
+        self, interarrival, tiny_gqa_model, tiny_tokenizer
     ):
         """Pool sized for two prompts plus one spare block: completion
-        requires preemption; everything still matches."""
+        requires preemption; everything still matches, whether arrivals
+        are spread out or all land at step 0."""
         requests = self.eight_policy_requests(tiny_tokenizer, max_new_tokens=24)
         pool = SpeContextServer(
             tiny_gqa_model, pool_config(tiny_tokenizer)
@@ -806,6 +747,7 @@ class TestBatchedDecodeEquivalence:
             tiny_gqa_model,
             tiny_tokenizer,
             requests,
+            interarrival=interarrival,
             pool_blocks=2 * prompt_blocks + 1,
         )
         assert len(server.preemption_log) > 0
