@@ -33,7 +33,6 @@ Selection granularities (Sec. 4.2):
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,17 +182,50 @@ class LightweightRetrievalHead:
         self._new_cache()
 
     def _new_cache(self) -> None:
-        """Empty per-session storage: grows by capacity doubling (as
-        LayerKVCache does); the valid length is len(self._token_ids)."""
+        """Empty per-session storage, sized by :meth:`reserve` (as
+        LayerKVCache is); the valid length is len(self._token_ids)."""
         self._induction = np.zeros((len(self._induction_heads), 64, self.dc))
         self._sink = np.zeros((64, self.dc), dtype=DTYPE)
         self._token_ids: list[int] = []
 
     def view(self) -> "LightweightRetrievalHead":
         """A head for one more session: shared weights, its own empty K cache."""
-        view = copy.copy(self)
+        view = object.__new__(type(self))
+        view.__dict__.update(self.__dict__)  # not copy.copy: skips the pickle hooks
         view._new_cache()
         return view
+
+    def reserve(self, capacity: int) -> None:
+        """Grow the per-session key blocks to at least ``capacity`` rows.
+
+        The only growth code; ``np.zeros`` pages become resident only when
+        written, as in :meth:`LayerKVCache.reserve`.
+        """
+        if capacity <= self._sink.shape[0]:
+            return
+        seq = len(self._token_ids)
+        for name in ("_induction", "_sink"):
+            old = getattr(self, name)
+            grown = np.zeros((*old.shape[:-2], capacity, self.dc), old.dtype)
+            grown[..., :seq, :] = old[..., :seq, :]
+            setattr(self, name, grown)
+
+    def __getstate__(self) -> dict:
+        """Pickle the valid key rows only, not the reserved capacity behind
+        them (a session export ships what the head holds)."""
+        seq = len(self._token_ids)
+        state = self.__dict__.copy()
+        state["_induction"] = self._induction[:, :seq].copy()
+        state["_sink"] = self._sink[:seq].copy()
+        state["_capacity"] = self._sink.shape[0]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        """Restore the sender's capacity, so the unpickled head grows as the
+        sender's would have."""
+        capacity = state.pop("_capacity")
+        self.__dict__.update(state)
+        self.reserve(capacity)
 
     # ---- construction ---------------------------------------------------------
 
@@ -266,12 +298,7 @@ class LightweightRetrievalHead:
         shifted = prev + self.config.shift_mix * cur
 
         if end > self._sink.shape[0]:
-            capacity = max(end, 2 * self._sink.shape[0])
-            for name in ("_induction", "_sink"):
-                old = getattr(self, name)
-                grown = np.zeros((*old.shape[:-2], capacity, self.dc), old.dtype)
-                grown[..., :start, :] = old[..., :start, :]
-                setattr(self, name, grown)
+            self.reserve(max(end, 2 * self._sink.shape[0]))
         for block, h in zip(self._induction, self._induction_heads):
             block[start:end] = (shifted @ self.wk[h].T).astype(DTYPE)
         self._sink[start:end] = cur
@@ -429,6 +456,9 @@ class SpeContextPolicy:
 
     def begin_generation(self, prompt_ids: np.ndarray, cache: ModelKVCache) -> None:
         self.head.reset()
+        # The head holds one key row per cached token: size it as the
+        # caller sized the KV cache.
+        self.head.reserve(cache.capacity)
         self.head.observe(prompt_ids)
         self._current = None
 

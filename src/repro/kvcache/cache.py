@@ -25,7 +25,9 @@ KV_DTYPE = np.dtype(np.float32)
 class LayerKVCache:
     """Growable K/V storage for one attention layer.
 
-    Uses capacity doubling so appending one token per decode step is O(1)
+    A server sizes the cache once with :meth:`reserve` when it knows the
+    request's peak length; past the capacity, ``append`` falls back to
+    capacity doubling, so appending one token per decode step stays O(1)
     amortized rather than O(seq) per step.
     """
 
@@ -43,6 +45,25 @@ class LayerKVCache:
 
     def __len__(self) -> int:
         return self._len
+
+    @property
+    def capacity(self) -> int:
+        """Rows allocated per head, valid or not."""
+        return self._k.shape[2]
+
+    def reserve(self, capacity: int) -> None:
+        """Grow the allocation to at least ``capacity`` rows.
+
+        The only growth code. ``np.zeros`` maps fresh zero pages, so rows
+        past the valid ones become resident only when written.
+        """
+        if capacity <= self.capacity:
+            return
+        shape = (self.batch, self.n_kv_heads, capacity, self.head_dim)
+        for name in ("_k", "_v"):
+            grown = np.zeros(shape, dtype=KV_DTYPE)
+            grown[:, :, : self._len] = getattr(self, name)[:, :, : self._len]
+            setattr(self, name, grown)
 
     @property
     def keys(self) -> np.ndarray:
@@ -74,17 +95,8 @@ class LayerKVCache:
             )
         new = k.shape[2]
         needed = self._len + new
-        if needed > self._k.shape[2]:
-            capacity = max(needed, 2 * self._k.shape[2])
-            grown_k = np.zeros(
-                (self.batch, self.n_kv_heads, capacity, self.head_dim),
-                dtype=KV_DTYPE,
-            )
-            grown_v = np.zeros_like(grown_k)
-            grown_k[:, :, : self._len, :] = self._k[:, :, : self._len, :]
-            grown_v[:, :, : self._len, :] = self._v[:, :, : self._len, :]
-            self._k = grown_k
-            self._v = grown_v
+        if needed > self.capacity:
+            self.reserve(max(needed, 2 * self.capacity))
         self._k[:, :, self._len : needed, :] = k
         self._v[:, :, self._len : needed, :] = v
         self._len = needed
@@ -193,7 +205,7 @@ class LayerKVCache:
             self.batch,
             self.n_kv_heads,
             self.head_dim,
-            capacity=self._k.shape[2],
+            capacity=self.capacity,
         )
         copy._k = self._k.copy()
         copy._v = self._v.copy()
@@ -201,25 +213,20 @@ class LayerKVCache:
         return copy
 
     def __getstate__(self) -> dict:
-        """Pickle the valid entries only, not the doubled capacity behind
-        them (a session export ships what the cache holds)."""
+        """Pickle the valid entries only, not the capacity behind them (a
+        session export ships what the cache holds)."""
         state = self.__dict__.copy()
         state["_k"] = self.keys.copy()
         state["_v"] = self.values.copy()
-        state["_capacity"] = self._k.shape[2]
+        state["_capacity"] = self.capacity
         return state
 
     def __setstate__(self, state: dict) -> None:
         """Restore the sender's capacity, so the unpickled cache grows as
         the sender's would have."""
         capacity = state.pop("_capacity")
-        k, v = state["_k"], state["_v"]
-        shape = k.shape[:2] + (capacity,) + k.shape[3:]
-        state["_k"] = np.zeros(shape, dtype=KV_DTYPE)
-        state["_v"] = np.zeros(shape, dtype=KV_DTYPE)
-        state["_k"][:, :, : k.shape[2]] = k
-        state["_v"][:, :, : v.shape[2]] = v
         self.__dict__.update(state)
+        self.reserve(capacity)
 
     def nbytes(self, bytes_per_value: int = 2) -> int:
         """Logical footprint of the valid entries at the given precision."""
@@ -255,6 +262,17 @@ class ModelKVCache:
     def seq_len(self) -> int:
         """Sequence length (identical across layers by construction)."""
         return len(self.layers[0])
+
+    @property
+    def capacity(self) -> int:
+        """Rows allocated per layer (identical across layers)."""
+        return self.layers[0].capacity
+
+    def reserve(self, capacity: int) -> None:
+        """Size every layer for ``capacity`` tokens (see
+        :meth:`LayerKVCache.reserve`)."""
+        for layer in self.layers:
+            layer.reserve(capacity)
 
     def nbytes(self, bytes_per_value: int = 2) -> int:
         """Total logical KV footprint across layers."""

@@ -1170,7 +1170,8 @@ class SpeContextServer:
     def _prefill_chunk(self, session: _Session, max_tokens: int) -> int:
         """Advance one session's prefill by at most ``max_tokens`` tokens.
 
-        The first chunk resets the policy and acquires any cached prefix
+        The first chunk sizes the dense cache for the request's peak,
+        resets the policy and acquires any cached prefix
         (deferred from activation so a peer publishing blocks in the
         meantime is still hit); every chunk claims the pool blocks its KV
         lands in and publishes newly completed full prompt blocks, so a
@@ -1187,6 +1188,11 @@ class SpeContextServer:
         prefill_ids = prompt[:-1] if sparse_first else prompt
         policy = session.policy
         if not session.prefill_started:
+            # Sized once for the request's peak plus a verify window (the
+            # bound _draft_context uses), so append never regrows.
+            session.cache.reserve(
+                session.request.peak_tokens + self.config.spec_decode_k
+            )
             if hasattr(policy, "reset"):
                 policy.reset()
             if not session.replaying:

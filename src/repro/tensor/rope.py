@@ -58,13 +58,77 @@ def _yarn_correction_index(
     )
 
 
-# Shared cos/sin tables, keyed by every parameter that determines their
-# values: (dim, max_position, base, yarn params, dtype). Building the trig
-# tables is O(max_position * dim) — by far the dominant cost of a
-# RotaryEmbedding — and the serving layer constructs one embedding per
-# retrieval head (i.e. per specontext request), all with identical
-# parameters. Cached tables are marked read-only so sharing is safe.
-_TABLE_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+def _inv_freq(dim: int, base: float, yarn: YarnConfig | None) -> np.ndarray:
+    """Per-pair rotary frequencies, YaRN-interpolated when ``yarn`` scales."""
+    half = dim // 2
+    inv_freq = 1.0 / (base ** (2.0 * np.arange(half, dtype=np.float64) / dim))
+    if yarn is not None and yarn.scaling_factor > 1.0:
+        low = _yarn_correction_index(
+            yarn.beta_fast, dim, base, yarn.original_max_position
+        )
+        high = _yarn_correction_index(
+            yarn.beta_slow, dim, base, yarn.original_max_position
+        )
+        low = max(math.floor(low), 0)
+        high = min(math.ceil(high), half - 1)
+        # 1 where we extrapolate (high frequency), 0 where we interpolate.
+        extrapolation_mask = 1.0 - _yarn_ramp(low, high, half)
+        interpolated = inv_freq / yarn.scaling_factor
+        inv_freq = (
+            interpolated * (1.0 - extrapolation_mask)
+            + inv_freq * extrapolation_mask
+        )
+    return inv_freq
+
+
+def _trig_rows(
+    inv_freq: np.ndarray, start: int, stop: int, dtype: np.dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """cos/sin table rows for positions [start, stop)."""
+    freqs = np.outer(np.arange(start, stop, dtype=np.float64), inv_freq)
+    return np.cos(freqs).astype(dtype), np.sin(freqs).astype(dtype)
+
+
+class _RopeTable:
+    """The cos/sin rows of one parameter set, built only as far as read.
+
+    Row ``p`` is ``cos``/``sin`` of ``p * inv_freq`` whichever growth step
+    built it, so the rows grow by capacity doubling (the rule of the
+    retrieval head's position tables) without depending on how reads were
+    chunked. ``rows`` is replaced, never written: :meth:`reserve` returns
+    the pair it saw, so a concurrent grow cannot tear a read.
+    """
+
+    def __init__(self, inv_freq: np.ndarray, max_position: int, dtype: np.dtype):
+        inv_freq.setflags(write=False)
+        self.inv_freq = inv_freq
+        self.max_position = max_position
+        self.dtype = dtype
+        empty = np.empty((0, inv_freq.size), dtype=dtype)
+        empty.setflags(write=False)
+        self.rows = (empty, empty)
+
+    def reserve(self, end: int) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only (cos, sin) rows, covering at least [0, ``end``)."""
+        rows = self.rows
+        have = rows[0].shape[0]
+        if end <= have:
+            return rows
+        grown = min(max(end, 2 * have, 64), self.max_position)
+        fresh = _trig_rows(self.inv_freq, have, grown, self.dtype)
+        rows = tuple(np.concatenate(pair) for pair in zip(rows, fresh))
+        for table in rows:
+            table.setflags(write=False)
+        self.rows = rows
+        return rows
+
+
+# Shared tables, keyed by every parameter that determines their values:
+# (dim, max_position, base, yarn params, dtype). The serving layer builds
+# one embedding per retrieval head (i.e. per specontext request), all with
+# identical parameters, and every one reads the same rows; the rows are
+# read-only, so sharing is safe.
+_TABLE_CACHE: dict[tuple, _RopeTable] = {}
 _TABLE_CACHE_STATS = {"hits": 0, "misses": 0}
 
 
@@ -81,7 +145,8 @@ def clear_rope_table_cache() -> None:
 
 
 class RotaryEmbedding:
-    """Precomputed cos/sin tables for rotary position embedding.
+    """Shared cos/sin tables for rotary position embedding, built to the
+    largest position applied so far.
 
     Supports plain RoPE (``yarn=None``) and YaRN-extended RoPE. The ``dim``
     is the per-head dimension; rotation happens over pairs laid out as the
@@ -118,18 +183,15 @@ class RotaryEmbedding:
             ),
             dtype.str,
         )
-        cached = _TABLE_CACHE.get(key)
-        if cached is not None:
+        table = _TABLE_CACHE.get(key)
+        if table is not None:
             _TABLE_CACHE_STATS["hits"] += 1
-            self._cos, self._sin = cached
         else:
             _TABLE_CACHE_STATS["misses"] += 1
-            self._cos, self._sin = self._build_tables(
-                dim, max_position, base, yarn, dtype
+            table = _TABLE_CACHE[key] = _RopeTable(
+                _inv_freq(dim, base, yarn), max_position, dtype
             )
-            self._cos.setflags(write=False)
-            self._sin.setflags(write=False)
-            _TABLE_CACHE[key] = (self._cos, self._sin)
+        self._table = table
         self._scale = yarn.attention_factor if yarn is not None else 1.0
 
     @staticmethod
@@ -140,29 +202,8 @@ class RotaryEmbedding:
         yarn: YarnConfig | None,
         dtype: np.dtype,
     ) -> tuple[np.ndarray, np.ndarray]:
-        half = dim // 2
-        inv_freq = 1.0 / (base ** (2.0 * np.arange(half, dtype=np.float64) / dim))
-
-        if yarn is not None and yarn.scaling_factor > 1.0:
-            low = _yarn_correction_index(
-                yarn.beta_fast, dim, base, yarn.original_max_position
-            )
-            high = _yarn_correction_index(
-                yarn.beta_slow, dim, base, yarn.original_max_position
-            )
-            low = max(math.floor(low), 0)
-            high = min(math.ceil(high), half - 1)
-            # 1 where we extrapolate (high frequency), 0 where we interpolate.
-            extrapolation_mask = 1.0 - _yarn_ramp(low, high, half)
-            interpolated = inv_freq / yarn.scaling_factor
-            inv_freq = (
-                interpolated * (1.0 - extrapolation_mask)
-                + inv_freq * extrapolation_mask
-            )
-
-        positions = np.arange(max_position, dtype=np.float64)
-        freqs = np.outer(positions, inv_freq)
-        return np.cos(freqs).astype(dtype), np.sin(freqs).astype(dtype)
+        """The whole cos/sin tables in one build (the lazy rows' reference)."""
+        return _trig_rows(_inv_freq(dim, base, yarn), 0, max_position, dtype)
 
     def apply(self, x: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Rotate ``x`` of shape (..., seq, dim) at integer ``positions`` (seq,)."""
@@ -172,6 +213,7 @@ class RotaryEmbedding:
                 f"positions shape {positions.shape} does not match seq "
                 f"len {x.shape[-2]}"
             )
+        end = 0
         if positions.size:
             low, high = int(positions.min()), int(positions.max())
             if low < 0:  # fancy indexing would wrap it to the table's tail
@@ -180,8 +222,10 @@ class RotaryEmbedding:
                 raise ValueError(
                     f"position {high} exceeds table size {self.max_position}"
                 )
-        cos = self._cos[positions]
-        sin = self._sin[positions]
+            end = high + 1
+        cos_rows, sin_rows = self._table.reserve(end)
+        cos = cos_rows[positions]
+        sin = sin_rows[positions]
         half = self.dim // 2
         x1 = x[..., :half]
         x2 = x[..., half:]

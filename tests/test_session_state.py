@@ -113,3 +113,44 @@ def test_session_keeps_no_per_step_selections(
     assert output.stats.bytes_transferred > 0
     assert output.stats.result.selection_digest
     assert_no_selection_state(session)
+
+
+@pytest.mark.parametrize("spec_k", [0, 4])
+def test_pickled_head_ships_the_rows_it_holds(spec_k, tiny_gqa_model, tiny_tokenizer):
+    """The head's key blocks are reserved to the request's peak at its
+    first prefill chunk, but an export ships only the rows it holds: one
+    float64 row per induction head and one float32 sink row per token."""
+    server = SpeContextServer(
+        tiny_gqa_model,
+        EngineConfig(
+            budget=16,
+            bos_id=tiny_tokenizer.bos_id,
+            block_size=8,
+            spec_decode_k=spec_k,
+            enable_prefix_cache=False,
+            seed=0,
+        ),
+    )
+    request = GenerationRequest(
+        filler_prompt(tiny_tokenizer, 5, 47),
+        SamplingParams(max_new_tokens=CHECKPOINTS[-1] + 20),
+        policy="specontext",
+    )
+    session = tracked(server, request)
+    while session.steps_taken < CHECKPOINTS[0]:
+        server.step()
+    head = session.policy.head
+    seq = len(head)
+    assert head._sink.shape[0] == request.peak_tokens + spec_k  # reserved
+    assert seq < request.peak_tokens // 2
+    # The shared weights, RoPE rows and position tables pickle alike for
+    # an empty view of the same head; the difference is the session's own.
+    own = len(pickle.dumps(head)) - len(pickle.dumps(head.view()))
+    n_induction, dc = len(head._induction), head.dc
+    token_ids = len(pickle.dumps(head._token_ids))
+    assert own <= seq * (n_induction * dc * 8 + dc * 4) + token_ids + 256
+
+    migrated, _ = migrate(server, session.request_id)
+    assert migrated.policy.head._sink.shape[0] == request.peak_tokens + spec_k
+    [output] = server.run()
+    assert len(output.stats.result.token_ids) == request.sampling.max_new_tokens

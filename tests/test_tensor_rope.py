@@ -1,5 +1,7 @@
 """Tests for rotary embeddings and YaRN extension."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -113,8 +115,8 @@ class TestYarn:
         # compare cos at a large position; interpolated table should be
         # closer to 1 (smaller accumulated angle).
         pos = 512
-        plain_cos = plain._cos[pos, -1]
-        yarn_cos = yarn._cos[pos, -1]
+        plain_cos = plain._table.reserve(pos + 1)[0][pos, -1]
+        yarn_cos = yarn._table.reserve(pos + 1)[0][pos, -1]
         assert yarn_cos > plain_cos
 
     def test_relative_property_preserved_under_yarn(self):
@@ -142,25 +144,32 @@ class TestTableCache:
         b = RotaryEmbedding(dim=32, max_position=256)
         info = rope_table_cache_info()
         assert info["hits"] == 1, "second identical construction must hit"
-        # The tables are the same read-only arrays, not copies.
-        assert a._cos is b._cos and a._sin is b._sin
-        assert not a._cos.flags.writeable
+        # One shared table object, not a copy: rows one embedding grows are
+        # the other's, and they are read-only.
+        assert a._table is b._table
+        a.apply(_rand((1, 1, 32)), np.array([100]))
+        cos, sin = b._table.rows
+        assert cos.shape == sin.shape == (101, 16)
+        assert not cos.flags.writeable and not sin.flags.writeable
 
     def test_distinct_params_are_distinct_entries(self):
         from repro.tensor import clear_rope_table_cache, rope_table_cache_info
 
         clear_rope_table_cache()
-        RotaryEmbedding(dim=32, max_position=256)
-        RotaryEmbedding(dim=32, max_position=512)
-        RotaryEmbedding(dim=32, max_position=256, base=500000.0)
-        RotaryEmbedding(
-            dim=32,
-            max_position=256,
-            yarn=YarnConfig(original_max_position=128, scaling_factor=2.0),
-        )
-        RotaryEmbedding(dim=32, max_position=256, dtype=np.float64)
+        ropes = [
+            RotaryEmbedding(dim=32, max_position=256),
+            RotaryEmbedding(dim=32, max_position=512),
+            RotaryEmbedding(dim=32, max_position=256, base=500000.0),
+            RotaryEmbedding(
+                dim=32,
+                max_position=256,
+                yarn=YarnConfig(original_max_position=128, scaling_factor=2.0),
+            ),
+            RotaryEmbedding(dim=32, max_position=256, dtype=np.float64),
+        ]
         assert rope_table_cache_info()["misses"] == 5
         assert rope_table_cache_info()["hits"] == 0
+        assert len({id(rope._table) for rope in ropes}) == 5
 
     def test_cached_tables_bit_identical_to_fresh_build(self):
         from repro.tensor import clear_rope_table_cache
@@ -169,8 +178,9 @@ class TestTableCache:
         first = RotaryEmbedding(dim=16, max_position=64)
         clear_rope_table_cache()
         rebuilt = RotaryEmbedding(dim=16, max_position=64)
-        assert (first._cos == rebuilt._cos).all()
-        assert (first._sin == rebuilt._sin).all()
+        assert first._table is not rebuilt._table
+        for a, b in zip(first._table.reserve(64), rebuilt._table.reserve(64)):
+            assert (a == b).all()
 
     def test_decode_loop_reuses_tables(self):
         """Per-request head construction (the serving pattern) stays warm."""
@@ -180,3 +190,65 @@ class TestTableCache:
         for _ in range(8):
             RotaryEmbedding(dim=64, max_position=2048)
         assert rope_table_cache_info() == {"hits": 7, "misses": 1}
+
+
+class TestLazyRows:
+    def test_rows_follow_the_largest_position(self):
+        rope = RotaryEmbedding(dim=16, max_position=300)
+        table = rope._table
+        assert table.rows[0].shape == (0, 8)
+        rope.apply(_rand((1, 1, 16)), np.array([3]))
+        assert table.rows[0].shape[0] == 64  # the smallest growth
+        rope.apply(_rand((1, 1, 16)), np.array([64]))
+        assert table.rows[0].shape[0] == 128  # doubling
+        rope.apply(_rand((1, 1, 16)), np.array([200]))
+        assert table.rows[0].shape[0] == 256
+        rope.apply(_rand((1, 1, 16)), np.array([299]))
+        assert table.rows[0].shape[0] == 300  # capped at max_position
+        with pytest.raises(ValueError, match="exceeds table size"):
+            rope.apply(_rand((1, 1, 16)), np.array([300]))
+
+    @pytest.mark.parametrize(
+        "name,yarn",
+        [
+            ("model", None),  # the LLM's plain float32 table
+            ("head", YarnConfig(original_max_position=2048, scaling_factor=8.0)),
+        ],
+    )
+    def test_lazy_rows_equal_one_shot_build(self, name, yarn):
+        """Rows grown in any order are bit-equal to the whole-table build.
+
+        Served order is one prompt chunk, then one position per decode
+        step; the odd chunks (1, 7, 300, repeated) move every growth
+        boundary. Both must equal the one-shot ``_build_tables`` in
+        float32, so no stream depends on how far a table had grown.
+        """
+        dim, max_position, base = 64, 16384, 10000.0
+        expected = RotaryEmbedding._build_tables(
+            dim, max_position, base, yarn, np.dtype(np.float32)
+        )
+
+        def fresh():
+            from repro.tensor import clear_rope_table_cache
+
+            clear_rope_table_cache()
+            return RotaryEmbedding(dim, max_position, base=base, yarn=yarn)
+
+        served = fresh()
+        x = _rand((1, 512, dim))
+        served.apply(x, np.arange(512))
+        for p in range(512, max_position):
+            served.apply(x[:, :1], np.array([p]))
+
+        chunked = fresh()._table
+        end = 0
+        for step in itertools.cycle((1, 7, 300)):
+            end = min(end + step, max_position)
+            chunked.reserve(end)
+            if end == max_position:
+                break
+
+        for table in (served._table, chunked):
+            for got, want in zip(table.rows, expected):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
